@@ -63,6 +63,14 @@ class Request:
 # generators
 
 
+def _dim(j: int) -> int:
+    """The dimension of copy j: the copies alternate through 1..MAX_DIM,
+    so every seed has the same mix of shapes and varies only the
+    coefficients.  Costs cluster by dimension, so a dimension drawn from
+    the seed would make the cost of a whole pool move with the seed."""
+    return 1 + j % MAX_DIM
+
+
 def _anchor(rng: random.Random, dim: int) -> tuple:
     return tuple(F(rng.randint(-BOUND, BOUND), 2) for _ in range(dim))
 
@@ -108,9 +116,9 @@ def _expect(key: str):
     return check
 
 
-def _req_check(rng):
-    dim = rng.randint(1, MAX_DIM)
-    valid = rng.random() < 0.5
+def _req_check(rng, j):
+    dim = _dim(j)
+    valid = (j // MAX_DIM) % 2 == 0
     s = orc.random_ncset(rng, dim, DEFAULT_SPEC) if valid else orc.random_corrupted(rng, dim, DEFAULT_SPEC)
 
     def check(doc, code):
@@ -123,15 +131,15 @@ def _req_check(rng):
 
 
 def _req_set_verb(verb: str, key: str):
-    def make(rng):
-        s = orc.random_ncset(rng, rng.randint(1, MAX_DIM), DEFAULT_SPEC)
+    def make(rng, j):
+        s = orc.random_ncset(rng, _dim(j), DEFAULT_SPEC)
         return Request(verb, [verb, "s"], {"s": js.ncset_to_json(s)}, _expect(key))
 
     return make
 
 
-def _req_member(rng):
-    dim = rng.randint(1, MAX_DIM)
+def _req_member(rng, j):
+    dim = _dim(j)
     a = _anchor(rng, dim)
     s = orc.random_ncset(rng, dim, DEFAULT_SPEC, anchor=a)
 
@@ -143,15 +151,15 @@ def _req_member(rng):
     return Request("member", ["member", "s", f"--point={_text(a)}"], {"s": js.ncset_to_json(s)}, check)
 
 
-def _req_image(rng):
-    d, m = rng.randint(1, 2), rng.randint(1, 2)
+def _req_image(rng, j):
+    d, m = _dim(j), _dim(j // MAX_DIM)
     s = orc.random_ncset(rng, d, DEFAULT_SPEC)
     files = {"s": js.ncset_to_json(s), "t": [[str(c) for c in r] for r in _matrix(rng, m, d)]}
     return Request("image", ["image", "s", "t"], files, _expect("result"))
 
 
-def _req_preimage(rng):
-    n, m = rng.randint(1, 2), rng.randint(1, 2)
+def _req_preimage(rng, j):
+    n, m = _dim(j), _dim(j // MAX_DIM)
     t = _matrix(rng, m, n)
     x0 = _anchor(rng, n)
     s = orc.random_ncset(rng, m, DEFAULT_SPEC, anchor=_mat_vec(t, x0))
@@ -159,8 +167,8 @@ def _req_preimage(rng):
     return Request("preimage", ["preimage", "s", "t"], files, _expect("result"))
 
 
-def _req_intersect(rng):
-    dim = rng.randint(1, 2)
+def _req_intersect(rng, j):
+    dim = _dim(j)
     a = _anchor(rng, dim)
     files = {
         "l": js.ncset_to_json(orc.random_ncset(rng, dim, DEFAULT_SPEC, anchor=a)),
@@ -169,15 +177,15 @@ def _req_intersect(rng):
     return Request("intersect", ["intersect", "l", "r"], files, _expect("result"))
 
 
-def _req_product(rng):
+def _req_product(rng, j):
     files = {
-        "l": js.ncset_to_json(orc.random_ncset(rng, rng.randint(1, 2), DEFAULT_SPEC)),
+        "l": js.ncset_to_json(orc.random_ncset(rng, _dim(j), DEFAULT_SPEC)),
         "r": js.ncset_to_json(orc.random_ncset(rng, 1, DEFAULT_SPEC)),
     }
     return Request("product", ["product", "l", "r"], files, _expect("result"))
 
 
-def _req_map_compose(rng):
+def _req_map_compose(rng, j):
     a, b, c = _anchor(rng, 1), _anchor(rng, 1), _anchor(rng, 1)
     files = {
         "l": _map_doc(rng, LEAN_SPEC, 1, 1, a + b),
@@ -186,14 +194,14 @@ def _req_map_compose(rng):
     return Request("map-compose", ["map", "compose", "l", "r"], files, _expect("map"))
 
 
-def _req_map_eval(rng):
+def _req_map_eval(rng, j):
     a = _anchor(rng, 1)
     files = {"f": _map_doc(rng, LEAN_SPEC, 1, 1, a + _anchor(rng, 1))}
     return Request("map-eval", ["map", "eval", "f", f"--point={_text(a)}"], files, _expect("values"))
 
 
-def _req_support(rng):
-    dim = rng.randint(1, MAX_DIM)
+def _req_support(rng, j):
+    dim = _dim(j)
     s = orc.random_ncset(rng, dim, DEFAULT_SPEC)
     w = _coefs(rng, dim)
 
@@ -209,8 +217,8 @@ def _req_support(rng):
     return Request("support", ["support", "s", f"--dual={_text(w)}"], files, check)
 
 
-def _req_ncone(rng):
-    dim = rng.randint(1, MAX_DIM)
+def _req_ncone(rng, j):
+    dim = _dim(j)
     a = _anchor(rng, dim)
     files = {"s": js.ncset_to_json(orc.random_ncset(rng, dim, DEFAULT_SPEC, anchor=a))}
     return Request("ncone", ["ncone", "s", f"--point={_text(a)}"], files, _expect("normal_cone"))
@@ -237,15 +245,19 @@ MIX = (
 )
 
 # distinct generated requests per verb; cycle c of the mix takes copy
-# c mod COPIES of every verb
-COPIES = 8
+# c mod COPIES of every verb.  The p90 of a run falls among the costliest
+# tenth of the distinct requests, so it hinges on how many there are:
+# with 8 copies it moved from 140 to 204 ms between seeds.
+COPIES = 16
 
 
 def make_pool(seed: int) -> list[list[Request]]:
     """COPIES requests per verb of the mix.  Copy j of verb k draws from
-    its own generator, so one verb's inputs do not shift another's."""
+    its own generator, so one verb's inputs do not shift another's; its
+    shape (dimensions, and whether a `check` set is corrupted) comes
+    from j."""
     return [
-        [make(random.Random(f"{seed}:{k}:{j}")) for j in range(COPIES)]
+        [make(random.Random(f"{seed}:{k}:{j}"), j) for j in range(COPIES)]
         for k, make in enumerate(MIX)
     ]
 

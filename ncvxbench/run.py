@@ -1,6 +1,6 @@
 """Benchmark for ncvx: one workload at one seed, closed loop, one caller.
 
-    python3 ncvxbench/run.py --workload verify-lp --seed 0 --seconds 45 --trace 0
+    python3 ncvxbench/run.py --workload verify-lp --seed 0 --seconds 35 --trace 0
 
 Run from the root of a checkout; the program is imported from `src/`.
 With `--trace 0` it times ops for `--seconds` seconds and reports the
@@ -13,6 +13,7 @@ one JSON object: correct, attempted, failed, metrics.  See README.md.
 from __future__ import annotations
 
 import argparse
+import collections
 import hashlib
 import itertools
 import json
@@ -31,9 +32,10 @@ WORKDIR = os.path.join(HERE, ".work")
 
 # per workload: fresh processes timed for setup_s (the median is
 # reported), and ops in the fixed list of a traced run per second of
-# --seconds, sized so that the untraced pass takes about 40 % of it
+# --seconds, split evenly over the segments and sized so that the
+# untraced pass takes about 40 % of it
 WORKLOADS = {
-    "verify-lp": (5, 4.0),
+    "verify-lp": (7, 2.5),
     "verify-oracle": (5, 1.4),
     "cli-cold": (3, 6.5),
 }
@@ -41,6 +43,7 @@ WORKLOADS = {
 END_TO_END_UNITS = {
     "setup_s": "s",
     "ops_per_s": "1/s",
+    "op_p50_ms": "ms",
     "op_p90_ms": "ms",
     "peak_rss_mib": "MiB",
     "ok_frac": "ratio",
@@ -136,7 +139,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--workload", required=True, choices=WORKLOADS)
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=45)
+    ap.add_argument("--seconds", type=float, default=35)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--setup-only", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
@@ -156,7 +159,7 @@ def main(argv=None) -> int:
     probes, trace_rate = WORKLOADS[args.workload]
     modules = tr.ncvx_modules()
     caches = tr.Caches(modules)
-    make_ops = workloads.build(args.workload, args.seed, os.path.join(WORKDIR, args.workload))
+    segments = workloads.build(args.workload, args.seed, os.path.join(WORKDIR, args.workload))
     if args.setup_only:
         print("ready", flush=True)
         return 0
@@ -166,8 +169,15 @@ def main(argv=None) -> int:
     if args.trace == 0:
         setups = [probe_setup_s(args.workload, args.seed) for _ in range(probes)]
         caches.clear()
-        deadline = time.perf_counter() + args.seconds
-        wall, lat, outputs, errors = run_ops(make_ops(), caches.clear, deadline=deadline)
+        lat, outputs, errors = [], [], []
+        share = args.seconds / len(segments)
+        t0 = time.perf_counter()
+        for k, segment in enumerate(segments):
+            _, seg_lat, seg_out, seg_err = run_ops(segment(), caches.clear, deadline=t0 + (k + 1) * share)
+            lat += seg_lat
+            outputs += seg_out
+            errors += seg_err
+        wall = time.perf_counter() - t0
         failures = errors + check_outputs(outputs)
         n = len(lat)
         lat_ms = sorted(x * 1e3 for x in lat)
@@ -175,6 +185,7 @@ def main(argv=None) -> int:
         metrics = {
             "setup_s": statistics.median(setups),
             "ops_per_s": n / wall,
+            "op_p50_ms": statistics.median(lat_ms),
             "op_p90_ms": p90,
             "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
             "ok_frac": (n - len(failures)) / n,
@@ -182,18 +193,20 @@ def main(argv=None) -> int:
         units = END_TO_END_UNITS
         beyond = sum(1 for x in lat_ms if x > p90)
         notes.append(f"ops {n} in {wall:.2f} s; op_p90_ms from {n} samples, {beyond} beyond it")
-        notes.append(f"op_p50_ms {statistics.median(lat_ms):.3f} (diagnostic only)")
+        by_label = collections.Counter(op.label for op, _ in outputs)
+        notes.append("ops by label " + " ".join(f"{k}={v}" for k, v in by_label.items()))
         notes.append(f"setup_s samples {' '.join(f'{s:.4f}' for s in setups)}")
         caches.clear()
         self_tests = ["a cache is not empty after cache_clear"] if any(caches.sizes()) else []
     else:
-        count = max(1, round(args.seconds * trace_rate))
+        per_segment = max(1, round(args.seconds * trace_rate / len(segments)))
+        op_list = [op for segment in segments for op in itertools.islice(segment(), per_segment)]
         tracer = tr.Tracer(modules)
         wall0 = wall1 = 0.0
         out0, out1, errors = [], [], []
         # each block runs untraced and then traced, so that both passes
         # see the same host speed and the overhead estimate stays fair
-        for block in cache_blocks(list(itertools.islice(make_ops(), count))):
+        for block in cache_blocks(op_list):
             wall, _, outputs, errs = run_ops(iter(block), caches.clear, count=len(block))
             wall0 += wall
             out0 += outputs
@@ -220,14 +233,17 @@ def main(argv=None) -> int:
         n = len(out0) + len(out1)
         metrics = tracer.metrics()
         metrics["trace.overhead_frac"] = wall1 / wall0 - 1
-        metrics["trace.wall_s"] = wall1
-        metrics["trace.untraced_s"] = max(0.0, wall1 - tracer.traced_s())
         units = None
-        notes.append(f"ops {count} per pass; untraced {wall0:.2f} s, traced {wall1:.2f} s")
+        notes.append(f"ops {len(op_list)} per pass; untraced {wall0:.2f} s, traced {wall1:.2f} s")
+        notes.append(f"traced wall outside every traced function {max(0.0, wall1 - tracer.traced_s()):.3f} s")
         notes.append(f"aliases rebound {tracer.rebound_count} for {len(tracer.targets)} functions; caches {len(caches.funcs)}")
         lp_share = metrics["lp.solve_lp.self_s"] / wall1
         orc_share = metrics["oracle.check_self_s"] / wall1
-        notes.append(f"self-time share of traced wall: lp.solve_lp {lp_share:.3f}, oracle checks {orc_share:.3f}")
+        gen_share = metrics["oracle.gen_self_s"] / wall1
+        notes.append(
+            f"self-time share of traced wall: lp.solve_lp {lp_share:.3f}, "
+            f"oracle checks {orc_share:.3f}, oracle generators {gen_share:.3f}"
+        )
     ref_after = host_reference_ms()
 
     notes.append(f"stdout_sha256 {digest(outputs)} over {len(outputs)} ops")
