@@ -33,7 +33,8 @@ from .linalg import Mat, Vec, ZERO, ONE
 from .lp import LPOutcome, MixedSystem, maximize, solve_lp, strict_feasible
 from .ncset import NCSet, affine_preimage, closure_hull, from_closed_hpoly, intersect, ncset
 from .plfunc import MINUS_INF, PLUS_INF, PLFunction, Value
-from .polyhedron import HPoly, Row, canonical_form, empty_hpoly, hpoly, to_vrep
+from .polyhedron import HPoly, canonical_form, empty_hpoly, hpoly, to_vrep
+from .rationals import ext_add, format_rational, format_vector
 from .svmap import SVMap
 from .variational import OVFInstance
 
@@ -129,31 +130,38 @@ def support_of_intersection(
     direct = support(inter, v)
 
     n = s1.dim
-    e1, e2 = support_epigraph(s1), support_epigraph(s2)
-    # variables (v1, t1, t2)
-    ineq: list[Row] = []
-    eq: list[Row] = []
-    for rows, sink in ((e1.ineq, ineq), (e1.eq, eq)):
-        for a, b in rows:
-            sink.append((a[:n] + (a[n], ZERO), b))
-    for rows, sink in ((e2.ineq, ineq), (e2.eq, eq)):
-        for a, b in rows:
-            sink.append((la.neg(a[:n]) + (ZERO, a[n]), b - la.dot(a[:n], v)))
-    cost = la.zeros(n) + (ONE, ONE)
-    out = solve_lp(cost, MixedSystem(n + 2, tuple(ineq), (), tuple(eq)))
-
-    if direct.value == PLUS_INF:
-        if out.status == "optimal":
-            raise IdentityViolated("split LP finite while the support is not")
+    z = _convolution(support_epigraph(s1), support_epigraph(s2), v, direct.value)
+    if z is None:
         return PLUS_INF, None
-    assert out.status == "optimal", "split LP is bounded below under the qc"
-    if out.value != direct.value:
+    return direct.value, SplitWitness(z[:n], la.sub(v, z[:n]), None, (z[n], z[n + 1]))
+
+
+def _convolution(e1: HPoly, e2: HPoly, target: Vec, direct: Value) -> Optional[Vec]:
+    """The epigraph-sum LP of an infimal convolution: minimize t1 + t2 over
+    (v1, t1, t2) with (v1, t1) in e1 and (target - v1, t2) in e2.
+
+    Its value must equal ``direct``, the same quantity computed on the
+    primal side, or IdentityViolated is raised.  Returns an optimal
+    (v1, t1, t2), or None when both sides are +inf.
+    """
+    m = len(target)
+    first = e1.closed_system().embed(range(m + 1), m + 2)
+    # (v1, t1, t2) -> (target - v1, t2)
+    to_second = tuple(la.neg(la.unit(m + 2, j)) for j in range(m))
+    to_second += (la.unit(m + 2, m + 1),)
+    second = e2.closed_system().pullback(to_second, target + (ZERO,))
+    out = solve_lp(la.zeros(m) + (ONE, ONE), first.combine(second))
+    at = format_vector(target)
+    if direct == PLUS_INF:
+        if out.status == "optimal":
+            raise IdentityViolated(f"convolution finite at {at}, direct side inf")
+        return None
+    if out.status != "optimal" or out.value != direct:
+        got = format_rational(out.value) if out.status == "optimal" else out.status
         raise IdentityViolated(
-            f"support {direct.value} != convolution {out.value} at {v}"
+            f"direct side {format_rational(direct)} != convolution {got} at {at}"
         )
-    w = out.witness
-    v1 = w[:n]
-    return direct.value, SplitWitness(v1, la.sub(v, v1), None, (w[n], w[n + 1]))
+    return out.witness
 
 
 # ---------------------------------------------------------------------------
@@ -238,37 +246,18 @@ def ovf_conjugate(inst: OVFInstance, w) -> tuple[Value, Optional[SplitWitness]]:
     if full:
         rhs = fenchel_value(inst.f, w + la.zeros(p))
         if rhs != lhs:
-            raise IdentityViolated(f"mu*({w}) = {lhs} but f*(w, 0) = {rhs}")
+            at = format_vector(w)
+            raise IdentityViolated(f"mu*{at} = {lhs} but f*(w, 0) = {rhs}")
         if lhs == PLUS_INF:
             return PLUS_INF, None
         return lhs, SplitWitness(w, la.zeros(n), la.zeros(p), (lhs, ZERO))
 
-    ef = conjugate_epigraph(inst.f)  # over (w-block, v-block, t)
-    eg = support_epigraph(inst.fmap.graph)
-    m = n + p
-    # variables (w1, v, t1, t2)
-    ineq: list[Row] = []
-    eq: list[Row] = []
-    for rows, sink in ((ef.ineq, ineq), (ef.eq, eq)):
-        for a, b in rows:
-            sink.append((a[:m] + (a[m], ZERO), b))
-    for rows, sink in ((eg.ineq, ineq), (eg.eq, eq)):
-        for a, b in rows:
-            # evaluated at ((w - w1), -v, t2)
-            sink.append(
-                (la.neg(a[:m]) + (ZERO, a[m]), b - la.dot(a[:n], w))
-            )
-    cost = la.zeros(m) + (ONE, ONE)
-    out = solve_lp(cost, MixedSystem(m + 2, tuple(ineq), (), tuple(eq)))
-
-    if lhs == PLUS_INF:
-        if out.status == "optimal":
-            raise IdentityViolated("convolution finite while mu* is not")
+    # f* at (w1, v, t1), the graph support at (w - w1, -v, t2)
+    ef = conjugate_epigraph(inst.f)
+    z = _convolution(ef, support_epigraph(inst.fmap.graph), w + la.zeros(p), lhs)
+    if z is None:
         return PLUS_INF, None
-    assert out.status == "optimal", "convolution LP is bounded below here"
-    if out.value != lhs:
-        raise IdentityViolated(f"mu*({w}) = {lhs} != convolution {out.value}")
-    z = out.witness
+    m = n + p
     w1, v = z[:n], z[n:m]
     return lhs, SplitWitness(w1, la.sub(w, w1), v, (z[m], z[m + 1]))
 
@@ -302,10 +291,10 @@ def conjugate_sum(
     lhs: Value = MINUS_INF
     cost = la.neg(w) + (ONE, ONE)  # minimize -<w,x> + t1 + t2
     for c1 in f1.epi.pieces:
-        lift1 = _pad_cols(c1.base, (), 1)
+        lift1 = c1.system().embed(range(n + 1), n + 2)  # (x, t1) at (x, t1, t2)
         for c2 in f2.epi.pieces:
-            lift2 = _pad_cols(c2.base, (n,), 0)
-            cell = lift1.ri_system().combine(lift2.ri_system())
+            lift2 = c2.system().embed([*range(n), n + 1], n + 2)
+            cell = lift1.combine(lift2)
             if not strict_feasible(cell).feasible:
                 continue
             out = solve_lp(cost, cell.closed())
@@ -320,44 +309,10 @@ def conjugate_sum(
             break
     assert lhs != MINUS_INF, "qc guarantees a common finite point"
 
-    e1, e2 = conjugate_epigraph(f1), conjugate_epigraph(f2)
-    # variables (w1, t1, t2)
-    ineq: list[Row] = []
-    eq: list[Row] = []
-    for rows, sink in ((e1.ineq, ineq), (e1.eq, eq)):
-        for a, b in rows:
-            sink.append((a[:n] + (a[n], ZERO), b))
-    for rows, sink in ((e2.ineq, ineq), (e2.eq, eq)):
-        for a, b in rows:
-            sink.append((la.neg(a[:n]) + (ZERO, a[n]), b - la.dot(a[:n], w)))
-    cost = la.zeros(n) + (ONE, ONE)
-    out = solve_lp(cost, MixedSystem(n + 2, tuple(ineq), (), tuple(eq)))
-
-    if lhs == PLUS_INF:
-        if out.status == "optimal":
-            raise IdentityViolated("convolution finite while the sum's is not")
+    z = _convolution(conjugate_epigraph(f1), conjugate_epigraph(f2), w, lhs)
+    if z is None:
         return PLUS_INF, None
-    assert out.status == "optimal", "convolution LP is bounded below under qc"
-    if out.value != lhs:
-        raise IdentityViolated(f"(f1+f2)*({w}) = {lhs} != split {out.value}")
-    z = out.witness
-    w1 = z[:n]
-    return lhs, SplitWitness(w1, la.sub(w, w1), None, (z[n], z[n + 1]))
-
-
-def _pad_cols(base: HPoly, at: tuple[int, ...], after: int) -> HPoly:
-    """Insert zero columns at the given positions and pad the tail."""
-
-    def stretch(rows):
-        out = []
-        for a, b in rows:
-            lst = list(a)
-            for pos in at:
-                lst.insert(pos, ZERO)
-            out.append((tuple(lst) + la.zeros(after), b))
-        return tuple(out)
-
-    return HPoly(base.dim + len(at) + after, stretch(base.ineq), stretch(base.eq))
+    return lhs, SplitWitness(z[:n], la.sub(w, z[:n]), None, (z[n], z[n + 1]))
 
 
 def conjugate_chain(
@@ -379,12 +334,7 @@ def conjugate_chain(
     hull_d = closure_hull(pf.dom(g))
     if hull_d is None:
         raise QCViolated("inner function has empty domain")
-    pulled = MixedSystem(
-        n,
-        (),
-        tuple((la.mat_t_vec(a_mat, a), b) for a, b in hull_d.ineq),
-        tuple((la.mat_t_vec(a_mat, a), b) for a, b in hull_d.eq),
-    )
+    pulled = hull_d.ri_system().pullback(a_mat, la.zeros(p))
     if not strict_feasible(pulled).feasible:
         raise QCViolated("the range of A misses ri(dom g)")
 
@@ -410,7 +360,8 @@ def conjugate_chain(
         return PLUS_INF, None
     if out.status != "optimal" or out.value != lhs:
         got = out.value if out.status == "optimal" else out.status
-        raise IdentityViolated(f"(g o A)*({w}) = {lhs} != chain value {got}")
+        at = format_vector(w)
+        raise IdentityViolated(f"(g o A)*{at} = {lhs} != chain value {got}")
     return lhs, out.witness[:p]
 
 
@@ -430,7 +381,7 @@ def composite_conjugate_identity(
     lhs = fenchel_value(f, la.zeros(n) + ystar)
     rhs_g = fenchel_value(g, la.neg(la.mat_t_vec(a_mat, ystar)))
     rhs_h = fenchel_value(h, ystar)
-    rhs = rhs_g + rhs_h if PLUS_INF not in (rhs_g, rhs_h) else PLUS_INF
+    rhs = ext_add(rhs_g, rhs_h)
     if lhs != rhs:
         raise IdentityViolated(f"f*(0, y*) = {lhs} != split sum {rhs}")
     return lhs

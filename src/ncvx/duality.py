@@ -32,7 +32,8 @@ from .linalg import Mat, Vec
 from .lp import MixedSystem, solve_lp, strict_feasible
 from .ncset import NCSet
 from .plfunc import MINUS_INF, PLUS_INF, PLFunction, Value
-from .svmap import SVMap, _pad_cell
+from .rationals import ext_add
+from .svmap import SVMap
 
 
 @dataclass(frozen=True)
@@ -73,24 +74,6 @@ class DualityReport:
 
 # ---------------------------------------------------------------------------
 # extended-value helpers
-
-
-def _vneg(a: Value) -> Value:
-    if a == PLUS_INF:
-        return MINUS_INF
-    if a == MINUS_INF:
-        return PLUS_INF
-    return -a
-
-
-def _vadd(a: Value, b: Value) -> Value:
-    if PLUS_INF in (a, b):
-        if MINUS_INF in (a, b):
-            raise IdentityViolated("opposite infinities met in a dual formula")
-        return PLUS_INF
-    if MINUS_INF in (a, b):
-        return MINUS_INF
-    return a + b
 
 
 def _gap_of(v: Value, vd: Value) -> Value:
@@ -230,15 +213,6 @@ def _lagrange_flags(phi: PLFunction, theta: NCSet, g: SVMap) -> tuple[QCFlag, ..
     return triple, at_zero
 
 
-def _lift_epi_cell(cell: MixedSystem, n: int, p: int) -> MixedSystem:
-    """Reindex an (x, t) cell into (x, y, t) coordinates."""
-
-    def lift(rows):
-        return tuple((a[:n] + la.zeros(p) + a[n:], b) for a, b in rows)
-
-    return MixedSystem(n + p + 1, lift(cell.weak), lift(cell.strict), lift(cell.eq))
-
-
 def _graph_inf(
     theta: NCSet, g: SVMap, phi: Optional[PLFunction], cx: Vec, cy: Vec
 ) -> Value:
@@ -248,18 +222,20 @@ def _graph_inf(
     with_phi = phi is not None
     dim = n + p + 1 if with_phi else n + p
     cost = tuple(cx) + tuple(cy) + ((la.ONE,) if with_phi else ())
-    f_cells = (
-        [pc.base.closed_system() for pc in phi.epi.pieces] if with_phi else [None]
-    )
+    f_cells = [None]
+    if with_phi:
+        # epigraph cells (x, t) of phi, placed at (x, y, t)
+        at = [*range(n), n + p]
+        f_cells = [pc.base.closed_system().embed(at, dim) for pc in phi.epi.pieces]
     best: Value = PLUS_INF
     for tc in theta.pieces:
-        t_cell = _pad_cell(tc.base.closed_system(), 0, dim - n)
+        t_cell = tc.base.closed_system().embed(range(n), dim)
         for gc in g.graph.pieces:
-            g_cell = _pad_cell(gc.base.closed_system(), 0, dim - n - p)
+            g_cell = gc.base.closed_system().embed(range(n + p), dim)
             for fc in f_cells:
                 cell = t_cell.combine(g_cell)
                 if fc is not None:
-                    cell = cell.combine(_lift_epi_cell(fc, n, p))
+                    cell = cell.combine(fc)
                 out = solve_lp(la.vec(cost), cell)
                 if out.status == "unbounded":
                     return MINUS_INF
@@ -315,7 +291,7 @@ def lagrange_duality(phi: PLFunction, theta: NCSet, g: SVMap) -> DualityReport:
         probes.append(base.dual_witness)
     formula = None
     for ystar in probes:
-        want = _vneg(cj.fenchel_value(f, la.zeros(g.n) + tuple(ystar)))
+        want = -cj.fenchel_value(f, la.zeros(g.n) + tuple(ystar))
         formula = lagrange_dual_value(phi, theta, g, ystar)
         if formula != want:
             raise IdentityViolated(
@@ -343,18 +319,9 @@ def _cone_flag(
     hull_t = ns.closure_hull(theta)
     if hull_p is None or hull_t is None:
         return QCFlag("cone_ri_overlap", False)
-
-    def pull(row):
-        r, _ = row
-        return la.neg(la.mat_t_vec(a_mat, r)), la.dot(r, la.vec(c))
-
-    ri_k = k.k.ri_system()
-    pulled = MixedSystem(
-        theta.dim,
-        (),
-        tuple(pull(r) for r in ri_k.strict),
-        tuple(pull(r) for r in ri_k.eq),
-    )
+    # -g(x) in ri K: pull ri K back under x -> -Ax - c
+    minus_a = tuple(la.neg(row) for row in a_mat)
+    pulled = k.k.ri_system().pullback(minus_a, la.neg(la.vec(c)))
     joint = hull_p.ri_system().combine(hull_t.ri_system()).combine(pulled)
     sf = strict_feasible(joint)
     return QCFlag("cone_ri_overlap", sf.feasible, sf.witness, sf.certificate)
@@ -416,7 +383,7 @@ def h1_value(
     """-phi*(u*) plus the best <u*, x> - <y*, y> over the constraint
     graph clipped to theta."""
     inner = _graph_inf(theta, g, None, la.vec(ustar), la.neg(la.vec(ystar)))
-    return _vadd(_vneg(cj.fenchel_value(phi, la.vec(ustar))), inner)
+    return ext_add(-cj.fenchel_value(phi, la.vec(ustar)), inner)
 
 
 def fenchel_lagrange_duality(
@@ -443,7 +410,7 @@ def fenchel_lagrange_duality(
         probes.append((w[:n], w[n:]))
     formula = None
     for ustar, ystar in probes:
-        want = _vneg(cj.fenchel_value(f1, la.zeros(n) + tuple(ustar) + tuple(ystar)))
+        want = -cj.fenchel_value(f1, la.zeros(n) + tuple(ustar) + tuple(ystar))
         formula = h1_value(phi, theta, g, ustar, ystar)
         if formula != want:
             raise IdentityViolated(
@@ -468,18 +435,7 @@ def _fenchel_flag(g_fn: PLFunction, h_fn: PLFunction, a_mat: Mat) -> QCFlag:
     hull_h = ns.closure_hull(pl.dom(h_fn))
     if hull_g is None or hull_h is None:
         return QCFlag("affine_image_ri_overlap", False)
-
-    def pull(row):
-        r, b = row
-        return la.mat_t_vec(a_mat, r), b
-
-    ri_h = hull_h.ri_system()
-    pulled = MixedSystem(
-        g_fn.n,
-        (),
-        tuple(pull(r) for r in ri_h.strict),
-        tuple(pull(r) for r in ri_h.eq),
-    )
+    pulled = hull_h.ri_system().pullback(a_mat, la.zeros(h_fn.n))
     sf = strict_feasible(hull_g.ri_system().combine(pulled))
     return QCFlag("affine_image_ri_overlap", sf.feasible, sf.witness, sf.certificate)
 
@@ -489,24 +445,18 @@ def _fenchel_dual_lp(
 ) -> tuple[Value, Optional[Vec]]:
     """sup_{y*} -g*(-A^T y*) - h*(y*) as one LP over the two conjugate
     epigraphs, variables (y*, beta_g, beta_h)."""
-    eg = cj.conjugate_epigraph(g_fn)
-    eh = cj.conjugate_epigraph(h_fn)
+    eg = cj.conjugate_epigraph(g_fn).closed_system()
+    eh = cj.conjugate_epigraph(h_fn).closed_system()
     n, p = g_fn.n, h_fn.n
     dim = p + 2
-
-    def from_g(row):
-        r, b = row
-        coeffs = tuple(-la.dot(r[:n], a_mat[j]) for j in range(p))
-        return coeffs + (r[n], la.ZERO), b
-
-    def from_h(row):
-        r, b = row
-        return r[:p] + (la.ZERO, r[p]), b
-
-    weak = tuple(from_g(r) for r in eg.ineq) + tuple(from_h(r) for r in eh.ineq)
-    eq = tuple(from_g(r) for r in eg.eq) + tuple(from_h(r) for r in eh.eq)
+    # g* is read at (-A^T y*, beta_g) and h* at (y*, beta_h)
+    to_g = tuple(
+        tuple(-a_mat[j][i] for j in range(p)) + (la.ZERO, la.ZERO) for i in range(n)
+    ) + (la.unit(dim, p),)
+    system = eg.pullback(to_g, la.zeros(n + 1))
+    system = system.combine(eh.embed([*range(p), p + 1], dim))
     cost = la.add(la.unit(dim, p), la.unit(dim, p + 1))
-    out = solve_lp(cost, MixedSystem(dim, weak, (), eq))
+    out = solve_lp(cost, system)
     if out.status == "infeasible":
         return MINUS_INF, None
     if out.status == "unbounded":

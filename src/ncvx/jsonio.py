@@ -27,8 +27,8 @@ from . import svmap as sv
 from .errors import ParseError
 from .ncset import NCSet
 from .plfunc import PLFunction
-from .polyhedron import HPoly, NormalConeRep, VPoly
-from .rationals import MINUS_INF, PLUS_INF, format_rational, parse_rational
+from .polyhedron import HPoly, NormalConeRep
+from .rationals import format_rational, parse_rational
 from .svmap import SVMap
 
 # FM and double description are exponential; keep wire inputs at desk scale
@@ -43,15 +43,6 @@ def rational_from_json(v: Any) -> Fraction:
     if not isinstance(v, str):
         raise ParseError(f"rationals cross the wire as strings, got {v!r}")
     return parse_rational(v)
-
-
-def value_from_json(v: Any):
-    """Extended-real: 'inf', '-inf', or an exact rational string."""
-    if v == "inf":
-        return PLUS_INF
-    if v == "-inf":
-        return MINUS_INF
-    return rational_from_json(v)
 
 
 def value_to_json(v) -> str:
@@ -90,10 +81,6 @@ def matrix_from_json(v: Any, cols: Optional[int] = None) -> tuple:
         if len(r) != width:
             raise ParseError("matrix rows have inconsistent width")
     return rows
-
-
-def matrix_to_json(m: Sequence[Sequence]) -> list:
-    return [vector_to_json(r) for r in m]
 
 
 # ---------------------------------------------------------------------------
@@ -138,29 +125,6 @@ def hpoly_from_json(obj: Any) -> HPoly:
 
 def hpoly_to_json(p: HPoly) -> dict:
     return {"dim": p.dim, "ineq": _rows_to_json(p.ineq), "eq": _rows_to_json(p.eq)}
-
-
-def vpoly_from_json(obj: Any) -> VPoly:
-    if not isinstance(obj, dict):
-        raise ParseError(f"V-rep must be a JSON object, got {obj!r}")
-    dim = _parse_dim(obj)
-    pts = obj.get("points", [])
-    rays = obj.get("rays", [])
-    if not isinstance(pts, list) or not isinstance(rays, list):
-        raise ParseError("points and rays must be JSON arrays")
-    return VPoly(
-        dim,
-        tuple(vector_from_json(x, dim) for x in pts),
-        tuple(vector_from_json(r, dim) for r in rays),
-    )
-
-
-def vpoly_to_json(v: VPoly) -> dict:
-    return {
-        "dim": v.dim,
-        "points": [vector_to_json(x) for x in v.points],
-        "rays": [vector_to_json(r) for r in v.rays],
-    }
 
 
 def normal_cone_to_json(c: NormalConeRep) -> dict:

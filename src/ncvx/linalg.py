@@ -99,10 +99,6 @@ def identity(n: int) -> Mat:
     return tuple(unit(n, i) for i in range(n))
 
 
-def concat(a: Vec, b: Vec) -> Vec:
-    return a + b
-
-
 def primitive(a: Vec) -> Vec:
     """Scale a rational vector to coprime integers, keeping the sign."""
     if is_zero(a):

@@ -20,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import linalg as la
 from .errors import DimensionMismatch, UsageError
-from .linalg import Vec, ZERO, ONE
+from .linalg import Mat, Vec, ZERO, ONE
 
 Row = tuple[Vec, Fraction]
 
@@ -69,6 +69,57 @@ class MixedSystem:
             self.strict + other.strict,
             self.eq + other.eq,
         )
+
+    # Changes of coordinates, row by row within each block.  Row order is
+    # kept: the simplex pivot path, and with it every witness, depends on it.
+
+    def _map_rows(self, dim: int, move) -> "MixedSystem":
+        def rows(block):
+            return tuple(move(a, b) for a, b in block)
+
+        return MixedSystem(dim, rows(self.weak), rows(self.strict), rows(self.eq))
+
+    def embed(self, cols: Sequence[int], dim: int) -> "MixedSystem":
+        """The same rows in R^dim: coordinate j moves to column cols[j] and
+        every other column is zero.  Covers padding, interleaving and
+        permuting; rows are sliced and concatenated, never multiplied."""
+        # runs (source start, target start, length) of consecutive
+        # coordinates landing on consecutive columns, in column order
+        runs: list[list[int]] = []
+        for j, c in enumerate(cols):
+            if runs and runs[-1][1] + runs[-1][2] == c:
+                runs[-1][2] += 1
+            else:
+                runs.append([j, c, 1])
+        runs.sort(key=lambda run: run[1])
+
+        def move(a, b):
+            out, at = (), 0
+            for s, t, k in runs:
+                out += la.zeros(t - at) + a[s : s + k]
+                at = t + k
+            return out + la.zeros(dim - at), b
+
+        return self._map_rows(dim, move)
+
+    def fix(self, start: int, values: Vec) -> "MixedSystem":
+        """Substitute values for coordinates start, start+1, ... and drop
+        them."""
+        stop = start + len(values)
+
+        def move(a, b):
+            return a[:start] + a[stop:], b - la.dot(a[start:stop], values)
+
+        return self._map_rows(self.dim - len(values), move)
+
+    def pullback(self, t: Mat, shift: Vec) -> "MixedSystem":
+        """The rows under z -> t z + shift: a.y <= b becomes
+        (t^T a).z <= b - a.shift."""
+
+        def move(a, b):
+            return la.mat_t_vec(t, a), b - la.dot(a, shift)
+
+        return self._map_rows(len(t[0]) if t else 0, move)
 
 
 @dataclass(frozen=True)

@@ -24,12 +24,11 @@ from typing import Iterable, Optional, Sequence
 from . import linalg as la
 from .errors import DimensionMismatch, EmptyPolyhedron, NotNearlyConvex
 from .linalg import Mat, Vec
-from .lp import MixedSystem, Row, strict_feasible
+from .lp import MixedSystem, strict_feasible
 from .polyhedron import (
     HPoly,
     VPoly,
     _hpoly_sort_key,
-    affine_hull,
     canonical_form,
     decompose_mixed,
     difference_witness,
@@ -37,6 +36,7 @@ from .polyhedron import (
     to_hrep,
     to_vrep,
 )
+from .rationals import format_vector
 
 
 @dataclass(frozen=True)
@@ -109,14 +109,9 @@ def permute_coords(s: NCSet, perm: Sequence[int]) -> NCSet:
     """Reindex coordinates: new coordinate j reads old coordinate perm[j]."""
     if sorted(perm) != list(range(s.dim)):
         raise DimensionMismatch("perm must be a permutation of all coordinates")
-
-    def shuffle(rows):
-        return tuple((tuple(a[perm[j]] for j in range(s.dim)), b) for a, b in rows)
-
-    return ncset(
-        s.dim,
-        [HPoly(s.dim, shuffle(pc.base.ineq), shuffle(pc.base.eq)) for pc in s.pieces],
-    )
+    cols = sorted(range(s.dim), key=lambda i: perm[i])  # old i goes to cols[i]
+    moved = [pc.base.closed_system().embed(cols, s.dim) for pc in s.pieces]
+    return ncset(s.dim, [HPoly(s.dim, m.weak, m.eq) for m in moved])
 
 
 def union(*sets: NCSet) -> NCSet:
@@ -189,7 +184,8 @@ def is_nearly_convex(s: NCSet) -> tuple[bool, Optional[Vec]]:
 def require_valid(s: NCSet) -> None:
     ok, wit = is_nearly_convex(s)
     if not ok:
-        raise NotNearlyConvex(f"set is not nearly convex, witness {wit}")
+        witness = format_vector(wit)
+        raise NotNearlyConvex(f"set is not nearly convex, witness {witness}")
 
 
 def closure(s: NCSet) -> Optional[HPoly]:
@@ -201,14 +197,6 @@ def relative_interior(s: NCSet) -> Optional[ROPoly]:
     require_valid(s)
     hull = closure_hull(s)
     return None if hull is None else ROPoly(hull)
-
-
-def affine_hull_of(s: NCSet) -> tuple[Row, ...]:
-    require_valid(s)
-    hull = closure_hull(s)
-    if hull is None:
-        raise EmptyPolyhedron("affine hull of the empty set")
-    return affine_hull(hull)
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +224,10 @@ def product(s1: NCSet, s2: NCSet) -> NCSet:
     n, p = s1.dim, s2.dim
     bases = []
     for a in s1.pieces:
+        left = a.base.closed_system().embed(range(n), n + p)
         for b in s2.pieces:
-            ineq = [(row + la.zeros(p), rhs) for row, rhs in a.base.ineq]
-            ineq += [(la.zeros(n) + row, rhs) for row, rhs in b.base.ineq]
-            eq = [(row + la.zeros(p), rhs) for row, rhs in a.base.eq]
-            eq += [(la.zeros(n) + row, rhs) for row, rhs in b.base.eq]
-            bases.append(HPoly(n + p, tuple(ineq), tuple(eq)))
+            joint = left.combine(b.base.closed_system().embed(range(n, n + p), n + p))
+            bases.append(HPoly(n + p, joint.weak, joint.eq))
     return ncset(n + p, bases)
 
 
@@ -275,11 +261,9 @@ def _image_base(q: HPoly, t: Mat) -> HPoly:
     p, n = len(t), q.dim
     if any(len(r) != n for r in t):
         raise DimensionMismatch("matrix width does not match set dim")
-    ineq = [(row + la.zeros(p), rhs) for row, rhs in q.ineq]
-    eq = [(row + la.zeros(p), rhs) for row, rhs in q.eq]
-    for i in range(p):
-        eq.append((t[i] + la.neg(la.unit(p, i)), la.ZERO))
-    lifted = MixedSystem(n + p, tuple(ineq), (), tuple(eq))
+    graph = tuple((t[i] + la.neg(la.unit(p, i)), la.ZERO) for i in range(p))
+    lifted = q.closed_system().embed(range(n), n + p)
+    lifted = lifted.combine(MixedSystem(n + p, (), (), graph))
     shadow = project_mixed(lifted, list(range(n, n + p)))
     assert not shadow.strict
     return HPoly(p, shadow.weak, shadow.eq)
@@ -302,29 +286,16 @@ def affine_preimage(s: NCSet, t: Mat, shift: Vec) -> tuple[NCSet, bool]:
     """{x : t x + shift in s}, same certification flag as preimage."""
     if len(t) != s.dim or len(shift) != s.dim:
         raise DimensionMismatch("matrix height does not match set dim")
-    m = len(t[0]) if t else 0
-
-    def pull(row: Row) -> Row:
-        a, b = row
-        return la.mat_t_vec(t, a), b - la.dot(a, shift)
-
     bases = []
     for pc in s.pieces:
-        strict = tuple(pull(r) for r in pc.base.ineq)
-        eq = tuple(pull(r) for r in pc.base.eq)
-        if strict_feasible(MixedSystem(m, (), strict, eq)).feasible:
-            bases.append(HPoly(m, strict, eq))
-    result = ncset(m, bases)
+        cell = pc.system().pullback(t, shift)
+        if strict_feasible(cell).feasible:
+            bases.append(HPoly(cell.dim, cell.strict, cell.eq))
+    result = ncset(len(t[0]) if t else 0, bases)
     qc = False
     hull = closure_hull(s)
     if hull is not None:
-        ri_rows = MixedSystem(
-            m,
-            (),
-            tuple(pull(r) for r in hull.ineq),
-            tuple(pull(r) for r in hull.eq),
-        )
-        qc = strict_feasible(ri_rows).feasible
+        qc = strict_feasible(hull.ri_system().pullback(t, shift)).feasible
     return result, qc
 
 

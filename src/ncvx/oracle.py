@@ -29,7 +29,7 @@ from . import plfunc as pl
 from . import polyhedron as ph
 from . import svmap as sv
 from . import variational as vr
-from .errors import NcvxError, UnknownTheorem
+from .errors import NcvxError, UnknownTheorem, UsageError
 from .linalg import Mat, Vec
 from .lp import MixedSystem
 from .ncset import NCSet
@@ -586,6 +586,8 @@ def theorem_suite(
     check = _REGISTRY.get(theorem_id)
     if check is None:
         raise UnknownTheorem(f"no suite registered for {theorem_id!r}")
+    if count < 1:
+        raise UsageError(f"count must be at least 1, got {count}")
     failures: list[tuple[int, str]] = []
     for i in range(count):
         inst_seed = (seed + spec.seed) * 1_000_003 + i
@@ -600,15 +602,6 @@ def theorem_suite(
             if detail is not None:
                 failures.append((inst_seed, detail))
     return SuiteReport(theorem_id, count, count - len(failures), tuple(failures))
-
-
-def merge_suite_reports(parts: Sequence[SuiteReport]) -> SuiteReport:
-    """Deterministic merge of sharded runs of one theorem."""
-    ids = {r.theorem for r in parts}
-    assert len(ids) == 1, "cannot merge reports of different theorems"
-    failures = tuple(sorted(set().union(*(r.failures for r in parts))))
-    count = sum(r.count for r in parts)
-    return SuiteReport(ids.pop(), count, count - len(failures), failures)
 
 
 def registered_theorems() -> tuple[str, ...]:
@@ -643,15 +636,6 @@ def _random_plf(
         for _ in range(rng.randint(1, 3))
     ]
     return pl.max_affine(n, rows, domain=domain)
-
-
-def _split_dims(rng, total: int, parts: int = 2) -> list[int]:
-    # each part at least 1, sum at most total
-    dims = [1] * parts
-    for _ in range(total - parts):
-        if rng.random() < 0.5:
-            dims[rng.randrange(parts)] += 1
-    return dims
 
 
 def _anchored_ovf(rng, spec, n: int, p: int):

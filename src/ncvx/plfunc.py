@@ -7,24 +7,23 @@ nonempty vertical slice attains its infimum (or is unbounded below).  The
 ``envelope`` operator rebuilds the epigraph induced by an arbitrary set,
 so validity is the single exact equality envelope(s) = s.
 
-Values are Fractions, with ``math.inf`` / ``-math.inf`` for the two
-extended values.  Improper functions are representable; most downstream
-constructions require ``assert_proper`` first.
+Values are Fractions, with ``rationals.PLUS_INF`` / ``MINUS_INF`` for the
+two extended values.  Improper functions are representable; most
+downstream constructions require ``assert_proper`` first.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from . import linalg as la
 from . import svmap as sv
 from .errors import DimensionMismatch, InvalidEpigraph, UsageError
 from .linalg import Mat, Vec
-from .lp import MixedSystem, Row, solve_lp, strict_feasible
+from .lp import MixedSystem, solve_lp, strict_feasible
 from .ncset import (
     NCSet,
     affine_preimage,
@@ -49,12 +48,8 @@ from .polyhedron import (
     project_mixed,
     to_vrep,
 )
+from .rationals import MINUS_INF, PLUS_INF, ExtReal as Value
 from .svmap import SVMap
-
-Value = Union[Fraction, float]
-
-PLUS_INF = math.inf
-MINUS_INF = -math.inf
 
 
 @dataclass(frozen=True)
@@ -119,17 +114,6 @@ def const_function(n: int, v) -> PLFunction:
 # evaluation, domain, properness
 
 
-def _lambda_slice(base: HPoly, x: Vec) -> tuple[tuple[Row, ...], tuple[Row, ...]]:
-    """Rows over the last coordinate after fixing the first n to x."""
-    n = len(x)
-
-    def cut(row: Row) -> Row:
-        a, b = row
-        return (a[n:], b - la.dot(a[:n], x))
-
-    return tuple(cut(r) for r in base.ineq), tuple(cut(r) for r in base.eq)
-
-
 def eval_at(f: PLFunction, x: Vec) -> Value:
     """inf{lam : (x, lam) in epi}; +inf off the domain, -inf when the
     slice is unbounded below."""
@@ -138,10 +122,10 @@ def eval_at(f: PLFunction, x: Vec) -> Value:
         raise DimensionMismatch("point length does not match input dim")
     best: Optional[Fraction] = None
     for pc in f.epi.pieces:
-        ineq, eq = _lambda_slice(pc.base, x)
-        if not strict_feasible(MixedSystem(1, (), ineq, eq)).feasible:
+        cell = pc.system().fix(0, x)
+        if not strict_feasible(cell).feasible:
             continue
-        out = solve_lp((la.ONE,), MixedSystem(1, ineq, (), eq))
+        out = solve_lp((la.ONE,), cell.closed())
         if out.status == "unbounded":
             return MINUS_INF
         assert out.status == "optimal"
@@ -194,15 +178,6 @@ def from_epigraphical(e: SVMap) -> PLFunction:
 # epigraph validity via the lower envelope
 
 
-def _pad_after_mixed(m: MixedSystem, extra: int) -> MixedSystem:
-    pad = la.zeros(extra)
-
-    def widen(rows):
-        return tuple((a + pad, b) for a, b in rows)
-
-    return MixedSystem(m.dim + extra, widen(m.weak), widen(m.strict), widen(m.eq))
-
-
 @lru_cache(maxsize=None)
 def envelope(s: NCSet) -> NCSet:
     """Epigraph of x -> inf{lam : (x, lam) in s}.
@@ -219,14 +194,10 @@ def envelope(s: NCSet) -> NCSet:
         shadow = project_mixed(q.ri_system(), xs)
         # upward closure of q, computed over (x, lam', lam) with lam' <= lam
         chain = (la.zeros(n) + (la.ONE, -la.ONE), la.ZERO)
-        lifted = MixedSystem(
-            n + 2,
-            tuple((a + (la.ZERO,), b) for a, b in q.ineq) + (chain,),
-            (),
-            tuple((a + (la.ZERO,), b) for a, b in q.eq),
-        )
+        lifted = q.closed_system().embed(range(n + 1), n + 2)
+        lifted = MixedSystem(n + 2, lifted.weak + (chain,), (), lifted.eq)
         upward = project_mixed(lifted, xs + [n + 1])
-        cell = upward.combine(_pad_after_mixed(shadow, 1))
+        cell = upward.combine(shadow.embed(xs, n + 1))
         bases.extend(decompose_mixed(cell))
     return ncset(s.dim, bases)
 
@@ -297,7 +268,6 @@ def epi_m(g_mat: Mat, g_shift: Vec, m: NCSet) -> tuple[NCSet, bool]:
     g_shift = la.vec(g_shift)
     if len(g_mat) != p or len(g_shift) != p:
         raise DimensionMismatch("affine map must have M's dim many rows")
-    n = len(g_mat[0]) if g_mat else 0
     t = tuple(la.neg(g_mat[i]) + la.unit(p, i) for i in range(p))
     shift = la.neg(g_shift)
     result, _ = affine_preimage(m, t, shift)
@@ -306,17 +276,7 @@ def epi_m(g_mat: Mat, g_shift: Vec, m: NCSet) -> tuple[NCSet, bool]:
     hull_r = closure_hull(result)
     if hull_m is None or hull_r is None:
         return result, hull_m is None and hull_r is None
-
-    def pull(row: Row) -> Row:
-        a, b = row
-        return la.mat_t_vec(t, a), b - la.dot(a, shift)
-
-    pulled_ri = MixedSystem(
-        n + p,
-        (),
-        tuple(pull(r) for r in hull_m.ineq),
-        tuple(pull(r) for r in hull_m.eq),
-    )
+    pulled_ri = hull_m.ri_system().pullback(t, shift)
     ok, _ = is_nearly_convex(result)
     certified = ok and cells_equal(hull_r.ri_system(), pulled_ri)
     return result, certified

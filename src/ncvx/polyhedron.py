@@ -38,7 +38,7 @@ from .errors import (
     PointNotInSet,
 )
 from .linalg import ONE, Vec, ZERO
-from .lp import LPOutcome, MixedSystem, Row, feasible_point, maximize, strict_feasible
+from .lp import MixedSystem, Row, feasible_point, maximize, strict_feasible
 
 DEFAULT_DIM_CAP = 6
 MAX_CELLS = 50_000
@@ -225,13 +225,6 @@ def affine_hull(p: HPoly) -> tuple[Row, ...]:
     if canon is None:
         raise EmptyPolyhedron("affine hull of an empty polyhedron")
     return canon.eq
-
-
-def ri_membership(p: HPoly, x: Vec) -> bool:
-    canon = canonical_form(p)
-    if canon is None:
-        return False
-    return canon.ri_system().satisfies(x)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ All finite arithmetic in the library runs on `fractions.Fraction`, which is
 arbitrary precision and keeps numerator/denominator normalized with a
 positive denominator.  Extended values (+inf, -inf) appear only as optimal
 values of unbounded or infeasible problems and as function values outside a
-domain; they are represented by float infinities, never carry finite
-payloads, and every arithmetic step involving them goes through the guarded
-helpers below so an accidental inf - inf is impossible.
+domain; they are represented by float infinities and never carry finite
+payloads.  Negation is plain unary minus, and a sum that may involve them
+goes through ``ext_add``, which refuses inf + -inf.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from .errors import ParseError
+from .errors import IdentityViolated, ParseError
 
 PLUS_INF = float("inf")
 MINUS_INF = float("-inf")
@@ -47,38 +47,17 @@ def format_rational(v: ExtReal) -> str:
     return str(Fraction(v))
 
 
+def format_vector(v) -> str:
+    """A point as "(p1, p2, ...)", for messages meant to be read."""
+    return "(" + ", ".join(format_rational(c) for c in v) + ")"
+
+
 def ext_add(a: ExtReal, b: ExtReal) -> ExtReal:
     """Sum with infinities; opposite infinities are a caller bug."""
     if is_finite(a) and is_finite(b):
         return a + b
     if a == PLUS_INF or b == PLUS_INF:
         if a == MINUS_INF or b == MINUS_INF:
-            raise ValueError("inf + -inf is undefined")
+            raise IdentityViolated("opposite infinities met in a sum")
         return PLUS_INF
     return MINUS_INF
-
-
-def ext_sub(a: ExtReal, b: ExtReal) -> ExtReal:
-    if is_finite(b):
-        return ext_add(a, -b)
-    return ext_add(a, MINUS_INF if b == PLUS_INF else PLUS_INF)
-
-
-def ext_min(values) -> ExtReal:
-    out: ExtReal = PLUS_INF
-    for v in values:
-        if v == MINUS_INF:
-            return MINUS_INF
-        if out == PLUS_INF or (is_finite(v) and is_finite(out) and v < out):
-            out = v
-    return out
-
-
-def ext_max(values) -> ExtReal:
-    out: ExtReal = MINUS_INF
-    for v in values:
-        if v == PLUS_INF:
-            return PLUS_INF
-        if out == MINUS_INF or (is_finite(v) and is_finite(out) and v > out):
-            out = v
-    return out

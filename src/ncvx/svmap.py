@@ -9,21 +9,24 @@ graphs: products, intersections, coordinate permutations, and projections.
 
 Each operation whose relative-interior formula needs an overlap
 qualification returns a qc flag computed by one strict feasibility check
-on the relevant relative interiors. The certify_* helpers verify the ri
-formulas themselves as exact set identities: both sides are mixed cells
-(or their shadows under projection), compared by two-way subtraction.
+on the relevant relative interiors. The certify_* helpers and the image
+check verify the ri formulas themselves as exact set identities, all
+through one routine: the ri cells of the operands are embedded in a
+common product space and combined, the result is projected, and its
+shadow is compared with the ri cell of the result by two-way subtraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Optional, Sequence
 
 from . import linalg as la
 from .errors import DimensionMismatch, EmptyDomain
 from .linalg import Mat, Vec
-from .lp import MixedSystem, Row, strict_feasible
+from .lp import MixedSystem, strict_feasible
 from .ncset import (
     NCSet,
     ROPoly,
@@ -61,15 +64,6 @@ def require_valid_map(f: SVMap) -> None:
     require_valid(f.graph)
 
 
-def _slice_rows(rows: Sequence[Row], x: Vec, keep_from: int):
-    """Substitute the first block by x, keeping the tail coordinates."""
-    out = []
-    for a, b in rows:
-        head, tail = a[:keep_from], a[keep_from:]
-        out.append((tail, b - la.dot(head, x)))
-    return tuple(out)
-
-
 def eval_at(f: SVMap, x: Vec) -> NCSet:
     """F(x) as an exact union of relatively open pieces."""
     if len(x) != f.n:
@@ -77,10 +71,9 @@ def eval_at(f: SVMap, x: Vec) -> NCSet:
     x = la.vec(x)
     bases = []
     for pc in f.graph.pieces:
-        strict = _slice_rows(pc.base.ineq, x, f.n)
-        eq = _slice_rows(pc.base.eq, x, f.n)
-        if strict_feasible(MixedSystem(f.p, (), strict, eq)).feasible:
-            bases.append(HPoly(f.p, strict, eq))
+        cell = pc.system().fix(0, x)
+        if strict_feasible(cell).feasible:
+            bases.append(HPoly(f.p, cell.strict, cell.eq))
     return ncset(f.p, bases)
 
 
@@ -139,50 +132,44 @@ def _ri_cell(s: NCSet) -> Optional[MixedSystem]:
     return None if hull is None else hull.ri_system()
 
 
-def _pad_cell(cell: MixedSystem, before: int, after: int) -> MixedSystem:
-    def pad(rows):
-        return tuple(
-            (la.zeros(before) + a + la.zeros(after), b) for a, b in rows
-        )
+def _ri_overlap(*sets: NCSet) -> bool:
+    """Do the relative interiors of all the sets (of one space) meet?"""
+    cells = [_ri_cell(s) for s in sets]
+    if any(c is None for c in cells):
+        return False
+    return strict_feasible(reduce(MixedSystem.combine, cells)).feasible
 
-    return MixedSystem(
-        before + cell.dim + after,
-        pad(cell.weak),
-        pad(cell.strict),
-        pad(cell.eq),
-    )
+
+def _ri_formula_holds(
+    result: NCSet,
+    dim: int,
+    parts: Sequence[tuple[Optional[MixedSystem], Sequence[int]]],
+    keep: Sequence[int],
+) -> bool:
+    """Exact check of an ri formula: ri(result) equals the shadow on keep
+    of the joint cell in R^dim where each part, an ri cell, sits at its
+    columns.  Keeping every column projects nothing."""
+    lhs_cell = _ri_cell(result)
+    if any(cell is None for cell, _ in parts):
+        return lhs_cell is None
+    joint = reduce(MixedSystem.combine, [cell.embed(cols, dim) for cell, cols in parts])
+    shadow = joint if len(keep) == dim else project_mixed(joint, keep)
+    if lhs_cell is None:
+        return not strict_feasible(shadow).feasible
+    return cells_equal(lhs_cell, shadow)
 
 
 def image_of_set(f: SVMap, omega: NCSet) -> tuple[NCSet, bool, bool]:
     """F(omega), the ri-overlap qualification flag, and an exact check of
     the image ri formula (ri of the image = union of ri F(x) over
     x in ri(omega) and ri(dom F))."""
-    if omega.dim != f.n:
-        raise DimensionMismatch("set dim does not match input dim")
-    clipped, _ = intersect(f.graph, product(omega, whole_space(f.p)))
-    result = linear_image(clipped, _last_block(f.p, f.n + f.p))
-
-    qc = False
-    dom_cell = _ri_cell(dom(f))
-    omega_cell = _ri_cell(omega)
-    if dom_cell is not None and omega_cell is not None:
-        qc = strict_feasible(dom_cell.combine(omega_cell)).feasible
-
-    holds = _image_ri_formula_holds(f, omega, result) if qc else False
-    return result, qc, holds
-
-
-def _image_ri_formula_holds(f: SVMap, omega: NCSet, result: NCSet) -> bool:
-    graph_cell = _ri_cell(f.graph)
-    omega_cell = _ri_cell(omega)
-    lhs_cell = _ri_cell(result)
-    if graph_cell is None or omega_cell is None:
-        return lhs_cell is None
-    lifted = graph_cell.combine(_pad_cell(omega_cell, 0, f.p))
-    shadow = project_mixed(lifted, list(range(f.n, f.n + f.p)))
-    if lhs_cell is None:
-        return not strict_feasible(shadow).feasible
-    return cells_equal(lhs_cell, shadow)
+    restricted, qc = restrict(f, omega)
+    total = f.n + f.p
+    result = linear_image(restricted.graph, _last_block(f.p, total))
+    if not qc:
+        return result, qc, False
+    parts = [(_ri_cell(f.graph), range(total)), (_ri_cell(omega), range(f.n))]
+    return result, qc, _ri_formula_holds(result, total, parts, range(f.n, total))
 
 
 def inverse_image(f: SVMap, theta: NCSet) -> tuple[NCSet, bool]:
@@ -194,42 +181,24 @@ def certify_inverse_image(f: SVMap, theta: NCSet) -> bool:
     """ri(F^{-1}(theta)) = {x in ri(dom F) : ri F(x) meets ri(theta)},
     checked exactly via the graph shadow."""
     got, _ = inverse_image(f, theta)
-    lhs_cell = _ri_cell(got)
-    graph_cell = _ri_cell(f.graph)
-    theta_cell = _ri_cell(theta)
-    if graph_cell is None or theta_cell is None:
-        return lhs_cell is None
-    lifted = graph_cell.combine(_pad_cell(theta_cell, f.n, 0))
-    shadow = project_mixed(lifted, list(range(f.n)))
-    if lhs_cell is None:
-        return not strict_feasible(shadow).feasible
-    return cells_equal(lhs_cell, shadow)
+    total = f.n + f.p
+    parts = [(_ri_cell(f.graph), range(total)), (_ri_cell(theta), range(f.n, total))]
+    return _ri_formula_holds(got, total, parts, range(f.n))
 
 
 def restrict(f: SVMap, omega: NCSet) -> tuple[SVMap, bool]:
     if omega.dim != f.n:
         raise DimensionMismatch("set dim does not match input dim")
     clipped, _ = intersect(f.graph, product(omega, whole_space(f.p)))
-    qc = False
-    dom_cell = _ri_cell(dom(f))
-    omega_cell = _ri_cell(omega)
-    if dom_cell is not None and omega_cell is not None:
-        qc = strict_feasible(dom_cell.combine(omega_cell)).feasible
-    return SVMap(f.n, f.p, clipped), qc
+    return SVMap(f.n, f.p, clipped), _ri_overlap(dom(f), omega)
 
 
 def certify_restrict(f: SVMap, omega: NCSet) -> bool:
     """ri gph(F|omega) = ri gph F intersected with ri(omega) x R^p."""
     got, _ = restrict(f, omega)
-    lhs_cell = _ri_cell(got.graph)
-    graph_cell = _ri_cell(f.graph)
-    omega_cell = _ri_cell(omega)
-    if graph_cell is None or omega_cell is None:
-        return lhs_cell is None
-    rhs = graph_cell.combine(_pad_cell(omega_cell, 0, f.p))
-    if lhs_cell is None:
-        return not strict_feasible(rhs).feasible
-    return cells_equal(lhs_cell, rhs)
+    total = f.n + f.p
+    parts = [(_ri_cell(f.graph), range(total)), (_ri_cell(omega), range(f.n))]
+    return _ri_formula_holds(got.graph, total, parts, range(total))
 
 
 # ---------------------------------------------------------------------------
@@ -269,52 +238,27 @@ def map_sum(f1: SVMap, f2: SVMap) -> tuple[SVMap, bool]:
         for i in range(p)
     ]
     graph = linear_image(glued, tuple(rows))
-    qc = False
-    c1, c2 = _ri_cell(dom(f1)), _ri_cell(dom(f2))
-    if c1 is not None and c2 is not None:
-        qc = strict_feasible(c1.combine(c2)).feasible
-    return SVMap(n, p, graph), qc
+    return SVMap(n, p, graph), _ri_overlap(dom(f1), dom(f2))
 
 
 def certify_sum(f1: SVMap, f2: SVMap) -> bool:
     """ri gph(F1+F2) = image of {x in both ri graphs} under (x,y1,y2) ->
     (x, y1+y2), checked exactly."""
     got, _ = map_sum(f1, f2)
-    lhs_cell = _ri_cell(got.graph)
-    g1, g2 = _ri_cell(f1.graph), _ri_cell(f2.graph)
-    if g1 is None or g2 is None:
-        return lhs_cell is None
     n, p = f1.n, f1.p
     total = n + 2 * p + p  # (x, y1, y2, s)
-    lift1 = MixedSystem(
-        total,
-        tuple((a[:n] + a[n:] + la.zeros(2 * p), b) for a, b in g1.weak),
-        tuple((a[:n] + a[n:] + la.zeros(2 * p), b) for a, b in g1.strict),
-        tuple((a[:n] + a[n:] + la.zeros(2 * p), b) for a, b in g1.eq),
-    )
-    lift2 = MixedSystem(
-        total,
-        tuple((a[:n] + la.zeros(p) + a[n:] + la.zeros(p), b) for a, b in g2.weak),
-        tuple((a[:n] + la.zeros(p) + a[n:] + la.zeros(p), b) for a, b in g2.strict),
-        tuple((a[:n] + la.zeros(p) + a[n:] + la.zeros(p), b) for a, b in g2.eq),
-    )
-    addrow = tuple(
-        (
-            la.sub(
-                la.add(la.unit(total, n + i), la.unit(total, n + p + i)),
-                la.unit(total, n + 2 * p + i),
-            ),
-            la.ZERO,
-        )
+    # s = y1 + y2 as rows over (y1, y2, s)
+    adder = tuple(
+        (la.unit(p, i) + la.unit(p, i) + la.neg(la.unit(p, i)), la.ZERO)
         for i in range(p)
     )
-    lifted = lift1.combine(lift2).combine(MixedSystem(total, (), (), addrow))
-    shadow = project_mixed(
-        lifted, list(range(n)) + list(range(n + 2 * p, total))
-    )
-    if lhs_cell is None:
-        return not strict_feasible(shadow).feasible
-    return cells_equal(lhs_cell, shadow)
+    parts = [
+        (_ri_cell(f1.graph), range(n + p)),
+        (_ri_cell(f2.graph), [*range(n), *range(n + p, n + 2 * p)]),
+        (MixedSystem(3 * p, (), (), adder), range(n, total)),
+    ]
+    keep = [*range(n), *range(n + 2 * p, total)]
+    return _ri_formula_holds(got.graph, total, parts, keep)
 
 
 def compose(f: SVMap, g: SVMap) -> tuple[SVMap, bool]:
@@ -328,40 +272,22 @@ def compose(f: SVMap, g: SVMap) -> tuple[SVMap, bool]:
     rows = [la.unit(total, i) for i in range(f.n)]
     rows += [la.unit(total, f.n + f.p + i) for i in range(g.p)]
     graph = linear_image(glued, tuple(rows))
-    qc = False
-    c1, c2 = _ri_cell(rge(f)), _ri_cell(dom(g))
-    if c1 is not None and c2 is not None:
-        qc = strict_feasible(c1.combine(c2)).feasible
-    return SVMap(f.n, g.p, graph), qc
+    return SVMap(f.n, g.p, graph), _ri_overlap(rge(f), dom(g))
 
 
 def certify_compose(f: SVMap, g: SVMap) -> bool:
     got, _ = compose(f, g)
-    lhs_cell = _ri_cell(got.graph)
-    gf, gg = _ri_cell(f.graph), _ri_cell(g.graph)
-    if gf is None or gg is None:
-        return lhs_cell is None
-    lifted = _pad_cell(gf, 0, g.p).combine(_pad_cell(gg, f.n, 0))
-    shadow = project_mixed(
-        lifted, list(range(f.n)) + list(range(f.n + f.p, f.n + f.p + g.p))
-    )
-    if lhs_cell is None:
-        return not strict_feasible(shadow).feasible
-    return cells_equal(lhs_cell, shadow)
+    total = f.n + f.p + g.p
+    parts = [
+        (_ri_cell(f.graph), range(f.n + f.p)),
+        (_ri_cell(g.graph), range(f.n, total)),
+    ]
+    keep = [*range(f.n), *range(f.n + f.p, total)]
+    return _ri_formula_holds(got.graph, total, parts, keep)
 
 
 # ---------------------------------------------------------------------------
 # composite constructors
-
-
-def _triple_qc(theta: NCSet, f: SVMap, g: SVMap) -> bool:
-    cells = [_ri_cell(dom(f)), _ri_cell(dom(g)), _ri_cell(theta)]
-    if any(c is None for c in cells):
-        return False
-    joint = cells[0]
-    for c in cells[1:]:
-        joint = joint.combine(c)
-    return strict_feasible(joint).feasible
 
 
 def build_phi(theta: NCSet, f: SVMap, g: SVMap) -> tuple[SVMap, bool]:
@@ -378,7 +304,7 @@ def build_phi(theta: NCSet, f: SVMap, g: SVMap) -> tuple[SVMap, bool]:
     s3 = product(g.graph, whole_space(p))
     glued, _ = intersect(s1, s2)
     glued, _ = intersect(glued, s3)
-    return SVMap(n + q, p, glued), _triple_qc(theta, f, g)
+    return SVMap(n + q, p, glued), _ri_overlap(dom(f), dom(g), theta)
 
 
 def build_psi(theta: NCSet, f: SVMap, g: SVMap) -> tuple[SVMap, bool]:
@@ -406,7 +332,7 @@ def build_psi(theta: NCSet, f: SVMap, g: SVMap) -> tuple[SVMap, bool]:
     s3 = permute_coords(s3, perm)
     glued, _ = intersect(s1, s2)
     glued, _ = intersect(glued, s3)
-    return SVMap(2 * n + q, p, glued), _triple_qc(theta, f, g)
+    return SVMap(2 * n + q, p, glued), _ri_overlap(dom(f), dom(g), theta)
 
 
 def sum_with_affine_inner(f: SVMap, g: SVMap, a: Mat) -> SVMap:

@@ -184,38 +184,16 @@ def solution_map(inst: OVFInstance, x: Vec) -> NCSet:
     n, p = inst.fmap.n, inst.fmap.p
     pieces = []
     for gp in inst.fmap.graph.pieces:
-        g_rows = _fix_front(gp.base.ri_system(), x)
+        g_rows = gp.system().fix(0, x)
         for ep in inst.f.epi.pieces:
             # y as free block: fix x up front and the value at the back
-            e_rows = _fix_front(ep.base.ri_system(), x)
-            e_rows = _fix_back(e_rows, (value,))
+            e_rows = ep.system().fix(0, x).fix(p, (value,))
             cell = g_rows.combine(e_rows)
             if strict_feasible(cell).feasible:
                 pieces.append(from_mixed(cell))
     if not pieces:
         return ncset(p, [])
     return union(*pieces)
-
-
-def _fix_front(m: MixedSystem, x: Vec) -> MixedSystem:
-    k = len(x)
-
-    def cut(rows):
-        return tuple((a[k:], b - la.dot(a[:k], x)) for a, b in rows)
-
-    return MixedSystem(m.dim - k, cut(m.weak), cut(m.strict), cut(m.eq))
-
-
-def _fix_back(m: MixedSystem, x: Vec) -> MixedSystem:
-    k = len(x)
-    cutoff = m.dim - k
-
-    def cut(rows):
-        return tuple(
-            (a[:cutoff], b - la.dot(a[cutoff:], x)) for a, b in rows
-        )
-
-    return MixedSystem(cutoff, cut(m.weak), cut(m.strict), cut(m.eq))
 
 
 # ---------------------------------------------------------------------------

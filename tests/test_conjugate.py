@@ -21,7 +21,7 @@ from ncvx import oracle as orc
 from ncvx import plfunc as pf
 from ncvx import svmap as sv
 from ncvx import variational as vr
-from ncvx.errors import DimensionMismatch, EmptyDomain, QCViolated
+from ncvx.errors import DimensionMismatch, EmptyDomain, IdentityViolated, QCViolated
 from ncvx.plfunc import MINUS_INF, PLUS_INF
 from ncvx.polyhedron import hpoly
 
@@ -225,6 +225,16 @@ def test_intersection_support_worked():
     p2 = orc.generator_support_oracle(s2, wit.w2)
     assert (p1, p2) == wit.parts
     assert p1 + p2 == 2
+
+
+def test_convolution_mismatch_reports_plain_rationals():
+    # the split LP for sigma of [0, 2] cap [1, 3] at 1 has value 2; a
+    # direct side claiming 5/2 must be refused with a readable message
+    e1 = cj.support_epigraph(interval_set(0, 2))
+    e2 = cj.support_epigraph(interval_set(1, 3))
+    with pytest.raises(IdentityViolated) as err:
+        cj._convolution(e1, e2, (F(1),), F(5, 2))
+    assert str(err.value) == "direct side 5/2 != convolution 2 at (1)"
 
 
 def test_intersection_support_needs_overlapping_interiors():

@@ -21,8 +21,14 @@ from ncvx import ncset as ns
 from ncvx import oracle as orc
 from ncvx import plfunc as pf
 from ncvx import svmap as sv
-from ncvx.errors import DimensionMismatch, ImproperPerturbation, UsageError
+from ncvx.errors import (
+    DimensionMismatch,
+    IdentityViolated,
+    ImproperPerturbation,
+    UsageError,
+)
 from ncvx.plfunc import MINUS_INF, PLUS_INF
+from ncvx.rationals import ext_add
 
 from instances import abs_fn, interval_set
 
@@ -266,3 +272,11 @@ def test_duality_reports_are_deterministic():
     rep1 = du.general_duality(_abs_pair(), 1)
     rep2 = du.general_duality(_abs_pair(), 1)
     assert rep1 == rep2
+
+
+def test_ext_add_sums_the_dual_formula_terms():
+    assert ext_add(F(1, 2), F(-3)) == F(-5, 2)
+    assert ext_add(F(4), PLUS_INF) == PLUS_INF
+    assert ext_add(MINUS_INF, F(4)) == MINUS_INF
+    with pytest.raises(IdentityViolated):
+        ext_add(PLUS_INF, MINUS_INF)

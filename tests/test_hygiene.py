@@ -1,0 +1,90 @@
+"""Dead-code guard for the library, using the standard `ast` module only.
+
+Two rules over `src/ncvx`:
+
+- every top-level function or class is referenced somewhere in `src/` or
+  `tests/` outside its own definition;
+- every module-level import binds a name the module uses.
+
+A reference is any `Name` or `Attribute` node spelling the name, so two
+definitions with the same name in different modules count as one.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LIBRARY = ROOT / "src" / "ncvx"
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _names_used(nodes) -> list:
+    """Every identifier read through a Name or an Attribute below nodes."""
+    out = []
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                out.append(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.append(node.attr)
+    return out
+
+
+def _library_modules() -> list:
+    return sorted(LIBRARY.glob("*.py"))
+
+
+def test_every_top_level_definition_is_referenced():
+    trees = {
+        path: _parse(path)
+        for folder in (ROOT / "src", ROOT / "tests")
+        for path in sorted(folder.rglob("*.py"))
+    }
+    library = set(_library_modules())
+    defs = []  # (module, definition node)
+    used: dict[str, int] = {}
+    for path, tree in trees.items():
+        for name in _names_used([tree]):
+            used[name] = used.get(name, 0) + 1
+        if path in library:
+            defs += [
+                (path.stem, node)
+                for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            ]
+    unreferenced = []
+    for module, node in defs:
+        # references inside a definition's own body do not keep it alive
+        inside = _names_used(node.body).count(node.name)
+        if used.get(node.name, 0) - inside <= 0:
+            unreferenced.append(f"{module}.{node.name}")
+    assert unreferenced == []
+
+
+def test_every_module_level_import_is_used():
+    unused = []
+    for path in _library_modules():
+        tree = _parse(path)
+        imports = [
+            node
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        ]
+        rest = [node for node in tree.body if node not in imports]
+        names = set(_names_used(rest))
+        # string annotations such as "PolyCone" name their type in a constant
+        names |= {
+            node.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        }
+        for node in imports:
+            for alias in node.names:
+                bound = (alias.asname or alias.name).split(".")[0]
+                if bound not in names:
+                    unused.append(f"{path.stem}: {bound}")
+    assert unused == []

@@ -231,3 +231,22 @@ def test_random_strict_feasibility_matches_grid(seed):
     assert got.feasible == (found is not None)
     if got.feasible:
         assert system.satisfies(got.witness)
+
+
+def test_changes_of_coordinates_keep_rows_in_order():
+    # x0 + 2 x1 <= 3 (weak), x1 < 4 (strict), x0 - x1 = 5 (eq) over R^2
+    m = MixedSystem(2, (row((1, 2), 3),), (row((0, 1), 4),), (row((1, -1), 5),))
+    # interleave into R^4: x0 at column 3, x1 at column 1
+    wide = m.embed([3, 1], 4)
+    assert wide == MixedSystem(
+        4, (row((0, 2, 0, 1), 3),), (row((0, 1, 0, 0), 4),), (row((0, -1, 0, 1), 5),)
+    )
+    # fixing x1 = 2 leaves rows over x0 alone
+    assert m.fix(1, (F(2),)) == MixedSystem(
+        1, (row((1,), -1),), (row((0,), 2),), (row((1,), 7),)
+    )
+    # z -> (z0 + z1, -z1) + (1, 0)
+    t = la.mat([(1, 1), (0, -1)])
+    assert m.pullback(t, la.vec((1, 0))) == MixedSystem(
+        2, (row((1, -1), 2),), (row((0, -1), 4),), (row((1, 2), 4),)
+    )

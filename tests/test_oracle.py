@@ -220,16 +220,6 @@ def test_suite_records_failures_with_seeds():
     assert all(d == "forced failure" for _, d in rep.failures)
 
 
-def test_merge_suite_reports():
-    a = orc.SuiteReport("thm2.3", 2, 2, ())
-    b = orc.SuiteReport("thm2.3", 3, 2, ((7, "x"),))
-    merged = orc.merge_suite_reports([a, b])
-    assert merged.count == 5 and merged.passes == 4
-    assert merged.failures == ((7, "x"),)
-    with pytest.raises(AssertionError):
-        orc.merge_suite_reports([a, orc.SuiteReport("thm2.4", 1, 1, ())])
-
-
 @pytest.mark.parametrize(
     "tid",
     ["prop2.1", "thm2.2c", "thm2.3", "thm3.1", "thm3.8", "thm4.1",
