@@ -6,6 +6,7 @@ take the best objective); the oracle lives in this file so the solver can
 never confirm itself.
 """
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -249,4 +250,93 @@ def test_changes_of_coordinates_keep_rows_in_order():
     t = la.mat([(1, 1), (0, -1)])
     assert m.pullback(t, la.vec((1, 0))) == MixedSystem(
         2, (row((1, -1), 2),), (row((0, -1), 4),), (row((1, 2), 4),)
+    )
+
+
+def _pinned_systems():
+    """A fixed, seeded list of (objective, system) pairs that walks every
+    branch of the simplex: fractional coefficients over coprime
+    denominators, ratio-test ties, redundant equality rows (driven out of
+    the basis, some through a negative pivot), infeasible and unbounded
+    systems, and zero rows."""
+    rng = random.Random(2303_07793)
+    denoms = (1, 2, 3, 5, 7, 11)
+
+    def frac():
+        return F(rng.randint(-9, 9), rng.choice(denoms))
+
+    def small():
+        return F(rng.randint(-2, 2))
+
+    cases = []
+    for k in range(480):
+        kind = k % 6
+        n = rng.randint(1, 4)
+        weak, eq = [], []
+        if kind == 0:  # coprime denominators, sometimes boxed
+            for _ in range(rng.randint(1, 6)):
+                weak.append((tuple(frac() for _ in range(n)), frac()))
+            for _ in range(rng.randint(0, 2)):
+                eq.append((tuple(frac() for _ in range(n)), frac()))
+            if rng.random() < 0.5:
+                weak += list(box_system([(-3, 3)] * n).weak)
+        elif kind == 1:  # ratio-test ties: degenerate rows and scaled copies
+            for _ in range(rng.randint(2, 6)):
+                a = tuple(F(rng.randint(-1, 1)) for _ in range(n))
+                b = F(rng.randint(0, 1))
+                weak.append((a, b))
+                if rng.random() < 0.5:
+                    s = F(rng.randint(1, 3), rng.choice(denoms))
+                    weak.append((la.scale(a, s), b * s))
+            weak += list(box_system([(-1, 1)] * n).weak)
+        elif kind == 2:  # redundant equalities: degenerate rows and combinations
+            def unit_row():
+                return tuple(F(rng.randint(-1, 1)) for _ in range(n)), F(rng.choice((0, 0, 1)))
+
+            eq = [unit_row() for _ in range(rng.randint(1, 3))]
+            if k % 12 == 2:
+                base = list(eq)
+                for _ in range(rng.randint(1, 2)):
+                    s, t = frac(), frac()
+                    a1, b1 = rng.choice(base)
+                    a2, b2 = rng.choice(base)
+                    eq.append((la.add(la.scale(a1, s), la.scale(a2, t)), s * b1 + t * b2))
+                rng.shuffle(eq)
+            weak = [unit_row() for _ in range(rng.randint(0, 3))]
+        elif kind == 3:  # infeasible: a row against its shifted negation
+            for _ in range(rng.randint(0, 3)):
+                weak.append((tuple(frac() for _ in range(n)), frac()))
+            a, b = tuple(frac() for _ in range(n)), frac()
+            gap = F(rng.randint(1, 5), rng.choice(denoms))
+            if rng.random() < 0.5:
+                weak += [(a, b), (la.neg(a), -b - gap)]
+            else:
+                eq += [(a, b), (a, b + gap)]
+            rng.shuffle(weak)
+        elif kind == 4:  # unbounded: few rows, no box
+            for _ in range(rng.randint(0, n)):
+                weak.append((tuple(small() for _ in range(n)), small()))
+        else:  # zero rows among ordinary ones
+            zero = la.zeros(n)
+            for _ in range(rng.randint(1, 4)):
+                weak.append((tuple(small() for _ in range(n)), F(rng.randint(-2, 4))))
+            weak.insert(rng.randint(0, len(weak)), (zero, F(rng.randint(-1, 2))))
+            eq.insert(0, (zero, F(rng.choice((0, 0, 0, 1)))))
+            if rng.random() < 0.5:
+                weak += list(box_system([(-2, 2)] * n).weak)
+        c = tuple(small() if rng.random() < 0.8 else F(0) for _ in range(n))
+        cases.append((c, MixedSystem(n, tuple(weak), (), tuple(eq))))
+    return cases
+
+
+def test_pinned_outcomes():
+    # sha256 over repr(LPOutcome) for every pinned case, recorded with the
+    # dense Fraction tableau: statuses, values, witnesses and certificates
+    # must all survive a kernel rewrite unchanged
+    digest = hashlib.sha256()
+    for c, system in _pinned_systems():
+        digest.update(repr(solve_lp(c, system)).encode())
+        digest.update(b"\n")
+    assert digest.hexdigest() == (
+        "3c9e66532f7b87eb46c396a5082b7548288b2b3435de7352239cbd24d0e9f069"
     )
