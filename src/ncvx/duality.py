@@ -32,7 +32,7 @@ from .linalg import Mat, Vec
 from .lp import MixedSystem, solve_lp, strict_feasible
 from .ncset import NCSet
 from .plfunc import MINUS_INF, PLUS_INF, PLFunction, Value
-from .rationals import ext_add
+from .rationals import ext_add, format_vector
 from .svmap import SVMap
 
 
@@ -295,7 +295,8 @@ def lagrange_duality(phi: PLFunction, theta: NCSet, g: SVMap) -> DualityReport:
         formula = lagrange_dual_value(phi, theta, g, ystar)
         if formula != want:
             raise IdentityViolated(
-                f"dual function disagrees with the conjugate slice at {ystar}"
+                "dual function disagrees with the conjugate slice at "
+                + format_vector(ystar)
             )
     if flags[0].holds and flags[1].holds and base.gap != 0:
         raise IdentityViolated("qualified constrained program left a gap")
@@ -414,7 +415,8 @@ def fenchel_lagrange_duality(
         formula = h1_value(phi, theta, g, ustar, ystar)
         if formula != want:
             raise IdentityViolated(
-                f"split dual formula disagrees with the slice at {(ustar, ystar)}"
+                "split dual formula disagrees with the slice at "
+                f"u* = {format_vector(ustar)}, y* = {format_vector(ystar)}"
             )
     if flags[0].holds and flags[1].holds and base.gap != 0:
         raise IdentityViolated("qualified split program left a gap")

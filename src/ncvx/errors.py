@@ -65,6 +65,10 @@ class QCViolated(NcvxError):
     """A qualification condition required by the requested operation fails."""
 
 
+class CertificateError(NcvxError):
+    """A certificate or an invariant checked by the engine failed; indicates a bug."""
+
+
 class IdentityViolated(NcvxError):
     """An identity the engine asserts unconditionally failed; indicates a bug."""
 

@@ -1,13 +1,23 @@
 """Exact linear programming over the rationals.
 
-A two-phase primal simplex on a dense Fraction tableau with Bland's
-anti-cycling pivot rule (smallest eligible index enters; ties in the ratio
-test break toward the smallest basic index), so every solve terminates and
-is deterministic. Free variables are split into nonnegative pairs and weak
-rows get slacks. Every answer carries an exact certificate: an optimal
-witness point, a Farkas vector proving infeasibility, or an improving
-feasible ray proving unboundedness; certificates are re-verified against
-the input rows before being returned.
+A two-phase primal simplex with Bland's anti-cycling pivot rule (smallest
+eligible index enters; ties in the ratio test break toward the smallest
+basic index), so every solve terminates and is deterministic. Free
+variables are split into nonnegative pairs and weak rows get slacks.
+
+The tableau is fraction-free, in the line of Edmonds (1967) and Bareiss
+(1968): each input row is scaled once to integers, and each tableau row is
+a list of Python ints standing for itself divided by its basic
+coefficient, which is kept positive. The objective row carries one
+positive integer denominator. A pivot cross-multiplies and takes out the
+gcd of each changed row, and the ratio test compares rhs/coef exactly by
+cross-multiplication, so the pivot path is that of the rational tableau.
+
+Every answer carries an exact certificate: an optimal witness point, a
+Farkas vector proving infeasibility, or an improving feasible ray proving
+unboundedness. Each is checked in integers against the scaled input rows
+before it is returned, and a failed check raises CertificateError; values
+become Fractions only in the returned LPOutcome.
 
 Strict feasibility (membership in the relative interior of a row system)
 is decided by maximizing a shared slack variable added to every strict row,
@@ -20,10 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from . import linalg as la
-from .errors import DimensionMismatch, UsageError
+from .errors import CertificateError, DimensionMismatch, UsageError
 from .linalg import Mat, Vec, ZERO, ONE
 
 Row = tuple[Vec, Fraction]
@@ -141,18 +153,37 @@ class StrictFeasibility:
     certificate: Optional[Vec] = None
 
 
+def _scaled(a: Vec, b: Fraction) -> tuple[list[int], int, int]:
+    """(A, B, L): the row a.x ? b times the lcm L of its denominators."""
+    den = lcm(b.denominator, *(x.denominator for x in a))
+    ints = [x.numerator * (den // x.denominator) for x in a]
+    return ints, b.numerator * (den // b.denominator), den
+
+
 def _pivot(rows, obj, basis, pr, pc):
-    piv = rows[pr][pc]
-    rows[pr] = [v if not v else v / piv for v in rows[pr]]
+    """Pivot on (pr, pc) by cross-multiplication.  Row i stands for
+    rows[i] / rows[i][basis[i]], whose basic coefficient is kept positive;
+    obj (when given) ends with a positive denominator after its rhs entry."""
     prow = rows[pr]
-    for i in range(len(rows)):
-        if i != pr and rows[i][pc] != 0:
-            f = rows[i][pc]
-            rows[i] = [a if not b else a - f * b for a, b in zip(rows[i], prow)]
-    if obj[pc] != 0:
+    p = prow[pc]
+    if p < 0:  # only in the drive-out step
+        p = -p
+        prow = rows[pr] = [-v for v in prow]
+    for i, r in enumerate(rows):
+        f = r[pc]
+        if f and i != pr:
+            rows[i] = _primitive([p * a - f * b for a, b in zip(r, prow)])
+    if obj is not None and obj[pc]:
         f = obj[pc]
-        obj[:] = [a if not b else a - f * b for a, b in zip(obj, prow)]
+        new = [p * a - f * b for a, b in zip(obj, prow)]
+        new.append(p * obj[-1])
+        obj[:] = _primitive(new)
     basis[pr] = pc
+
+
+def _primitive(v: list[int]) -> list[int]:
+    g = gcd(*v)
+    return [x // g for x in v] if g > 1 else v
 
 
 def _run(rows, obj, basis, ncols) -> Optional[int]:
@@ -166,15 +197,17 @@ def _run(rows, obj, basis, ncols) -> Optional[int]:
                 break
         if enter < 0:
             return None
-        best_key = None
+        # smallest (rhs / coef, basic index), compared by cross-multiplying
         best_row = -1
-        for i in range(len(rows)):
-            coef = rows[i][enter]
-            if coef > 0:
-                key = (rows[i][-1] / coef, basis[i])
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_row = i
+        for i, r in enumerate(rows):
+            coef = r[enter]
+            if coef <= 0:
+                continue
+            if best_row >= 0:
+                lhs, rhs = r[-1] * best_coef, best_rhs * coef
+                if lhs > rhs or (lhs == rhs and basis[i] > basis[best_row]):
+                    continue
+            best_row, best_rhs, best_coef = i, r[-1], coef
         if best_row < 0:
             return enter
         _pivot(rows, obj, basis, best_row, enter)
@@ -189,45 +222,44 @@ def solve_lp(c: Vec, system: MixedSystem) -> LPOutcome:
     if len(c) != n:
         raise DimensionMismatch("objective length does not match system dim")
 
-    all_rows = list(system.weak) + list(system.eq)
+    scaled = [_scaled(a, b) for a, b in system.weak + system.eq]
     m_w = len(system.weak)
-    m = len(all_rows)
+    m = len(scaled)
     n_real = 2 * n + m_w  # x+ block, x- block, slack block
     art0 = n_real
 
     signs = []
     rows = []
-    for i, (a, b) in enumerate(all_rows):
-        sigma = ONE if b >= 0 else -ONE
-        r = [ZERO] * (n_real + m + 1)
+    for i, (a, b, den) in enumerate(scaled):
+        sigma = 1 if b >= 0 else -1
+        r = [0] * (n_real + m + 1)
         for j in range(n):
             r[j] = sigma * a[j]
             r[n + j] = -sigma * a[j]
         if i < m_w:
-            r[2 * n + i] = sigma
-        r[art0 + i] = ONE
+            r[2 * n + i] = sigma * den
+        r[art0 + i] = den
         r[-1] = sigma * b
         signs.append(sigma)
         rows.append(r)
 
     basis = [art0 + i for i in range(m)]
-    obj = [ZERO] * (n_real + m + 1)
-    for j in range(n_real):
-        obj[j] = -sum((rows[i][j] for i in range(m)), ZERO)
-    obj[-1] = -sum((rows[i][-1] for i in range(m)), ZERO)
+    # phase 1 minimizes the sum of the artificials: its objective row is
+    # minus the sum of all rows off the artificial columns, over den0
+    den0 = lcm(*(den for _, _, den in scaled))
+    weights = [den0 // den for _, _, den in scaled]
+    obj = [-sum(w * r[j] for w, r in zip(weights, rows)) for j in [*range(n_real), -1]]
+    obj = _primitive(obj[:-1] + [0] * m + [obj[-1], den0])
 
-    enter = _run(rows, obj, basis, n_real)  # artificials never re-enter
-    assert enter is None, "phase 1 is bounded below by zero"
-    phase1_value = -obj[-1]
-    if phase1_value > 0:
+    if _run(rows, obj, basis, n_real) is not None:  # artificials never re-enter
+        raise CertificateError("phase 1 is bounded below by zero")
+    if obj[-2] < 0:  # the phase-1 value -obj[-2] / obj[-1] is positive
         # Dual multipliers off the artificial reduced costs give a Farkas
-        # certificate for the original row order.
-        cert = []
-        for i in range(m):
-            y_i = ONE - obj[art0 + i]
-            cert.append(-signs[i] * y_i)
-        cert = tuple(cert)
-        _verify_farkas(all_rows, m_w, n, cert)
+        # certificate for the original row order, over the denominator obj[-1].
+        den = obj[-1]
+        mult = [-sigma * (den - obj[art0 + i]) for i, sigma in enumerate(signs)]
+        _verify_farkas(scaled, m_w, n, mult, weights)
+        cert = tuple(Fraction(y, den) for y in mult)
         return LPOutcome(status="infeasible", certificate=cert)
 
     # Drive leftover artificials out of the basis; rows that cannot pivot
@@ -238,59 +270,94 @@ def solve_lp(c: Vec, system: MixedSystem) -> LPOutcome:
             pc = next((j for j in range(n_real) if rows[i][j] != 0), None)
             if pc is None:
                 continue
-            _pivot(rows, obj, basis, i, pc)
+            _pivot(rows, None, basis, i, pc)
         keep.append(i)
     rows = [rows[i][:n_real] + [rows[i][-1]] for i in keep]
     basis = [basis[i] for i in keep]
 
-    cost = [ZERO] * (n_real + 1)
-    for j in range(n):
-        cost[j] = c[j]
-        cost[n + j] = -c[j]
-    obj = list(cost)
-    for i in range(len(rows)):
-        cb = cost[basis[i]]
-        if cb != 0:
-            obj = [o - cb * v for o, v in zip(obj, rows[i])]
+    c_int, _, c_den = _scaled(c, ZERO)
+    cost = c_int + [-v for v in c_int] + [0] * (m_w + 1)
+    obj = cost + [c_den]
+    for r, j in zip(rows, basis):
+        cb = cost[j]
+        if cb:
+            # obj - (cb / c_den) * r / r[j], over a common denominator
+            f, g = cb * obj[-1], c_den * r[j]
+            new = [g * o - f * v for o, v in zip(obj, r)]
+            new.append(g * obj[-1])
+            obj = _primitive(new)
 
     enter = _run(rows, obj, basis, n_real)
 
-    xstd = [ZERO] * n_real
-    for i in range(len(rows)):
-        xstd[basis[i]] = rows[i][-1]
-    point = tuple(xstd[j] - xstd[n + j] for j in range(n))
-
+    point, den = _basic_values(rows, basis, n, lambda r: r[-1])
+    _verify_point(scaled, m_w, point, den)
+    witness = tuple(Fraction(v, den) for v in point)
     if enter is None:
-        assert system.satisfies(point)
-        return LPOutcome(status="optimal", value=la.dot(c, point), witness=point)
+        value = Fraction(_dot(c_int, point), c_den * den)
+        return LPOutcome(status="optimal", value=value, witness=witness)
 
-    dstd = [ZERO] * n_real
-    dstd[enter] = ONE
-    for i in range(len(rows)):
-        dstd[basis[i]] = -rows[i][enter]
-    ray = tuple(dstd[j] - dstd[n + j] for j in range(n))
-    ray = la.primitive(ray)
-    _verify_ray(c, system, ray)
-    assert system.satisfies(point)
-    return LPOutcome(status="unbounded", witness=point, certificate=ray)
-
-
-def _verify_farkas(all_rows, m_w, n, cert):
-    combo = la.zeros(n)
-    total = ZERO
-    for mu, (a, b) in zip(cert, all_rows):
-        combo = la.add(combo, la.scale(a, mu))
-        total += mu * b
-    assert all(cert[i] >= 0 for i in range(m_w)), "Farkas sign condition"
-    assert la.is_zero(combo), "Farkas combination must vanish"
-    assert total < 0, "Farkas value must be negative"
+    # the entering variable moves at rate 1 and the basic ones follow
+    ray, den = _basic_values(rows, basis, n, lambda r: -r[enter])
+    if enter < n:
+        ray[enter] += den
+    elif enter < 2 * n:
+        ray[enter - n] -= den
+    ray = _primitive(ray) if any(ray) else ray
+    _verify_ray(c_int, scaled, m_w, ray)
+    cert = tuple(Fraction(v) for v in ray)
+    return LPOutcome(status="unbounded", witness=witness, certificate=cert)
 
 
-def _verify_ray(c, system, ray):
-    assert not la.is_zero(ray)
-    assert la.dot(c, ray) < 0, "ray must improve the objective"
-    assert all(la.dot(a, ray) <= 0 for a, _ in system.weak)
-    assert all(la.dot(a, ray) == 0 for a, _ in system.eq)
+def _basic_values(rows, basis, n, entry) -> tuple[list[int], int]:
+    """(X, den): x = X / den where the basic variable of row r takes
+    entry(r) / r[basic], every other one 0, and x = x+ - x-."""
+    den = 1
+    for r, j in zip(rows, basis):
+        if j < 2 * n and entry(r):
+            den = lcm(den, r[j])
+    x = [0] * n
+    for r, j in zip(rows, basis):
+        if j < 2 * n:
+            v = entry(r) * (den // r[j])
+            if j < n:
+                x[j] += v
+            else:
+                x[j - n] -= v
+    return x, den
+
+
+def _dot(a: list[int], x: list[int]) -> int:
+    return sum(map(mul, a, x))
+
+
+def _verify_point(scaled, m_w, x, den):
+    for i, (a, b, _) in enumerate(scaled):
+        lhs, rhs = _dot(a, x), b * den
+        if lhs > rhs or (i >= m_w and lhs != rhs):
+            raise CertificateError("witness violates a row of the system")
+
+
+def _verify_farkas(scaled, m_w, n, mult, weights):
+    # row i is (a, b) / den_i and weights[i] = den0 / den_i, so the
+    # multipliers y_i * weights[i] act on the integer rows
+    ys = [y * w for y, w in zip(mult, weights)]
+    if any(y < 0 for y in ys[:m_w]):
+        raise CertificateError("Farkas multipliers of weak rows must be nonnegative")
+    if any(sum(y * a[j] for y, (a, _, _) in zip(ys, scaled)) for j in range(n)):
+        raise CertificateError("Farkas combination must vanish")
+    if sum(y * b for y, (_, b, _) in zip(ys, scaled)) >= 0:
+        raise CertificateError("Farkas value must be negative")
+
+
+def _verify_ray(c, scaled, m_w, ray):
+    if not any(ray):
+        raise CertificateError("unbounded ray must be nonzero")
+    if _dot(c, ray) >= 0:
+        raise CertificateError("ray must improve the objective")
+    for i, (a, _, _) in enumerate(scaled):
+        d = _dot(a, ray)
+        if d > 0 or (i >= m_w and d != 0):
+            raise CertificateError("ray must stay in the recession cone")
 
 
 def feasible_point(system: MixedSystem) -> LPOutcome:
@@ -332,7 +399,8 @@ def strict_feasible(system: MixedSystem) -> StrictFeasibility:
         m_w, m_s = len(system.weak), len(system.strict)
         reordered = cert[: m_w + m_s] + cert[m_w + m_s + 1 :]
         return StrictFeasibility(False, certificate=reordered)
-    assert out.status == "optimal", "slack objective is capped at one"
+    if out.status != "optimal":
+        raise CertificateError("slack objective is capped at one")
     t_star = out.value
     if t_star <= 0:
         # the slack LP is feasible with t pushed negative, so emptiness of
@@ -341,5 +409,6 @@ def strict_feasible(system: MixedSystem) -> StrictFeasibility:
         cert = closed_out.certificate if closed_out.status == "infeasible" else None
         return StrictFeasibility(False, margin=t_star, certificate=cert)
     point = out.witness[:n]
-    assert system.satisfies(point)
+    if not system.satisfies(point):
+        raise CertificateError("strict witness violates a row of the system")
     return StrictFeasibility(True, witness=point, margin=t_star)

@@ -35,6 +35,7 @@ from .lp import MixedSystem
 from .ncset import NCSet
 from .plfunc import MINUS_INF, PLUS_INF, PLFunction, Value
 from .polyhedron import HPoly
+from .rationals import format_vector
 from .svmap import SVMap
 
 
@@ -556,7 +557,7 @@ def _compare_preds(
     for x in probes:
         vals = [p(x) for p in preds]
         if any(v != vals[0] for v in vals[1:]):
-            return f"predicates split {vals} at {x}"
+            return f"predicates split {vals} at {format_vector(x)}"
     return None
 
 
@@ -697,7 +698,7 @@ def _near_convex_both(s: NCSet) -> Optional[str]:
         return "library says the result is not nearly convex"
     orc, w = near_convexity_oracle(s)
     if not orc:
-        return f"oracle found a hole at {w}"
+        return f"oracle found a hole at {format_vector(w)}"
     return None
 
 
@@ -845,9 +846,15 @@ def _chk_thm23(rng, spec) -> Optional[str]:
             left = _in_ri_rows(graph_rows, x + y)
             right = in_dom and fiber is not None and _in_ri_rows(fiber, y)
             if left != right:
-                return f"graph ri split at {(x, y)}: {left} vs {right}"
+                return (
+                    f"graph ri split at x = {format_vector(x)}, "
+                    f"y = {format_vector(y)}: {left} vs {right}"
+                )
             if left != lib_pred(x + y):
-                return f"library hull ri disagrees at {(x, y)}"
+                return (
+                    f"library hull ri disagrees at x = {format_vector(x)}, "
+                    f"y = {format_vector(y)}"
+                )
     return None
 
 
@@ -1270,7 +1277,7 @@ def _chk_thm53(rng, spec) -> Optional[str]:
     lhs = vr.subdifferential(inst.mu, ax).set
     rhs = vr.ovf_subdifferential(inst, ax, ay).set
     if ph.canonical_form(lhs) != ph.canonical_form(rhs):
-        return f"subdifferential sets differ at {ax}"
+        return f"subdifferential sets differ at {format_vector(ax)}"
     return None
 
 
@@ -1296,13 +1303,14 @@ def _chk_thm61(rng, spec) -> Optional[str]:
     if la.add(wit.w1, wit.w2) != la.vec(w):
         return "support split does not sum to the queried vector"
     if (p1, p2) != wit.parts or p1 + p2 != value:
-        return f"support split {wit.parts} does not re-verify ({p1}, {p2})"
+        parts, again = format_vector(wit.parts), format_vector((p1, p2))
+        return f"support split {parts} does not re-verify {again}"
     for _ in range(4):
         u = tuple(_coef(rng) for _ in range(dim))
         alt1 = generator_support_oracle(s1, u)
         alt2 = generator_support_oracle(s2, la.sub(la.vec(w), la.vec(u)))
         if PLUS_INF not in (alt1, alt2) and alt1 + alt2 < value:
-            return f"convolution split at {u} beats the claimed optimum"
+            return f"convolution split at {format_vector(u)} beats the claimed optimum"
     return None
 
 
@@ -1346,7 +1354,8 @@ def _chk_thm63(rng, spec, full_space: bool = False) -> Optional[str]:
         inst.fmap.graph, la.sub(la.vec(w), wit.w1) + la.neg(wit.v)
     )
     if (p1, p2) != wit.parts or p1 + p2 != value:
-        return f"conjugate split {wit.parts} does not re-verify ({p1}, {p2})"
+        parts, again = format_vector(wit.parts), format_vector((p1, p2))
+        return f"conjugate split {parts} does not re-verify {again}"
     return None
 
 
@@ -1364,13 +1373,14 @@ def _chk_thm66(rng, spec) -> Optional[str]:
     if la.add(wit.w1, wit.w2) != la.vec(w):
         return "conjugate split does not sum to the queried vector"
     if (p1, p2) != wit.parts or p1 + p2 != value:
-        return f"conjugate split {wit.parts} does not re-verify ({p1}, {p2})"
+        parts, again = format_vector(wit.parts), format_vector((p1, p2))
+        return f"conjugate split {parts} does not re-verify {again}"
     for _ in range(4):
         u = tuple(_coef(rng) for _ in range(n))
         alt1 = generator_conjugate_oracle(f1, u)
         alt2 = generator_conjugate_oracle(f2, la.sub(la.vec(w), la.vec(u)))
         if PLUS_INF not in (alt1, alt2) and alt1 + alt2 < value:
-            return f"convolution split at {u} beats the claimed optimum"
+            return f"convolution split at {format_vector(u)} beats the claimed optimum"
     return None
 
 
@@ -1516,7 +1526,7 @@ def _chk_cor75(rng, spec) -> Optional[str]:
             direct = du.vg_value(g, x, la.neg(lam))
             closed = du.vg_closed_form(a_mat, c, k, x, la.neg(lam))
             if direct != closed:
-                return f"support-term formula splits at {x}"
+                return f"support-term formula splits at {format_vector(x)}"
         if rep.primal_witness is not None:
             gx = la.add(la.mat_vec(a_mat, rep.primal_witness), c)
             if not k.k.contains(la.neg(gx)):
@@ -1576,7 +1586,10 @@ def _chk_lemma74(rng, spec) -> Optional[str]:
         direct = du.vg_value(g, x, ystar)
         closed = du.vg_closed_form(a_mat, c, k, x, ystar)
         if direct != closed:
-            return f"support-term formula splits at {(x, ystar)}"
+            return (
+                f"support-term formula splits at x = {format_vector(x)}, "
+                f"y* = {format_vector(ystar)}"
+            )
     return None
 
 

@@ -32,6 +32,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import linalg as la
 from .errors import (
+    CertificateError,
     DimensionCapExceeded,
     DimensionMismatch,
     EmptyPolyhedron,
@@ -162,7 +163,8 @@ def canonical_form(p: HPoly) -> Optional[HPoly]:
         ineq = survivors
 
     reduced_eq, pivots = la.rref([a + (b,) for a, b in eq])
-    assert p.dim not in pivots, "feasible system cannot have 0=1 rows"
+    if p.dim in pivots:
+        raise CertificateError("feasible system cannot have 0=1 rows")
     eq_rows = []
     for row_aug in reduced_eq:
         a, b = row_aug[:-1], row_aug[-1]
@@ -177,7 +179,8 @@ def canonical_form(p: HPoly) -> Optional[HPoly]:
                 a = la.sub(a, la.scale(ea, f))
                 b = b - f * eb
         if la.is_zero(a):
-            assert b >= 0
+            if b < 0:
+                raise CertificateError("feasible system reduced a row to 0 <= b < 0")
             continue
         cleaned.append(_norm_ineq(a, b))
     cleaned = sorted(set(cleaned))
@@ -377,7 +380,8 @@ def _project_cached(m: MixedSystem, keep: tuple[int, ...]) -> MixedSystem:
 
 def project(p: HPoly, coords: Sequence[int]) -> HPoly:
     shadow = project_mixed(p.closed_system(), coords)
-    assert not shadow.strict
+    if shadow.strict:
+        raise CertificateError("projecting a closed system gave strict rows")
     out = HPoly(len(coords), shadow.weak, shadow.eq)
     canon = canonical_form(out)
     return canon if canon is not None else empty_hpoly(len(coords))
@@ -466,20 +470,23 @@ def _vrep_of_canonical(canon: HPoly) -> VPoly:
         rows.append((b,) + la.neg(a))
         rows.append((-b,) + a)
     lineality, rays = _cone_generators(n + 1, rows)
-    assert all(l[0] == 0 for l in lineality)
+    if any(l[0] != 0 for l in lineality):
+        raise CertificateError("homogenized lineality must be horizontal")
     points = []
     directions = set()
     for r in rays:
         if r[0] > 0:
             points.append(tuple(v / r[0] for v in r[1:]))
-        else:
-            assert r[0] == 0
+        elif r[0] == 0:
             directions.add(la.primitive(r[1:]))
+        else:
+            raise CertificateError("homogenized ray must have a nonnegative height")
     for l in lineality:
         d = la.primitive(l[1:])
         directions.add(d)
         directions.add(la.neg(d))
-    assert points, "canonical polyhedron must dehomogenize to a point"
+    if not points:
+        raise CertificateError("canonical polyhedron must dehomogenize to a point")
     return VPoly(n, tuple(sorted(set(points))), tuple(sorted(directions)))
 
 
@@ -498,7 +505,8 @@ def to_hrep(v: VPoly) -> HPoly:
         beta, a = w[0], w[1:]
         eq.append((a, -beta))
     canon = canonical_form(HPoly(v.dim, tuple(ineq), tuple(eq)))
-    assert canon is not None
+    if canon is None:
+        raise CertificateError("a V-polyhedron with a point cannot be empty")
     return canon
 
 
@@ -590,7 +598,8 @@ def normal_cone_hrep(v: VPoly, x: Vec) -> HPoly:
     the normal variable: <w, p - x> <= 0 and <w, r> <= 0."""
     rows = [(la.sub(p, x), ZERO) for p in v.points] + [(r, ZERO) for r in v.rays]
     canon = canonical_form(HPoly(v.dim, tuple(rows)))
-    assert canon is not None  # zero always belongs
+    if canon is None:
+        raise CertificateError("a normal cone always contains zero")
     return canon
 
 
@@ -657,7 +666,8 @@ def difference_witness(
     if not cells:
         return None
     wit = strict_feasible(cells[0]).witness
-    assert wit is not None
+    if wit is None:
+        raise CertificateError("a cell left by subtraction must have a witness")
     return wit
 
 
@@ -676,7 +686,8 @@ def decompose_mixed(m: MixedSystem) -> tuple[HPoly, ...]:
     if not strict_feasible(m).feasible:
         return ()
     base = canonical_form(HPoly(m.dim, m.weak + m.strict, m.eq))
-    assert base is not None  # closure of a nonempty set
+    if base is None:
+        raise CertificateError("the closure of a nonempty set cannot be empty")
     pieces = {base}
     for a, b in base.ineq:
         deeper = decompose_mixed(

@@ -1,10 +1,11 @@
-"""Dead-code guard for the library, using the standard `ast` module only.
+"""Dead-code and assert guards for the library, using the stdlib `ast` only.
 
-Two rules over `src/ncvx`:
+Three rules over `src/ncvx`:
 
 - every top-level function or class is referenced somewhere in `src/` or
   `tests/` outside its own definition;
-- every module-level import binds a name the module uses.
+- every module-level import binds a name the module uses;
+- `lp.py` and `polyhedron.py` hold no `assert` statement.
 
 A reference is any `Name` or `Attribute` node spelling the name, so two
 definitions with the same name in different modules count as one.
@@ -88,3 +89,17 @@ def test_every_module_level_import_is_used():
                 if bound not in names:
                     unused.append(f"{path.stem}: {bound}")
     assert unused == []
+
+
+def test_no_assert_in_certificate_checks():
+    # `python -O` strips assert statements; the LP certificates and the
+    # polyhedron invariants must raise CertificateError instead
+    found = []
+    for name in ("lp.py", "polyhedron.py"):
+        tree = _parse(LIBRARY / name)
+        found += [
+            f"{name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+        ]
+    assert found == []

@@ -14,7 +14,8 @@ from fractions import Fraction
 import pytest
 
 from ncvx import linalg as la
-from ncvx.errors import UsageError
+from ncvx import lp
+from ncvx.errors import CertificateError, UsageError
 from ncvx.lp import (
     LPOutcome,
     MixedSystem,
@@ -103,6 +104,49 @@ def test_infeasible_has_farkas_certificate():
     combo = cert[0] * F(1) + cert[1] * F(-1)
     assert combo == 0
     assert cert[0] * F(0) + cert[1] * F(-1) < 0
+
+
+def _integer_rows(system):
+    return [lp._scaled(a, b) for a, b in system.weak + system.eq]
+
+
+def test_corrupted_witness_fails_its_check():
+    diagonal = MixedSystem(2, (), (), (row([1, -1], 0),))
+    system = box_system([(0, 1), (0, 1)]).combine(diagonal)
+    out = solve_lp(la.vec([-1, -1]), system)
+    assert out.witness == (F(1), F(1))
+    rows = _integer_rows(system)
+    lp._verify_point(rows, 4, [1, 1], 1)
+    lp._verify_point(rows, 4, [1, 1], 2)  # (1/2, 1/2)
+    for x, den in (([2, 2], 1), ([1, 0], 1), ([-1, -1], 2)):
+        with pytest.raises(CertificateError):
+            lp._verify_point(rows, 4, x, den)
+
+
+def test_corrupted_farkas_vector_fails_its_check():
+    # x <= 0, -x <= -1, and the equality x = 0
+    system = MixedSystem(1, (row([1], 0), row([-1], -1)), (), (row([1], 0),))
+    out = solve_lp(la.vec([0]), system)
+    assert out.status == "infeasible"
+    rows = _integer_rows(system)
+    weights = [1, 1, 1]
+    lp._verify_farkas(rows, 2, 1, [1, 1, 0], weights)
+    lp._verify_farkas(rows, 2, 1, [0, 1, 1], weights)
+    for mult in ([1, 2, 0], [-1, 0, 1], [0, 0, 0], [1, 0, -1]):
+        with pytest.raises(CertificateError):
+            lp._verify_farkas(rows, 2, 1, mult, weights)
+
+
+def test_corrupted_ray_fails_its_check():
+    # min -x0 over x0 >= 0 and x1 = 0
+    system = MixedSystem(2, (row([-1, 0], 0),), (), (row([0, 1], 0),))
+    out = solve_lp(la.vec([-1, 0]), system)
+    assert out.certificate == (F(1), F(0))
+    rows = _integer_rows(system)
+    lp._verify_ray([-1, 0], rows, 1, [1, 0])
+    for ray in ([0, 0], [-1, 0], [1, 1]):
+        with pytest.raises(CertificateError):
+            lp._verify_ray([-1, 0], rows, 1, ray)
 
 
 def test_unbounded_ray():

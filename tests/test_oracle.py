@@ -205,6 +205,14 @@ def test_suite_report_shape_and_determinism():
     assert r1.failures == ()
 
 
+def test_compare_preds_prints_plain_rationals():
+    detail = orc._compare_preds(
+        [la.vec([F(1, 2), 0])], lambda x: True, lambda x: False
+    )
+    assert detail == "predicates split [True, False] at (1/2, 0)"
+    assert "Fraction(" not in detail
+
+
 def test_suite_records_failures_with_seeds():
     # an intentionally broken checker wired through the public runner
     orig = orc._REGISTRY["prop2.1"]
@@ -220,12 +228,22 @@ def test_suite_records_failures_with_seeds():
     assert all(d == "forced failure" for _, d in rep.failures)
 
 
-@pytest.mark.parametrize(
-    "tid",
-    ["prop2.1", "thm2.2c", "thm2.3", "thm3.1", "thm3.8", "thm4.1",
-     "thm5.2", "thm6.3", "thm6.6", "thm7.1b", "thm7.3", "thm7.8",
-     "negctl-membership", "negctl-identity", "negctl-conjugate"],
-)
+SMALL_COUNT_SUITES = [
+    "prop2.1", "thm2.2c", "thm2.3", "thm3.1", "thm3.8", "thm4.1",
+    "thm5.2", "thm6.3", "thm6.6", "thm7.1b", "thm7.3", "thm7.8",
+    "negctl-membership", "negctl-identity", "negctl-conjugate",
+]
+
+
+@pytest.mark.parametrize("tid", SMALL_COUNT_SUITES)
 def test_suites_pass_at_small_counts(tid):
     rep = orc.theorem_suite(tid, count=4)
+    assert rep.ok, rep.failures
+
+
+@pytest.mark.parametrize(
+    "tid", [t for t in orc.registered_theorems() if t not in SMALL_COUNT_SUITES]
+)
+def test_every_other_suite_passes_once(tid):
+    rep = orc.theorem_suite(tid, count=1)
     assert rep.ok, rep.failures
