@@ -45,6 +45,45 @@ INPUTS = {
             ],
         },
     },
+    # the triangle x, y >= 0, x + y <= 2 with a duplicate and a redundant
+    # row: its interior, the open edge on y = 0 and the vertex (0, 0)
+    "t.json": {
+        "closure": {
+            "dim": 2,
+            "ineq": [
+                ["-1", "0", "0"],
+                ["0", "-1", "0"],
+                ["1", "1", "2"],
+                ["2", "2", "4"],
+                ["1", "0", "5"],
+            ],
+        },
+        "faces": [[2], [1, 2]],
+    },
+    # the open segment from (0, 1) to (1, 0), its line given by two rows
+    "s.json": {
+        "dim": 2,
+        "pieces": [
+            {
+                "dim": 2,
+                "ineq": [
+                    ["1", "1", "1"],
+                    ["-2", "-2", "-2"],
+                    ["-1", "0", "0"],
+                    ["0", "-1", "0"],
+                    ["1", "0", "5"],
+                ],
+            }
+        ],
+    },
+    # mu(x) = inf { |y + 1/2| : y >= x } = max(x + 1/2, 0)
+    "ovf.json": {
+        "f": {"max_affine": [["0", "1", "1/2"], ["0", "-1", "-1/2"]]},
+        "F": {
+            "g_affine": {"G": [["1"]], "c": ["0"]},
+            "cone": {"dim": 1, "ineq": [["-1", "0"]]},
+        },
+    },
     "m12.json": [["1"], ["2"]],
     "m2.json": [["2"]],
     # three pieces whose union is not nearly convex; the first point
@@ -152,6 +191,109 @@ def test_preimage(run):
     assert out == (
         '{"qc":true,"result":{"dim":1,"pieces":[{"dim":1,"eq":[],'
         '"ineq":[["-2","-1"],["2","3"]]}]}}\n'
+    )
+
+
+def test_check(run):
+    code, out, _ = run("check", "t.json")
+    assert code == 0
+    assert out == '{"nearly_convex":true,"witness":null}\n'
+    code, out, _ = run("check", "bad.json")
+    assert code == 1
+    assert out == '{"nearly_convex":false,"witness":["0","0"]}\n'
+
+
+def test_ri(run):
+    code, out, _ = run("ri", "t.json")
+    assert code == 0
+    assert out == (
+        '{"ri":{"dim":2,"pieces":[{"dim":2,"eq":[],'
+        '"ineq":[["-1","0","0"],["0","-1","0"],["1","1","2"]]}]}}\n'
+    )
+    code, out, _ = run("ri", "s.json")
+    assert code == 0
+    assert out == (
+        '{"ri":{"dim":2,"pieces":[{"dim":2,"eq":[["1","1","1"]],'
+        '"ineq":[["0","-1","0"],["0","1","1"]]}]}}\n'
+    )
+
+
+def test_closure(run):
+    code, out, _ = run("closure", "s.json")
+    assert code == 0
+    assert out == (
+        '{"closure":{"dim":2,"eq":[["1","1","1"]],'
+        '"ineq":[["0","-1","0"],["0","1","1"]]}}\n'
+    )
+    code, out, _ = run("closure", "b.json")
+    assert code == 0
+    assert out == '{"closure":{"dim":1,"eq":[],"ineq":[["-1","-1"],["1","3"]]}}\n'
+
+
+def test_member(run):
+    for point, expected in (("1,0", "true"), ("0,1", "false"), ("0,0", "true")):
+        code, out, _ = run("member", "t.json", "--point", point)
+        assert (code, out) == (0, '{"member":%s}\n' % expected)
+    code, out, _ = run("member", "s.json", "--point=1/2,1/2")
+    assert (code, out) == (0, '{"member":true}\n')
+
+
+def test_intersect(run):
+    code, out, _ = run("intersect", "t.json", "s.json")
+    assert code == 0
+    assert out == (
+        '{"qc":true,"result":{"dim":2,"pieces":[{"dim":2,"eq":[["1","1","1"]],'
+        '"ineq":[["0","-1","0"],["0","1","1"]]}]}}\n'
+    )
+    code, out, _ = run("intersect", "a.json", "b.json")
+    assert code == 0
+    assert out == (
+        '{"qc":true,"result":{"dim":1,"pieces":[{"dim":1,"eq":[],'
+        '"ineq":[["-1","-1"],["1","2"]]},{"dim":1,"eq":[["1","2"]],"ineq":[]}]}}\n'
+    )
+    code, out, err = run("intersect", "s.json", "a.json")
+    assert (code, out) == (2, "")
+    assert "different dims" in err
+
+
+def test_support(run):
+    code, out, _ = run("support", "t.json", "--dual", "1,1")
+    assert code == 0
+    assert out == '{"support":{"maximizer":["2","0"],"ray":null,"value":"2"}}\n'
+    code, out, _ = run("support", "s.json", "--dual=1,-1")
+    assert code == 0
+    assert out == '{"support":{"maximizer":["1","0"],"ray":null,"value":"1"}}\n'
+
+
+def test_ncone(run):
+    code, out, _ = run("ncone", "t.json", "--point", "0,0")
+    assert code == 0
+    assert out == (
+        '{"normal_cone":{"dim":2,"generators":[["-1","0"],["0","-1"]],"lineality":[]}}\n'
+    )
+    code, out, _ = run("ncone", "s.json", "--point", "1/2,1/2")
+    assert code == 0
+    assert out == '{"normal_cone":{"dim":2,"generators":[],"lineality":[["1","1"]]}}\n'
+    code, out, _ = run("ncone", "t.json", "--point", "0,1")
+    assert code == 1
+    assert out == (
+        '{"detail":"normal cone requested at a point outside the set",'
+        '"error":"PointNotInSet"}\n'
+    )
+
+
+def test_map_inverse(run):
+    code, out, _ = run("map", "inverse", "k.json")
+    assert code == 0
+    assert out == (
+        '{"map":{"graph":{"dim":2,"pieces":[{"dim":2,"eq":[],"ineq":[["-1","1","0"]]},'
+        '{"dim":2,"eq":[["1","-1","0"]],"ineq":[]}]},"n":1,"p":1}}\n'
+    )
+    code, out, _ = run("map", "inverse", "f.json")
+    assert code == 0
+    assert out == (
+        '{"map":{"graph":{"dim":2,"pieces":[{"dim":2,"eq":[["1","-2","1"]],'
+        '"ineq":[]}]},"n":1,"p":1}}\n'
     )
 
 
