@@ -440,9 +440,26 @@ def _parser() -> argparse.ArgumentParser:
     return top
 
 
+def _bind_vectors(argv: list) -> list:
+    """Join --point, --dual and --solution to the token after them, so that
+    argparse takes a vector with a leading minus (-1/2) as their value and
+    not as an option."""
+    out = []
+    tokens = iter(argv)
+    for tok in tokens:
+        if tok in ("--point", "--dual", "--solution"):
+            value = next(tokens, None)
+            if value is not None:
+                tok = f"{tok}={value}"
+        out.append(tok)
+    return out
+
+
 def main(argv: Optional[list] = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(_bind_vectors(argv))
     except SystemExit as exc:
         # argparse has already written the diagnostic
         return 2 if exc.code not in (0, None) else 0

@@ -297,6 +297,24 @@ def test_map_inverse(run):
     )
 
 
+def test_vectors_with_a_leading_minus(run):
+    # each vector option takes the next token, even one argparse would
+    # read as an option
+    code, out, _ = run("member", "t.json", "--point", "-1/2,0")
+    assert (code, out) == (0, '{"member":false}\n')
+    code, out, _ = run("support", "t.json", "--dual", "-1,-2")
+    assert code == 0
+    assert out == '{"support":{"maximizer":["0","0"],"ray":null,"value":"0"}}\n'
+    code, out, _ = run("ovf", "subdiff", "ovf.json", "--point", "-1", "--solution", "-1/2")
+    assert code == 0
+    assert out == '{"qc":true,"subdiff":{"dim":1,"eq":[["1","0"]],"ineq":[]}}\n'
+    code, out, _ = run("ovf", "conjugate", "ovf.json", "--dual", "-1/2")
+    assert (code, out) == (0, '{"qc":true,"value":"inf","witness":null}\n')
+    code, out, err = run("member", "t.json", "--point")
+    assert (code, out) == (2, "")
+    assert "expected one argument" in err
+
+
 def test_verify_rejects_nonpositive_count(run):
     code, out, err = run("verify", "thm2.4", "--count", "-5")
     assert code == 2
