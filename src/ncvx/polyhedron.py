@@ -1,14 +1,22 @@
 """Closed convex polyhedra and relatively open cells, exactly.
 
-The canonical form of an H-polyhedron is the backbone of the library:
-implicit equalities are moved into the equality block (so the equality
-block spans the affine hull), the equality block is RREF-reduced and the
-inequality rows are reduced against its pivots, redundant rows are removed
-by LP, and everything is scaled to primitive integers and sorted. Two
-H-descriptions define the same set if and only if their canonical forms are
-identical, which turns set equality into tuple comparison. The relative
-interior of a canonical polyhedron is exactly "equalities hold, every
-remaining inequality strict".
+The canonical form of an H-polyhedron is the backbone of the library: the
+equality block spans the affine hull and is in reduced row echelon form,
+the inequality rows are reduced against its pivots and are exactly the
+facets, and everything is scaled to primitive integers and sorted. Two
+H-descriptions define the same set if and only if their canonical forms
+are identical, which turns set equality into tuple comparison. The
+relative interior of a canonical polyhedron is exactly "equalities hold,
+every remaining inequality strict".
+
+The canonical form spends LPs only on what linear algebra cannot settle.
+RREF of the equality block finds the emptiness that shows as 0 = 1 or as
+a reduced row 0 <= b < 0. One strict-feasibility LP over all reduced rows
+then settles the usual case: a strict point means no implicit equalities,
+a Farkas certificate means empty. Only when it fails do rounds of one
+slack-sum LP each sort the rows into implicit equalities and the rest
+(Fukuda, Polyhedral computation FAQ). Redundancy costs one LP per row,
+and none for a lone row.
 
 Projection is Fourier-Motzkin with equality pivoting; on mixed systems a
 derived row is strict when either parent was, which computes exact shadows
@@ -125,78 +133,111 @@ def _norm_eq(a: Vec, b: Fraction) -> Row:
     return joint[:-1], joint[-1]
 
 
+def _reduce(row: Vec, basis: Sequence[Vec], pivots: Sequence[int]) -> Vec:
+    """row minus its part in the span of an RREF basis (pivot entries 1)."""
+    for e, pc in zip(basis, pivots):
+        if row[pc] != 0:
+            row = la.sub(row, la.scale(e, row[pc]))
+    return row
+
+
+def _eliminate_equalities(
+    dim: int, eq: Iterable[Row], ineq: Iterable[Row]
+) -> Optional[tuple[tuple[Row, ...], list[Row]]]:
+    """The equality block in RREF and the inequality rows reduced against
+    its pivots, normalized, deduplicated and sorted; None when this alone
+    shows the set empty (a 0 = 1 pivot, or a row reduced to 0 <= b < 0)."""
+    basis, pivots = la.rref([a + (b,) for a, b in eq])
+    if dim in pivots:
+        return None
+    rows = set()
+    for a, b in ineq:
+        reduced = _reduce(a + (b,), basis, pivots)
+        a, b = reduced[:-1], reduced[-1]
+        if la.is_zero(a):
+            if b < 0:
+                return None
+            continue
+        rows.add(_norm_ineq(a, b))
+    return tuple(_norm_eq(r[:-1], r[-1]) for r in basis), sorted(rows)
+
+
+def _split_implicit(
+    dim: int, ineq: Sequence[Row], eq: Sequence[Row]
+) -> tuple[list[Row], list[Row]]:
+    """(implicit equalities, other rows) of a nonempty system, in rounds of
+    one LP: maximize the sum of slacks t_i in [0, 1], with a_i.x + t_i <= b_i
+    on the rows not yet classified.  A row strict at the optimal point is no
+    implicit equality; when no row is strict there, the optimum is 0 and
+    every unclassified row is tight on the whole set."""
+    todo = list(range(len(ineq)))
+    while todo:
+        k = len(todo)
+        slack = dict(zip(todo, la.identity(k)))
+        rows = [(a + slack.get(i, la.zeros(k)), b) for i, (a, b) in enumerate(ineq)]
+        for t in la.identity(k):
+            rows += [(la.zeros(dim) + t, ONE), (la.zeros(dim) + la.neg(t), ZERO)]
+        lifted = MixedSystem(
+            dim + k, tuple(rows), (), tuple((a + la.zeros(k), b) for a, b in eq)
+        )
+        out = maximize(la.zeros(dim) + (ONE,) * k, lifted)
+        if out.status != "optimal":
+            raise CertificateError("the slack-sum LP of a nonempty system has an optimum")
+        x = out.witness[:dim]
+        strict = {i for i in todo if la.dot(ineq[i][0], x) < ineq[i][1]}
+        if not strict:
+            if out.value != 0:
+                raise CertificateError("a positive slack sum makes some row strict")
+            break
+        todo = [i for i in todo if i not in strict]
+    implicit = set(todo)
+    return (
+        [r for i, r in enumerate(ineq) if i in implicit],
+        [r for i, r in enumerate(ineq) if i not in implicit],
+    )
+
+
 @lru_cache(maxsize=None)
 def canonical_form(p: HPoly) -> Optional[HPoly]:
-    """Unique facet-based representation, or None when the set is empty."""
-    ineq = []
-    for a, b in p.ineq:
-        if la.is_zero(a):
-            if b < 0:
-                return None
-            continue
-        ineq.append(_norm_ineq(a, b))
-    eq = []
-    for a, b in p.eq:
-        if la.is_zero(a):
-            if b != 0:
-                return None
-            continue
-        eq.append(_norm_eq(a, b))
-    ineq = sorted(set(ineq))
-    eq = sorted(set(eq))
+    """Unique facet-based representation, or None when the set is empty.
 
-    system = MixedSystem(p.dim, tuple(ineq), (), tuple(eq))
-    if feasible_point(system).status == "infeasible":
+    1. RREF of the equality block; the inequality rows are reduced against
+       its pivots.  A 0 = 1 pivot or a row 0 <= b < 0 means empty, and
+       rows 0 <= b >= 0 are dropped.  No LP.
+    2. One strict-feasibility LP on the reduced rows made strict.  A
+       strict point means no implicit equalities; a Farkas certificate
+       for the closed system means empty.
+    3. Otherwise the implicit equalities come from slack-sum rounds; they
+       join the equality block and step 1 runs once more.
+    4. Redundancy: one LP per row.  A lone row needs none: it is nonzero
+       after reduction, so it cuts the affine hull."""
+    reduced = _eliminate_equalities(p.dim, p.eq, p.ineq)
+    if reduced is None:
         return None
+    eq, ineq = reduced
+    if ineq:
+        joint = strict_feasible(MixedSystem(p.dim, (), tuple(ineq), eq))
+        if not joint.feasible:
+            if joint.certificate is not None:
+                return None
+            implicit, ineq = _split_implicit(p.dim, ineq, eq)
+            reduced = _eliminate_equalities(p.dim, eq + tuple(implicit), ineq)
+            if reduced is None:
+                raise CertificateError("a nonempty system reduced to an empty one")
+            eq, ineq = reduced
 
-    # implicit equality rows: those that cannot be strict anywhere on the set
-    joint = strict_feasible(MixedSystem(p.dim, (), tuple(ineq), tuple(eq)))
-    if not joint.feasible:
-        implicit = []
-        survivors = []
-        for r in ineq:
-            one = strict_feasible(
-                MixedSystem(p.dim, tuple(ineq), (r,), tuple(eq))
-            )
-            (survivors if one.feasible else implicit).append(r)
-        eq.extend(implicit)
-        ineq = survivors
-
-    reduced_eq, pivots = la.rref([a + (b,) for a, b in eq])
-    if p.dim in pivots:
-        raise CertificateError("feasible system cannot have 0=1 rows")
-    eq_rows = []
-    for row_aug in reduced_eq:
-        a, b = row_aug[:-1], row_aug[-1]
-        eq_rows.append(_norm_eq(a, b))
-
-    cleaned = []
-    for a, b in ineq:
-        for (ea, eb), pc in zip(eq_rows, pivots):
-            coef = a[pc]
-            if coef != 0:
-                f = coef / ea[pc]
-                a = la.sub(a, la.scale(ea, f))
-                b = b - f * eb
-        if la.is_zero(a):
-            if b < 0:
-                raise CertificateError("feasible system reduced a row to 0 <= b < 0")
-            continue
-        cleaned.append(_norm_ineq(a, b))
-    cleaned = sorted(set(cleaned))
-
-    survivors = list(cleaned)
+    survivors = list(ineq)
     i = 0
-    while i < len(survivors):
+    while len(survivors) > 1 and i < len(survivors):
         a, b = survivors[i]
         others = survivors[:i] + survivors[i + 1 :]
-        out = maximize(a, MixedSystem(p.dim, tuple(others), (), tuple(eq_rows)))
+        out = maximize(a, MixedSystem(p.dim, tuple(others), (), eq))
         if out.status == "optimal" and out.value <= b:
             survivors.pop(i)
         else:
             i += 1
 
-    return HPoly(p.dim, tuple(sorted(survivors)), tuple(eq_rows))
+    return HPoly(p.dim, tuple(survivors), eq)
 
 
 def is_empty(p: HPoly) -> bool:
@@ -211,16 +252,18 @@ def polyhedron_equal(p: HPoly, q: HPoly) -> bool:
 
 def implicit_equalities(p: HPoly) -> tuple[tuple[int, ...], HPoly]:
     """Indices of input inequality rows forced to equality, plus the
-    canonical form."""
+    canonical form.  Row i is forced exactly when (a_i, b_i) lies in the
+    row span of the augmented equality block of the canonical form."""
     canon = canonical_form(p)
     if canon is None:
         raise EmptyPolyhedron("implicit equalities of an empty polyhedron")
-    idxs = []
-    for i, (a, b) in enumerate(p.ineq):
-        got = strict_feasible(MixedSystem(p.dim, p.ineq, ((a, b),), p.eq))
-        if not got.feasible:
-            idxs.append(i)
-    return tuple(idxs), canon
+    basis, pivots = la.rref([a + (b,) for a, b in canon.eq])
+    idxs = tuple(
+        i
+        for i, (a, b) in enumerate(p.ineq)
+        if la.is_zero(_reduce(a + (b,), basis, pivots))
+    )
+    return idxs, canon
 
 
 def affine_hull(p: HPoly) -> tuple[Row, ...]:

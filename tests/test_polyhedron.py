@@ -15,7 +15,7 @@ import pytest
 
 from ncvx import linalg as la
 from ncvx.errors import DimensionCapExceeded, EmptyPolyhedron, PointNotInSet
-from ncvx.lp import MixedSystem, feasible_point, strict_feasible
+from ncvx.lp import MixedSystem, feasible_point, solve_lp, strict_feasible
 from ncvx.polyhedron import (
     HPoly,
     VPoly,
@@ -516,6 +516,37 @@ def test_implicit_equalities_triangle_face():
 def test_implicit_equalities_empty_raises():
     with pytest.raises(EmptyPolyhedron):
         implicit_equalities(empty_hpoly(2))
+
+
+def test_implicit_equalities_match_per_row_strict_lps():
+    # row i is forced exactly when a_i.x < b_i admits no point of the set
+    for p in _pinned_polyhedra():
+        if canonical_form(p) is None:
+            continue
+        expected = tuple(
+            i
+            for i, r in enumerate(p.ineq)
+            if not strict_feasible(MixedSystem(p.dim, p.ineq, (r,), p.eq)).feasible
+        )
+        assert implicit_equalities(p)[0] == expected
+
+
+def _lp_misses(p):
+    canonical_form.cache_clear()
+    solve_lp.cache_clear()
+    strict_feasible.cache_clear()
+    canonical_form(p)
+    return solve_lp.cache_info().misses
+
+
+def test_canonical_form_lp_counts():
+    # equality-only: RREF settles it
+    assert _lp_misses(hpoly(2, eq=[((1, 1), 1), ((2, 2), 2)])) == 0
+    # one row: the joint strict LP, and a lone row is irredundant
+    assert _lp_misses(hpoly(2, ineq=[((1, -1), 3)])) == 1
+    # triangle: the joint strict LP and one redundancy LP per row
+    triangle = hpoly(2, ineq=[((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)])
+    assert _lp_misses(triangle) == 4
 
 
 def test_affine_hull_segment():
