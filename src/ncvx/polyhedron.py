@@ -182,7 +182,7 @@ def _split_implicit(
         )
         out = maximize(la.zeros(dim) + (ONE,) * k, lifted)
         if out.status != "optimal":
-            raise CertificateError("the slack-sum LP of a nonempty system has an optimum")
+            raise CertificateError("slack-sum LP of a nonempty system has an optimum")
         x = out.witness[:dim]
         strict = {i for i in todo if la.dot(ineq[i][0], x) < ineq[i][1]}
         if not strict:
@@ -190,11 +190,7 @@ def _split_implicit(
                 raise CertificateError("a positive slack sum makes some row strict")
             break
         todo = [i for i in todo if i not in strict]
-    implicit = set(todo)
-    return (
-        [r for i, r in enumerate(ineq) if i in implicit],
-        [r for i, r in enumerate(ineq) if i not in implicit],
-    )
+    return [ineq[i] for i in todo], [r for i, r in enumerate(ineq) if i not in todo]
 
 
 @lru_cache(maxsize=None)
