@@ -19,6 +19,7 @@ from ncvx.lp import MixedSystem, feasible_point, solve_lp, strict_feasible
 from ncvx.polyhedron import (
     HPoly,
     VPoly,
+    _cone_generators,
     affine_hull,
     box,
     canonical_form,
@@ -414,6 +415,132 @@ def test_vrep_contains():
     assert vrep_contains(v, la.vec([F(1, 2), F(5)]))
     assert not vrep_contains(v, la.vec([2, 0]))
     assert not vrep_contains(VPoly(2), la.vec([0, 0]))
+
+
+# ---------------------------------------------------------------------------
+# double description
+
+
+def _pinned_cone_rows():
+    """A fixed, seeded list of (dim, rows) inputs to the double description
+    in dims 1-5: lineality met at the first row and only at the last one,
+    fractional rows (homogenized points with denominators, as `to_hrep`
+    builds them), homogenized facets (as `to_vrep` builds them), zero rows,
+    duplicates and scaled copies, degenerate apexes where many rays are
+    tight on the same rows (so a third ray often blocks a pair), the whole
+    space and single-ray cones."""
+    rng = random.Random(1996)
+    denoms = (1, 2, 3, 5, 7)
+
+    def frac():
+        return F(rng.randint(-6, 6), rng.choice(denoms))
+
+    def vec(n, lo=-2, hi=2):
+        return la.vec(rng.randint(lo, hi) for _ in range(n))
+
+    out = [(1, []), (3, []), (2, [la.zeros(2)]), (1, [la.vec([3])])]
+    for k in range(300):
+        kind = k % 6
+        n = rng.randint(1, 5)
+        if kind == 0:  # generic integer rows
+            rows = [vec(n) for _ in range(rng.randint(1, n + 3))]
+        elif kind == 1:  # the last coordinate is met only by the last row
+            rows = [vec(n - 1) + (F(0),) for _ in range(rng.randint(0, n + 1))]
+            rows.append(vec(n - 1) + (F(rng.choice((-3, -1, 1, 2))),))
+        elif kind == 2:  # homogenized points with denominators, and rays
+            rows = [
+                (la.ONE,) + tuple(frac() for _ in range(n - 1))
+                for _ in range(rng.randint(1, n + 2))
+            ]
+            rows += [(la.ZERO,) + vec(n - 1) for _ in range(rng.randint(0, 2))]
+        elif kind == 3:  # homogenized facets and equality pairs, height row first
+            rows = [la.unit(n, 0)]
+            for _ in range(rng.randint(1, n + 2)):
+                rows.append((frac(),) + vec(n - 1))
+            if rng.random() < 0.4:
+                a = (frac(),) + vec(n - 1)
+                rows += [a, la.neg(a)]
+        elif kind == 4:  # degenerate apex: many 0/+-1 rows through one point
+            rows = [(la.ONE,) + vec(n - 1, -1, 1) for _ in range(rng.randint(n, 2 * n + 3))]
+        else:  # single rays and lines: pairs +-a_i plus at most one more row
+            rows = []
+            for _ in range(n - 1):
+                a = vec(n)
+                rows += [a, la.scale(la.neg(a), F(rng.randint(1, 3), rng.choice(denoms)))]
+            if rng.random() < 0.8:
+                rows.append(vec(n))
+            rng.shuffle(rows)
+        if rng.random() < 0.3:  # zero rows, duplicates and scaled copies
+            rows.insert(rng.randint(0, len(rows)), la.zeros(n))
+            if rows:
+                rows.append(la.scale(rng.choice(rows), F(rng.randint(1, 4), rng.choice(denoms))))
+                rows.insert(rng.randint(0, len(rows)), rng.choice(rows))
+        out.append((n, rows))
+    return out
+
+
+def test_pinned_cone_generators():
+    # sha256 over repr(_cone_generators(dim, rows)) for every pinned case,
+    # recorded with the Fraction zero-set double description: the output is
+    # sorted, primitive and minimal, so any correct rewrite of the method
+    # that meets the rows in the same order gives it byte for byte
+    digest = hashlib.sha256()
+    for dim, rows in _pinned_cone_rows():
+        digest.update(repr(_cone_generators(dim, rows)).encode())
+        digest.update(b"\n")
+    assert digest.hexdigest() == (
+        "2efe57e88c581fd06fb286837a98a41e3d5d81d9e5fe31cd5b015d1986faa750"
+    )
+
+
+def _mod_lineality(v, basis, pivots):
+    """The representative of v + span(basis) with zeros at the pivots of an
+    RREF basis, scaled to primitive integers."""
+    for e, pc in zip(basis, pivots):
+        v = la.sub(v, la.scale(e, v[pc]))
+    return la.primitive(v)
+
+
+def brute_cone_generators(dim, rows):
+    """(kernel of the rows, extreme rays of {z : r.z >= 0} modulo it) from
+    nullspaces of row subsets and sign checks only: a feasible direction
+    tight on rows of rank dim - lin - 1 spans a one-dimensional face of the
+    cone divided by its lineality."""
+    rows = [r for r in rows if not la.is_zero(r)]
+    kernel = la.nullspace_basis(rows, dim)
+    basis, pivots = la.rref(kernel)
+    k = dim - len(kernel) - 1
+    rays = set()
+    for combo in itertools.combinations(rows, k) if k >= 0 else ():
+        if la.rank(list(combo)) != k:
+            continue
+        face = la.nullspace_basis(list(combo), dim)
+        v = next(
+            w for w in (_mod_lineality(u, basis, pivots) for u in face) if not la.is_zero(w)
+        )
+        for d in (v, la.neg(v)):
+            if all(la.dot(r, d) >= 0 for r in rows):
+                rays.add(d)
+    return kernel, sorted(rays)
+
+
+def test_cone_generators_match_brute_enumeration():
+    rng = random.Random(1953)
+    for _ in range(150):
+        dim = rng.randint(1, 4)
+        rows = [
+            la.vec(F(rng.randint(-2, 2), rng.choice((1, 1, 2, 3))) for _ in range(dim))
+            for _ in range(rng.randint(0, 8))
+        ]
+        if rows and rng.random() < 0.3:
+            rows.append(la.neg(rng.choice(rows)))
+        lineality, rays = _cone_generators(dim, rows)
+        kernel, brute_rays = brute_cone_generators(dim, rows)
+        assert la.row_space_basis(lineality) == la.row_space_basis(kernel)
+        basis, pivots = la.rref(kernel)
+        reduced = [_mod_lineality(r, basis, pivots) for r in rays]
+        assert len(set(reduced)) == len(rays)  # minimal: no two rays agree mod lineality
+        assert sorted(reduced) == brute_rays
 
 
 # ---------------------------------------------------------------------------
