@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from typing import Optional
 
 from . import conjugate as cj
@@ -316,7 +317,10 @@ def _run_verify(args):
 # parser assembly
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
+    """The whole argument tree, built once per process: it holds no mutable
+    default, and each `parse_args` call fills a fresh Namespace."""
     top = argparse.ArgumentParser(
         prog="ncvx",
         description="Exact calculus of nearly convex sets, mappings, and duality.",

@@ -24,6 +24,7 @@ from typing import Optional
 from . import linalg as la
 from . import plfunc as pf
 from .errors import (
+    CertificateError,
     DimensionMismatch,
     EmptyDomain,
     IdentityViolated,
@@ -84,7 +85,8 @@ def support(s: NCSet, v) -> SupportEvaluation:
         out = maximize(v, pc.base.closed_system())
         if out.status == "unbounded":
             return SupportEvaluation(PLUS_INF, None, out.certificate)
-        assert out.status == "optimal"  # pieces are nonempty by construction
+        if out.status != "optimal":  # pieces are nonempty by construction
+            raise CertificateError("support LP on a nonempty piece has no optimum")
         if best is None or out.value > best.value:
             best = out
     if best is None:
@@ -103,7 +105,8 @@ def support_epigraph(s: NCSet) -> HPoly:
     rows = [(p + (-ONE,), ZERO) for p in vv.points]
     rows += [(r + (ZERO,), ZERO) for r in vv.rays]
     canon = canonical_form(hpoly(s.dim + 1, rows))
-    assert canon is not None  # the origin satisfies every generator row
+    if canon is None:
+        raise CertificateError("the origin satisfies every generator row")
     return canon
 
 
@@ -301,13 +304,15 @@ def conjugate_sum(
             if out.status == "unbounded":
                 lhs = PLUS_INF
                 break
-            assert out.status == "optimal"
+            if out.status != "optimal":
+                raise CertificateError("LP on a nonempty cell has no optimum")
             cand = -out.value
             if lhs == MINUS_INF or cand > lhs:
                 lhs = cand
         if lhs == PLUS_INF:
             break
-    assert lhs != MINUS_INF, "qc guarantees a common finite point"
+    if lhs == MINUS_INF:
+        raise IdentityViolated("qc guarantees a common finite point")
 
     z = _convolution(conjugate_epigraph(f1), conjugate_epigraph(f2), w, lhs)
     if z is None:
@@ -343,7 +348,8 @@ def conjugate_chain(
     t_rows += (la.zeros(n) + (ONE,),)
     composed, _ = affine_preimage(g.epi, t_rows, la.zeros(p + 1))
     lhs = support(composed, w + (-ONE,)).value
-    assert lhs != MINUS_INF, "qc guarantees the composition is somewhere finite"
+    if lhs == MINUS_INF:
+        raise IdentityViolated("qc guarantees the composition is somewhere finite")
 
     eg = conjugate_epigraph(g)
     # variables (v, beta); adjoint rows A^T v = w

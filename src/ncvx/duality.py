@@ -281,7 +281,8 @@ def lagrange_duality(phi: PLFunction, theta: NCSet, g: SVMap) -> DualityReport:
         raise ImproperObjective("objective must be proper")
     f, built_qc = pl.build_composite_phi(phi, theta, g)
     flags = _lagrange_flags(phi, theta, g)
-    assert flags[0].holds == built_qc
+    if flags[0].holds != built_qc:
+        raise IdentityViolated("the built and the checked qualification disagree")
     if not pl.dom(f).pieces:
         return _vacuous_report("lagrange", flags, f, g.p)
 
@@ -399,7 +400,8 @@ def fenchel_lagrange_duality(
         raise ImproperObjective("objective must be proper")
     f1, built_qc = pl.build_composite_psi(phi, theta, g)
     flags = _lagrange_flags(phi, theta, g)
-    assert flags[0].holds == built_qc
+    if flags[0].holds != built_qc:
+        raise IdentityViolated("the built and the checked qualification disagree")
     n, p = g.n, g.p
     if not pl.dom(f1).pieces:
         return _vacuous_report("fenchel-lagrange", flags, f1, n + p)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from .errors import DimensionMismatch
+from .errors import CertificateError, DimensionMismatch
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -182,7 +182,8 @@ def nullspace_basis(rows: Sequence[Vec], n: int) -> list[Vec]:
     if not rows:
         return [unit(n, i) for i in range(n)]
     sol = solve_linear(tuple(rows), zeros(len(rows)))
-    assert sol is not None
+    if sol is None:
+        raise CertificateError("a homogeneous system has the zero solution")
     return sol[1]
 
 

@@ -22,7 +22,12 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from . import linalg as la
-from .errors import DimensionMismatch, EmptyPolyhedron, NotNearlyConvex
+from .errors import (
+    CertificateError,
+    DimensionMismatch,
+    EmptyPolyhedron,
+    NotNearlyConvex,
+)
 from .linalg import Mat, Vec
 from .lp import MixedSystem, strict_feasible
 from .polyhedron import (
@@ -167,7 +172,8 @@ def is_nearly_convex(s: NCSet) -> tuple[bool, Optional[Vec]]:
     if not s.pieces:
         return True, None
     hull = closure_hull(s)
-    assert hull is not None
+    if hull is None:
+        raise CertificateError("a set with pieces has a nonempty hull")
     wit = difference_witness(
         [hull.closed_system()], [pc.base.closed_system() for pc in s.pieces]
     )
@@ -265,7 +271,8 @@ def _image_base(q: HPoly, t: Mat) -> HPoly:
     lifted = q.closed_system().embed(range(n), n + p)
     lifted = lifted.combine(MixedSystem(n + p, (), (), graph))
     shadow = project_mixed(lifted, list(range(n, n + p)))
-    assert not shadow.strict
+    if shadow.strict:
+        raise CertificateError("projecting a closed system gave strict rows")
     return HPoly(p, shadow.weak, shadow.eq)
 
 

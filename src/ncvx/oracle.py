@@ -29,7 +29,13 @@ from . import plfunc as pl
 from . import polyhedron as ph
 from . import svmap as sv
 from . import variational as vr
-from .errors import NcvxError, UnknownTheorem, UsageError
+from .errors import (
+    CertificateError,
+    IdentityViolated,
+    NcvxError,
+    UnknownTheorem,
+    UsageError,
+)
 from .linalg import Mat, Vec
 from .lp import MixedSystem
 from .ncset import NCSet
@@ -414,10 +420,12 @@ def near_convexity_oracle(
     if not s.pieces:
         return True, None
     rows = _hull_ri_rows(s)
-    assert rows is not None
+    if rows is None:
+        raise CertificateError("a set with pieces has hull rows")
     barys = [ns.piece_ri_point(pc) for pc in s.pieces]
     for b in barys:
-        assert _in_hull_rows(rows, b), "piece escapes its own hull"
+        if not _in_hull_rows(rows, b):
+            raise IdentityViolated("piece escapes its own hull")
 
     probes: list[Vec] = list(barys)
     probes.append(la.scale(la.vsum(barys), F(1, len(barys))))
@@ -645,7 +653,8 @@ def _anchored_ovf(rng, spec, n: int, p: int):
     fmap = _random_map(rng, spec, n, p, anchor=ax + ay)
     f = _random_plf(rng, spec, n + p, anchor=ax + ay)
     inst = vr.build_ovf(f, fmap)
-    assert inst.qc, "anchored instance missed the ovf qualification"
+    if not inst.qc:
+        raise IdentityViolated("anchored instance missed the ovf qualification")
     return inst, ax, ay
 
 
@@ -812,7 +821,8 @@ def _fiber_hull_rows(
         closed = ph.canonical_form(
             HPoly(f.p, fib.weak + fib.strict, fib.eq)
         )
-        assert closed is not None
+        if closed is None:
+            raise CertificateError("a feasible fiber has a nonempty closure")
         v = ph.to_vrep(closed)
         pts.extend(v.points)
         rays.extend(v.rays)
@@ -1672,7 +1682,8 @@ def _chk_negctl_conjugate(rng, spec) -> Optional[str]:
     a, b = ep.ineq[idx]
     corrupted = ep.ineq[:idx] + ((a, b - 1),) + ep.ineq[idx + 1 :]
     facet = ph.canonical_form(HPoly(n + 1, ep.ineq, ep.eq + ((a, b),)))
-    assert facet is not None, "irredundant row lost its facet"
+    if facet is None:
+        raise IdentityViolated("irredundant row lost its facet")
     wt = ns.piece_ri_point(ns.ropoly(facet))
     w = wt[:n]
     honest = generator_conjugate_oracle(f, w)

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from . import linalg as la
 from . import svmap as sv
-from .errors import DimensionMismatch, InvalidEpigraph, UsageError
+from .errors import CertificateError, DimensionMismatch, InvalidEpigraph, UsageError
 from .linalg import Mat, Vec
 from .lp import MixedSystem, solve_lp, strict_feasible
 from .ncset import (
@@ -128,7 +128,8 @@ def eval_at(f: PLFunction, x: Vec) -> Value:
         out = solve_lp((la.ONE,), cell.closed())
         if out.status == "unbounded":
             return MINUS_INF
-        assert out.status == "optimal"
+        if out.status != "optimal":
+            raise CertificateError("LP on a nonempty cell has no optimum")
         if best is None or out.value < best:
             best = out.value
     return PLUS_INF if best is None else best
@@ -343,7 +344,8 @@ def polycone(p: HPoly) -> PolyCone:
     if any(b != 0 for _, b in rows):
         raise UsageError("cone rows must be homogeneous")
     canon = canonical_form(p)
-    assert canon is not None  # 0 satisfies every homogeneous row
+    if canon is None:
+        raise CertificateError("0 satisfies every homogeneous row")
     return PolyCone(canon)
 
 
@@ -357,5 +359,6 @@ def dual_cone(k: PolyCone) -> PolyCone:
     rows = [(la.neg(r), la.ZERO) for r in v.rays]
     rows += [(la.neg(p), la.ZERO) for p in v.points if not la.is_zero(p)]
     canon = canonical_form(hpoly(k.k.dim, rows))
-    assert canon is not None
+    if canon is None:
+        raise CertificateError("0 satisfies every homogeneous row")
     return PolyCone(canon)

@@ -22,7 +22,11 @@ Projection is Fourier-Motzkin with equality pivoting; on mixed systems a
 derived row is strict when either parent was, which computes exact shadows
 of systems with strict rows. Vertex/ray descriptions come from the double
 description method run on the homogenization, and the same cone routine
-applied to the polar gives the reverse conversion.
+applied to the polar gives the reverse conversion. The method runs in
+integers: each row is scaled once to a primitive integer vector, rays and
+lineality vectors stay primitive integer tuples, and each ray carries a
+bitmask of the rows it is tight on, so the adjacency test of two rays is a
+mask test against the others. Fractions appear only in its result.
 
 Mixed cells (weak + strict + equality rows) are the set-algebra workhorse:
 region subtraction peels one constraint at a time, and any feasible mixed
@@ -36,6 +40,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from . import linalg as la
@@ -47,7 +52,15 @@ from .errors import (
     PointNotInSet,
 )
 from .linalg import ONE, Vec, ZERO
-from .lp import MixedSystem, Row, feasible_point, maximize, strict_feasible
+from .lp import (
+    MixedSystem,
+    Row,
+    _dot,
+    _primitive,
+    feasible_point,
+    maximize,
+    strict_feasible,
+)
 
 DEFAULT_DIM_CAP = 6
 MAX_CELLS = 50_000
@@ -430,64 +443,64 @@ def project(p: HPoly, coords: Sequence[int]) -> HPoly:
 # Double description
 
 
+def _combine(s: int, u: tuple[int, ...], t: int, v: tuple[int, ...]) -> tuple[int, ...]:
+    """primitive(s u + t v) for integer vectors."""
+    return tuple(_primitive([s * x + t * y for x, y in zip(u, v)]))
+
+
 def _cone_generators(dim: int, rows: Sequence[Vec]) -> tuple[list[Vec], list[Vec]]:
-    """Minimal (lineality, rays) generating {z : r.z >= 0 for all rows}."""
-    lineality: list[Vec] = [la.unit(dim, i) for i in range(dim)]
-    rays: list[Vec] = []
-    processed: list[Vec] = []
+    """Minimal (lineality, rays) generating {z : r.z >= 0 for all rows}.
 
-    def zero_set(r: Vec) -> frozenset[int]:
-        return frozenset(i for i, a in enumerate(processed) if la.dot(a, r) == 0)
-
-    for a in rows:
-        if la.is_zero(a):
+    Double description in integers (Fukuda & Prodon 1996).  Each nonzero
+    row is scaled once to a primitive integer vector, which keeps its
+    half-space, and the rays and lineality vectors stay primitive integer
+    tuples, so every dot product is an integer.  Each ray carries a bitmask
+    of the processed rows it is tight on, bit k for the k-th nonzero row.
+    A row that meets the lineality turns one lineality vector into a ray
+    tight on every earlier row, and every old ray becomes tight on it.  A
+    row that does not keeps the rays on its side, and each adjacent
+    (positive, negative) pair gives a new ray tight on the rows both are
+    tight on and on this one.  Adjacency is combinatorial (Zolotykh 2012):
+    no third ray is tight on every row the pair shares, and a pair sharing
+    fewer than dim - lin - 2 rows cannot span a 2-face.  Fractions appear
+    only in the returned generators, sorted."""
+    lineality = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    rays: list[tuple[int, ...]] = []
+    masks: list[int] = []
+    bit = 1
+    for row in rows:
+        if la.is_zero(row):
             continue
-        hit_at = next((j for j, l in enumerate(lineality) if la.dot(a, l) != 0), None)
+        den = lcm(*(x.denominator for x in row))
+        a = _primitive([x.numerator * (den // x.denominator) for x in row])
+        hit_at = next((j for j, l in enumerate(lineality) if _dot(a, l) != 0), None)
         if hit_at is not None:
             hit = lineality.pop(hit_at)
-            if la.dot(a, hit) < 0:
-                hit = la.neg(hit)
-            pv = la.dot(a, hit)
-            lineality = [
-                la.sub(l, la.scale(hit, la.dot(a, l) / pv)) for l in lineality
-            ]
-            rays = [
-                la.primitive(la.sub(r, la.scale(hit, la.dot(a, r) / pv))) for r in rays
-            ]
-            rays.append(la.primitive(hit))
+            pv = _dot(a, hit)
+            if pv < 0:
+                hit, pv = tuple(-x for x in hit), -pv
+            lineality = [_combine(pv, l, -_dot(a, l), hit) for l in lineality]
+            rays = [_combine(pv, r, -_dot(a, r), hit) for r in rays] + [hit]
+            masks = [m | bit for m in masks] + [bit - 1]
         else:
-            vals = [la.dot(a, r) for r in rays]
-            pos = [r for r, v in zip(rays, vals) if v > 0]
-            zero = [r for r, v in zip(rays, vals) if v == 0]
-            negs = [r for r, v in zip(rays, vals) if v < 0]
-            if negs:
-                fresh = pos + zero
-                for rp, rn in itertools.product(pos, negs):
-                    shared = zero_set(rp) & zero_set(rn)
-                    blocked = any(
-                        r3 is not rp
-                        and r3 is not rn
-                        and shared <= zero_set(r3)
-                        for r3 in rays
-                    )
-                    if not blocked:
-                        vp = la.dot(a, rp)
-                        vn = la.dot(a, rn)
-                        fresh.append(
-                            la.primitive(
-                                la.sub(la.scale(rn, vp), la.scale(rp, vn))
-                            )
-                        )
-                seen = set()
-                rays = []
-                for r in fresh:
-                    if r not in seen:
-                        seen.add(r)
-                        rays.append(r)
-        processed.append(a)
-    # canonical order for deterministic output
-    lineality = [la.primitive(l) for l in la.row_space_basis(lineality)]
-    return sorted(lineality), sorted(set(rays))
+            vals = [_dot(a, r) for r in rays]
+            pos = [i for i, v in enumerate(vals) if v > 0]
+            zero = [i for i, v in enumerate(vals) if v == 0]
+            negs = [i for i, v in enumerate(vals) if v < 0]
+            fresh = {rays[i]: masks[i] for i in pos}
+            fresh.update((rays[i], masks[i] | bit) for i in zero)
+            need = dim - len(lineality) - 2
+            for p, n in itertools.product(pos, negs):
+                shared = masks[p] & masks[n]
+                if shared.bit_count() < need or any(
+                    shared & ~m == 0 for k, m in enumerate(masks) if k != p and k != n
+                ):
+                    continue
+                fresh.setdefault(_combine(vals[p], rays[n], -vals[n], rays[p]), shared | bit)
+            rays, masks = list(fresh), list(fresh.values())
+        bit <<= 1
+    basis = la.row_space_basis([la.vec(l) for l in lineality])
+    return sorted(la.primitive(l) for l in basis), [la.vec(r) for r in sorted(set(rays))]
 
 
 def to_vrep(p: HPoly, cap: int = DEFAULT_DIM_CAP) -> VPoly:

@@ -24,7 +24,7 @@ from functools import reduce
 from typing import Optional, Sequence
 
 from . import linalg as la
-from .errors import DimensionMismatch, EmptyDomain
+from .errors import DimensionMismatch, EmptyDomain, UsageError
 from .linalg import Mat, Vec
 from .lp import MixedSystem, strict_feasible
 from .ncset import (
@@ -388,7 +388,8 @@ def affine_plus_cone(a: Mat, c: Vec, cone: HPoly) -> SVMap:
     def shift(rows):
         out = []
         for k, b in rows:
-            assert b == 0, "cone rows must be homogeneous"
+            if b != 0:
+                raise UsageError("cone rows must be homogeneous")
             out.append((la.neg(la.mat_t_vec(a, k)) + k, la.dot(k, la.vec(c))))
         return tuple(out)
 

@@ -21,6 +21,7 @@ from . import linalg as la
 from . import plfunc as pl
 from . import svmap as sv
 from .errors import (
+    CertificateError,
     DimensionMismatch,
     EmptySolutionMap,
     ImproperObjective,
@@ -70,14 +71,16 @@ def normal_cone(omega: NCSet, x: Vec) -> NormalConeRep:
     if not membership(omega, x):
         raise PointNotInSet("normal cone requested at a point outside the set")
     hull = closure_hull(omega)
-    assert hull is not None
+    if hull is None:
+        raise CertificateError("a set with a point has a nonempty hull")
     return normal_cone_at(hull, x)
 
 
 def _normal_hrep_of(s: NCSet, x: Vec) -> HPoly:
     """H-representation of the normal cone of cl(s) at x, via generators."""
     hull = closure_hull(s)
-    assert hull is not None
+    if hull is None:
+        raise CertificateError("a set with a point has a nonempty hull")
     return normal_cone_hrep(to_vrep(hull), x)
 
 
@@ -207,7 +210,8 @@ def rhs_formula(inst: OVFInstance, x: Vec, y: Vec) -> HPoly:
     x, y = la.vec(x), la.vec(y)
     n, p = inst.fmap.n, inst.fmap.p
     value = pl.eval_at(inst.f, x + y)
-    assert isinstance(value, Fraction)
+    if not isinstance(value, Fraction):
+        raise ValueNotFinite("subdifferential needs a finite value")
     cone_f = _normal_hrep_of(inst.f.epi, x + y + (value,))
     cone_g = _normal_hrep_of(inst.fmap.graph, x + y)
 
@@ -229,7 +233,8 @@ def rhs_formula(inst: OVFInstance, x: Vec, y: Vec) -> HPoly:
         eqs.append((lhs, la.ZERO))
     cell = MixedSystem(total, tuple(weak), (), tuple(eqs))
     shadow = project_mixed(cell, list(range(2 * n + p, total)))
-    assert not shadow.strict
+    if shadow.strict:
+        raise CertificateError("projecting a closed system gave strict rows")
     canon = canonical_form(HPoly(n, shadow.weak, shadow.eq))
     return canon if canon is not None else empty_hpoly(n)
 

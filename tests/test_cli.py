@@ -330,3 +330,27 @@ def test_not_nearly_convex_detail_is_exact_text(run):
         '"error":"NotNearlyConvex"}\n'
     )
     assert "Fraction(" not in out
+
+
+def test_parser_is_built_once_and_survives_a_bad_request(run):
+    assert cli._parser() is cli._parser()
+    code, out, err = run("member", "t.json", "--point")
+    assert (code, out) == (2, "")
+    assert "expected one argument" in err
+    code, out, _ = run("nosuch", "t.json")
+    assert (code, out) == (2, "")
+    code, out, _ = run("member", "t.json", "--point", "1,0")
+    assert (code, out) == (0, '{"member":true}\n')
+
+
+def test_two_verbs_back_to_back(run):
+    code, out, _ = run("closure", "b.json")
+    assert (code, out) == (
+        0,
+        '{"closure":{"dim":1,"eq":[],"ineq":[["-1","-1"],["1","3"]]}}\n',
+    )
+    code, out, _ = run("support", "t.json", "--dual", "1,1")
+    assert (code, out) == (
+        0,
+        '{"support":{"maximizer":["2","0"],"ray":null,"value":"2"}}\n',
+    )

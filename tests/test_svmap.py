@@ -14,7 +14,7 @@ import pytest
 
 from instances import interval_set, point_set, strip_map
 from ncvx import linalg as la
-from ncvx.errors import DimensionMismatch, EmptyDomain
+from ncvx.errors import DimensionMismatch, EmptyDomain, UsageError
 from ncvx.ncset import (
     NCSet,
     from_closed_hpoly,
@@ -369,6 +369,8 @@ def test_affine_plus_cone_graph():
     assert set_equal(
         g.graph, from_closed_hpoly(hpoly(2, ineq=[((1, -1), 0)]))
     )
+    with pytest.raises(UsageError, match="homogeneous"):
+        affine_plus_cone(la.mat([[1]]), la.vec([0]), HPoly(1, (((F(-1),), F(1)),)))
 
 
 # ---------------------------------------------------------------------------
