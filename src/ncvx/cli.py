@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import cache
 from typing import Optional
 
 from . import conjugate as cj
@@ -317,10 +316,7 @@ def _run_verify(args):
 # parser assembly
 
 
-@cache
 def _parser() -> argparse.ArgumentParser:
-    """The whole argument tree, built once per process: it holds no mutable
-    default, and each `parse_args` call fills a fresh Namespace."""
     top = argparse.ArgumentParser(
         prog="ncvx",
         description="Exact calculus of nearly convex sets, mappings, and duality.",
@@ -444,6 +440,11 @@ def _parser() -> argparse.ArgumentParser:
     return top
 
 
+# built once per process, at import: the tree holds no mutable default, and
+# each parse_args call fills a fresh Namespace
+_PARSER = _parser()
+
+
 def _bind_vectors(argv: list) -> list:
     """Join --point, --dual and --solution to the token after them, so that
     argparse takes a vector with a leading minus (-1/2) as their value and
@@ -463,7 +464,7 @@ def main(argv: Optional[list] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = _parser().parse_args(_bind_vectors(argv))
+        args = _PARSER.parse_args(_bind_vectors(argv))
     except SystemExit as exc:
         # argparse has already written the diagnostic
         return 2 if exc.code not in (0, None) else 0

@@ -332,8 +332,9 @@ def test_not_nearly_convex_detail_is_exact_text(run):
     assert "Fraction(" not in out
 
 
-def test_parser_is_built_once_and_survives_a_bad_request(run):
-    assert cli._parser() is cli._parser()
+def test_parser_is_built_once_and_survives_a_bad_request(run, monkeypatch):
+    # main parses with the tree built at import; building one more fails here
+    monkeypatch.setattr(cli, "_parser", lambda: pytest.fail("parser rebuilt"))
     code, out, err = run("member", "t.json", "--point")
     assert (code, out) == (2, "")
     assert "expected one argument" in err

@@ -510,8 +510,10 @@ def brute_cone_generators(dim, rows):
     kernel = la.nullspace_basis(rows, dim)
     basis, pivots = la.rref(kernel)
     k = dim - len(kernel) - 1
+    if k < 0:  # no nonzero row: the whole space
+        return kernel, []
     rays = set()
-    for combo in itertools.combinations(rows, k) if k >= 0 else ():
+    for combo in itertools.combinations(rows, k):
         if la.rank(list(combo)) != k:
             continue
         face = la.nullspace_basis(list(combo), dim)
@@ -530,7 +532,7 @@ def test_cone_generators_match_brute_enumeration():
         dim = rng.randint(1, 4)
         rows = [
             la.vec(F(rng.randint(-2, 2), rng.choice((1, 1, 2, 3))) for _ in range(dim))
-            for _ in range(rng.randint(0, 8))
+            for _ in range(rng.randint(0, 7))
         ]
         if rows and rng.random() < 0.3:
             rows.append(la.neg(rng.choice(rows)))
