@@ -5,7 +5,10 @@ scan that evaluates piece rows directly, independent of the hull and
 subtraction machinery under test.
 """
 
+import hashlib
 import itertools
+import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -19,6 +22,7 @@ from instances import (
     two_points,
 )
 from ncvx import linalg as la
+from ncvx import oracle as orc
 from ncvx.errors import DimensionMismatch, NotNearlyConvex
 from ncvx.lp import MixedSystem
 from ncvx.ncset import (
@@ -42,7 +46,14 @@ from ncvx.ncset import (
     set_equal,
     union,
 )
-from ncvx.polyhedron import box, canonical_form, faces, hpoly, polyhedron_equal
+from ncvx.polyhedron import (
+    box,
+    canonical_form,
+    difference_witness,
+    faces,
+    hpoly,
+    polyhedron_equal,
+)
 
 OMEGA_B = punctured_square()
 
@@ -110,6 +121,67 @@ def test_square_missing_interior_fails():
 def test_empty_set_is_nearly_convex():
     ok, wit = is_nearly_convex(NCSet(2, ()))
     assert ok and wit is None
+
+
+def _pinned_sets():
+    """Seeded sets in dims 1-3: nearly convex ones, corrupted ones, closed
+    polytopes as unions of their faces, and nearly convex ones with one
+    piece dropped (which may leave a hole, a gap or the empty set)."""
+    spec = orc.LEAN_SPEC
+    for i in range(240):
+        rng = random.Random(i)
+        dim = 1 + i % 3
+        kind = i % 5
+        if kind == 0:
+            yield orc.random_ncset(rng, dim, spec)
+        elif kind in (1, 4):
+            yield orc.random_corrupted(rng, dim, spec)
+        elif kind == 2:
+            yield from_closed_hpoly(orc.random_polytope(rng, dim, spec))
+        else:
+            s = orc.random_ncset(rng, dim, spec)
+            drop = rng.randrange(len(s.pieces))
+            yield NCSet(dim, s.pieces[:drop] + s.pieces[drop + 1 :])
+
+
+def _near_convexity_case(s, ok):
+    if not s.pieces:
+        return "empty"
+    if len(s.pieces) == 1:
+        return "single piece"
+    hull = closure_hull(s)
+    if ok:
+        if any(pc.base == hull for pc in s.pieces):
+            return "hull is a piece"
+        return "ri test accepts"
+    closed_wit = difference_witness(
+        [hull.closed_system()], [pc.base.closed_system() for pc in s.pieces]
+    )
+    return "closed test fails" if closed_wit is not None else "only ri test fails"
+
+
+def test_pinned_near_convexity():
+    # sha256 over repr(is_nearly_convex(s)): the verdict and the witness,
+    # recorded with the closed test run before the ri test
+    digest = hashlib.sha256()
+    cases = Counter()
+    for s in _pinned_sets():
+        got = is_nearly_convex(s)
+        digest.update(repr(got).encode())
+        digest.update(b"\n")
+        cases[_near_convexity_case(s, got[0])] += 1
+    print(dict(cases))
+    assert set(cases) == {
+        "empty",
+        "single piece",
+        "hull is a piece",
+        "ri test accepts",
+        "closed test fails",
+        "only ri test fails",
+    }
+    assert digest.hexdigest() == (
+        "f0716e1a677bb401cb5b354cdcaaec69d27bba2376eae221f699de60af290dc5"
+    )
 
 
 # ---------------------------------------------------------------------------
