@@ -73,5 +73,9 @@ class IdentityViolated(NcvxError):
     """An identity the engine asserts unconditionally failed; indicates a bug."""
 
 
+class SamplingExhausted(NcvxError):
+    """Rejection sampling for a random instance ran out of tries."""
+
+
 class UnknownTheorem(UsageError):
     pass

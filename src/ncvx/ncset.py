@@ -5,9 +5,10 @@ closed under products, intersections, linear images, preimages, and
 Minkowski sums, and membership is a finite number of exact row checks.
 
 Near convexity of a union is decided against its closed convex hull H:
-the set is nearly convex iff H is covered by the piece closures (so the
-closure is convex) and ri(H) is covered by the pieces themselves. Both
-checks run by cell subtraction and report a witness point on failure.
+the set is nearly convex iff ri(H) is covered by the pieces themselves
+(then H = cl ri(H) is covered by the piece closures, so the closure is
+convex). The check runs by cell subtraction and reports a witness point
+on failure.
 
 Operations that are exact pointwise but whose relative-interior formula
 needs an overlap qualification (intersection, preimage) return the result
@@ -167,24 +168,27 @@ def closure_hull(s: NCSet) -> Optional[HPoly]:
 
 @lru_cache(maxsize=None)
 def is_nearly_convex(s: NCSet) -> tuple[bool, Optional[Vec]]:
-    """Decide near convexity; on failure the witness point lies in the
-    convex hull (or its ri) but outside the set (or its closure)."""
+    """Decide near convexity. For a finite union C of relatively open
+    pieces, C is nearly convex iff ri(H) is a subset of C, where H is the
+    closed convex hull: then H = cl ri(H) lies in cl C too. When a piece
+    has H as its base, ri(H) is that piece and no LP runs; otherwise one
+    cell subtraction decides. The closed test (H minus the piece
+    closures) runs only on failure, to choose the witness: a point of H
+    outside cl C when there is one, else a point of ri(H) outside C."""
     if not s.pieces:
         return True, None
     hull = closure_hull(s)
     if hull is None:
         raise CertificateError("a set with pieces has a nonempty hull")
+    if any(pc.base == hull for pc in s.pieces):
+        return True, None
+    ri_wit = difference_witness([hull.ri_system()], [pc.system() for pc in s.pieces])
+    if ri_wit is None:
+        return True, None
     wit = difference_witness(
         [hull.closed_system()], [pc.base.closed_system() for pc in s.pieces]
     )
-    if wit is not None:
-        return False, wit
-    wit = difference_witness(
-        [hull.ri_system()], [pc.system() for pc in s.pieces]
-    )
-    if wit is not None:
-        return False, wit
-    return True, None
+    return False, ri_wit if wit is None else wit
 
 
 def require_valid(s: NCSet) -> None:

@@ -33,6 +33,7 @@ from .errors import (
     CertificateError,
     IdentityViolated,
     NcvxError,
+    SamplingExhausted,
     UnknownTheorem,
     UsageError,
 )
@@ -603,8 +604,6 @@ def theorem_suite(
         rng = random.Random(inst_seed)
         try:
             detail = check(rng, spec)
-        except AssertionError as e:
-            failures.append((inst_seed, f"assertion: {e}"))
         except NcvxError as e:
             failures.append((inst_seed, f"{type(e).__name__}: {e}"))
         else:
@@ -626,7 +625,7 @@ def _retry(rng, build, accept, tries: int = 64):
         cand = build()
         if accept(cand):
             return cand
-    raise AssertionError("rejection sampling exhausted its tries")
+    raise SamplingExhausted("rejection sampling exhausted its tries")
 
 
 def _random_map(

@@ -179,8 +179,12 @@ def inverse_image(f: SVMap, theta: NCSet) -> tuple[NCSet, bool]:
 
 def certify_inverse_image(f: SVMap, theta: NCSet) -> bool:
     """ri(F^{-1}(theta)) = {x in ri(dom F) : ri F(x) meets ri(theta)},
-    checked exactly via the graph shadow."""
-    got, _ = inverse_image(f, theta)
+    checked exactly via the graph shadow. Under the qualification this is
+    the image formula for F^{-1}, which image_of_set has already checked;
+    only without it does the shadow get built here."""
+    got, qc, holds = image_of_set(inverse(f), theta)
+    if qc:
+        return holds
     total = f.n + f.p
     parts = [(_ri_cell(f.graph), range(total)), (_ri_cell(theta), range(f.n, total))]
     return _ri_formula_holds(got, total, parts, range(f.n))

@@ -24,7 +24,7 @@ from instances import (
 from ncvx import linalg as la
 from ncvx import oracle as orc
 from ncvx.errors import DimensionMismatch, NotNearlyConvex
-from ncvx.lp import MixedSystem
+from ncvx.lp import MixedSystem, solve_lp, strict_feasible
 from ncvx.ncset import (
     NCSet,
     closure,
@@ -182,6 +182,23 @@ def test_pinned_near_convexity():
     assert digest.hexdigest() == (
         "f0716e1a677bb401cb5b354cdcaaec69d27bba2376eae221f699de60af290dc5"
     )
+
+
+def _near_convexity_lp_misses(s):
+    for cached in (solve_lp, strict_feasible, canonical_form, closure_hull):
+        cached.cache_clear()
+    is_nearly_convex.cache_clear()
+    closure_hull(s)
+    before = solve_lp.cache_info().misses
+    is_nearly_convex(s)
+    return solve_lp.cache_info().misses - before
+
+
+def test_near_convexity_lp_counts():
+    # the hull is a piece: ri(hull) lies in the set with no LP
+    closed_box = from_closed_hpoly(box([(0, 1), (0, 2), (-1, 1)]))
+    assert _near_convexity_lp_misses(closed_box) == 0
+    assert _near_convexity_lp_misses(open_square()) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from ncvx import linalg as la
 from ncvx import ncset as ns
 from ncvx import oracle as orc
 from ncvx import plfunc as pf
-from ncvx.errors import UnknownTheorem
+from ncvx.errors import SamplingExhausted, UnknownTheorem
 from ncvx.lp import MixedSystem
 
 from instances import abs_fn, two_points
@@ -226,6 +226,22 @@ def test_suite_records_failures_with_seeds():
     seeds = [s for s, _ in rep.failures]
     assert seeds == sorted(seeds)
     assert all(d == "forced failure" for _, d in rep.failures)
+
+
+def test_exhausted_sampling_is_a_typed_failure():
+    with pytest.raises(SamplingExhausted):
+        orc._retry(random.Random(0), lambda: None, lambda t: False)
+    orig = orc._REGISTRY["prop2.1"]
+    orc._REGISTRY["prop2.1"] = lambda rng, spec: orc._retry(
+        rng, lambda: None, lambda t: False, tries=2
+    )
+    try:
+        rep = orc.theorem_suite("prop2.1", count=1)
+    finally:
+        orc._REGISTRY["prop2.1"] = orig
+    assert rep.failures[0][1] == (
+        "SamplingExhausted: rejection sampling exhausted its tries"
+    )
 
 
 SMALL_COUNT_SUITES = [

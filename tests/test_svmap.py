@@ -14,6 +14,10 @@ import pytest
 
 from instances import interval_set, point_set, strip_map
 from ncvx import linalg as la
+from ncvx import lp
+from ncvx import ncset as ns
+from ncvx import polyhedron as ph
+from ncvx import svmap as sv
 from ncvx.errors import DimensionMismatch, EmptyDomain, UsageError
 from ncvx.ncset import (
     NCSet,
@@ -177,6 +181,20 @@ def test_inverse_image_boundary_point_flags_qc():
     got, qc = inverse_image(STRIP, point_set(3))
     assert not qc
     assert set_equal(got, point_set(2))
+
+
+def test_certify_inverse_image_reuses_the_image_check():
+    # under the qualification inverse_image has already checked the formula
+    for module in (lp, ph, ns, sv):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    inverse_image(STRIP, point_set(2))
+    before = lp.solve_lp.cache_info().misses
+    assert certify_inverse_image(STRIP, point_set(2))
+    assert lp.solve_lp.cache_info().misses == before
+    # without it the shadow is built: ri F^{-1}(3) = {2}, but ri F(2) misses 3
+    assert not certify_inverse_image(STRIP, point_set(3))
 
 
 def test_restrict_to_subinterval():
