@@ -185,9 +185,9 @@ def test_pinned_near_convexity():
 
 
 def _near_convexity_lp_misses(s):
-    for cached in (solve_lp, strict_feasible, canonical_form, closure_hull):
+    caches = (solve_lp, strict_feasible, canonical_form, closure_hull, is_nearly_convex)
+    for cached in caches:
         cached.cache_clear()
-    is_nearly_convex.cache_clear()
     closure_hull(s)
     before = solve_lp.cache_info().misses
     is_nearly_convex(s)
