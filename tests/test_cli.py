@@ -45,6 +45,32 @@ INPUTS = {
             ],
         },
     },
+    # x in [0, 1] -> {1}: the open segment and its two endpoints
+    "h.json": {
+        "n": 1,
+        "p": 1,
+        "graph": {
+            "closure": {
+                "dim": 2,
+                "ineq": [["1", "0", "1"], ["-1", "0", "0"]],
+                "eq": [["0", "1", "1"]],
+            },
+            "faces": [[1], [2]],
+        },
+    },
+    # y in [1, 2] -> [0, y] on the open trapezoid, y = 1 -> (0, 1) on its
+    # open left edge; its domain meets the range of h.json only at y = 1
+    "o.json": {
+        "n": 1,
+        "p": 1,
+        "graph": {
+            "closure": {
+                "dim": 2,
+                "ineq": [["1", "0", "2"], ["-1", "0", "-1"], ["0", "-1", "0"], ["-1", "1", "0"]],
+            },
+            "faces": [[2]],
+        },
+    },
     # the triangle x, y >= 0, x + y <= 2 with a duplicate and a redundant
     # row: its interior, the open edge on y = 0 and the vertex (0, 0)
     "t.json": {
@@ -136,6 +162,25 @@ def test_map_compose_certify(run):
         '{"dim":2,"eq":[],"ineq":[["0","-1","0"],["0","1","1"],["1","0","1"]]}]},'
         '"n":1,"p":1},"qc":true}\n'
     )
+
+
+def test_map_compose_without_qualification(run):
+    # ri(range of h) = {1} misses ri(dom o) = (1, 2): exit 1, map still given
+    code, out, _ = run("map", "compose", "h.json", "o.json")
+    assert code == 1
+    assert out == (
+        '{"map":{"graph":{"dim":2,"pieces":[{"dim":2,"eq":[],'
+        '"ineq":[["-1","0","0"],["0","-1","0"],["0","1","1"],["1","0","1"]]},'
+        '{"dim":2,"eq":[["1","0","0"]],"ineq":[["0","-1","0"],["0","1","1"]]},'
+        '{"dim":2,"eq":[["1","0","1"]],"ineq":[["0","-1","0"],["0","1","1"]]}]},'
+        '"n":1,"p":1},"qc":false}\n'
+    )
+
+
+def test_verify_lemma74(run):
+    code, out, _ = run("verify", "lemma7.4", "--count", "3", "--seed", "0")
+    assert code == 0
+    assert out == '{"count":3,"failures":[],"passes":3,"theorem":"lemma7.4"}\n'
 
 
 def test_restrict_certify(run):

@@ -10,15 +10,19 @@ Oracles:
     ones that fail every qualification.
 """
 
+import hashlib
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from ncvx import duality as du
 from ncvx import linalg as la
+from ncvx import lp
 from ncvx import ncset as ns
 from ncvx import oracle as orc
+from ncvx import polyhedron as ph
 from ncvx import plfunc as pf
 from ncvx import svmap as sv
 from ncvx.errors import (
@@ -181,6 +185,66 @@ def test_vg_closed_form_matches_direct():
             assert du.vg_value(g, x, ystar) == du.vg_closed_form(
                 a_mat, c, k, x, ystar
             )
+
+
+def _pinned_vg_cases():
+    """Seeded (g, x, y*): affine-plus-cone maps, nearly convex graphs and
+    the same graphs with one piece dropped, which can leave a hole where a
+    closed slice is nonempty but the ri slice is empty. Two of every three
+    points are vertices of a piece, so slices often fall on a boundary."""
+    rng = random.Random(74)
+    spec = orc.LEAN_SPEC
+    for i in range(48):
+        n, q, kind = 1 + i % 2, 1 + i // 2 % 2, i % 3
+        if kind == 0:
+            k = orc._random_cone(rng, spec, q)
+            a_mat = orc._random_matrix(rng, q, n)
+            g = sv.affine_plus_cone(a_mat, orc._anchor_point(rng, q, spec), k.k)
+        else:
+            graph = orc.random_ncset(rng, n + q, spec)
+            if kind == 2:
+                drop = rng.randrange(len(graph.pieces))
+                graph = ns.NCSet(n + q, graph.pieces[:drop] + graph.pieces[drop + 1 :])
+            g = sv.SVMap(n, q, graph)
+        for j in range(3):
+            if j and g.graph.pieces:
+                pc = rng.choice(g.graph.pieces)
+                x = rng.choice(ph.to_vrep(pc.base).points)[:n]
+            else:
+                x = orc._anchor_point(rng, n, spec)
+            yield g, x, tuple(orc._coef(rng) for _ in range(q))
+
+
+def _closed_slices_value(g, x, ystar):
+    # the same inf with every piece's closed slice, holes filled in
+    best = PLUS_INF
+    for pc in g.graph.pieces:
+        cell = pc.system().fix(0, la.vec(x)).closed()
+        out = lp.solve_lp(la.neg(la.vec(ystar)), cell)
+        if out.status == "unbounded":
+            return MINUS_INF
+        if out.status == "optimal" and out.value < best:
+            best = out.value
+    return best
+
+
+def test_pinned_vg_values():
+    # sha256 over repr(vg_value(g, x, y*)), recorded with vg_value
+    # iterating over the canonical pieces of G(x)
+    digest = hashlib.sha256()
+    cases = Counter()
+    for g, x, ystar in _pinned_vg_cases():
+        value = du.vg_value(g, x, ystar)
+        digest.update(repr(value).encode())
+        digest.update(b"\n")
+        cases[{MINUS_INF: "-inf", PLUS_INF: "+inf"}.get(value, "finite")] += 1
+        if _closed_slices_value(g, x, ystar) != value:
+            cases["hole changes the value"] += 1
+    print(dict(cases))
+    assert set(cases) == {"-inf", "+inf", "finite", "hole changes the value"}
+    assert digest.hexdigest() == (
+        "4969209b3d2cb502ad0ae08457dfece4e6883c76f47a59fbe65700ba7565b61d"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -47,12 +47,14 @@ from ncvx.ncset import (
     union,
 )
 from ncvx.polyhedron import (
+    HPoly,
     box,
     canonical_form,
     difference_witness,
     faces,
     hpoly,
     polyhedron_equal,
+    to_vrep,
 )
 
 OMEGA_B = punctured_square()
@@ -389,6 +391,71 @@ def test_from_mixed_half_open_square():
     s = from_mixed(m)
     for x in grid(-1, 2, 8, 2):
         assert s.contains(x) == m.satisfies(x), x
+
+
+def _pinned_closed_polyhedra():
+    """Seeded closed polyhedra in dims 1-4, four kinds in turn: bounded by
+    a box, unbounded, with the last coordinate free (a lineality line),
+    and empty; about one in three also gets an equality through 0."""
+    rng = random.Random(93)
+    for i in range(32):
+        dim, kind = 1 + i % 4, i // 4 % 4
+        free = dim - 1 if kind == 2 else dim
+        rows = []
+        if kind == 0:
+            rows += orc._box_rows(dim, 2)
+        for _ in range(rng.randint(1, dim + 1)):
+            a = tuple(F(rng.randint(-2, 2)) for _ in range(free)) + la.zeros(dim - free)
+            if not la.is_zero(a):
+                rows.append((a, F(rng.randint(0, 4), rng.choice((1, 2)))))
+        if kind == 3 and rows:
+            a, b = rng.choice(rows)
+            rows.append((la.neg(a), -b - 1))
+        eq = []
+        if rng.random() < 0.3:
+            a = tuple(F(rng.randint(-1, 1)) for _ in range(dim))
+            if not la.is_zero(a):
+                eq.append((a, F(0)))
+        yield HPoly(dim, tuple(rows), tuple(eq))
+
+
+def _closed_polyhedron_cases(p):
+    canon = canonical_form(p)
+    if canon is None:
+        return {"empty"}
+    cases = {f"dim {p.dim}"}
+    if to_vrep(canon).rays:
+        cases.add("unbounded")
+    if canon.eq:
+        cases.add("lower-dimensional")
+    if len(la.row_space_basis([a for a, _ in canon.ineq + canon.eq])) < p.dim:
+        cases.add("lineality")
+    return cases
+
+
+def test_pinned_from_closed_hpoly():
+    # sha256 over repr(from_closed_hpoly(p)), recorded with the faces found
+    # by decompose_mixed on the closed system
+    digest = hashlib.sha256()
+    cases = Counter()
+    for p in _pinned_closed_polyhedra():
+        digest.update(repr(from_closed_hpoly(p)).encode())
+        digest.update(b"\n")
+        cases.update(_closed_polyhedron_cases(p))
+    print(dict(cases))
+    assert set(cases) == {
+        "dim 1",
+        "dim 2",
+        "dim 3",
+        "dim 4",
+        "empty",
+        "unbounded",
+        "lower-dimensional",
+        "lineality",
+    }
+    assert digest.hexdigest() == (
+        "1c4e0c1d97b5293be7fa7e603dea12c93d191c375ed942246e517b7247684f25"
+    )
 
 
 def test_from_closure_and_faces_sugar():

@@ -6,8 +6,10 @@ parallelogram graph, and membership claims are re-checked pointwise
 against the graph on a lattice.
 """
 
+import hashlib
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +18,7 @@ from instances import interval_set, point_set, strip_map
 from ncvx import linalg as la
 from ncvx import lp
 from ncvx import ncset as ns
+from ncvx import oracle as orc
 from ncvx import polyhedron as ph
 from ncvx import svmap as sv
 from ncvx.errors import DimensionMismatch, EmptyDomain, UsageError
@@ -271,6 +274,60 @@ def test_compose_boundary_overlap_flags_qc():
     got, qc = compose(STRIP, g)
     assert not qc
     assert set_equal(got.graph, point_set(2, 3))
+
+
+def _pinned_compose_pairs():
+    """Seeded (f, g) with inner dim 1 or 2: pairs anchored at one point of
+    both graphs, unanchored pairs, a corrupted graph on either side, and an
+    empty graph on either side."""
+    rng = random.Random(38)
+    spec = orc.LEAN_SPEC
+    for i in range(60):
+        n, p, q = 1, 1 + i % 2, 1
+        kind = i % 5
+        if kind == 0:
+            ay = orc._anchor_point(rng, p, spec)
+            f = orc._random_map(rng, spec, n, p, anchor=orc._anchor_point(rng, n, spec) + ay)
+            g = orc._random_map(rng, spec, p, q, anchor=ay + orc._anchor_point(rng, q, spec))
+            yield "anchored", f, g
+            continue
+        f = orc._random_map(rng, spec, n, p)
+        g = orc._random_map(rng, spec, p, q)
+        if kind == 2:
+            yield "corrupted", SVMap(n, p, orc.random_corrupted(rng, n + p, spec)), g
+        elif kind == 3:
+            yield "corrupted", f, SVMap(p, q, orc.random_corrupted(rng, p + q, spec))
+        elif kind == 4:
+            empty = NCSet(p + q, ())
+            yield "empty graph", f, SVMap(p, q, empty)
+            yield "empty graph", SVMap(n, p, NCSet(n + p, ())), g
+        else:
+            yield "unanchored", f, g
+
+
+def test_pinned_compose():
+    # sha256 over repr(compose(f, g)): the graph and the qc flag, recorded
+    # with compose going through product, intersect and linear_image
+    digest = hashlib.sha256()
+    cases = Counter()
+    for kind, f, g in _pinned_compose_pairs():
+        got = compose(f, g)
+        digest.update(repr(got).encode())
+        digest.update(b"\n")
+        cases[kind] += 1
+        cases["qc" if got[1] else "no qc"] += 1
+    print(dict(cases))
+    assert set(cases) == {
+        "anchored",
+        "unanchored",
+        "corrupted",
+        "empty graph",
+        "qc",
+        "no qc",
+    }
+    assert digest.hexdigest() == (
+        "f8bab608061670d6777b30b8636da36489a758110636eb9f0ead91f8c47ad67d"
+    )
 
 
 # ---------------------------------------------------------------------------
