@@ -353,15 +353,11 @@ def lagrange_cone_duality(
 
 
 def vg_value(g: SVMap, x: Vec, ystar: Vec) -> Value:
-    """inf of <-y*, y> over y in G(x), by slicing the graph."""
-    best: Value = PLUS_INF
-    for pc in sv.eval_at(g, la.vec(x)).pieces:
-        out = solve_lp(la.neg(la.vec(ystar)), pc.base.closed_system())
-        if out.status == "unbounded":
-            return MINUS_INF
-        if out.status == "optimal" and out.value < best:
-            best = out.value
-    return best
+    """inf of <-y*, y> over y in G(x), by one LP on the closed slice of
+    each graph piece whose ri meets {x} x R^p (plfunc.slice_inf): the same
+    value as an LP on each canonical piece of G(x), with no canonical
+    form taken."""
+    return pl.slice_inf(g.graph, la.vec(x), la.neg(la.vec(ystar)))
 
 
 def vg_closed_form(

@@ -38,6 +38,7 @@ from .polyhedron import (
     canonical_form,
     decompose_mixed,
     difference_witness,
+    faces,
     project_mixed,
     to_hrep,
     to_vrep,
@@ -95,8 +96,10 @@ def from_mixed(m: MixedSystem) -> NCSet:
 
 
 def from_closed_hpoly(p: HPoly) -> NCSet:
-    """A closed polyhedron is the union of the ri's of its faces."""
-    return from_mixed(p.closed_system())
+    """A closed polyhedron is the union of the ri's of its nonempty faces.
+    faces() gives each face once, canonical and in ncset's piece order,
+    so this equals from_mixed(p.closed_system()) with no decomposition."""
+    return NCSet(p.dim, tuple(ROPoly(f) for f in faces(p)))
 
 
 def from_closure_and_faces(p: HPoly, active_sets: Iterable[Sequence[int]]) -> NCSet:
@@ -266,6 +269,14 @@ def intersect(s1: NCSet, s2: NCSet) -> tuple[NCSet, bool]:
     return result, qc
 
 
+def closed_shadow(m: MixedSystem, keep: Sequence[int]) -> HPoly:
+    """The projection of a closed system onto the keep coordinates."""
+    shadow = project_mixed(m, keep)
+    if shadow.strict:
+        raise CertificateError("projecting a closed system gave strict rows")
+    return HPoly(len(keep), shadow.weak, shadow.eq)
+
+
 def _image_base(q: HPoly, t: Mat) -> HPoly:
     """Closed image t(q) by lifting to the graph and projecting."""
     p, n = len(t), q.dim
@@ -274,10 +285,7 @@ def _image_base(q: HPoly, t: Mat) -> HPoly:
     graph = tuple((t[i] + la.neg(la.unit(p, i)), la.ZERO) for i in range(p))
     lifted = q.closed_system().embed(range(n), n + p)
     lifted = lifted.combine(MixedSystem(n + p, (), (), graph))
-    shadow = project_mixed(lifted, list(range(n, n + p)))
-    if shadow.strict:
-        raise CertificateError("projecting a closed system gave strict rows")
-    return HPoly(p, shadow.weak, shadow.eq)
+    return closed_shadow(lifted, list(range(n, n + p)))
 
 
 def linear_image(s: NCSet, t: Mat) -> NCSet:

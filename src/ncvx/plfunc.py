@@ -114,18 +114,24 @@ def const_function(n: int, v) -> PLFunction:
 # evaluation, domain, properness
 
 
-def eval_at(f: PLFunction, x: Vec) -> Value:
-    """inf{lam : (x, lam) in epi}; +inf off the domain, -inf when the
-    slice is unbounded below."""
-    x = la.vec(x)
-    if len(x) != f.n:
+def slice_inf(s: NCSet, x: Vec, cost: Vec) -> Value:
+    """inf of <cost, y> over the slice {y : (x, y) in s}; +inf when the
+    slice is empty, -inf when it is unbounded below.
+
+    One LP per piece whose ri cell meets the slice, over the closed slice
+    of that cell.  When ri(B) meets the affine set L = {x} x R^m, the
+    closure of ri(B) intersected with L is B intersected with L
+    (Rockafellar, Thm 6.5): the closed base of the slice's own ri piece,
+    with the same LP value, so no slice is put in canonical form.
+    """
+    if len(x) + len(cost) != s.dim:
         raise DimensionMismatch("point length does not match input dim")
     best: Optional[Fraction] = None
-    for pc in f.epi.pieces:
+    for pc in s.pieces:
         cell = pc.system().fix(0, x)
         if not strict_feasible(cell).feasible:
             continue
-        out = solve_lp((la.ONE,), cell.closed())
+        out = solve_lp(cost, cell.closed())
         if out.status == "unbounded":
             return MINUS_INF
         if out.status != "optimal":
@@ -133,6 +139,12 @@ def eval_at(f: PLFunction, x: Vec) -> Value:
         if best is None or out.value < best:
             best = out.value
     return PLUS_INF if best is None else best
+
+
+def eval_at(f: PLFunction, x: Vec) -> Value:
+    """inf{lam : (x, lam) in epi}; +inf off the domain, -inf when the
+    slice is unbounded below."""
+    return slice_inf(f.epi, la.vec(x), (la.ONE,))
 
 
 def dom(f: PLFunction) -> NCSet:

@@ -6,6 +6,9 @@ relatively open piece is again relatively open, so the slice is exact with
 no extra decomposition). Domains, ranges, images, inverse images,
 restrictions, sums, and compositions all reduce to the set calculus on
 graphs: products, intersections, coordinate permutations, and projections.
+Compositions skip the product and intersection: each pair of pieces is
+embedded in the joint space, and the closed shadow of each pair whose
+relative interiors meet gives one piece (Rockafellar, Thms 6.5 and 6.6).
 
 Each operation whose relative-interior formula needs an overlap
 qualification returns a qc flag computed by one strict feasibility check
@@ -30,6 +33,7 @@ from .lp import MixedSystem, strict_feasible
 from .ncset import (
     NCSet,
     ROPoly,
+    closed_shadow,
     closure_hull,
     from_closed_hpoly,
     intersect,
@@ -266,17 +270,35 @@ def certify_sum(f1: SVMap, f2: SVMap) -> bool:
 
 
 def compose(f: SVMap, g: SVMap) -> tuple[SVMap, bool]:
-    """g after f; the qc flag reports ri(rge f) meets ri(dom g)."""
+    """g after f; the qc flag reports ri(rge f) meets ri(dom g).
+
+    Each pair of pieces, ri(A) of f in (x, y) and ri(B) of g in (y, z),
+    sits in R^(n+p+q).  When the joint ri cell is nonempty, its closure is
+    A' intersected with B' for the embedded bases (Rockafellar, Thm 6.5),
+    and the composed piece is the ri of that closed cell's shadow on
+    (x, z), since ri(T C) = T(ri C) (Thm 6.6).  By Thm 6.6 again, ri(rge f)
+    and ri(dom g) are the shadows of the ri cells of the two graph hulls,
+    so they meet exactly when those cells, embedded side by side, have a
+    common point: one strict check.
+    """
     if f.p != g.n:
         raise DimensionMismatch("inner dims do not match")
-    left = product(f.graph, whole_space(g.p))  # (x, y, z)
-    right = product(whole_space(f.n), g.graph)
-    glued, _ = intersect(left, right)
     total = f.n + f.p + g.p
-    rows = [la.unit(total, i) for i in range(f.n)]
-    rows += [la.unit(total, f.n + f.p + i) for i in range(g.p)]
-    graph = linear_image(glued, tuple(rows))
-    return SVMap(f.n, g.p, graph), _ri_overlap(rge(f), dom(g))
+    left, right = range(f.n + f.p), range(f.n, total)
+    keep = [*range(f.n), *range(f.n + f.p, total)]
+    bases = []
+    for a in f.graph.pieces:
+        a_cell = a.system().embed(left, total)
+        for b in g.graph.pieces:
+            joint = a_cell.combine(b.system().embed(right, total))
+            if strict_feasible(joint).feasible:
+                bases.append(closed_shadow(joint.closed(), keep))
+    f_ri, g_ri = _ri_cell(f.graph), _ri_cell(g.graph)
+    qc = False
+    if f_ri is not None and g_ri is not None:
+        both = f_ri.embed(left, total).combine(g_ri.embed(right, total))
+        qc = strict_feasible(both).feasible
+    return SVMap(f.n, g.p, ncset(f.n + g.p, bases)), qc
 
 
 def certify_compose(f: SVMap, g: SVMap) -> bool:

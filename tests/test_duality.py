@@ -247,6 +247,28 @@ def test_pinned_vg_values():
     )
 
 
+def test_vg_value_matches_an_lp_on_each_canonical_piece():
+    # the former definition: G(x) in canonical pieces, one LP on each base
+    for g, x, ystar in _pinned_vg_cases():
+        best = PLUS_INF
+        for pc in sv.eval_at(g, x).pieces:
+            out = lp.solve_lp(la.neg(la.vec(ystar)), pc.base.closed_system())
+            if out.status == "unbounded":
+                best = MINUS_INF
+                break
+            if out.status == "optimal" and out.value < best:
+                best = out.value
+        assert du.vg_value(g, x, ystar) == best, (g, x, ystar)
+
+
+def test_vg_value_takes_no_canonical_form():
+    cases = list(_pinned_vg_cases())
+    ph.canonical_form.cache_clear()
+    for g, x, ystar in cases:
+        du.vg_value(g, x, ystar)
+    assert ph.canonical_form.cache_info().misses == 0
+
+
 # ---------------------------------------------------------------------------
 # Fenchel-Lagrange scheme
 

@@ -50,6 +50,7 @@ from ncvx.polyhedron import (
     HPoly,
     box,
     canonical_form,
+    decompose_mixed,
     difference_witness,
     faces,
     hpoly,
@@ -456,6 +457,19 @@ def test_pinned_from_closed_hpoly():
     assert digest.hexdigest() == (
         "1c4e0c1d97b5293be7fa7e603dea12c93d191c375ed942246e517b7247684f25"
     )
+
+
+def test_from_closed_hpoly_equals_the_decomposed_closed_system():
+    # the former definition
+    for p in _pinned_closed_polyhedra():
+        assert from_closed_hpoly(p) == from_mixed(p.closed_system())
+
+
+def test_from_closed_hpoly_decomposes_nothing():
+    before = decompose_mixed.cache_info()
+    from_closed_hpoly(box([(0, 1), (0, 2), (-1, 1)]))
+    after = decompose_mixed.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses
 
 
 def test_from_closure_and_faces_sugar():

@@ -330,6 +330,28 @@ def test_pinned_compose():
     )
 
 
+def test_compose_qc_is_the_overlap_of_range_and_domain():
+    # the former definition, through the images rge(f) and dom(g)
+    for _, f, g in _pinned_compose_pairs():
+        assert compose(f, g)[1] == sv._ri_overlap(rge(f), dom(g))
+
+
+def test_compose_takes_the_hulls_of_the_two_graphs_only(monkeypatch):
+    hull = ns.closure_hull
+    seen = []
+
+    def spy(s):
+        seen.append(s)
+        return hull(s)
+
+    monkeypatch.setattr(ns, "closure_hull", spy)
+    monkeypatch.setattr(sv, "closure_hull", spy)
+    for _, f, g in itertools.islice(_pinned_compose_pairs(), 10):
+        seen.clear()
+        compose(f, g)
+        assert seen == [f.graph, g.graph]
+
+
 # ---------------------------------------------------------------------------
 # composite constructors
 
