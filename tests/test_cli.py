@@ -66,7 +66,12 @@ INPUTS = {
         "graph": {
             "closure": {
                 "dim": 2,
-                "ineq": [["1", "0", "2"], ["-1", "0", "-1"], ["0", "-1", "0"], ["-1", "1", "0"]],
+                "ineq": [
+                    ["1", "0", "2"],
+                    ["-1", "0", "-1"],
+                    ["0", "-1", "0"],
+                    ["-1", "1", "0"],
+                ],
             },
             "faces": [[2]],
         },

@@ -287,8 +287,10 @@ def _pinned_compose_pairs():
         kind = i % 5
         if kind == 0:
             ay = orc._anchor_point(rng, p, spec)
-            f = orc._random_map(rng, spec, n, p, anchor=orc._anchor_point(rng, n, spec) + ay)
-            g = orc._random_map(rng, spec, p, q, anchor=ay + orc._anchor_point(rng, q, spec))
+            ax = orc._anchor_point(rng, n, spec)
+            f = orc._random_map(rng, spec, n, p, anchor=ax + ay)
+            az = orc._anchor_point(rng, q, spec)
+            g = orc._random_map(rng, spec, p, q, anchor=ay + az)
             yield "anchored", f, g
             continue
         f = orc._random_map(rng, spec, n, p)
@@ -298,8 +300,7 @@ def _pinned_compose_pairs():
         elif kind == 3:
             yield "corrupted", f, SVMap(p, q, orc.random_corrupted(rng, p + q, spec))
         elif kind == 4:
-            empty = NCSet(p + q, ())
-            yield "empty graph", f, SVMap(p, q, empty)
+            yield "empty graph", f, SVMap(p, q, NCSet(p + q, ()))
             yield "empty graph", SVMap(n, p, NCSet(n + p, ())), g
         else:
             yield "unanchored", f, g
