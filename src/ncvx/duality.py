@@ -32,6 +32,7 @@ from .linalg import Mat, Vec
 from .lp import MixedSystem, solve_lp, strict_feasible
 from .ncset import NCSet
 from .plfunc import MINUS_INF, PLUS_INF, PLFunction, Value
+from .polyhedron import to_vrep
 from .rationals import ext_add, format_vector
 from .svmap import SVMap
 
@@ -217,31 +218,28 @@ def _graph_inf(
     theta: NCSet, g: SVMap, phi: Optional[PLFunction], cx: Vec, cy: Vec
 ) -> Value:
     """inf of <cx, x> + <cy, y> + phi(x) over x in theta, y in G(x); the
-    phi term is optional. +inf when nothing is feasible."""
+    phi term is optional. +inf when nothing is feasible.
+
+    The feasible set is the union over (theta piece, graph piece,
+    epigraph piece) of the joint ri cells, each embedded at (x, y, t), so
+    this is `plfunc.cells_inf` on them: a triple counts only when the
+    relative interiors meet."""
     n, p = g.n, g.p
     with_phi = phi is not None
     dim = n + p + 1 if with_phi else n + p
     cost = tuple(cx) + tuple(cy) + ((la.ONE,) if with_phi else ())
-    f_cells = [None]
+    f_cells = [MixedSystem(dim)]
     if with_phi:
         # epigraph cells (x, t) of phi, placed at (x, y, t)
         at = [*range(n), n + p]
-        f_cells = [pc.base.closed_system().embed(at, dim) for pc in phi.epi.pieces]
-    best: Value = PLUS_INF
+        f_cells = [pc.system().embed(at, dim) for pc in phi.epi.pieces]
+    cells = []
     for tc in theta.pieces:
-        t_cell = tc.base.closed_system().embed(range(n), dim)
+        t_cell = tc.system().embed(range(n), dim)
         for gc in g.graph.pieces:
-            g_cell = gc.base.closed_system().embed(range(n + p), dim)
-            for fc in f_cells:
-                cell = t_cell.combine(g_cell)
-                if fc is not None:
-                    cell = cell.combine(fc)
-                out = solve_lp(la.vec(cost), cell)
-                if out.status == "unbounded":
-                    return MINUS_INF
-                if out.status == "optimal" and out.value < best:
-                    best = out.value
-    return best
+            tg_cell = t_cell.combine(gc.system().embed(range(n + p), dim))
+            cells += [tg_cell.combine(fc) for fc in f_cells]
+    return pl.cells_inf(cells, la.vec(cost))
 
 
 def lagrange_dual_value(
@@ -363,9 +361,14 @@ def vg_value(g: SVMap, x: Vec, ystar: Vec) -> Value:
 def vg_closed_form(
     a_mat: Mat, c: Vec, k: pl.PolyCone, x: Vec, ystar: Vec
 ) -> Value:
-    """-<y*, g(x)> when -y* lies in the positive dual cone, else -inf."""
+    """-<y*, g(x)> when -y* lies in the positive dual cone, else -inf.
+
+    -y* is in K* = {z : <z, y> >= 0 for all y in K} exactly when
+    <y*, g> <= 0 for every generator g of K (its rays and its point, the
+    origin), read from the cached `to_vrep(k.k)` with no LP."""
     ystar = la.vec(ystar)
-    if pl.dual_cone(k).k.contains(la.neg(ystar)):
+    v = to_vrep(k.k)
+    if all(la.dot(ystar, r) <= 0 for r in v.rays + v.points):
         gx = la.add(la.mat_vec(la.mat(a_mat), la.vec(x)), la.vec(c))
         return -la.dot(ystar, gx)
     return MINUS_INF

@@ -41,9 +41,20 @@ def unit(n: int, i: int) -> Vec:
 
 
 def dot(a: Vec, b: Vec) -> Fraction:
+    """One integer numerator over the running product of the terms'
+    denominators, and one Fraction (one gcd) at the end."""
     if len(a) != len(b):
         raise DimensionMismatch(f"dot: {len(a)} vs {len(b)}")
-    return sum((x * y for x, y in zip(a, b)), ZERO)
+    num, den = 0, 1
+    for x, y in zip(a, b):
+        n = x.numerator * y.numerator
+        if n:
+            d = x.denominator * y.denominator
+            if d == den:
+                num += n
+            else:
+                num, den = num * d + n * den, den * d
+    return Fraction(num, den)
 
 
 def add(a: Vec, b: Vec) -> Vec:

@@ -114,31 +114,61 @@ def const_function(n: int, v) -> PLFunction:
 # evaluation, domain, properness
 
 
+def cells_inf(cells: Sequence[MixedSystem], cost: Vec) -> Value:
+    """inf of <cost, z> over the union of the cells, each the solution set
+    of a mixed system (a relatively open convex set); +inf when every cell
+    is empty, -inf when the union is unbounded below.
+
+    A nonempty cell C has the LP value of its closed system.  For z0 in C
+    and z in the closed system, (1 - t) z0 + t z lies in C for 0 <= t < 1,
+    so cl C is the closed system (Rockafellar, Thm 6.5: cl of an
+    intersection of convex sets whose ri's meet is the intersection of the
+    closures), and a linear cost has the same inf over C and over cl C.
+    So the answer is the least closed-LP value over the nonempty cells,
+    and only emptiness needs deciding.  One closed LP per cell, then:
+    - infeasible: the cell is empty, by the LP's Farkas certificate;
+    - unbounded: when the witness plus the improving ray satisfies the
+      cell, that point lies in C and the ray keeps it there, so the inf
+      is -inf at once;
+    - otherwise the value is kept, marked verified when the LP's witness
+      satisfies the cell.
+    The kept values are walked from the least (-inf first, verified before
+    unverified, then by cell order); the first that is verified, or whose
+    cell `strict_feasible` finds nonempty, is the inf.  So a
+    strict-feasibility LP is spent only on a cell that the walk reaches
+    and whose witness misses it."""
+    kept = []
+    for i, cell in enumerate(cells):
+        out = solve_lp(cost, cell.closed())
+        if out.status == "infeasible":
+            continue
+        if out.status == "unbounded":
+            if cell.satisfies(la.add(out.witness, out.certificate)):
+                return MINUS_INF
+            value = MINUS_INF
+        else:
+            value = out.value
+        kept.append((value, not cell.satisfies(out.witness), i))
+    for value, unverified, i in sorted(kept):
+        if not unverified or strict_feasible(cells[i]).feasible:
+            return value
+    return PLUS_INF
+
+
 def slice_inf(s: NCSet, x: Vec, cost: Vec) -> Value:
     """inf of <cost, y> over the slice {y : (x, y) in s}; +inf when the
     slice is empty, -inf when it is unbounded below.
 
-    One LP per piece whose ri cell meets the slice, over the closed slice
-    of that cell.  When ri(B) meets the affine set L = {x} x R^m, the
-    closure of ri(B) intersected with L is B intersected with L
-    (Rockafellar, Thm 6.5): the closed base of the slice's own ri piece,
-    with the same LP value, so no slice is put in canonical form.
+    The slice is the union of the cells {y : (x, y) in ri(B)} of the
+    pieces, so this is `cells_inf` on them.  When ri(B) meets the affine
+    set L = {x} x R^m, the closure of ri(B) intersected with L is B
+    intersected with L (Rockafellar, Thm 6.5): the closed base of the
+    slice's own ri piece, with the same LP value, so no slice is put in
+    canonical form.
     """
     if len(x) + len(cost) != s.dim:
         raise DimensionMismatch("point length does not match input dim")
-    best: Optional[Fraction] = None
-    for pc in s.pieces:
-        cell = pc.system().fix(0, x)
-        if not strict_feasible(cell).feasible:
-            continue
-        out = solve_lp(cost, cell.closed())
-        if out.status == "unbounded":
-            return MINUS_INF
-        if out.status != "optimal":
-            raise CertificateError("LP on a nonempty cell has no optimum")
-        if best is None or out.value < best:
-            best = out.value
-    return PLUS_INF if best is None else best
+    return cells_inf([pc.system().fix(0, x) for pc in s.pieces], cost)
 
 
 def eval_at(f: PLFunction, x: Vec) -> Value:

@@ -234,19 +234,23 @@ def canonical_form(p: HPoly) -> Optional[HPoly]:
             if reduced is None:
                 raise CertificateError("a nonempty system reduced to an empty one")
             eq, ineq = reduced
+    return _irredundant(p.dim, eq, ineq)
 
+
+def _irredundant(dim: int, eq: tuple[Row, ...], ineq: Sequence[Row]) -> HPoly:
+    """Step 4 of canonical_form on a reduced system without implicit
+    equalities: drop each row that the others imply, one LP per row."""
     survivors = list(ineq)
     i = 0
     while len(survivors) > 1 and i < len(survivors):
         a, b = survivors[i]
         others = survivors[:i] + survivors[i + 1 :]
-        out = maximize(a, MixedSystem(p.dim, tuple(others), (), eq))
+        out = maximize(a, MixedSystem(dim, tuple(others), (), eq))
         if out.status == "optimal" and out.value <= b:
             survivors.pop(i)
         else:
             i += 1
-
-    return HPoly(p.dim, tuple(survivors), eq)
+    return HPoly(dim, tuple(survivors), eq)
 
 
 def is_empty(p: HPoly) -> bool:
@@ -584,7 +588,15 @@ def vrep_contains(v: VPoly, x: Vec) -> bool:
 
 @lru_cache(maxsize=None)
 def faces(p: HPoly) -> tuple[HPoly, ...]:
-    """Every nonempty face, canonical, the polyhedron itself included."""
+    """Every nonempty face, canonical, the polyhedron itself included.
+
+    Only the root takes a full canonical form.  A child is a facet of a
+    canonical face f: f with one of its rows (a, b) made an equality.  The
+    row is irredundant, so the facet is nonempty, and no other row of f is
+    an implicit equality on it: a row tight on the whole facet would
+    define the same facet, and in canonical form two such rows are one
+    (Schrijver 1986, Sec. 8.4).  So the child's canonical form is step 1
+    and step 4 of canonical_form, with no strict-feasibility LP."""
     canon = canonical_form(p)
     if canon is None:
         return ()
@@ -596,8 +608,11 @@ def faces(p: HPoly) -> tuple[HPoly, ...]:
             continue
         seen.add(f)
         for a, b in f.ineq:
-            child = canonical_form(HPoly(f.dim, f.ineq, f.eq + ((a, b),)))
-            if child is not None and child not in seen:
+            reduced = _eliminate_equalities(f.dim, f.eq + ((a, b),), f.ineq)
+            if reduced is None:
+                raise CertificateError("a facet of a canonical face is nonempty")
+            child = _irredundant(f.dim, *reduced)
+            if child not in seen:
                 stack.append(child)
     return tuple(sorted(seen, key=_hpoly_sort_key))
 

@@ -11,12 +11,16 @@ Oracles:
 """
 
 import hashlib
+import importlib
+import itertools
+import pkgutil
 import random
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+import ncvx
 from ncvx import duality as du
 from ncvx import linalg as la
 from ncvx import lp
@@ -261,6 +265,114 @@ def test_vg_value_takes_no_canonical_form():
     for g, x, ystar in cases:
         du.vg_value(g, x, ystar)
     assert ph.canonical_form.cache_info().misses == 0
+
+
+def _vg_closed_form_by_dual_cone(a_mat, c, k, x, ystar):
+    # the former definition: build K* and test -y* against its rows
+    if pf.dual_cone(k).k.contains(la.neg(la.vec(ystar))):
+        return -la.dot(la.vec(ystar), la.add(la.mat_vec(a_mat, la.vec(x)), la.vec(c)))
+    return MINUS_INF
+
+
+def test_vg_closed_form_matches_the_dual_cone_test():
+    cones = [
+        pf.nonneg_orthant(1),
+        pf.nonneg_orthant(2),
+        pf.polycone(ph.hpoly(2, [((1, -1), 0), ((-1, 0), 0)])),  # wedge
+        pf.polycone(ph.hpoly(2, [((1, 2), 0), ((-1, 1), 0)])),  # wide wedge
+        pf.polycone(ph.hpoly(2, eq=[((1, 0), 0), ((0, 1), 0)])),  # {0}
+        pf.polycone(ph.hpoly(2)),  # the whole plane
+        pf.polycone(ph.hpoly(2, [((1, 0), 0)])),  # half-plane: a line of lineality
+        pf.polycone(ph.hpoly(2, eq=[((1, -1), 0)])),  # a line
+        pf.polycone(ph.hpoly(2, [((0, -1), 0)], [((1, 0), 0)])),  # a ray
+    ]
+    grid = [F(v, 2) for v in range(-3, 4)]
+    outcomes = Counter()
+    for k in cones:
+        q = k.k.dim
+        a_mat = la.mat([[F(1)], [F(-2)]][:q])
+        c = (F(1), F(0))[:q]
+        for x in [(F(0),), (F(3, 2),)]:
+            for ystar in itertools.product(grid, repeat=q):
+                got = du.vg_closed_form(a_mat, c, k, x, ystar)
+                assert got == _vg_closed_form_by_dual_cone(a_mat, c, k, x, ystar)
+                outcomes[got == MINUS_INF] += 1
+    assert set(outcomes) == {True, False}
+
+
+def test_graph_inf_needs_the_relative_interiors_to_meet():
+    # theta = (0, 1) and G with graph {1} x (0, 1): no x of theta has a
+    # nonempty G(x), although the closed bases meet at x = 1
+    theta = ns.ncset(1, [ph.hpoly(1, [((1,), 1), ((-1,), 0)])])
+    segment = ph.hpoly(2, [((0, 1), 1), ((0, -1), 0)], [((1, 0), 1)])
+    g = sv.SVMap(1, 1, ns.ncset(2, [segment]))
+    phi = pf.const_function(1, 0)
+    assert du.lagrange_dual_value(phi, theta, g, (F(-1),)) == PLUS_INF
+    assert du.h1_value(phi, theta, g, (F(0),), (F(-1),)) == PLUS_INF
+    # on the closed interval the two meet at (1, 0)
+    closed = interval_set(0, 1)
+    assert du.lagrange_dual_value(phi, closed, g, (F(-1),)) == 0
+    assert du.h1_value(phi, closed, g, (F(0),), (F(-1),)) == 0
+
+
+def _clear_caches():
+    for info in pkgutil.iter_modules(ncvx.__path__):
+        module = importlib.import_module(f"ncvx.{info.name}")
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+def _pointed_cone_map():
+    # x -> Ax + c + K with K = {(a, b) : b >= a >= 0}, pointed, in R^2
+    k = pf.polycone(ph.hpoly(2, [((1, -1), 0), ((-1, 0), 0)]))
+    return la.mat([[F(1)], [F(-2)]]), (F(1), F(0)), k
+
+
+_POINTS = [(F(0),), (F(1),), (F(-3, 2),)]
+_DUALS = [(F(a), F(b)) for a in range(-2, 3) for b in range(-2, 3)]
+
+
+def test_faces_of_a_cone_graph_take_one_strict_lp():
+    # the root's canonical form; each facet child is canonical without one
+    a_mat, c, k = _pointed_cone_map()
+    _clear_caches()
+    g = sv.affine_plus_cone(a_mat, c, k.k)
+    assert len(g.graph.pieces) == 4
+    assert lp.strict_feasible.cache_info().misses == 1
+
+
+def test_vg_value_takes_no_strict_lp_on_a_cone_graph():
+    # every slice value comes with a witness in its own cell
+    a_mat, c, k = _pointed_cone_map()
+    g = sv.affine_plus_cone(a_mat, c, k.k)
+    _clear_caches()
+    for x in _POINTS:
+        for ystar in _DUALS:
+            du.vg_value(g, x, ystar)
+    assert lp.strict_feasible.cache_info().misses == 0
+
+
+def test_vg_closed_form_takes_no_canonical_form():
+    a_mat, c, k = _pointed_cone_map()
+    _clear_caches()
+    ph.to_vrep(k.k)
+    before = ph.canonical_form.cache_info().misses
+    for x in _POINTS:
+        for ystar in _DUALS:
+            du.vg_closed_form(a_mat, c, k, x, ystar)
+    assert ph.canonical_form.cache_info().misses == before
+
+
+def test_lemma74_lp_budget():
+    # LP work of four lemma7.4 instances from cold caches; the counts do
+    # not drift with the machine, so a regression shows through timing noise
+    _clear_caches()
+    report = orc.theorem_suite("lemma7.4", count=4, seed=0)
+    assert report.passes == 4
+    assert lp.solve_lp.cache_info().misses <= 48
+    assert lp.strict_feasible.cache_info().misses <= 6
+    assert ph.canonical_form.cache_info().misses <= 6
 
 
 # ---------------------------------------------------------------------------

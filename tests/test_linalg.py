@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncvx import linalg as la
+from ncvx.errors import DimensionMismatch
 
 F = Fraction
 
@@ -37,6 +40,27 @@ def test_primitive():
     assert la.primitive(la.vec([F(1, 2), F(-3, 4)])) == (F(2), F(-3))
     assert la.primitive(la.vec([0, 0])) == (F(0), F(0))
     assert la.primitive(la.vec([-4, 2])) == (F(-2), F(1))
+
+
+def test_dot_equals_the_fraction_sum():
+    rng = random.Random(4)
+    dens = (1, 1, 2, 3, 4, 6, 7)
+
+    def entry():
+        if rng.random() < 0.3:
+            return F(0)
+        return F(rng.randint(-9, 9), rng.choice(dens))
+
+    pairs = [((), ())]
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        pairs.append((tuple(entry() for _ in range(n)), tuple(entry() for _ in range(n))))
+    for a, b in pairs:
+        got = la.dot(a, b)
+        assert type(got) is F
+        assert got == sum((x * y for x, y in zip(a, b)), F(0))
+    with pytest.raises(DimensionMismatch):
+        la.dot((F(1),), (F(1), F(2)))
 
 
 def test_rref_rank():

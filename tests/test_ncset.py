@@ -465,6 +465,37 @@ def test_from_closed_hpoly_equals_the_decomposed_closed_system():
         assert from_closed_hpoly(p) == from_mixed(p.closed_system())
 
 
+def _faces_by_canonical_form(p):
+    # the former definition: canonicalize every child (f, one row as an
+    # equality) from scratch
+    canon = canonical_form(p)
+    if canon is None:
+        return ()
+    seen = set()
+    stack = [canon]
+    while stack:
+        f = stack.pop()
+        if f in seen:
+            continue
+        seen.add(f)
+        for a, b in f.ineq:
+            child = canonical_form(HPoly(f.dim, f.ineq, f.eq + ((a, b),)))
+            if child is not None and child not in seen:
+                stack.append(child)
+    return tuple(sorted(seen, key=lambda q: (len(q.eq), q.eq, q.ineq)))
+
+
+def test_faces_match_canonicalizing_each_child():
+    rng = random.Random(84)
+    polys = list(_pinned_closed_polyhedra())
+    polys += [orc.random_polytope(rng, 1 + i % 4, orc.DEFAULT_SPEC) for i in range(16)]
+    dims = Counter()
+    for p in polys:
+        assert faces(p) == _faces_by_canonical_form(p), p
+        dims[p.dim] += 1
+    assert set(dims) == {1, 2, 3, 4}
+
+
 def test_from_closed_hpoly_decomposes_nothing():
     before = decompose_mixed.cache_info()
     from_closed_hpoly(box([(0, 1), (0, 2), (-1, 1)]))

@@ -13,7 +13,9 @@ from fractions import Fraction as F
 import pytest
 
 from ncvx import linalg as la
+from ncvx import lp
 from ncvx import ncset as ns
+from ncvx import oracle as orc
 from ncvx import plfunc as pf
 from ncvx import svmap as sv
 from ncvx.errors import (
@@ -24,6 +26,7 @@ from ncvx.errors import (
 )
 from ncvx.lp import MixedSystem
 from ncvx.ncset import from_closed_hpoly, from_mixed, membership, ncset
+from ncvx.plfunc import MINUS_INF, PLUS_INF
 from ncvx.polyhedron import box, hpoly, to_vrep
 
 from instances import (
@@ -111,6 +114,93 @@ def test_eval_vertical_line_piece():
 def test_eval_dim_mismatch():
     with pytest.raises(DimensionMismatch):
         pf.eval_at(abs_fn(), (1, 2))
+
+
+def _slice_cases():
+    """Seeded (s, x, cost) with s in R^(n+m) and x in R^n: nearly convex
+    sets, the same with one piece dropped (which leaves holes), corrupted
+    sets, and the closed unbounded graphs of x -> Ax + c + K with and
+    without their boundary. Two of every three points are vertices of a
+    piece, so slices often fall on a boundary."""
+    rng = random.Random(2303)
+    spec = orc.LEAN_SPEC
+    for i in range(60):
+        n, m, kind = 1 + i // 5 % 2, 1 + i // 10 % 2, i % 5
+        if kind < 2:
+            s = orc.random_ncset(rng, n + m, spec)
+        elif kind == 2:
+            s = orc.random_corrupted(rng, n + m, spec)
+        else:
+            k = orc._random_cone(rng, spec, m)
+            a_mat = orc._random_matrix(rng, m, n)
+            s = sv.affine_plus_cone(a_mat, orc._anchor_point(rng, m, spec), k.k).graph
+        if kind == 1:
+            drop = rng.randrange(len(s.pieces))
+            s = ns.NCSet(s.dim, s.pieces[:drop] + s.pieces[drop + 1 :])
+        elif kind == 4:
+            s = ns.NCSet(s.dim, s.pieces[:1])  # the graph's ri alone
+        for j in range(3):
+            if j and s.pieces:
+                pc = rng.choice(s.pieces)
+                x = rng.choice(to_vrep(pc.base).points)[:n]
+            else:
+                x = orc._anchor_point(rng, n, spec)
+            yield s, x, tuple(orc._coef(rng) for _ in range(m))
+
+
+def _slice_inf_by_strict_check(s, x, cost):
+    # the former definition: a strict-feasibility LP on each piece's slice,
+    # then the LP on the closed slice of each piece that passes
+    best = PLUS_INF
+    for pc in s.pieces:
+        cell = pc.system().fix(0, x)
+        if not lp.strict_feasible(cell).feasible:
+            continue
+        out = lp.solve_lp(cost, cell.closed())
+        if out.status == "unbounded":
+            return MINUS_INF
+        best = min(best, out.value)
+    return best
+
+
+def _slice_branches(s, x, cost):
+    """Which of cells_inf's ways of deciding a cell this slice takes."""
+    cells = [pc.system().fix(0, x) for pc in s.pieces]
+    outs = [lp.solve_lp(cost, c.closed()) for c in cells]
+    for c, out in zip(cells, outs):
+        if out.status == "unbounded" and c.satisfies(la.add(out.witness, out.certificate)):
+            return {"-inf by witness and ray"}
+    kept = sorted(
+        (MINUS_INF if out.status == "unbounded" else out.value, not c.satisfies(out.witness), i)
+        for i, (c, out) in enumerate(zip(cells, outs))
+        if out.status != "infeasible"
+    )
+    branches = set()
+    for value, unverified, i in kept:
+        if not unverified or lp.strict_feasible(cells[i]).feasible:
+            if value == MINUS_INF:
+                branches.add("-inf by the LP")
+            elif unverified:
+                branches.add("verified by the strict LP")
+            else:
+                branches.add("verified by the witness")
+            break
+        branches.add("least closed value on a cell missing the slice")
+    return branches
+
+
+def test_slice_inf_matches_a_strict_check_then_the_closed_lp():
+    seen = set()
+    for s, x, cost in _slice_cases():
+        assert pf.slice_inf(s, x, cost) == _slice_inf_by_strict_check(s, x, cost), (s, x)
+        seen |= _slice_branches(s, x, cost)
+    assert seen == {
+        "-inf by witness and ray",
+        "-inf by the LP",
+        "verified by the strict LP",
+        "verified by the witness",
+        "least closed value on a cell missing the slice",
+    }
 
 
 # ---------------------------------------------------------------------------
