@@ -309,7 +309,7 @@ def test_graph_inf_needs_the_relative_interiors_to_meet():
     phi = pf.const_function(1, 0)
     assert du.lagrange_dual_value(phi, theta, g, (F(-1),)) == PLUS_INF
     assert du.h1_value(phi, theta, g, (F(0),), (F(-1),)) == PLUS_INF
-    # on the closed interval the two meet at (1, 0)
+    # on [0, 1] the point x = 1 counts, and inf{y : y in (0, 1)} = 0
     closed = interval_set(0, 1)
     assert du.lagrange_dual_value(phi, closed, g, (F(-1),)) == 0
     assert du.h1_value(phi, closed, g, (F(0),), (F(-1),)) == 0
