@@ -5,6 +5,7 @@ and compares stdout byte for byte with the recorded document, together
 with the exit code.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -114,6 +115,65 @@ INPUTS = {
             "g_affine": {"G": [["1"]], "c": ["0"]},
             "cone": {"dim": 1, "ineq": [["-1", "0"]]},
         },
+    },
+    # |x| and max(x - 1, 0) on the line; (x, y) -> max(x + 2y, 1 - x)
+    "abs.json": {"max_affine": [["1", "0"], ["-1", "0"]]},
+    "hinge.json": {"max_affine": [["1", "-1"], ["0", "0"]]},
+    "m11.json": [["1", "1"]],
+    # duality instances, one per scheme; the last two fenchel ones have
+    # domains whose interiors only touch (dom g = [0, 1], dom h = [1, 2])
+    # and whose closures are disjoint (dom h = [2, 3])
+    "gen.json": {"f": {"max_affine": [["1", "1", "0"], ["-1", "0", "0"]]}, "p": 1},
+    "lag.json": {
+        "phi": {"max_affine": [["1", "0"], ["-1", "0"]]},
+        "theta": {"closure": {"dim": 1, "ineq": [["1", "2"], ["-1", "0"]]}, "faces": [[1], [2]]},
+        "G": {"g_affine": {"G": [["1"]], "c": ["-1"]}},
+    },
+    "lagk.json": {
+        "phi": {"max_affine": [["1", "0"], ["-1", "0"]]},
+        "theta": {"closure": {"dim": 1, "ineq": [["1", "2"], ["-1", "0"]]}, "faces": [[1], [2]]},
+        "G": {
+            "g_affine": {"G": [["1"]], "c": ["-1"]},
+            "cone": {"dim": 1, "ineq": [["-1", "0"]]},
+        },
+    },
+    "fl.json": {
+        "phi": {"max_affine": [["1", "0"]]},
+        "theta": {"closure": {"dim": 1, "ineq": [["1", "2"], ["-1", "0"]]}, "faces": [[1], [2]]},
+        "G": {
+            "g_affine": {"G": [["-1"]], "c": ["1"]},
+            "cone": {"dim": 1, "ineq": [["-1", "0"]]},
+        },
+    },
+    "fen.json": {
+        "g": {"max_affine": [["1", "0"], ["-1", "0"]]},
+        "h": {
+            "max_affine": [["1", "-1"]],
+            "domain": {"closure": {"dim": 1, "ineq": [["1", "2"], ["-1", "0"]]}, "faces": [[1], [2]]},
+        },
+        "A": [["1"]],
+    },
+    "touch.json": {
+        "g": {
+            "max_affine": [["1", "0"]],
+            "domain": {"closure": {"dim": 1, "ineq": [["1", "1"], ["-1", "0"]]}, "faces": [[1], [2]]},
+        },
+        "h": {
+            "max_affine": [["-1", "0"]],
+            "domain": {"closure": {"dim": 1, "ineq": [["1", "2"], ["-1", "-1"]]}, "faces": [[1], [2]]},
+        },
+        "A": [["1"]],
+    },
+    "apart.json": {
+        "g": {
+            "max_affine": [["1", "0"]],
+            "domain": {"closure": {"dim": 1, "ineq": [["1", "1"], ["-1", "0"]]}, "faces": [[1], [2]]},
+        },
+        "h": {
+            "max_affine": [["0", "0"]],
+            "domain": {"closure": {"dim": 1, "ineq": [["1", "3"], ["-1", "-2"]]}, "faces": [[1], [2]]},
+        },
+        "A": [["1"]],
     },
     "m12.json": [["1"], ["2"]],
     "m2.json": [["2"]],
@@ -404,4 +464,160 @@ def test_two_verbs_back_to_back(run):
     assert (code, out) == (
         0,
         '{"support":{"maximizer":["2","0"],"ray":null,"value":"2"}}\n',
+    )
+
+
+def test_coderiv(run):
+    # k.json: x -> x + [0, inf); at the boundary point (1, 1) and inside
+    code, out, _ = run("coderiv", "k.json", "--point=1,1", "--dual=1")
+    assert (code, out) == (0, '{"coderivative":{"dim":1,"eq":[["1","1"]],"ineq":[]}}\n')
+    code, out, _ = run("coderiv", "k.json", "--point=1,2", "--dual=0")
+    assert (code, out) == (0, '{"coderivative":{"dim":1,"eq":[["1","0"]],"ineq":[]}}\n')
+    code, out, _ = run("coderiv", "k.json", "--point=1,1", "--dual=-1")
+    assert (code, out) == (0, '{"coderivative":{"dim":1,"eq":[],"ineq":[["0","-1"]]}}\n')
+
+
+def test_conj_fn(run):
+    code, out, _ = run("conj", "fn", "abs.json")
+    assert code == 0
+    assert out == (
+        '{"conjugate":{"epi":{"dim":2,"pieces":[{"dim":2,"eq":[],'
+        '"ineq":[["-1","0","1"],["0","-1","0"],["1","0","1"]]},'
+        '{"dim":2,"eq":[["0","1","0"]],"ineq":[["-1","0","1"],["1","0","1"]]},'
+        '{"dim":2,"eq":[["1","0","-1"]],"ineq":[["0","-1","0"]]},'
+        '{"dim":2,"eq":[["1","0","1"]],"ineq":[["0","-1","0"]]},'
+        '{"dim":2,"eq":[["1","0","-1"],["0","1","0"]],"ineq":[]},'
+        '{"dim":2,"eq":[["1","0","1"],["0","1","0"]],"ineq":[]}]},"n":1}}\n'
+    )
+    code, out, _ = run("conj", "fn", "hinge.json", "--dual=1/2")
+    assert code == 0
+    assert out == (
+        '{"conjugate":{"epi":{"dim":2,"pieces":[{"dim":2,"eq":[],'
+        '"ineq":[["-1","0","0"],["1","-1","0"],["1","0","1"]]},'
+        '{"dim":2,"eq":[["1","-1","0"]],"ineq":[["0","-1","0"],["0","1","1"]]},'
+        '{"dim":2,"eq":[["1","0","0"]],"ineq":[["0","-1","0"]]},'
+        '{"dim":2,"eq":[["1","0","1"]],"ineq":[["0","-1","-1"]]},'
+        '{"dim":2,"eq":[["1","0","0"],["0","1","0"]],"ineq":[]},'
+        '{"dim":2,"eq":[["1","0","1"],["0","1","1"]],"ineq":[]}]},"n":1},'
+        '"value":"1/2"}\n'
+    )
+
+
+def test_conj_svm_sum_chain(run):
+    code, out, _ = run("conj", "svm", "k.json", "--dual=1,-1")
+    assert code == 0
+    assert out == '{"support":{"maximizer":["0","0"],"ray":null,"value":"0"}}\n'
+    code, out, _ = run("conj", "svm", "k.json", "--dual=-1,1")
+    assert code == 0
+    assert out == '{"support":{"maximizer":null,"ray":["0","1"],"value":"inf"}}\n'
+    code, out, _ = run("conj", "sum", "abs.json", "hinge.json", "--dual=1/2")
+    assert code == 0
+    assert out == (
+        '{"value":"0","witness":{"parts":["0","0"],"v":null,"w1":["1/2"],"w2":["0"]}}\n'
+    )
+    code, out, _ = run("conj", "chain", "hinge.json", "m11.json", "--dual=1/2,1/2")
+    assert code == 0
+    assert out == '{"attaining":["1/2"],"value":"1/2"}\n'
+
+
+def test_ovf_eval_and_solutions(run):
+    # mu(x) = max(x + 1/2, 0), attained at y = max(x, -1/2)
+    code, out, _ = run("ovf", "eval", "ovf.json", "--point=-1")
+    assert (code, out) == (0, '{"qc":true,"value":"0"}\n')
+    code, out, _ = run("ovf", "solutions", "ovf.json", "--point=-1")
+    assert code == 0
+    assert out == (
+        '{"qc":true,"solutions":{"dim":1,"pieces":[{"dim":1,"eq":[["2","-1"]],"ineq":[]}]}}\n'
+    )
+    code, out, _ = run("ovf", "solutions", "ovf.json", "--point=1")
+    assert code == 0
+    assert out == (
+        '{"qc":true,"solutions":{"dim":1,"pieces":[{"dim":1,"eq":[["1","1"]],"ineq":[]}]}}\n'
+    )
+
+
+def _flag(name, holds, witness=None, certificate=None):
+    return {"certificate": certificate, "holds": holds, "name": name, "witness": witness}
+
+
+def _check_duality(result, want_code, flags, digest):
+    # the flags print strict_feasible's witness and certificate; the whole
+    # document (values, witnesses, perturbation and mu) is pinned by digest
+    code, out, _ = result
+    assert code == want_code
+    assert json.loads(out)["qc"] == flags
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_duality_general(run):
+    _check_duality(
+        run("duality", "general", "gen.json"),
+        0,
+        [_flag("parameter_origin_interior", True, ["0"])],
+        "7433587376a2f433f7dadb509bfdc4e81daea432e2d1789b52f88d73f78a6b85",
+    )
+
+
+def test_duality_lagrange(run):
+    flags = [
+        _flag("parameter_origin_interior", True, ["0"]),
+        _flag("triple_ri_overlap", True, ["1"]),
+        _flag("origin_in_ri_image", True, ["0"]),
+    ]
+    _check_duality(
+        run("duality", "lagrange", "lag.json"),
+        0,
+        flags,
+        "b4f44e12f3d150bccde239f44495892a97b5a00636ee485c81e26704ce2e70e9",
+    )
+    _check_duality(
+        run("duality", "lagrange", "lagk.json"),
+        0,
+        flags + [_flag("cone_ri_overlap", True, ["1/2"])],
+        "af8e8a6813e7a5de1e14577276638fa75560132dffccf4f57be5953203b651ba",
+    )
+
+
+def test_duality_fenchel_lagrange(run):
+    _check_duality(
+        run("duality", "fenchel-lagrange", "fl.json"),
+        0,
+        [
+            _flag("parameter_origin_interior", True, ["0", "0"]),
+            _flag("triple_ri_overlap", True, ["1"]),
+            _flag("origin_in_ri_image", True, ["0"]),
+        ],
+        "4b01b5715cbecdf02bd4b3956ebb810b16217b16fb7163adb864d405c4daf7e7",
+    )
+
+
+def test_duality_fenchel(run):
+    _check_duality(
+        run("duality", "fenchel", "fen.json"),
+        0,
+        [
+            _flag("parameter_origin_interior", True, ["0"]),
+            _flag("affine_image_ri_overlap", True, ["1"]),
+        ],
+        "e14249f3d7ce871947783f28fc44c445f27a526ea7094ac4ff5765f2b367ddfc",
+    )
+    # the interiors only touch at 1: no strict point and no certificate
+    _check_duality(
+        run("duality", "fenchel", "touch.json"),
+        1,
+        [
+            _flag("parameter_origin_interior", False),
+            _flag("affine_image_ri_overlap", False),
+        ],
+        "07f62ca9babaaa8ff06deee452623cdc141e977a5d18bcf94edb5a4a6afbff6b",
+    )
+    # disjoint closures: a Farkas certificate for the closed rows
+    _check_duality(
+        run("duality", "fenchel", "apart.json"),
+        1,
+        [
+            _flag("parameter_origin_interior", False),
+            _flag("affine_image_ri_overlap", False, None, ["0", "1", "1", "0"]),
+        ],
+        "2267f1ab5f84c732522f3d94e436cf79add85b8bc7eceb1754dfcb7d021fd99a",
     )

@@ -7,12 +7,19 @@ Three rules over `src/ncvx`:
 - every module-level import binds a name the module uses;
 - no module holds an `assert` statement.
 
+One rule over the command line: every verb path of the parser (`check`,
+`map compose`, `conj chain`, `duality fenchel`, ...) is run by some golden
+test in `tests/test_cli.py`.
+
 A reference is any `Name` or `Attribute` node spelling the name, so two
 definitions with the same name in different modules count as one.
 """
 
+import argparse
 import ast
 from pathlib import Path
+
+from ncvx import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = ROOT / "src" / "ncvx"
@@ -103,3 +110,42 @@ def test_no_assert_in_certificate_checks():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def _verb_paths(parser, prefix=()) -> list:
+    """Every verb path below parser: subcommand names, and the choices of
+    a positional that has them (the duality schemes)."""
+    out = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                out += _verb_paths(child, prefix + (name,)) or [prefix + (name,)]
+        elif not action.option_strings and action.choices:
+            out += [prefix + (choice,) for choice in action.choices]
+    return out
+
+
+def test_every_verb_is_run_by_a_golden_cli_test():
+    tree = _parse(ROOT / "tests" / "test_cli.py")
+    argvs = []  # the leading string arguments of each run(...) call
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "run"
+        ):
+            words = []
+            for arg in node.args:
+                if not (isinstance(arg, ast.Constant) and isinstance(arg.value, str)):
+                    break
+                if not arg.value.startswith("-"):
+                    words.append(arg.value)
+            argvs.append(tuple(words))
+    paths = _verb_paths(cli._parser())
+    assert len(paths) > 20
+    missing = [
+        " ".join(path)
+        for path in paths
+        if not any(argv[: len(path)] == path for argv in argvs)
+    ]
+    assert missing == []

@@ -384,3 +384,86 @@ def test_pinned_outcomes():
     assert digest.hexdigest() == (
         "3c9e66532f7b87eb46c396a5082b7548288b2b3435de7352239cbd24d0e9f069"
     )
+
+
+def _strict_branch(got):
+    """Which branch of strict_feasible gave this answer."""
+    if got.feasible:
+        return "strict"
+    if got.margin is None:
+        return "weak rows infeasible"
+    return "touching" if got.margin == 0 else "closed empty"
+
+
+def _pinned_strict_systems():
+    """Seeded mixed systems with strict rows, in dims 1-3, built to reach
+    every branch of strict_feasible: a strict point, a slack optimum of
+    exactly zero (the closure is nonempty but no point is strict), a
+    negative one (the closure is empty), and weak and equality rows that
+    are infeasible on their own."""
+    rng = random.Random(7793_2303)
+
+    def vec(n, lo=-2, hi=2):
+        a = [F(rng.randint(lo, hi)) for _ in range(n)]
+        if not any(a):
+            a[rng.randrange(n)] = F(1)
+        return tuple(a)
+
+    cases = []
+    for k in range(240):
+        kind = k % 4
+        n = rng.randint(1, 3)
+        weak, strict, eq = [], [], []
+        center = tuple(F(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(n))
+        for _ in range(rng.randint(1, 4)):
+            a = vec(n)
+            strict.append((a, la.dot(a, center) + F(rng.randint(1, 3))))
+        if kind == 1:  # a hyperplane through the center, held weak and strict
+            a = vec(n)
+            b = la.dot(a, center)
+            strict.append((a, b))
+            (weak if rng.random() < 0.5 else strict).append((la.neg(a), -b))
+        elif kind == 2:  # a slab of negative width
+            a = vec(n)
+            b = la.dot(a, center)
+            gap = F(rng.randint(1, 4), rng.choice((1, 2, 5)))
+            strict.append((a, b))
+            (weak if rng.random() < 0.5 else strict).append((la.neg(a), -b - gap))
+        elif kind == 3:  # weak or equality rows that no point satisfies
+            a, b = vec(n), F(rng.randint(-3, 3))
+            if rng.random() < 0.5:
+                weak += [(a, b), (la.neg(a), -b - 1)]
+            else:
+                eq += [(a, b), (a, b + 1)]
+        for _ in range(rng.randint(0, 2)):
+            a = vec(n)
+            weak.append((a, la.dot(a, center) + F(rng.randint(0, 2))))
+        if rng.random() < 0.3:
+            a = vec(n)
+            eq.append((a, la.dot(a, center)))
+        rng.shuffle(weak)
+        rng.shuffle(strict)
+        cases.append(MixedSystem(n, tuple(weak), tuple(strict), tuple(eq)))
+    return cases
+
+
+def test_pinned_strict_feasibility():
+    # sha256 over repr(StrictFeasibility): verdicts, witnesses, margins and
+    # certificates must survive a rewrite of strict_feasible unchanged
+    digest = hashlib.sha256()
+    branches = set()
+    for system in _pinned_strict_systems():
+        got = strict_feasible(system)
+        branches.add(_strict_branch(got))
+        if got.feasible:
+            assert system.satisfies(got.witness)
+        elif got.margin is not None and got.margin == 0:
+            assert got.certificate is None
+        else:
+            assert got.certificate is not None
+        digest.update(repr(got).encode())
+        digest.update(b"\n")
+    assert branches == {"strict", "touching", "closed empty", "weak rows infeasible"}
+    assert digest.hexdigest() == (
+        "520a0d2e30070ee3b9a856a5165a78e9509eb65bd9564d5430ee020a074758a1"
+    )
