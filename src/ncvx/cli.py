@@ -134,7 +134,7 @@ def _run_restrict(args):
     doc = {"map": js.svmap_to_json(restricted), "qc": qc}
     code = 0 if qc else 1
     if args.certify:
-        doc["certified"] = sv.certify_restrict(f, omega)
+        doc["certified"] = sv.certify_restrict(f, omega, restricted)
         if not doc["certified"]:
             code = 1
     return doc, code
@@ -151,7 +151,7 @@ def _run_map(args):
         doc = {"map": js.svmap_to_json(result), "qc": qc}
         code = 0 if qc else 1
         if args.certify:
-            doc["certified"] = sv.certify_sum(f1, f2)
+            doc["certified"] = sv.certify_sum(f1, f2, result)
             if not doc["certified"]:
                 code = 1
         return doc, code
@@ -161,7 +161,7 @@ def _run_map(args):
         doc = {"map": js.svmap_to_json(result), "qc": qc}
         code = 0 if qc else 1
         if args.certify:
-            doc["certified"] = sv.certify_compose(inner, outer)
+            doc["certified"] = sv.certify_compose(inner, outer, result)
             if not doc["certified"]:
                 code = 1
         return doc, code

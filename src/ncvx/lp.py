@@ -20,9 +20,12 @@ before it is returned, and a failed check raises CertificateError; values
 become Fractions only in the returned LPOutcome.
 
 Strict feasibility (membership in the relative interior of a row system)
-is decided by maximizing a shared slack variable added to every strict row,
-capped at 1: the optimum is positive exactly when some point satisfies all
-strict rows with room to spare.
+is decided by maximizing a shared slack variable t added to every strict
+row, capped at 1. The sign of the optimum t* settles the answer: t* > 0
+exactly when some point satisfies all strict rows with room to spare;
+t* = 0 when the closed relaxation is nonempty but no point is strict, the
+verified optimum (x*, 0) being a point of it; and t* < 0 exactly when the
+closed relaxation is empty, since any of its points would give t = 0.
 """
 
 from __future__ import annotations
@@ -375,7 +378,12 @@ def maximize(v: Vec, system: MixedSystem) -> LPOutcome:
 
 @lru_cache(maxsize=None)
 def strict_feasible(system: MixedSystem) -> StrictFeasibility:
-    """Does some point satisfy every row, strict rows strictly?"""
+    """Does some point satisfy every row, strict rows strictly?
+
+    One slack LP, and one more only when its optimum t* is negative: then
+    the closed relaxation is empty and feasible_point gives its Farkas
+    certificate.  At t* = 0 the closed relaxation is nonempty and the
+    answer is "not strict" with no certificate."""
     n = system.dim
     if not system.strict:
         out = feasible_point(system)
@@ -402,12 +410,13 @@ def strict_feasible(system: MixedSystem) -> StrictFeasibility:
     if out.status != "optimal":
         raise CertificateError("slack objective is capped at one")
     t_star = out.value
-    if t_star <= 0:
-        # the slack LP is feasible with t pushed negative, so emptiness of
-        # the closed relaxation has to be checked on its own
+    if t_star == 0:
+        return StrictFeasibility(False, margin=t_star)
+    if t_star < 0:
         closed_out = feasible_point(system.closed())
-        cert = closed_out.certificate if closed_out.status == "infeasible" else None
-        return StrictFeasibility(False, margin=t_star, certificate=cert)
+        if closed_out.status != "infeasible":
+            raise CertificateError("a negative slack optimum needs empty closed rows")
+        return StrictFeasibility(False, margin=t_star, certificate=closed_out.certificate)
     point = out.witness[:n]
     if not system.satisfies(point):
         raise CertificateError("strict witness violates a row of the system")

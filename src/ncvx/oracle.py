@@ -1018,7 +1018,7 @@ def _chk_thm35(rng, spec) -> Optional[str]:
     cut, qc = sv.restrict(f, omega)
     if not qc:
         return "anchored instance missed the qualification"
-    if not sv.certify_restrict(f, omega):
+    if not sv.certify_restrict(f, omega, cut):
         return "library could not certify its restriction formula"
     bad = _near_convex_both(cut.graph)
     if bad:
@@ -1045,7 +1045,7 @@ def _chk_cor36(rng, spec) -> Optional[str]:
     cut, qc = pl.restrict_function(f, omega)
     if not qc:
         return "anchored instance missed the qualification"
-    if not pl.certify_restrict_function(f, omega):
+    if not pl.certify_restrict_function(f, omega, cut):
         return "library could not certify the restricted epigraph"
     bad = _near_convex_both(cut.epi)
     if bad:
@@ -1073,7 +1073,7 @@ def _chk_thm37(rng, spec) -> Optional[str]:
     total, qc = sv.map_sum(f1, f2)
     if not qc:
         return "anchored instance missed the qualification"
-    if not sv.certify_sum(f1, f2):
+    if not sv.certify_sum(f1, f2, total):
         return "library could not certify the sum formula"
     bad = _near_convex_both(total.graph)
     if bad:
@@ -1126,7 +1126,7 @@ def _chk_thm38(rng, spec) -> Optional[str]:
     comp, qc = sv.compose(f, g)
     if not qc:
         return "anchored instance missed the qualification"
-    if not sv.certify_compose(f, g):
+    if not sv.certify_compose(f, g, comp):
         return "library could not certify the composition formula"
     bad = _near_convex_both(comp.graph)
     if bad:

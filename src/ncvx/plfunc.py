@@ -288,9 +288,10 @@ def restrict_function(f: PLFunction, omega: NCSet) -> tuple[PLFunction, bool]:
     return PLFunction(f.n, g.graph), qc
 
 
-def certify_restrict_function(f: PLFunction, omega: NCSet) -> bool:
-    """Exact equality ri(epi of restriction) = ri(epi) within omega's ri."""
-    return sv.certify_restrict(epigraphical_map(f), omega)
+def certify_restrict_function(f: PLFunction, omega: NCSet, got: PLFunction) -> bool:
+    """Exact equality ri(epi of restriction) = ri(epi) within omega's ri,
+    for the restriction got that restrict_function(f, omega) returned."""
+    return sv.certify_restrict(epigraphical_map(f), omega, epigraphical_map(got))
 
 
 # ---------------------------------------------------------------------------

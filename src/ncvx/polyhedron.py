@@ -15,8 +15,11 @@ a reduced row 0 <= b < 0. One strict-feasibility LP over all reduced rows
 then settles the usual case: a strict point means no implicit equalities,
 a Farkas certificate means empty. Only when it fails do rounds of one
 slack-sum LP each sort the rows into implicit equalities and the rest
-(Fukuda, Polyhedral computation FAQ). Redundancy costs one LP per row,
-and none for a lone row.
+(Fukuda, Polyhedral computation FAQ). Redundancy is settled from the
+strict point when there is one: a ray from it that meets one row before
+any other shows a facet with no LP, in the line of Clarkson's ray
+shooting (1994). Each row it does not settle costs one LP, and a lone
+row none.
 
 Projection is Fourier-Motzkin with equality pivoting; on mixed systems a
 derived row is strict when either parent was, which computes exact shadows
@@ -29,9 +32,10 @@ bitmask of the rows it is tight on, so the adjacency test of two rays is a
 mask test against the others. Fractions appear only in its result.
 
 Mixed cells (weak + strict + equality rows) are the set-algebra workhorse:
-region subtraction peels one constraint at a time, and any feasible mixed
-system splits into relatively open polyhedra by recursing on the facets of
-its closure.
+region subtraction peels one constraint at a time, each cell carrying a
+point of its own that settles most of its nonemptiness tests with no LP,
+and any feasible mixed system splits into relatively open polyhedra by
+recursing on the facets of its closure.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ from .lp import (
     Row,
     _dot,
     _primitive,
+    _scaled,
     feasible_point,
     maximize,
     strict_feasible,
@@ -218,14 +223,18 @@ def canonical_form(p: HPoly) -> Optional[HPoly]:
        for the closed system means empty.
     3. Otherwise the implicit equalities come from slack-sum rounds; they
        join the equality block and step 1 runs once more.
-    4. Redundancy: one LP per row.  A lone row needs none: it is nonzero
-       after reduction, so it cuts the affine hull."""
+    4. Redundancy.  When step 2 gave a strict point z, a ray from z
+       shows facets with no LP (see _facets_seen_from); each other row
+       takes one LP.  A lone row needs none: it is nonzero after
+       reduction, so it cuts the affine hull."""
     reduced = _eliminate_equalities(p.dim, p.eq, p.ineq)
     if reduced is None:
         return None
     eq, ineq = reduced
+    inside = None
     if ineq:
         joint = strict_feasible(MixedSystem(p.dim, (), tuple(ineq), eq))
+        inside = joint.witness
         if not joint.feasible:
             if joint.certificate is not None:
                 return None
@@ -234,20 +243,74 @@ def canonical_form(p: HPoly) -> Optional[HPoly]:
             if reduced is None:
                 raise CertificateError("a nonempty system reduced to an empty one")
             eq, ineq = reduced
-    return _irredundant(p.dim, eq, ineq)
+    return _irredundant(p.dim, eq, ineq, inside)
 
 
-def _irredundant(dim: int, eq: tuple[Row, ...], ineq: Sequence[Row]) -> HPoly:
+def _facets_seen_from(eq: Sequence[Row], ineq: Sequence[Row], z: Vec) -> list[bool]:
+    """Which rows of a reduced system are shown to be facets from z, a
+    point of the affine hull strictly inside every row.
+
+    For row i, the direction d that equals a_i off the pivot columns of
+    the equality block and solves E d = 0 on them has a_i.d > 0, since a_i
+    is zero on the pivots.  Along z + s d, the row met first, when no
+    other row is met at the same step, is tight at a point of the set
+    where every other row is strict, so no other row implies it.  All in
+    integers: rows are scaled once and z is Z / D."""
+    eq_rows = [_scaled(a, b)[:2] for a, b in eq]
+    rows = [_scaled(a, b)[:2] for a, b in ineq]
+    den = lcm(*(x.denominator for x in z))
+    zi = [x.numerator * (den // x.denominator) for x in z]
+    gaps = [b * den - _dot(a, zi) for a, b in rows]  # D (b - a.z) > 0
+    pivots = [next(j for j, v in enumerate(e) if v) for e, _ in eq_rows]
+    scale = lcm(*(e[pc] for (e, _), pc in zip(eq_rows, pivots)))
+    facets = [False] * len(rows)
+    for a, _ in rows:
+        d = [v * scale for v in a]
+        for pc in pivots:
+            d[pc] = 0
+        for (e, _), pc in zip(eq_rows, pivots):
+            d[pc] = -_dot(e, d) // e[pc]
+        if any(_dot(e, d) for e, _ in eq_rows):
+            raise CertificateError("a ray direction must stay in the affine hull")
+        first, gap, rate, tie = -1, 0, 1, False
+        for j, (aj, _) in enumerate(rows):
+            r = _dot(aj, d)
+            if r <= 0:
+                continue
+            # step gaps[j] / (D r); compared by cross-multiplying
+            lhs, rhs = gaps[j] * rate, gap * r
+            if first < 0 or lhs < rhs:
+                first, gap, rate, tie = j, gaps[j], r, False
+            elif lhs == rhs:
+                tie = True
+        if first >= 0 and not tie:
+            facets[first] = True
+    return facets
+
+
+def _irredundant(
+    dim: int, eq: tuple[Row, ...], ineq: Sequence[Row], inside: Optional[Vec] = None
+) -> HPoly:
     """Step 4 of canonical_form on a reduced system without implicit
-    equalities: drop each row that the others imply, one LP per row."""
+    equalities: drop each row that the others imply.  Rows shown to be
+    facets from a point strictly inside every row, when one is given, are
+    kept with no LP; each other row takes one LP.  The facets are unique,
+    so the result does not depend on which rows the point settles."""
     survivors = list(ineq)
+    settled = [False] * len(survivors)
+    if inside is not None:
+        settled = _facets_seen_from(eq, survivors, inside)
     i = 0
     while len(survivors) > 1 and i < len(survivors):
+        if settled[i]:
+            i += 1
+            continue
         a, b = survivors[i]
         others = survivors[:i] + survivors[i + 1 :]
         out = maximize(a, MixedSystem(dim, tuple(others), (), eq))
         if out.status == "optimal" and out.value <= b:
             survivors.pop(i)
+            settled.pop(i)
         else:
             i += 1
     return HPoly(dim, tuple(survivors), eq)
@@ -682,41 +745,70 @@ def _constraints_of(m: MixedSystem):
     )
 
 
+def _reverses_a_row(m: MixedSystem, br: MixedSystem) -> bool:
+    """Does m hold the reverse of br's one row, so that the two have no
+    common point?  c.x < d is excluded by -c.x <= -d, -c.x < -d and
+    c.x = d in either sign; c.x <= d by -c.x < -d.  Rows are compared as
+    they stand, so a scaled copy is not seen."""
+    if br.strict:
+        (c, d), = br.strict
+        back = (la.neg(c), -d)
+        return back in m.weak or back in m.strict or back in m.eq or (c, d) in m.eq
+    (c, d), = br.weak
+    return (la.neg(c), -d) in m.strict
+
+
 def subtract_cells(
-    cells: list[MixedSystem], sub: MixedSystem
-) -> list[MixedSystem]:
-    """Replace cells by cells covering exactly (union cells) minus sol(sub)."""
-    out: list[MixedSystem] = []
+    cells: list[tuple[MixedSystem, Vec]], sub: MixedSystem
+) -> list[tuple[MixedSystem, Vec]]:
+    """Replace cells by cells covering exactly (union cells) minus sol(sub).
+
+    Each cell travels with a point of its own.  Peeling the rows of sub
+    one at a time, the point of the part affirmed so far satisfies either
+    the next branch or the next affirmed row, so it settles one of those
+    two nonemptiness questions with no LP.  A branch that reverses a row
+    the affirmed part already holds is empty with no LP either.  Only
+    what is left takes a strict LP, whose witness becomes the point of
+    what it proves nonempty."""
+    out: list[tuple[MixedSystem, Vec]] = []
     items = _constraints_of(sub)
-    for cell in cells:
-        if not strict_feasible(cell.combine(sub)).feasible:
-            out.append(cell)  # disjoint from the subtrahend
+    for cell, point in cells:
+        if not (sub.satisfies(point) or strict_feasible(cell.combine(sub)).feasible):
+            out.append((cell, point))  # disjoint from the subtrahend
             continue
-        affirmed = cell
+        affirmed, inside = cell, point
         for kind, a, b in items:
+            if inside is None:
+                inside = strict_feasible(affirmed).witness
+                if inside is None:
+                    break  # later branches only add rows on top of affirmed
             if kind == "w":
                 branches = [MixedSystem(cell.dim, (), ((la.neg(a), -b),), ())]
+                keep = MixedSystem(cell.dim, ((a, b),), (), ())
             elif kind == "s":
                 branches = [MixedSystem(cell.dim, ((la.neg(a), -b),), (), ())]
+                keep = MixedSystem(cell.dim, (), ((a, b),), ())
             else:
                 branches = [
                     MixedSystem(cell.dim, (), ((a, b),), ()),
                     MixedSystem(cell.dim, (), ((la.neg(a), -b),), ()),
                 ]
+                keep = MixedSystem(cell.dim, (), (), ((a, b),))
             for br in branches:
                 cand = affirmed.combine(br)
-                if strict_feasible(cand).feasible:
-                    out.append(_dedupe_mixed(cand))
+                if br.satisfies(inside):
+                    found = inside
+                elif _reverses_a_row(affirmed, br):
+                    found = None
+                else:
+                    found = strict_feasible(cand).witness
+                if found is not None:
+                    out.append((_dedupe_mixed(cand), found))
                     if len(out) > MAX_CELLS:
                         raise DimensionCapExceeded("cell blowup in subtraction")
-            if kind == "w":
-                affirmed = affirmed.combine(MixedSystem(cell.dim, ((a, b),), (), ()))
-            elif kind == "s":
-                affirmed = affirmed.combine(MixedSystem(cell.dim, (), ((a, b),), ()))
-            else:
-                affirmed = affirmed.combine(MixedSystem(cell.dim, (), (), ((a, b),)))
-            if not strict_feasible(affirmed).feasible:
-                break  # later branches only add rows on top of affirmed
+            affirmed = affirmed.combine(keep)
+            if not keep.satisfies(inside):
+                inside = None
     return out
 
 
@@ -725,14 +817,18 @@ def difference_witness(
 ) -> Optional[Vec]:
     """A point in (union of start cells) minus (union of subtrahends), or
     None when the difference is empty."""
-    cells = [c for c in start if strict_feasible(c).feasible]
+    cells = []
+    for c in start:
+        wit = strict_feasible(c).witness
+        if wit is not None:
+            cells.append((c, wit))
     for sub in subtrahends:
         if not cells:
             return None
         cells = subtract_cells(cells, sub)
     if not cells:
         return None
-    wit = strict_feasible(cells[0]).witness
+    wit = strict_feasible(cells[0][0]).witness
     if wit is None:
         raise CertificateError("a cell left by subtraction must have a witness")
     return wit

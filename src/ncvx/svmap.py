@@ -201,9 +201,9 @@ def restrict(f: SVMap, omega: NCSet) -> tuple[SVMap, bool]:
     return SVMap(f.n, f.p, clipped), _ri_overlap(dom(f), omega)
 
 
-def certify_restrict(f: SVMap, omega: NCSet) -> bool:
-    """ri gph(F|omega) = ri gph F intersected with ri(omega) x R^p."""
-    got, _ = restrict(f, omega)
+def certify_restrict(f: SVMap, omega: NCSet, got: SVMap) -> bool:
+    """ri gph(F|omega) = ri gph F intersected with ri(omega) x R^p, for
+    the restriction got that restrict(f, omega) returned."""
     total = f.n + f.p
     parts = [(_ri_cell(f.graph), range(total)), (_ri_cell(omega), range(f.n))]
     return _ri_formula_holds(got.graph, total, parts, range(total))
@@ -249,10 +249,10 @@ def map_sum(f1: SVMap, f2: SVMap) -> tuple[SVMap, bool]:
     return SVMap(n, p, graph), _ri_overlap(dom(f1), dom(f2))
 
 
-def certify_sum(f1: SVMap, f2: SVMap) -> bool:
+def certify_sum(f1: SVMap, f2: SVMap, got: SVMap) -> bool:
     """ri gph(F1+F2) = image of {x in both ri graphs} under (x,y1,y2) ->
-    (x, y1+y2), checked exactly."""
-    got, _ = map_sum(f1, f2)
+    (x, y1+y2), checked exactly for the sum got that map_sum(f1, f2)
+    returned."""
     n, p = f1.n, f1.p
     total = n + 2 * p + p  # (x, y1, y2, s)
     # s = y1 + y2 as rows over (y1, y2, s)
@@ -301,8 +301,10 @@ def compose(f: SVMap, g: SVMap) -> tuple[SVMap, bool]:
     return SVMap(f.n, g.p, ncset(f.n + g.p, bases)), qc
 
 
-def certify_compose(f: SVMap, g: SVMap) -> bool:
-    got, _ = compose(f, g)
+def certify_compose(f: SVMap, g: SVMap, got: SVMap) -> bool:
+    """ri gph(G o F) = shadow on (x, z) of ri gph F in (x, y) meeting
+    ri gph G in (y, z), checked exactly for the composition got that
+    compose(f, g) returned."""
     total = f.n + f.p + g.p
     parts = [
         (_ri_cell(f.graph), range(f.n + f.p)),

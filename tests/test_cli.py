@@ -12,6 +12,12 @@ import pytest
 
 from ncvx import cli
 
+def _closed_segment(lo: int, hi: int) -> dict:
+    """[lo, hi] as its closure and both endpoints."""
+    closure = {"dim": 1, "ineq": [["1", str(hi)], ["-1", str(-lo)]]}
+    return {"closure": closure, "faces": [[1], [2]]}
+
+
 INPUTS = {
     # [0, 2], closed: the open segment plus both endpoints
     "a.json": {
@@ -126,12 +132,12 @@ INPUTS = {
     "gen.json": {"f": {"max_affine": [["1", "1", "0"], ["-1", "0", "0"]]}, "p": 1},
     "lag.json": {
         "phi": {"max_affine": [["1", "0"], ["-1", "0"]]},
-        "theta": {"closure": {"dim": 1, "ineq": [["1", "2"], ["-1", "0"]]}, "faces": [[1], [2]]},
+        "theta": _closed_segment(0, 2),
         "G": {"g_affine": {"G": [["1"]], "c": ["-1"]}},
     },
     "lagk.json": {
         "phi": {"max_affine": [["1", "0"], ["-1", "0"]]},
-        "theta": {"closure": {"dim": 1, "ineq": [["1", "2"], ["-1", "0"]]}, "faces": [[1], [2]]},
+        "theta": _closed_segment(0, 2),
         "G": {
             "g_affine": {"G": [["1"]], "c": ["-1"]},
             "cone": {"dim": 1, "ineq": [["-1", "0"]]},
@@ -139,7 +145,7 @@ INPUTS = {
     },
     "fl.json": {
         "phi": {"max_affine": [["1", "0"]]},
-        "theta": {"closure": {"dim": 1, "ineq": [["1", "2"], ["-1", "0"]]}, "faces": [[1], [2]]},
+        "theta": _closed_segment(0, 2),
         "G": {
             "g_affine": {"G": [["-1"]], "c": ["1"]},
             "cone": {"dim": 1, "ineq": [["-1", "0"]]},
@@ -149,29 +155,29 @@ INPUTS = {
         "g": {"max_affine": [["1", "0"], ["-1", "0"]]},
         "h": {
             "max_affine": [["1", "-1"]],
-            "domain": {"closure": {"dim": 1, "ineq": [["1", "2"], ["-1", "0"]]}, "faces": [[1], [2]]},
+            "domain": _closed_segment(0, 2),
         },
         "A": [["1"]],
     },
     "touch.json": {
         "g": {
             "max_affine": [["1", "0"]],
-            "domain": {"closure": {"dim": 1, "ineq": [["1", "1"], ["-1", "0"]]}, "faces": [[1], [2]]},
+            "domain": _closed_segment(0, 1),
         },
         "h": {
             "max_affine": [["-1", "0"]],
-            "domain": {"closure": {"dim": 1, "ineq": [["1", "2"], ["-1", "-1"]]}, "faces": [[1], [2]]},
+            "domain": _closed_segment(1, 2),
         },
         "A": [["1"]],
     },
     "apart.json": {
         "g": {
             "max_affine": [["1", "0"]],
-            "domain": {"closure": {"dim": 1, "ineq": [["1", "1"], ["-1", "0"]]}, "faces": [[1], [2]]},
+            "domain": _closed_segment(0, 1),
         },
         "h": {
             "max_affine": [["0", "0"]],
-            "domain": {"closure": {"dim": 1, "ineq": [["1", "3"], ["-1", "-2"]]}, "faces": [[1], [2]]},
+            "domain": _closed_segment(2, 3),
         },
         "A": [["1"]],
     },
@@ -227,6 +233,22 @@ def test_map_compose_certify(run):
         '{"dim":2,"eq":[],"ineq":[["0","-1","0"],["0","1","1"],["1","0","1"]]}]},'
         '"n":1,"p":1},"qc":true}\n'
     )
+
+
+def test_map_compose_certify_composes_once(run, monkeypatch):
+    from ncvx import svmap
+
+    calls = []
+    compose = svmap.compose
+
+    def counted(f, g):
+        calls.append(1)
+        return compose(f, g)
+
+    monkeypatch.setattr(svmap, "compose", counted)
+    code, _, _ = run("map", "compose", "--certify", "k.json", "g.json")
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_map_compose_without_qualification(run):

@@ -203,6 +203,18 @@ def test_strict_feasible_touching_interiors_fails():
     assert got.margin == 0
 
 
+def test_strict_feasible_touching_takes_one_lp():
+    # the open squares (0, 1)^2 and (1, 2) x (0, 1) share only an edge of
+    # their closures: the slack optimum is 0 and settles it alone
+    rows = [row([1, 0], 1), row([-1, 0], 0), row([0, 1], 1), row([0, -1], 0)]
+    rows += [row([1, 0], 2), row([-1, 0], -1), row([0, 1], 1), row([0, -1], 0)]
+    solve_lp.cache_clear()
+    strict_feasible.cache_clear()
+    got = strict_feasible(MixedSystem(2, (), tuple(rows)))
+    assert (got.feasible, got.margin, got.certificate) == (False, 0, None)
+    assert solve_lp.cache_info().misses == 1
+
+
 def test_strict_feasible_closed_relaxation_empty():
     system = MixedSystem(1, (row([1], -1),), (row([-1], 0),))
     got = strict_feasible(system)

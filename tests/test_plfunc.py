@@ -370,7 +370,7 @@ def test_restrict_abs_to_half_open():
     assert pf.eval_at(f, (1,)) == 1
     assert pf.eval_at(f, (F(1, 2),)) == F(1, 2)
     assert pf.valid_epigraph(f)
-    assert pf.certify_restrict_function(abs_fn(), half_open_interval())
+    assert pf.certify_restrict_function(abs_fn(), half_open_interval(), f)
 
 
 def test_restrict_to_superset_is_identity():

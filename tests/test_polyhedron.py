@@ -673,9 +673,10 @@ def test_canonical_form_lp_counts():
     assert _lp_misses(hpoly(2, eq=[((1, 1), 1), ((2, 2), 2)])) == 0
     # one row: the joint strict LP, and a lone row is irredundant
     assert _lp_misses(hpoly(2, ineq=[((1, -1), 3)])) == 1
-    # triangle: the joint strict LP and one redundancy LP per row
+    # triangle: the joint strict LP alone; from its strict point a ray
+    # along each row's normal meets that row first, so all three are facets
     triangle = hpoly(2, ineq=[((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)])
-    assert _lp_misses(triangle) == 4
+    assert _lp_misses(triangle) == 1
 
 
 def test_affine_hull_segment():
@@ -796,13 +797,37 @@ def test_decompose_half_open_square():
 
 
 def test_subtract_cells_leaves_boundary():
-    cells = [SQUARE.closed_system()]
+    cells = [(SQUARE.closed_system(), la.vec([0, 0]))]
     out = subtract_cells(cells, canonical_form(SQUARE).ri_system())
     for x in grid(-1, 2, 4, 2):
         on_boundary = SQUARE.contains(x) and (
             x[0] in (0, 1) or x[1] in (0, 1)
         )
-        assert any(c.satisfies(x) for c in out) == on_boundary, x
+        assert any(c.satisfies(x) for c, _ in out) == on_boundary, x
+    # each cell comes with a point of its own
+    assert all(c.satisfies(point) for c, point in out)
+
+
+def _difference_lp_misses(start, subtrahends):
+    for cached in (canonical_form, solve_lp, strict_feasible):
+        cached.cache_clear()
+    wit = difference_witness(start, subtrahends)
+    return wit, solve_lp.cache_info().misses
+
+
+def test_difference_witness_lp_budget():
+    # each cell carries a point, which settles the branch or the affirmed
+    # part with no LP, and a branch that reverses a row of the cell is
+    # empty with none; the counts do not drift with the machine
+    sq = SQUARE.closed_system()
+    ri = canonical_form(SQUARE).ri_system()
+    dot_cell = MixedSystem(2, (), (), (((F(1), F(0)), F(1, 2)), ((F(0), F(1)), F(0))))
+    wit, misses = _difference_lp_misses([sq], [ri, dot_cell])
+    assert wit == (F(0), F(1))
+    assert misses <= 13
+    wit, misses = _difference_lp_misses([ri], [sq])
+    assert wit is None
+    assert misses <= 1
 
 
 def test_difference_witness_none_when_covered():

@@ -207,7 +207,7 @@ def test_restrict_to_subinterval():
         2, ineq=[((1, 0), 1), ((-1, 0), 0), ((1, -1), 0), ((-1, 1), 1)]
     )
     assert ri_graph(got).base == canonical_form(expected)
-    assert certify_restrict(STRIP, interval_set(0, 1))
+    assert certify_restrict(STRIP, interval_set(0, 1), got)
 
 
 def test_restrict_to_superset_is_identity():
@@ -233,7 +233,7 @@ def test_sum_constant_and_identity():
     assert qc
     expected = from_closed_hpoly(hpoly(2, ineq=[((1, -1), 0), ((-1, 1), 1)]))
     assert set_equal(got.graph, expected)
-    assert certify_sum(f1, f2)
+    assert certify_sum(f1, f2, got)
 
 
 def test_sum_with_zero_map():
@@ -260,7 +260,7 @@ def test_compose_with_doubling():
         hpoly(2, ineq=[((1, 0), 2), ((-1, 0), 0), ((2, -1), 0), ((-2, 1), 2)])
     )
     assert set_equal(got.graph, expected)
-    assert certify_compose(STRIP, g)
+    assert certify_compose(STRIP, g, got)
 
 
 def test_compose_with_identity():
