@@ -23,10 +23,13 @@ from instances import (
 )
 from ncvx import linalg as la
 from ncvx import oracle as orc
+from ncvx import svmap as sv
+from ncvx import variational as vr
 from ncvx.errors import DimensionMismatch, NotNearlyConvex
 from ncvx.lp import MixedSystem, solve_lp, strict_feasible
 from ncvx.ncset import (
     NCSet,
+    affine_preimage,
     closure,
     closure_hull,
     contains_set,
@@ -517,3 +520,89 @@ def test_union_and_containment():
     assert not contains_set(s, from_closed_hpoly(UNIT_SQUARE))
     assert not set_equal(s, open_square())
     assert set_equal(union(OMEGA_B, open_square()), OMEGA_B)
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs of the calculus that canonicalizes its results
+
+
+def _pinned_calculus_cases():
+    """(operation, function, arguments) over seeded inputs in dims 1-3:
+    closure hulls of the pinned sets, intersections of anchored and
+    unanchored pairs, affine preimages and linear images under random
+    matrices, slices of random maps, and the ovf subdifferential
+    formula."""
+    spec = orc.LEAN_SPEC
+    for s in _pinned_sets():
+        yield "closure_hull", closure_hull, (s,)
+    for i in range(80):
+        rng = random.Random(1000 + i)
+        dim, kind = 1 + i % 3, i % 4
+        anchor = orc._anchor_point(rng, dim, spec) if kind == 0 else None
+        s1 = orc.random_ncset(rng, dim, spec, anchor)
+        if kind < 2:
+            s2 = orc.random_ncset(rng, dim, spec, anchor)
+        elif kind == 2:  # a vertex of the hull, in s1 or not
+            s2 = point_set(*to_vrep(closure_hull(s1)).points[0])
+        else:
+            s2 = from_closed_hpoly(orc.random_polytope(rng, dim, spec))
+            s2 = NCSet(dim, s2.pieces[1:])  # the polytope's boundary
+        yield "intersect", intersect, (s1, s2)
+    for i in range(60):
+        rng = random.Random(2000 + i)
+        m, n = 1 + i % 3, 1 + (i // 3) % 3
+        anchor = orc._anchor_point(rng, m, spec)
+        s = orc.random_ncset(rng, m, spec, anchor)
+        t = orc._random_matrix(rng, m, n)
+        x0 = orc._anchor_point(rng, n, spec)
+        shift = la.sub(anchor, la.mat_vec(t, x0)) if i % 2 == 0 else la.zeros(m)
+        yield "affine_preimage", affine_preimage, (s, t, shift)
+        yield "linear_image", linear_image, (s, la.transpose(t))
+    for i in range(60):
+        rng = random.Random(3000 + i)
+        n = 1 + i % 2
+        p = 1 + (i // 2) % (3 - n)
+        ax, ay = orc._anchor_point(rng, n, spec), orc._anchor_point(rng, p, spec)
+        f = orc._random_map(rng, spec, n, p, anchor=ax + ay if i % 3 else None)
+        x = ax if i % 4 else orc._anchor_point(rng, n, spec)
+        yield "eval_at", sv.eval_at, (f, x)
+    for i in range(8):
+        rng = random.Random(4000 + i)
+        inst, ax, ay = orc._anchored_ovf(rng, spec, 1, 1 + i % 2)
+        yield "rhs_formula", vr.rhs_formula, (inst, ax, ay)
+
+
+def test_pinned_calculus():
+    # sha256 over repr of each result, one digest per operation, recorded
+    # with closed shadows pruned by LP and every result canonicalized from
+    # scratch
+    digests = {}
+    cases = Counter()
+    for op, fn, args in _pinned_calculus_cases():
+        got = fn(*args)
+        digests.setdefault(op, hashlib.sha256()).update(repr(got).encode() + b"\n")
+        if isinstance(got, tuple):
+            got, flag = got
+            cases[f"{op} qc" if flag else f"{op} no qc"] += 1
+        empty = got is None or (isinstance(got, NCSet) and not got.pieces)
+        cases[f"{op} empty" if empty else op] += 1
+        if op == "closure_hull" and got is not None:
+            bases = [pc.base for pc in args[0].pieces]
+            if len(bases) == 1:
+                cases["hull is one piece"] += 1
+            else:
+                cases["hull is a piece" if got in bases else "hull is none"] += 1
+    print(dict(cases))
+    for op in ("intersect", "affine_preimage"):
+        assert {f"{op} qc", f"{op} no qc", f"{op} empty", op} <= set(cases)
+    assert {"closure_hull", "linear_image", "eval_at", "eval_at empty"} <= set(cases)
+    assert {"hull is one piece", "hull is a piece", "hull is none"} <= set(cases)
+    assert cases["rhs_formula"] == 8
+    assert {op: d.hexdigest() for op, d in digests.items()} == {
+        "closure_hull": "3a07d00334892a32e9da888acbf8d93630b01465c8a8ffc88564d69cc21723a1",
+        "intersect": "35d3912ddcab4b218df564f1c86e1f56631a56226237a9e4b98e10c2aed02eb3",
+        "affine_preimage": "4b31c298c05b07146df5e08b527b5c2b89b3c04d6837759c3793d10b7083e564",
+        "linear_image": "e98a2edaa430d51fe862dda8f1769a21a0b2de44bfbeed11e686e50dac1913cb",
+        "eval_at": "0da0cd8d111e6a33d2b13be3d8af2297a471424407ed10556e33b47ec6a69719",
+        "rhs_formula": "45981ac8ff921ec0b36f57db5751bfc3ab3b4ebecab37635ec68eab552b97b55",
+    }
