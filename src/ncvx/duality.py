@@ -32,7 +32,6 @@ from .linalg import Mat, Vec
 from .lp import MixedSystem, solve_lp, strict_feasible
 from .ncset import NCSet
 from .plfunc import MINUS_INF, PLUS_INF, PLFunction, Value
-from .polyhedron import to_vrep
 from .rationals import ext_add, format_vector
 from .svmap import SVMap
 
@@ -365,9 +364,9 @@ def vg_closed_form(
 
     -y* is in K* = {z : <z, y> >= 0 for all y in K} exactly when
     <y*, g> <= 0 for every generator g of K (its rays and its point, the
-    origin), read from the cached `to_vrep(k.k)` with no LP."""
+    origin), read from the generators kept on K with no LP."""
     ystar = la.vec(ystar)
-    v = to_vrep(k.k)
+    v = k.generators
     if all(la.dot(ystar, r) <= 0 for r in v.rays + v.points):
         gx = la.add(la.mat_vec(la.mat(a_mat), la.vec(x)), la.vec(c))
         return -la.dot(ystar, gx)

@@ -63,12 +63,20 @@ class MixedSystem:
                 raise DimensionMismatch("row length does not match system dim")
 
     def satisfies(self, x: Vec) -> bool:
+        """In integers: x = X / D, and each row scaled once to A.x ? B is
+        compared as A.X ? B D."""
         if len(x) != self.dim:
             raise DimensionMismatch("point length does not match system dim")
+        xi, den = _integer_point(x)
+
+        def gap(row: Row) -> int:
+            a, b, _ = _scaled(*row)
+            return b * den - _dot(a, xi)
+
         return (
-            all(la.dot(a, x) <= b for a, b in self.weak)
-            and all(la.dot(a, x) < b for a, b in self.strict)
-            and all(la.dot(a, x) == b for a, b in self.eq)
+            all(gap(r) >= 0 for r in self.weak)
+            and all(gap(r) > 0 for r in self.strict)
+            and all(gap(r) == 0 for r in self.eq)
         )
 
     def closed(self) -> "MixedSystem":
@@ -161,6 +169,12 @@ def _scaled(a: Vec, b: Fraction) -> tuple[list[int], int, int]:
     den = lcm(b.denominator, *(x.denominator for x in a))
     ints = [x.numerator * (den // x.denominator) for x in a]
     return ints, b.numerator * (den // b.denominator), den
+
+
+def _integer_point(x: Vec) -> tuple[list[int], int]:
+    """(X, D): x = X / D with D the lcm of the denominators."""
+    den = lcm(*(v.denominator for v in x))
+    return [v.numerator * (den // v.denominator) for v in x], den
 
 
 def _pivot(rows, obj, basis, pr, pc):

@@ -10,6 +10,10 @@ the set is nearly convex iff ri(H) is covered by the pieces themselves
 convex). The check runs by cell subtraction and reports a witness point
 on failure.
 
+Operations that find a strict witness for each cell of their result
+(intersection, preimage) canonicalize the cell from that point of its
+relative interior, so canonical_form spends no LP of its own on it.
+
 Operations that are exact pointwise but whose relative-interior formula
 needs an overlap qualification (intersection, preimage) return the result
 together with the qualification flag instead of raising.
@@ -34,12 +38,13 @@ from .lp import MixedSystem, strict_feasible
 from .polyhedron import (
     HPoly,
     VPoly,
+    _canonical_from,
     _hpoly_sort_key,
     canonical_form,
+    closed_shadow,
     decompose_mixed,
     difference_witness,
     faces,
-    project_mixed,
     to_hrep,
     to_vrep,
 )
@@ -82,11 +87,17 @@ def ropoly(base: HPoly) -> ROPoly:
 
 
 def ncset(dim: int, bases: Iterable[HPoly]) -> NCSet:
-    seen = set()
-    for b in bases:
-        canon = canonical_form(b)
-        if canon is not None:
-            seen.add(canon)
+    return _of_canonical(dim, map(canonical_form, bases))
+
+
+def _ncset_of_cells(dim: int, cells: Iterable[tuple[HPoly, Vec]]) -> NCSet:
+    """ncset of the bases of (base, point of ri(base)) pairs, each
+    canonicalized from its point."""
+    return _of_canonical(dim, (_canonical_from(b, z) for b, z in cells))
+
+
+def _of_canonical(dim: int, canons: Iterable[Optional[HPoly]]) -> NCSet:
+    seen = {c for c in canons if c is not None}
     return NCSet(dim, tuple(ROPoly(c) for c in sorted(seen, key=_hpoly_sort_key)))
 
 
@@ -155,18 +166,33 @@ def ri_sample(s: NCSet) -> Optional[Vec]:
 
 @lru_cache(maxsize=None)
 def closure_hull(s: NCSet) -> Optional[HPoly]:
-    """Closed convex hull of the union, via pooled generators. Equals the
-    closure exactly when the set is nearly convex."""
+    """Closed convex hull of the union, canonical. Equals the closure
+    exactly when the set is nearly convex.
+
+    The hull H is the convex hull of the pooled generators of the piece
+    bases, and it holds every base.  So a base that holds every pooled
+    point, and every pooled ray in its recession cone, is H: one piece
+    gives H with no double description, and otherwise exact row checks
+    find such a base.  Failing that, H comes from the pooled generators."""
     if not s.pieces:
         return None
-    points: list[Vec] = []
-    rays: list[Vec] = []
+    if len(s.pieces) == 1:
+        return s.pieces[0].base
+    vreps = [to_vrep(pc.base) for pc in s.pieces]
+    points = sorted({x for v in vreps for x in v.points})
+    rays = sorted({r for v in vreps for r in v.rays})
     for pc in s.pieces:
-        v = to_vrep(pc.base)
-        points.extend(v.points)
-        rays.extend(v.rays)
-    pooled = VPoly(s.dim, tuple(sorted(set(points))), tuple(sorted(set(rays))))
-    return to_hrep(pooled)
+        base = pc.base
+        if all(map(base.contains, points)):
+            cone = MixedSystem(
+                s.dim,
+                tuple((a, la.ZERO) for a, _ in base.ineq),
+                (),
+                tuple((a, la.ZERO) for a, _ in base.eq),
+            )
+            if all(map(cone.satisfies, rays)):
+                return base
+    return to_hrep(VPoly(s.dim, tuple(points), tuple(rays)))
 
 
 @lru_cache(maxsize=None)
@@ -249,32 +275,19 @@ def intersect(s1: NCSet, s2: NCSet) -> tuple[NCSet, bool]:
     interiors of the two sets overlap (which certifies the ri formula)."""
     if s1.dim != s2.dim:
         raise DimensionMismatch("intersecting sets of different dims")
-    bases = []
+    cells = []
     for a in s1.pieces:
         for b in s2.pieces:
             joint = a.system().combine(b.system())
-            if strict_feasible(joint).feasible:
-                bases.append(
-                    HPoly(
-                        s1.dim,
-                        a.base.ineq + b.base.ineq,
-                        a.base.eq + b.base.eq,
-                    )
-                )
-    result = ncset(s1.dim, bases)
+            wit = strict_feasible(joint).witness
+            if wit is not None:
+                cells.append((HPoly(s1.dim, joint.strict, joint.eq), wit))
+    result = _ncset_of_cells(s1.dim, cells)
     qc = False
     h1, h2 = closure_hull(s1), closure_hull(s2)
     if h1 is not None and h2 is not None:
         qc = strict_feasible(h1.ri_system().combine(h2.ri_system())).feasible
     return result, qc
-
-
-def closed_shadow(m: MixedSystem, keep: Sequence[int]) -> HPoly:
-    """The projection of a closed system onto the keep coordinates."""
-    shadow = project_mixed(m, keep)
-    if shadow.strict:
-        raise CertificateError("projecting a closed system gave strict rows")
-    return HPoly(len(keep), shadow.weak, shadow.eq)
 
 
 def _image_base(q: HPoly, t: Mat) -> HPoly:
@@ -305,12 +318,13 @@ def affine_preimage(s: NCSet, t: Mat, shift: Vec) -> tuple[NCSet, bool]:
     """{x : t x + shift in s}, same certification flag as preimage."""
     if len(t) != s.dim or len(shift) != s.dim:
         raise DimensionMismatch("matrix height does not match set dim")
-    bases = []
+    cells = []
     for pc in s.pieces:
         cell = pc.system().pullback(t, shift)
-        if strict_feasible(cell).feasible:
-            bases.append(HPoly(cell.dim, cell.strict, cell.eq))
-    result = ncset(len(t[0]) if t else 0, bases)
+        wit = strict_feasible(cell).witness
+        if wit is not None:
+            cells.append((HPoly(cell.dim, cell.strict, cell.eq), wit))
+    result = _ncset_of_cells(len(t[0]) if t else 0, cells)
     qc = False
     hull = closure_hull(s)
     if hull is not None:

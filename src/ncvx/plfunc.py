@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from . import linalg as la
@@ -40,6 +40,7 @@ from .ncset import (
 )
 from .polyhedron import (
     HPoly,
+    VPoly,
     canonical_form,
     cells_equal,
     decompose_mixed,
@@ -381,6 +382,12 @@ class PolyCone:
         if any(b != 0 for _, b in rows):
             raise UsageError("cone rows must be homogeneous")
 
+    @cached_property
+    def generators(self) -> VPoly:
+        """to_vrep(k), kept on the cone; not a field, so repr, equality and
+        hashing see k alone."""
+        return to_vrep(self.k)
+
 
 def polycone(p: HPoly) -> PolyCone:
     rows = p.ineq + p.eq
@@ -398,7 +405,7 @@ def nonneg_orthant(q: int) -> PolyCone:
 
 def dual_cone(k: PolyCone) -> PolyCone:
     """{y* : <y*, y> >= 0 for all y in K}, via the generators of K."""
-    v = to_vrep(k.k)
+    v = k.generators
     rows = [(la.neg(r), la.ZERO) for r in v.rays]
     rows += [(la.neg(p), la.ZERO) for p in v.points if not la.is_zero(p)]
     canon = canonical_form(hpoly(k.k.dim, rows))

@@ -10,26 +10,29 @@ relative interior of a canonical polyhedron is exactly "equalities hold,
 every remaining inequality strict".
 
 The canonical form spends LPs only on what linear algebra cannot settle.
-RREF of the equality block finds the emptiness that shows as 0 = 1 or as
-a reduced row 0 <= b < 0. One strict-feasibility LP over all reduced rows
-then settles the usual case: a strict point means no implicit equalities,
-a Farkas certificate means empty. Only when it fails do rounds of one
-slack-sum LP each sort the rows into implicit equalities and the rest
-(Fukuda, Polyhedral computation FAQ). Redundancy is settled from the
-strict point when there is one: a ray from it that meets one row before
-any other shows a facet with no LP, in the line of Clarkson's ray
-shooting (1994). Each row it does not settle costs one LP, and a lone
-row none.
+RREF of the equality block, fraction-free on integer rows, finds the
+emptiness that shows as 0 = 1 or as a reduced row 0 <= b < 0. One
+strict-feasibility LP over all reduced rows then settles the usual case:
+a strict point means no implicit equalities, a Farkas certificate means
+empty. A caller that already holds a point of the relative interior hands
+it in instead of that LP. Only when it fails do rounds of one slack-sum
+LP each sort the rows into implicit equalities and the rest (Fukuda,
+Polyhedral computation FAQ). Redundancy is settled from the strict point
+when there is one: a ray from it that meets one row before any other
+shows a facet with no LP, in the line of Clarkson's ray shooting (1994).
+Each row it does not settle costs one LP, and a lone row none.
 
 Projection is Fourier-Motzkin with equality pivoting; on mixed systems a
 derived row is strict when either parent was, which computes exact shadows
-of systems with strict rows. Vertex/ray descriptions come from the double
-description method run on the homogenization, and the same cone routine
-applied to the polar gives the reverse conversion. The method runs in
-integers: each row is scaled once to a primitive integer vector, rays and
-lineality vectors stay primitive integer tuples, and each ray carries a
-bitmask of the rows it is tight on, so the adjacency test of two rays is a
-mask test against the others. Fractions appear only in its result.
+of systems with strict rows. Strict shadows are pruned of implied rows by
+LP; closed shadows are not, since canonical_form removes those rows
+anyway. Vertex/ray descriptions come from the double description method
+run on the homogenization, and the same cone routine applied to the polar
+gives the reverse conversion. The method runs in integers: each row is
+scaled once to a primitive integer vector, rays and lineality vectors stay
+primitive integer tuples, and each ray carries a bitmask of the rows it is
+tight on, so the adjacency test of two rays is a mask test against the
+others. Fractions appear only in its result.
 
 Mixed cells (weak + strict + equality rows) are the set-algebra workhorse:
 region subtraction peels one constraint at a time, each cell carrying a
@@ -60,6 +63,7 @@ from .lp import (
     MixedSystem,
     Row,
     _dot,
+    _integer_point,
     _primitive,
     _scaled,
     feasible_point,
@@ -159,25 +163,80 @@ def _reduce(row: Vec, basis: Sequence[Vec], pivots: Sequence[int]) -> Vec:
     return row
 
 
-def _eliminate_equalities(
+IntRow = tuple[int, ...]  # coefficients, then the right-hand side
+
+
+def _int_row(a: Vec, b: Fraction) -> list[int]:
+    ints, rhs, _ = _scaled(a, b)
+    return ints + [rhs]
+
+
+def _cancel(row: list[int], e: Sequence[int], pc: int) -> list[int]:
+    """primitive(e[pc] row - row[pc] e): zero in column pc, and a positive
+    multiple of row minus its part along e, since e[pc] > 0."""
+    if not row[pc]:
+        return row
+    f, p = row[pc], e[pc]
+    return _primitive([p * x - f * y for x, y in zip(row, e)])
+
+
+def _eliminate_int(
     dim: int, eq: Iterable[Row], ineq: Iterable[Row]
-) -> Optional[tuple[tuple[Row, ...], list[Row]]]:
-    """The equality block in RREF and the inequality rows reduced against
-    its pivots, normalized, deduplicated and sorted; None when this alone
-    shows the set empty (a 0 = 1 pivot, or a row reduced to 0 <= b < 0)."""
-    basis, pivots = la.rref([a + (b,) for a, b in eq])
-    if dim in pivots:
-        return None
+) -> Optional[tuple[list[IntRow], list[IntRow]]]:
+    """Step 1 of canonical_form on primitive integer rows.
+
+    Fraction-free Gauss-Jordan: each equality row is scaled once to
+    integers, and a pivot row e (e[pc] > 0) cancels column pc from every
+    other row by cross-multiplication, keeping rows primitive.  The basis
+    comes out in pivot order, each row the primitive multiple of its RREF
+    row, whose leading entry is its pivot.  The inequality rows are
+    reduced the same way; positive multiples keep their sense.  None when
+    this alone shows the set empty."""
+    basis: list[list[int]] = []
+    pivots: list[int] = []
+    work = [r for r in (_int_row(a, b) for a, b in eq) if any(r)]
+    for c in range(dim + 1):
+        at = next((i for i, r in enumerate(work) if r[c]), None)
+        if at is None:
+            continue
+        if c == dim:
+            return None  # 0 = b with b nonzero
+        e = work.pop(at)
+        if e[c] < 0:
+            e = [-x for x in e]
+        e = _primitive(e)
+        basis = [_cancel(r, e, c) for r in basis]
+        work = [r for r in (_cancel(r, e, c) for r in work) if any(r)]
+        basis.append(e)
+        pivots.append(c)
     rows = set()
     for a, b in ineq:
-        reduced = _reduce(a + (b,), basis, pivots)
-        a, b = reduced[:-1], reduced[-1]
-        if la.is_zero(a):
-            if b < 0:
+        r = _int_row(a, b)
+        for e, pc in zip(basis, pivots):
+            r = _cancel(r, e, pc)
+        if not any(r[:-1]):
+            if r[-1] < 0:
                 return None
             continue
-        rows.add(_norm_ineq(a, b))
-    return tuple(_norm_eq(r[:-1], r[-1]) for r in basis), sorted(rows)
+        rows.add(tuple(_primitive(r)))
+    return [tuple(e) for e in basis], sorted(rows)
+
+
+def _fraction_rows(rows: Iterable[IntRow]) -> tuple[Row, ...]:
+    return tuple((tuple(map(Fraction, r[:-1])), Fraction(r[-1])) for r in rows)
+
+
+def _eliminate_equalities(
+    dim: int, eq: Iterable[Row], ineq: Iterable[Row]
+) -> Optional[tuple[tuple[Row, ...], tuple[Row, ...]]]:
+    """The equality block in RREF and the inequality rows reduced against
+    its pivots, normalized, deduplicated and sorted; None when this alone
+    shows the set empty (a 0 = 1 pivot, or a row reduced to 0 <= b < 0).
+    Computed in integers (_eliminate_int); Fractions only at the end."""
+    reduced = _eliminate_int(dim, eq, ineq)
+    if reduced is None:
+        return None
+    return _fraction_rows(reduced[0]), _fraction_rows(reduced[1])
 
 
 def _split_implicit(
@@ -217,7 +276,7 @@ def canonical_form(p: HPoly) -> Optional[HPoly]:
 
     1. RREF of the equality block; the inequality rows are reduced against
        its pivots.  A 0 = 1 pivot or a row 0 <= b < 0 means empty, and
-       rows 0 <= b >= 0 are dropped.  No LP.
+       rows 0 <= b >= 0 are dropped.  No LP; all in integers.
     2. One strict-feasibility LP on the reduced rows made strict.  A
        strict point means no implicit equalities; a Farkas certificate
        for the closed system means empty.
@@ -226,7 +285,11 @@ def canonical_form(p: HPoly) -> Optional[HPoly]:
     4. Redundancy.  When step 2 gave a strict point z, a ray from z
        shows facets with no LP (see _facets_seen_from); each other row
        takes one LP.  A lone row needs none: it is nonzero after
-       reduction, so it cuts the affine hull."""
+       reduction, so it cuts the affine hull.
+
+    A caller that holds a point of ri(p) skips step 2 and seeds step 4
+    with it (_canonical_from); the facets are unique, so the result is
+    the same."""
     reduced = _eliminate_equalities(p.dim, p.eq, p.ineq)
     if reduced is None:
         return None
@@ -246,6 +309,25 @@ def canonical_form(p: HPoly) -> Optional[HPoly]:
     return _irredundant(p.dim, eq, ineq, inside)
 
 
+def _canonical_from(p: HPoly, z: Vec) -> Optional[HPoly]:
+    """canonical_form(p) for a caller holding z, a point of ri(p).
+
+    After step 1, z settles step 2 when it satisfies every equality row
+    and every reduced row strictly, checked in integers: then the reduced
+    rows have a strict point, so none is an implicit equality, and z
+    seeds the facet test of step 4.  When the check fails, p goes through
+    canonical_form."""
+    reduced = _eliminate_int(p.dim, p.eq, p.ineq)
+    if reduced is not None:
+        eq, ineq = reduced
+        zi, den = _integer_point(z)
+        if all(_dot(e[:-1], zi) == e[-1] * den for e in eq) and all(
+            _dot(r[:-1], zi) < r[-1] * den for r in ineq
+        ):
+            return _irredundant(p.dim, _fraction_rows(eq), _fraction_rows(ineq), z)
+    return canonical_form(p)
+
+
 def _facets_seen_from(eq: Sequence[Row], ineq: Sequence[Row], z: Vec) -> list[bool]:
     """Which rows of a reduced system are shown to be facets from z, a
     point of the affine hull strictly inside every row.
@@ -258,8 +340,7 @@ def _facets_seen_from(eq: Sequence[Row], ineq: Sequence[Row], z: Vec) -> list[bo
     integers: rows are scaled once and z is Z / D."""
     eq_rows = [_scaled(a, b)[:2] for a, b in eq]
     rows = [_scaled(a, b)[:2] for a, b in ineq]
-    den = lcm(*(x.denominator for x in z))
-    zi = [x.numerator * (den // x.denominator) for x in z]
+    zi, den = _integer_point(z)
     gaps = [b * den - _dot(a, zi) for a, b in rows]  # D (b - a.z) > 0
     pivots = [next(j for j, v in enumerate(e) if v) for e, _ in eq_rows]
     scale = lcm(*(e[pc] for (e, _), pc in zip(eq_rows, pivots)))
@@ -393,7 +474,10 @@ def _dedupe_mixed(m: MixedSystem) -> MixedSystem:
 
 
 def _prune_mixed(m: MixedSystem) -> MixedSystem:
-    """Remove rows implied by the rest; empty systems collapse to a marker."""
+    """Remove rows implied by the rest, one strict LP per row; empty
+    systems collapse to a marker.  Only strict projections (project_mixed)
+    need it: a closed shadow goes to canonical_form, which removes the
+    same rows itself."""
     m = _dedupe_mixed(m)
     if not strict_feasible(m).feasible:
         return MixedSystem(m.dim, ((la.zeros(m.dim), Fraction(-1)),), (), ())
@@ -471,9 +555,9 @@ def _eliminate(m: MixedSystem, idx: int) -> MixedSystem:
     )
 
 
-def project_mixed(m: MixedSystem, keep: Sequence[int]) -> MixedSystem:
-    """Exact shadow of the solution set onto the kept coordinates (in the
-    order given), strictness propagated through every derived row."""
+def _fm_shadow(m: MixedSystem, keep: Sequence[int]) -> MixedSystem:
+    """Fourier-Motzkin shadow onto the kept coordinates (in the order
+    given), deduplicated between eliminations; redundant rows stay."""
     keep = tuple(keep)
     if sorted(set(keep)) != sorted(keep) or any(
         i < 0 or i >= m.dim for i in keep
@@ -483,26 +567,37 @@ def project_mixed(m: MixedSystem, keep: Sequence[int]) -> MixedSystem:
         raise DimensionMismatch("projection must keep coordinate order")
     if not keep:
         raise DimensionMismatch("cannot project onto no coordinates")
-    return _project_cached(m, keep)
+    current = _dedupe_mixed(m)
+    for idx in sorted(set(range(m.dim)) - set(keep), reverse=True):
+        current = _dedupe_mixed(_eliminate(current, idx))
+    return current
+
+
+def project_mixed(m: MixedSystem, keep: Sequence[int]) -> MixedSystem:
+    """Exact shadow of the solution set onto the kept coordinates (in the
+    order given), strictness propagated through every derived row, and
+    rows implied by the rest pruned by LP (_prune_mixed).  This serves
+    the strict projections; closed ones go through closed_shadow."""
+    return _project_cached(m, tuple(keep))
 
 
 @lru_cache(maxsize=None)
 def _project_cached(m: MixedSystem, keep: tuple[int, ...]) -> MixedSystem:
-    # dedupe between eliminations; the LP-based prune only at the end
-    current = _dedupe_mixed(m)
-    drop = sorted(set(range(m.dim)) - set(keep), reverse=True)
-    for idx in drop:
-        current = _eliminate(current, idx)
-        current = _dedupe_mixed(current)
-    return _prune_mixed(current)
+    return _prune_mixed(_fm_shadow(m, keep))
+
+
+def closed_shadow(m: MixedSystem, keep: Sequence[int]) -> HPoly:
+    """The projection of a closed system onto the keep coordinates, by
+    Fourier-Motzkin with no LP.  Redundant rows are left for
+    canonical_form, which every caller applies, to remove."""
+    shadow = _fm_shadow(m, keep)
+    if shadow.strict:
+        raise CertificateError("projecting a closed system gave strict rows")
+    return HPoly(shadow.dim, shadow.weak, shadow.eq)
 
 
 def project(p: HPoly, coords: Sequence[int]) -> HPoly:
-    shadow = project_mixed(p.closed_system(), coords)
-    if shadow.strict:
-        raise CertificateError("projecting a closed system gave strict rows")
-    out = HPoly(len(coords), shadow.weak, shadow.eq)
-    canon = canonical_form(out)
+    canon = canonical_form(closed_shadow(p.closed_system(), coords))
     return canon if canon is not None else empty_hpoly(len(coords))
 
 

@@ -33,6 +33,7 @@ from .lp import MixedSystem, strict_feasible
 from .ncset import (
     NCSet,
     ROPoly,
+    _ncset_of_cells,
     closed_shadow,
     closure_hull,
     from_closed_hpoly,
@@ -73,12 +74,13 @@ def eval_at(f: SVMap, x: Vec) -> NCSet:
     if len(x) != f.n:
         raise DimensionMismatch("evaluation point dim mismatch")
     x = la.vec(x)
-    bases = []
+    cells = []
     for pc in f.graph.pieces:
         cell = pc.system().fix(0, x)
-        if strict_feasible(cell).feasible:
-            bases.append(HPoly(f.p, cell.strict, cell.eq))
-    return ncset(f.p, bases)
+        wit = strict_feasible(cell).witness
+        if wit is not None:
+            cells.append((HPoly(f.p, cell.strict, cell.eq), wit))
+    return _ncset_of_cells(f.p, cells)
 
 
 def _first_block(n: int, total: int) -> Mat:
@@ -279,26 +281,30 @@ def compose(f: SVMap, g: SVMap) -> tuple[SVMap, bool]:
     (x, z), since ri(T C) = T(ri C) (Thm 6.6).  By Thm 6.6 again, ri(rge f)
     and ri(dom g) are the shadows of the ri cells of the two graph hulls,
     so they meet exactly when those cells, embedded side by side, have a
-    common point: one strict check.
+    common point: one strict check.  By Thm 6.6 too, the kept coordinates
+    of the joint cell's strict witness lie in the ri of the shadow, and
+    the shadow is canonicalized from that point.
     """
     if f.p != g.n:
         raise DimensionMismatch("inner dims do not match")
     total = f.n + f.p + g.p
     left, right = range(f.n + f.p), range(f.n, total)
     keep = [*range(f.n), *range(f.n + f.p, total)]
-    bases = []
+    cells = []
     for a in f.graph.pieces:
         a_cell = a.system().embed(left, total)
         for b in g.graph.pieces:
             joint = a_cell.combine(b.system().embed(right, total))
-            if strict_feasible(joint).feasible:
-                bases.append(closed_shadow(joint.closed(), keep))
+            wit = strict_feasible(joint).witness
+            if wit is not None:
+                shadow = closed_shadow(joint.closed(), keep)
+                cells.append((shadow, tuple(wit[i] for i in keep)))
     f_ri, g_ri = _ri_cell(f.graph), _ri_cell(g.graph)
     qc = False
     if f_ri is not None and g_ri is not None:
         both = f_ri.embed(left, total).combine(g_ri.embed(right, total))
         qc = strict_feasible(both).feasible
-    return SVMap(f.n, g.p, ncset(f.n + g.p, bases)), qc
+    return SVMap(f.n, g.p, _ncset_of_cells(f.n + g.p, cells)), qc
 
 
 def certify_compose(f: SVMap, g: SVMap, got: SVMap) -> bool:

@@ -50,11 +50,11 @@ from .polyhedron import (
     HPoly,
     NormalConeRep,
     canonical_form,
+    closed_shadow,
     empty_hpoly,
     normal_cone_at,
     normal_cone_hrep,
     polyhedron_equal,
-    project_mixed,
     to_vrep,
 )
 from .svmap import SVMap
@@ -107,13 +107,10 @@ def subdifferential(f: PLFunction, x: Vec) -> Subdifferential:
     value = pl.eval_at(f, x)
     if not isinstance(value, Fraction):
         raise ValueNotFinite("subdifferential needs a finite value")
-    cone = _normal_hrep_of(f.epi, x + (value,))
-    n = f.n
-    rows = [(a[:n], b + a[n]) for a, b in cone.ineq]
-    rows += [(a[:n], b + a[n]) for a, b in cone.eq]
-    rows += [(la.neg(a[:n]), -b - a[n]) for a, b in cone.eq]
-    canon = canonical_form(HPoly(n, tuple(rows)))
-    return Subdifferential(canon if canon is not None else empty_hpoly(n))
+    cone = _normal_hrep_of(f.epi, x + (value,)).closed_system()
+    at = cone.fix(f.n, (-la.ONE,))
+    canon = canonical_form(HPoly(f.n, at.weak, at.eq))
+    return Subdifferential(canon if canon is not None else empty_hpoly(f.n))
 
 
 def coderivative(f: SVMap, point: Vec, v: Vec) -> HPoly:
@@ -124,19 +121,10 @@ def coderivative(f: SVMap, point: Vec, v: Vec) -> HPoly:
         raise DimensionMismatch("point or direction has the wrong length")
     if not membership(f.graph, point):
         raise PointNotInGraph("coderivative requested off the graph")
-    cone = _normal_hrep_of(f.graph, point)
-    n = f.n
-
-    def cut(row, flip=False):
-        a, b = row
-        lhs = a[:n] if not flip else la.neg(a[:n])
-        rhs = b + la.dot(a[n:], v)
-        return (lhs, rhs if not flip else -rhs)
-
-    rows = [cut(r) for r in cone.ineq]
-    rows += [cut(r) for r in cone.eq] + [cut(r, flip=True) for r in cone.eq]
-    canon = canonical_form(HPoly(n, tuple(rows)))
-    return canon if canon is not None else empty_hpoly(n)
+    cone = _normal_hrep_of(f.graph, point).closed_system()
+    at = cone.fix(f.n, la.neg(v))
+    canon = canonical_form(HPoly(f.n, at.weak, at.eq))
+    return canon if canon is not None else empty_hpoly(f.n)
 
 
 # ---------------------------------------------------------------------------
@@ -212,30 +200,22 @@ def rhs_formula(inst: OVFInstance, x: Vec, y: Vec) -> HPoly:
     value = pl.eval_at(inst.f, x + y)
     if not isinstance(value, Fraction):
         raise ValueNotFinite("subdifferential needs a finite value")
-    cone_f = _normal_hrep_of(inst.f.epi, x + y + (value,))
-    cone_g = _normal_hrep_of(inst.fmap.graph, x + y)
+    cone_f = _normal_hrep_of(inst.f.epi, x + y + (value,)).closed_system()
+    cone_g = _normal_hrep_of(inst.fmap.graph, x + y).closed_system()
 
     total = 3 * n + p
-    z = la.zeros
-
-    def f_row(row):
-        a, b = row
-        return (a[:n] + a[n : n + p] + z(2 * n), b + a[n + p])
-
-    def g_row(row):
-        a, b = row
-        return (z(n) + la.neg(a[n:]) + a[:n] + z(n), b)
-
-    weak = [f_row(r) for r in cone_f.ineq] + [g_row(r) for r in cone_g.ineq]
-    eqs = [f_row(r) for r in cone_f.eq] + [g_row(r) for r in cone_g.eq]
-    for i in range(n):
-        lhs = la.neg(la.unit(n, i)) + z(p) + la.neg(la.unit(n, i)) + la.unit(n, i)
-        eqs.append((lhs, la.ZERO))
-    cell = MixedSystem(total, tuple(weak), (), tuple(eqs))
-    shadow = project_mixed(cell, list(range(2 * n + p, total)))
-    if shadow.strict:
-        raise CertificateError("projecting a closed system gave strict rows")
-    canon = canonical_form(HPoly(n, shadow.weak, shadow.eq))
+    # (u, v, -1) in N(epi f), over (u, v)
+    f_rows = cone_f.fix(n + p, (-la.ONE,)).embed(range(n + p), total)
+    # (w, -v) in N(gph F): its rows read (u, v, w, s) through (w, -v)
+    to_wv = tuple(la.unit(total, n + p + i) for i in range(n))
+    to_wv += tuple(la.neg(la.unit(total, n + j)) for j in range(p))
+    g_rows = cone_g.pullback(to_wv, la.zeros(n + p))
+    # s = u + w
+    sums = tuple(
+        (la.neg(e) + la.zeros(p) + la.neg(e) + e, la.ZERO) for e in la.identity(n)
+    )
+    cell = f_rows.combine(g_rows).combine(MixedSystem(total, (), (), sums))
+    canon = canonical_form(closed_shadow(cell, range(2 * n + p, total)))
     return canon if canon is not None else empty_hpoly(n)
 
 

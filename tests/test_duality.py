@@ -354,14 +354,18 @@ def test_vg_value_takes_no_strict_lp_on_a_cone_graph():
 
 
 def test_vg_closed_form_takes_no_canonical_form():
+    # the generators are kept on K, so no call even looks a cache up, and
+    # they stay out of K's repr and equality
     a_mat, c, k = _pointed_cone_map()
     _clear_caches()
-    ph.to_vrep(k.k)
-    before = ph.canonical_form.cache_info().misses
+    assert k.generators == ph.to_vrep(k.k)
+    before = ph.canonical_form.cache_info()
     for x in _POINTS:
         for ystar in _DUALS:
             du.vg_closed_form(a_mat, c, k, x, ystar)
-    assert ph.canonical_form.cache_info().misses == before
+    after = ph.canonical_form.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses
+    assert repr(k) == f"PolyCone(k={k.k!r})" and k == pf.PolyCone(k.k)
 
 
 def test_lemma74_lp_budget():

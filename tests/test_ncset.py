@@ -23,6 +23,7 @@ from instances import (
 )
 from ncvx import linalg as la
 from ncvx import oracle as orc
+from ncvx import polyhedron as ph
 from ncvx import svmap as sv
 from ncvx import variational as vr
 from ncvx.errors import DimensionMismatch, NotNearlyConvex
@@ -30,6 +31,7 @@ from ncvx.lp import MixedSystem, solve_lp, strict_feasible
 from ncvx.ncset import (
     NCSet,
     affine_preimage,
+    closed_shadow,
     closure,
     closure_hull,
     contains_set,
@@ -606,3 +608,55 @@ def test_pinned_calculus():
         "eval_at": "0da0cd8d111e6a33d2b13be3d8af2297a471424407ed10556e33b47ec6a69719",
         "rhs_formula": "45981ac8ff921ec0b36f57db5751bfc3ab3b4ebecab37635ec68eab552b97b55",
     }
+
+
+def _clear_caches():
+    for cached in (solve_lp, strict_feasible, canonical_form, closure_hull):
+        cached.cache_clear()
+    ph._vrep_of_canonical.cache_clear()
+
+
+def _counted(monkeypatch, module, name):
+    calls = []
+    orig = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_canonicalization_lp_budget(monkeypatch):
+    """Seeded anchored pairs in dims 1-3.  A closed shadow solves no LP,
+    since canonical_form removes redundant rows anyway; the hull of one
+    piece is its base, with no double description; and intersect
+    canonicalizes each piece from the strict witness of its cell.  The
+    counts do not drift with the machine."""
+    rng = random.Random(51)
+    spec = orc.LEAN_SPEC
+    dd_calls = _counted(monkeypatch, ph, "_cone_generators")
+    poly_strict = _counted(monkeypatch, ph, "strict_feasible")
+    cut = 0
+    for i in range(12):
+        dim = 1 + i % 3
+        anchor = orc._anchor_point(rng, dim, spec)
+        s1 = orc.random_ncset(rng, dim, spec, anchor)
+        s2 = orc.random_ncset(rng, dim, spec, anchor)
+        for pc in s1.pieces + s2.pieces:
+            _clear_caches()
+            closed_shadow(pc.base.closed_system(), range(dim - 1, dim))
+            assert solve_lp.cache_info().misses == 0
+            _clear_caches()
+            dd_calls.clear()
+            assert closure_hull(NCSet(dim, (pc,))) == pc.base
+            assert not dd_calls
+        _clear_caches()
+        closure_hull(s1), closure_hull(s2)
+        poly_strict.clear()
+        got, qc = intersect(s1, s2)
+        assert qc and got.pieces
+        assert not poly_strict
+        cut += sum(len(pc.base.ineq) for pc in got.pieces)
+    assert cut > 0  # pieces with rows, whose canonical form needs a point
