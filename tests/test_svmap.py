@@ -19,8 +19,10 @@ from ncvx import linalg as la
 from ncvx import lp
 from ncvx import ncset as ns
 from ncvx import oracle as orc
+from ncvx import plfunc as pf
 from ncvx import polyhedron as ph
 from ncvx import svmap as sv
+from ncvx import variational as vr
 from ncvx.errors import DimensionMismatch, EmptyDomain, UsageError
 from ncvx.ncset import (
     NCSet,
@@ -494,3 +496,139 @@ def test_random_maps_fiber_law_and_involution():
         pts = grid(-2, 2, 1, 2)
         assert certify_ri_graph(f, pts)
     assert done >= 10
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs of the constructions built from joint ri cells
+
+
+def _ovf_mu(f, fmap):
+    inst = vr.build_ovf(f, fmap)
+    return inst.mu, inst.qc
+
+
+def _random_rows(rng, n):
+    return [
+        (tuple(F(rng.randint(-2, 2)) for _ in range(n)), F(rng.randint(-4, 4), 2))
+        for _ in range(rng.randint(1, 3))
+    ]
+
+
+def _vertex_of(s):
+    """A vertex of the closed hull of s, as a one-point set."""
+    return point_set(*ph.to_vrep(ns.closure_hull(s)).points[0])
+
+
+def _pinned_joint_cases():
+    """(operation, function, arguments) over seeded inputs in dims 1-2.
+    Kind 0 anchors every part at one point, so the qualification holds;
+    kind 1 draws the parts independently; kind 2 puts one part at a vertex
+    of another's hull, so the qualification fails; kind 3 makes one part
+    empty."""
+    spec = orc.LEAN_SPEC
+    for i in range(20):
+        rng = random.Random(6000 + i)
+        kind, p = i % 4, 1 + (i // 4) % 2
+        ax = orc._anchor_point(rng, 1, spec)
+        anchors = [ax + orc._anchor_point(rng, p, spec) if kind == 0 else None for _ in "ab"]
+        f1, f2 = (orc._random_map(rng, spec, 1, p, anchor=a) for a in anchors)
+        if kind == 2:
+            f2 = SVMap(1, p, ns.product(_vertex_of(dom(f1)), rge(f2)))
+        elif kind == 3:
+            f2 = SVMap(1, p, NCSet(1 + p, ()))
+        yield "map_sum", map_sum, (f1, f2)
+    for i in range(20):
+        rng = random.Random(6100 + i)
+        kind, n = i % 4, 1 + (i // 4) % 2
+        ax = orc._anchor_point(rng, n, spec)
+        ay = orc._anchor_point(rng, 3 - n, spec)
+        anchored = kind == 0
+        f = orc._random_map(rng, spec, n, 3 - n, anchor=ax + ay if anchored else None)
+        omega = orc.random_ncset(rng, n, spec, anchor=ax if anchored else None)
+        if kind == 2:
+            omega = _vertex_of(dom(f))
+        elif kind == 3:
+            omega = NCSet(n, ())
+        yield "restrict", restrict, (f, omega)
+    for op, build in (("build_phi", build_phi), ("build_psi", build_psi)):
+        for i in range(16):
+            rng = random.Random(6200 + i)
+            kind, q = i % 4, 1 + (i // 4) % 2 if op == "build_phi" else 1
+            if kind == 0:
+                theta, f, g = orc._anchored_triple(rng, spec, 1, 1, q, i % 8 == 4)
+            else:
+                theta = orc.random_ncset(rng, 1, spec)
+                f, g = orc._random_map(rng, spec, 1, 1), orc._random_map(rng, spec, 1, q)
+            if kind == 2:
+                theta = _vertex_of(dom(f))
+            elif kind == 3:
+                theta = NCSet(1, ())
+            yield op, build, (theta, f, g)
+    for i in range(10):
+        rng = random.Random(6300 + i)
+        f, g = orc._random_map(rng, spec, 1, 1), orc._random_map(rng, spec, 1, 1)
+        yield "sum_with_affine_inner", sum_with_affine_inner, (
+            f,
+            g,
+            orc._random_matrix(rng, 1, 1),
+        )
+    for i in range(20):
+        rng = random.Random(6400 + i)
+        dim, kind = 1 + i % 2, i % 4
+        s1 = orc.random_ncset(rng, dim, spec)
+        s2 = NCSet(dim, ()) if kind == 3 else orc.random_ncset(rng, dim, spec)
+        yield "minkowski_sum", ns.minkowski_sum, (s1, s2)
+    for i in range(20):
+        rng = random.Random(6500 + i)
+        n, kind = 1 + i % 2, i % 4
+        domain = NCSet(n, ()) if kind == 3 else orc.random_ncset(rng, n, spec)
+        rows = [] if kind == 2 else _random_rows(rng, n)
+        f = pf.max_affine(n, rows, domain=domain)
+        yield "max_affine", pf.max_affine, (n, rows, domain)
+        yield "epi_strict", pf.epi_strict, (f,)
+    for i in range(8):
+        rng = random.Random(6600 + i)
+        kind, p = i % 4, 1 + (i // 4) % 2
+        ax = orc._anchor_point(rng, 1, spec)
+        ay = orc._anchor_point(rng, p, spec)
+        anchor = ax + ay if kind == 0 else None
+        fmap = orc._random_map(rng, spec, 1, p, anchor=anchor)
+        f = orc._random_plf(rng, orc.ULTRA_SPEC, 1 + p, anchor=anchor)
+        if kind == 2:
+            f = pf.max_affine(1 + p, _random_rows(rng, 1 + p), domain=_vertex_of(fmap.graph))
+        elif kind == 3:
+            fmap = SVMap(1, p, NCSet(1 + p, ()))
+        yield "build_ovf", _ovf_mu, (f, fmap)
+
+
+def test_pinned_joint_constructions():
+    # sha256 over repr of each result, one digest per operation, recorded
+    # with each construction chaining product, permute_coords, intersect
+    # and linear_image
+    digests = {}
+    cases = Counter()
+    for op, fn, args in _pinned_joint_cases():
+        got = fn(*args)
+        digests.setdefault(op, hashlib.sha256()).update(repr(got).encode() + b"\n")
+        if isinstance(got, tuple):
+            got, flag = got
+            cases[f"{op} qc" if flag else f"{op} no qc"] += 1
+        got = getattr(got, "graph", getattr(got, "epi", got))
+        cases[op if got.pieces else f"{op} empty"] += 1
+    print(dict(cases))
+    for op in ("map_sum", "restrict", "build_phi", "build_psi", "build_ovf"):
+        assert {f"{op} qc", f"{op} no qc", f"{op} empty", op} <= set(cases)
+    for op in ("minkowski_sum", "max_affine", "epi_strict"):
+        assert {f"{op} empty", op} <= set(cases)
+    assert cases["sum_with_affine_inner"] == 10
+    assert {op: d.hexdigest() for op, d in digests.items()} == {
+        "map_sum": "d35fb2c9835e8b51af3d9b56dfa5f21b121c1d14f2eae512a9708a5c70c16335",
+        "restrict": "2b88c901e600eba89c910ac18403672aab6212e6657df510347a065a6b31b13f",
+        "build_phi": "7a7ba5a091cddd0ed34226a5f2d665a41e71291f943f0c2a94b1dfaf722f21ed",
+        "build_psi": "7735742c3595e8dbaf1bd1334cb5dbb7461840be4983ba0bfcc8284f0409e376",
+        "sum_with_affine_inner": "002d857762db3cfe457478074149d4a2d8cfec515935ed26b10dc00aa000e2e8",
+        "minkowski_sum": "c34173d982e523d8922d02b39b37f8cbd11150c7fb887c13dcdbdab88413f973",
+        "max_affine": "3b7d5ba6f6727dcbd6a7da4fdbb0bc22d11e3403aa4d774e1540a14a4bcb3df8",
+        "epi_strict": "231b11e959cf8ead46367e5b12c6186e6b103bc48f1f28e39cdfe53289491ea0",
+        "build_ovf": "0a337e8a9f5685bd13a844f29d864be71a08d075322157fa513e8170b3a2abdf",
+    }
