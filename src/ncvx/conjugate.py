@@ -32,7 +32,7 @@ from .errors import (
 )
 from .linalg import Mat, Vec, ZERO, ONE
 from .lp import LPOutcome, MixedSystem, maximize, solve_lp, strict_feasible
-from .ncset import NCSet, affine_preimage, closure_hull, from_closed_hpoly, intersect, ncset
+from .ncset import NCSet, affine_preimage, closure_hull, from_closed_hpoly, joint_image, ncset
 from .plfunc import MINUS_INF, PLUS_INF, PLFunction, Value
 from .polyhedron import HPoly, canonical_form, empty_hpoly, hpoly, to_vrep
 from .rationals import ext_add, format_rational, format_vector
@@ -129,10 +129,10 @@ def support_of_intersection(
     if not strict_feasible(h1.ri_system().combine(h2.ri_system())).feasible:
         raise QCViolated("relative interiors of the sets do not meet")
 
-    inter, _ = intersect(s1, s2)
+    n = s1.dim
+    inter = joint_image(n, [(s1, range(n)), (s2, range(n))], range(n))
     direct = support(inter, v)
 
-    n = s1.dim
     z = _convolution(support_epigraph(s1), support_epigraph(s2), v, direct.value)
     if z is None:
         return PLUS_INF, None

@@ -204,7 +204,9 @@ def _lagrange_flags(phi: PLFunction, theta: NCSet, g: SVMap) -> tuple[QCFlag, ..
     sf = strict_feasible(joint)
     triple = QCFlag("triple_ri_overlap", sf.feasible, sf.witness, sf.certificate)
 
-    feasible_x, _ = ns.intersect(theta, pl.dom(phi))
+    n = theta.dim
+    both = [(theta, range(n)), (pl.dom(phi), range(n))]
+    feasible_x = ns.joint_image(n, both, range(n))
     image, _, _ = sv.image_of_set(g, feasible_x)
     hull = ns.closure_hull(image)
     origin = la.zeros(g.p)

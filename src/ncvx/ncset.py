@@ -10,9 +10,11 @@ the set is nearly convex iff ri(H) is covered by the pieces themselves
 convex). The check runs by cell subtraction and reports a witness point
 on failure.
 
-Operations that find a strict witness for each cell of their result
-(intersection, preimage) canonicalize the cell from that point of its
-relative interior, so canonical_form spends no LP of its own on it.
+Intersections, Minkowski sums and the calculus of svmap, plfunc and
+variational are one construction, joint_image: the shadow of sets placed
+at given coordinates, one piece per joint ri cell that has a strict
+witness.  The piece is canonicalized from that point of its relative
+interior (preimages do the same), so canonical_form spends no LP on it.
 
 Operations that are exact pointwise but whose relative-interior formula
 needs an overlap qualification (intersection, preimage) return the result
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Optional, Sequence
 
 from . import linalg as la
@@ -270,24 +272,62 @@ def product(s1: NCSet, s2: NCSet) -> NCSet:
     return ncset(n + p, bases)
 
 
+def joint_image(
+    dim: int, parts: Sequence[tuple[NCSet, Sequence[int]]], keep: Sequence[int]
+) -> NCSet:
+    """The shadow on keep (increasing) of the z in R^dim whose coordinates
+    at each part's columns lie in that part's set; two or more parts.  A
+    linear link such as s = y1 + y2 is a one-piece part.
+
+    The parts are folded in one at a time over one piece of each, and a
+    partial cell is dropped as soon as it has no strict point (the first
+    part's pieces need no check).  A surviving cell gives the ri of the
+    closed shadow of its closure (Rockafellar, Thms 6.5 and 6.6),
+    canonicalized from the kept coordinates of its strict witness."""
+    keep = list(keep)
+    (first, cols), *rest = parts
+    cells = [(pc.system().embed(cols, dim), None) for pc in first.pieces]
+    for s, cols in rest:
+        moved = [pc.system().embed(cols, dim) for pc in s.pieces]
+        joints = [cell.combine(m) for cell, _ in cells for m in moved]
+        cells = [(j, strict_feasible(j).witness) for j in joints]
+        cells = [(j, w) for j, w in cells if w is not None]
+    out = []
+    for cell, wit in cells:
+        closed = cell.closed()
+        if len(keep) == dim:
+            out.append((HPoly(dim, closed.weak, closed.eq), wit))
+        else:
+            out.append((closed_shadow(closed, keep), tuple(wit[i] for i in keep)))
+    return _ncset_of_cells(len(keep), out)
+
+
+def ri_overlap(dim: int, parts: Sequence[tuple[NCSet, Sequence[int]]]) -> bool:
+    """Do the relative interiors of the parts' sets, each at its columns
+    of R^dim, meet?  One strict check on the ri cells of their hulls."""
+    hulls = [closure_hull(s) for s, _ in parts]
+    if any(h is None for h in hulls):
+        return False
+    cells = [h.ri_system().embed(cols, dim) for h, (_, cols) in zip(hulls, parts)]
+    return strict_feasible(reduce(MixedSystem.combine, cells)).feasible
+
+
+def sum_link(p: int) -> NCSet:
+    """{(a, b, s) in R^(3p) : s = a + b}, the link part of a sum."""
+    rows = tuple(
+        (la.unit(p, i) + la.unit(p, i) + la.neg(la.unit(p, i)), la.ZERO)
+        for i in range(p)
+    )
+    return ncset(3 * p, [HPoly(3 * p, (), rows)])
+
+
 def intersect(s1: NCSet, s2: NCSet) -> tuple[NCSet, bool]:
     """Exact pointwise intersection; the flag reports whether the relative
     interiors of the two sets overlap (which certifies the ri formula)."""
     if s1.dim != s2.dim:
         raise DimensionMismatch("intersecting sets of different dims")
-    cells = []
-    for a in s1.pieces:
-        for b in s2.pieces:
-            joint = a.system().combine(b.system())
-            wit = strict_feasible(joint).witness
-            if wit is not None:
-                cells.append((HPoly(s1.dim, joint.strict, joint.eq), wit))
-    result = _ncset_of_cells(s1.dim, cells)
-    qc = False
-    h1, h2 = closure_hull(s1), closure_hull(s2)
-    if h1 is not None and h2 is not None:
-        qc = strict_feasible(h1.ri_system().combine(h2.ri_system())).feasible
-    return result, qc
+    parts = [(s1, range(s1.dim)), (s2, range(s1.dim))]
+    return joint_image(s1.dim, parts, range(s1.dim)), ri_overlap(s1.dim, parts)
 
 
 def _image_base(q: HPoly, t: Mat) -> HPoly:
@@ -333,8 +373,9 @@ def affine_preimage(s: NCSet, t: Mat, shift: Vec) -> tuple[NCSet, bool]:
 
 
 def minkowski_sum(s1: NCSet, s2: NCSet) -> NCSet:
+    """The shadow on s of (a, b, s) with a in s1, b in s2, s = a + b."""
     if s1.dim != s2.dim:
         raise DimensionMismatch("summing sets of different dims")
     n = s1.dim
-    t = tuple(la.unit(n, i) + la.unit(n, i) for i in range(n))
-    return linear_image(product(s1, s2), t)
+    parts = [(s1, range(n)), (s2, range(n, 2 * n)), (sum_link(n), range(3 * n))]
+    return joint_image(3 * n, parts, range(2 * n, 3 * n))

@@ -30,9 +30,8 @@ from .ncset import (
     closure_hull,
     contains_set,
     from_closed_hpoly,
-    intersect,
     is_nearly_convex,
-    minkowski_sum,
+    joint_image,
     ncset,
     product,
     require_valid,
@@ -92,7 +91,8 @@ def max_affine(n: int, rows: Sequence[tuple], domain: Optional[NCSet] = None) ->
     if domain is not None:
         if domain.dim != n:
             raise DimensionMismatch("domain dim does not match n")
-        epi, _ = intersect(epi, product(domain, whole_space(1)))
+        parts = [(epi, range(n + 1)), (domain, range(n))]
+        epi = joint_image(n + 1, parts, range(n + 1))
     return PLFunction(n, epi)
 
 
@@ -261,12 +261,12 @@ def require_valid_function(f: PLFunction) -> None:
 
 
 def epi_strict(f: PLFunction) -> NCSet:
-    """Strict epigraph, computed as epi + the open upward ray."""
+    """Strict epigraph, epi plus the open upward ray: the shadow on
+    (x, mu) of (x, lam, mu) with (x, lam) in epi and lam < mu."""
     n = f.n
-    ray_rows = [(la.zeros(n) + (-la.ONE,), la.ZERO)]
-    ray_eqs = [(la.unit(n + 1, i), la.ZERO) for i in range(n)]
-    ray = ncset(n + 1, [hpoly(n + 1, ray_rows, ray_eqs)])
-    return minkowski_sum(f.epi, ray)
+    below = ncset(2, [hpoly(2, [((la.ONE, -la.ONE), la.ZERO)])])  # ri: lam < mu
+    parts = [(f.epi, range(n + 1)), (below, (n, n + 1))]
+    return joint_image(n + 2, parts, [*range(n), n + 1])
 
 
 def strict_epi_closure_holds(f: PLFunction) -> bool:

@@ -4,19 +4,19 @@ A mapping is stored as its graph, an NCSet in the product of input and
 output space. Evaluation slices the graph pieces at a point (a slice of a
 relatively open piece is again relatively open, so the slice is exact with
 no extra decomposition). Domains, ranges, images, inverse images,
-restrictions, sums, and compositions all reduce to the set calculus on
-graphs: products, intersections, coordinate permutations, and projections.
-Compositions skip the product and intersection: each pair of pieces is
-embedded in the joint space, and the closed shadow of each pair whose
-relative interiors meet gives one piece (Rockafellar, Thms 6.5 and 6.6).
+restrictions, sums, compositions and the composite constructors place
+graphs, sets and linear links at given coordinates of one joint space
+and take the shadow of their joint ri cells (ncset.joint_image), with
+no product, intersection or permutation built on the way.
 
 Each operation whose relative-interior formula needs an overlap
 qualification returns a qc flag computed by one strict feasibility check
-on the relevant relative interiors. The certify_* helpers and the image
-check verify the ri formulas themselves as exact set identities, all
-through one routine: the ri cells of the operands are embedded in a
-common product space and combined, the result is projected, and its
-shadow is compared with the ri cell of the result by two-way subtraction.
+on the relevant relative interiors (ncset.ri_overlap). The certify_*
+helpers and the image check verify the ri formulas themselves as exact
+set identities, all through one routine: the ri cells of the operands
+are embedded in a common product space and combined, the result is
+projected, and its shadow is compared with the ri cell of the result by
+two-way subtraction.
 """
 
 from __future__ import annotations
@@ -34,10 +34,9 @@ from .ncset import (
     NCSet,
     ROPoly,
     _ncset_of_cells,
-    closed_shadow,
     closure_hull,
     from_closed_hpoly,
-    intersect,
+    joint_image,
     linear_image,
     ncset,
     permute_coords,
@@ -45,6 +44,8 @@ from .ncset import (
     product,
     relative_interior,
     require_valid,
+    ri_overlap,
+    sum_link,
     whole_space,
 )
 from .polyhedron import HPoly, cells_equal, project_mixed
@@ -138,14 +139,6 @@ def _ri_cell(s: NCSet) -> Optional[MixedSystem]:
     return None if hull is None else hull.ri_system()
 
 
-def _ri_overlap(*sets: NCSet) -> bool:
-    """Do the relative interiors of all the sets (of one space) meet?"""
-    cells = [_ri_cell(s) for s in sets]
-    if any(c is None for c in cells):
-        return False
-    return strict_feasible(reduce(MixedSystem.combine, cells)).feasible
-
-
 def _ri_formula_holds(
     result: NCSet,
     dim: int,
@@ -165,13 +158,19 @@ def _ri_formula_holds(
     return cells_equal(lhs_cell, shadow)
 
 
+def _clip_parts(f: SVMap, omega: NCSet) -> list:
+    """gph F in R^(n+p), and omega at its input coordinates."""
+    if omega.dim != f.n:
+        raise DimensionMismatch("set dim does not match input dim")
+    return [(f.graph, range(f.n + f.p)), (omega, range(f.n))]
+
+
 def image_of_set(f: SVMap, omega: NCSet) -> tuple[NCSet, bool, bool]:
     """F(omega), the ri-overlap qualification flag, and an exact check of
     the image ri formula (ri of the image = union of ri F(x) over
     x in ri(omega) and ri(dom F))."""
-    restricted, qc = restrict(f, omega)
-    total = f.n + f.p
-    result = linear_image(restricted.graph, _last_block(f.p, total))
+    total, parts = f.n + f.p, _clip_parts(f, omega)
+    result, qc = joint_image(total, parts, range(f.n, total)), ri_overlap(total, parts)
     if not qc:
         return result, qc, False
     parts = [(_ri_cell(f.graph), range(total)), (_ri_cell(omega), range(f.n))]
@@ -197,10 +196,9 @@ def certify_inverse_image(f: SVMap, theta: NCSet) -> bool:
 
 
 def restrict(f: SVMap, omega: NCSet) -> tuple[SVMap, bool]:
-    if omega.dim != f.n:
-        raise DimensionMismatch("set dim does not match input dim")
-    clipped, _ = intersect(f.graph, product(omega, whole_space(f.p)))
-    return SVMap(f.n, f.p, clipped), _ri_overlap(dom(f), omega)
+    total, parts = f.n + f.p, _clip_parts(f, omega)
+    clipped = joint_image(total, parts, range(total))
+    return SVMap(f.n, f.p, clipped), ri_overlap(total, parts)
 
 
 def certify_restrict(f: SVMap, omega: NCSet, got: SVMap) -> bool:
@@ -216,39 +214,19 @@ def certify_restrict(f: SVMap, omega: NCSet, got: SVMap) -> bool:
 
 
 def map_sum(f1: SVMap, f2: SVMap) -> tuple[SVMap, bool]:
+    """The shadow on (x, s) of (x, y1) in gph F1, (x, y2) in gph F2 and
+    s = y1 + y2; the qc flag reports ri(dom F1) meets ri(dom F2)."""
     if (f1.n, f1.p) != (f2.n, f2.p):
         raise DimensionMismatch("summed mappings must share both dims")
     n, p = f1.n, f1.p
-    pairs = product(f1.graph, f2.graph)  # (x1, y1, x2, y2)
-    diag = ncset(
-        2 * (n + p),
-        [
-            HPoly(
-                2 * (n + p),
-                (),
-                tuple(
-                    (
-                        la.sub(
-                            la.unit(2 * (n + p), i),
-                            la.unit(2 * (n + p), n + p + i),
-                        ),
-                        la.ZERO,
-                    )
-                    for i in range(n)
-                ),
-            )
-        ],
-    )
-    glued, _ = intersect(pairs, diag)
-    rows = [la.unit(2 * (n + p), i) for i in range(n)]
-    rows += [
-        la.add(
-            la.unit(2 * (n + p), n + i), la.unit(2 * (n + p), 2 * n + p + i)
-        )
-        for i in range(p)
+    total = n + 3 * p
+    parts = [
+        (f1.graph, range(n + p)),
+        (f2.graph, [*range(n), *range(n + p, n + 2 * p)]),
+        (sum_link(p), range(n, total)),
     ]
-    graph = linear_image(glued, tuple(rows))
-    return SVMap(n, p, graph), _ri_overlap(dom(f1), dom(f2))
+    graph = joint_image(total, parts, [*range(n), *range(n + 2 * p, total)])
+    return SVMap(n, p, graph), ri_overlap(total, parts[:2])
 
 
 def certify_sum(f1: SVMap, f2: SVMap, got: SVMap) -> bool:
@@ -272,39 +250,19 @@ def certify_sum(f1: SVMap, f2: SVMap, got: SVMap) -> bool:
 
 
 def compose(f: SVMap, g: SVMap) -> tuple[SVMap, bool]:
-    """g after f; the qc flag reports ri(rge f) meets ri(dom g).
+    """g after f, the shadow on (x, z) of (x, y, z) with (x, y) in gph f
+    and (y, z) in gph g; the qc flag reports ri(rge f) meets ri(dom g).
 
-    Each pair of pieces, ri(A) of f in (x, y) and ri(B) of g in (y, z),
-    sits in R^(n+p+q).  When the joint ri cell is nonempty, its closure is
-    A' intersected with B' for the embedded bases (Rockafellar, Thm 6.5),
-    and the composed piece is the ri of that closed cell's shadow on
-    (x, z), since ri(T C) = T(ri C) (Thm 6.6).  By Thm 6.6 again, ri(rge f)
-    and ri(dom g) are the shadows of the ri cells of the two graph hulls,
-    so they meet exactly when those cells, embedded side by side, have a
-    common point: one strict check.  By Thm 6.6 too, the kept coordinates
-    of the joint cell's strict witness lie in the ri of the shadow, and
-    the shadow is canonicalized from that point.
+    By Rockafellar, Thm 6.6, ri(rge f) and ri(dom g) are the shadows of
+    the ri cells of the two graph hulls, so they meet exactly when those
+    cells, laid out as the graphs are, have a common point.
     """
     if f.p != g.n:
         raise DimensionMismatch("inner dims do not match")
     total = f.n + f.p + g.p
-    left, right = range(f.n + f.p), range(f.n, total)
+    parts = [(f.graph, range(f.n + f.p)), (g.graph, range(f.n, total))]
     keep = [*range(f.n), *range(f.n + f.p, total)]
-    cells = []
-    for a in f.graph.pieces:
-        a_cell = a.system().embed(left, total)
-        for b in g.graph.pieces:
-            joint = a_cell.combine(b.system().embed(right, total))
-            wit = strict_feasible(joint).witness
-            if wit is not None:
-                shadow = closed_shadow(joint.closed(), keep)
-                cells.append((shadow, tuple(wit[i] for i in keep)))
-    f_ri, g_ri = _ri_cell(f.graph), _ri_cell(g.graph)
-    qc = False
-    if f_ri is not None and g_ri is not None:
-        both = f_ri.embed(left, total).combine(g_ri.embed(right, total))
-        qc = strict_feasible(both).feasible
-    return SVMap(f.n, g.p, _ncset_of_cells(f.n + g.p, cells)), qc
+    return SVMap(f.n, g.p, joint_image(total, parts, keep)), ri_overlap(total, parts)
 
 
 def certify_compose(f: SVMap, g: SVMap, got: SVMap) -> bool:
@@ -324,49 +282,49 @@ def certify_compose(f: SVMap, g: SVMap, got: SVMap) -> bool:
 # composite constructors
 
 
-def build_phi(theta: NCSet, f: SVMap, g: SVMap) -> tuple[SVMap, bool]:
-    """(x,y) maps to F(x) when x lies in theta and y in G(x); graph over
-    (x, y, z) with x in R^n, y in R^q, z in R^p."""
+def _phi_parts(theta: NCSet, f: SVMap, g: SVMap) -> tuple[int, list]:
+    """The joint space (x, y, z) of build_phi and its parts: gph F at
+    (x, z), theta at x and gph G at (x, y)."""
     if theta.dim != f.n or g.n != f.n:
         raise DimensionMismatch("component input dims must agree")
     n, p, q = f.n, f.p, g.p
-    # (x, z) + y block, permuted to (x, y, z)
-    s1 = product(f.graph, whole_space(q))
-    perm = list(range(n)) + list(range(n + p, n + p + q)) + list(range(n, n + p))
-    s1 = permute_coords(s1, perm)
-    s2 = product(theta, whole_space(q + p))
-    s3 = product(g.graph, whole_space(p))
-    glued, _ = intersect(s1, s2)
-    glued, _ = intersect(glued, s3)
-    return SVMap(n + q, p, glued), _ri_overlap(dom(f), dom(g), theta)
+    total = n + q + p
+    parts = [
+        (f.graph, [*range(n), *range(n + q, total)]),
+        (theta, range(n)),
+        (g.graph, range(n + q)),
+    ]
+    return total, parts
+
+
+def build_phi(theta: NCSet, f: SVMap, g: SVMap) -> tuple[SVMap, bool]:
+    """(x,y) maps to F(x) when x lies in theta and y in G(x); graph over
+    (x, y, z) with x in R^n, y in R^q, z in R^p.  The qc flag reports that
+    ri(dom F), ri(dom G) and ri(theta) meet."""
+    total, parts = _phi_parts(theta, f, g)
+    graph = joint_image(total, parts, range(total))
+    return SVMap(f.n + g.p, f.p, graph), ri_overlap(total, parts)
 
 
 def build_psi(theta: NCSet, f: SVMap, g: SVMap) -> tuple[SVMap, bool]:
     """(x,u,y) maps to F(x+u) when x lies in theta and y in G(x); graph
-    over (x, u, y, z)."""
-    if theta.dim != f.n or g.n != f.n:
-        raise DimensionMismatch("component input dims must agree")
+    over (x, u, y, z).  The qc flag is build_phi's."""
+    phi_layout = _phi_parts(theta, f, g)
     n, p, q = f.n, f.p, g.p
     total = 2 * n + q + p
-    # F(x+u): pull the graph of F back under (x,u,y,z) -> (x+u, z)
+    # F(x+u): the graph of F pulled back under (x,u,y,z) -> (x+u, z)
     t_rows = [
         la.add(la.unit(total, i), la.unit(total, n + i)) for i in range(n)
     ]
     t_rows += [la.unit(total, 2 * n + q + i) for i in range(p)]
-    s1, _ = preimage(f.graph, tuple(t_rows))
-    s2 = product(theta, whole_space(n + q + p))
-    # (x, y) in gph G with u, z free: product gives (x, y, u, z)
-    s3 = product(g.graph, whole_space(n + p))
-    perm = (
-        list(range(n))
-        + list(range(n + q, n + q + n))
-        + list(range(n, n + q))
-        + list(range(2 * n + q, total))
-    )
-    s3 = permute_coords(s3, perm)
-    glued, _ = intersect(s1, s2)
-    glued, _ = intersect(glued, s3)
-    return SVMap(2 * n + q, p, glued), _ri_overlap(dom(f), dom(g), theta)
+    shifted, _ = preimage(f.graph, tuple(t_rows))
+    parts = [
+        (shifted, range(total)),
+        (theta, range(n)),
+        (g.graph, [*range(n), *range(2 * n, 2 * n + q)]),
+    ]
+    graph = joint_image(total, parts, range(total))
+    return SVMap(2 * n + q, p, graph), ri_overlap(*phi_layout)
 
 
 def sum_with_affine_inner(f: SVMap, g: SVMap, a: Mat) -> SVMap:
@@ -378,20 +336,21 @@ def sum_with_affine_inner(f: SVMap, g: SVMap, a: Mat) -> SVMap:
         raise DimensionMismatch("output dims must agree")
     if len(a) != p or (a and len(a[0]) != n):
         raise DimensionMismatch("matrix shape must be p x n")
-    if not dom(f).pieces or not dom(g).pieces:
+    if not f.graph.pieces or not g.graph.pieces:
         raise EmptyDomain("both mappings must have nonempty domains")
-    total = n + p + q
-    # H1: (x,y) -> F(x): graph {(x,y,z) : (x,z) in gph F}
-    s1 = product(f.graph, whole_space(p))  # (x, z, y)
-    perm = list(range(n)) + list(range(n + q, n + q + p)) + list(range(n, n + q))
-    h1 = SVMap(n + p, q, permute_coords(s1, perm))
-    # H2: (x,y) -> G(Ax+y): pull gph G back under (x,y,z) -> (Ax+y, z)
+    # joint space (x, y, z1, z2, s): (x, z1) in gph F, (Ax + y, z2) in
+    # gph G, s = z1 + z2, shadow on (x, y, s)
+    m = n + p
+    total = m + 3 * q
     t_rows = [a[i] + la.unit(p, i) + la.zeros(q) for i in range(p)]
-    t_rows += [la.zeros(n + p) + la.unit(q, i) for i in range(q)]
-    s2, _ = preimage(g.graph, tuple(t_rows))
-    h2 = SVMap(n + p, q, s2)
-    got, _ = map_sum(h1, h2)
-    return got
+    t_rows += [la.zeros(m) + la.unit(q, i) for i in range(q)]
+    pulled, _ = preimage(g.graph, tuple(t_rows))
+    parts = [
+        (f.graph, [*range(n), *range(m, m + q)]),
+        (pulled, [*range(m), *range(m + q, m + 2 * q)]),
+        (sum_link(q), range(m, total)),
+    ]
+    return SVMap(m, q, joint_image(total, parts, [*range(m), *range(m + 2 * q, total)]))
 
 
 # ---------------------------------------------------------------------------

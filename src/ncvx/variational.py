@@ -6,9 +6,9 @@ linear functional has the same sup over a set and its closure, so the
 defining inequalities agree.  Subdifferentials and coderivatives then
 fall out of one H-representation of the cone, sliced at a fixed block.
 
-The value function mu is assembled exactly: clip the epigraph of the
-objective to the graph of the constraint map, project out the inner
-variable, and close each slice from below with the envelope operator.
+The value function mu is assembled exactly: the shadow on (x, t) of the
+objective's epigraph at (x, y, t) joined with the constraint map's graph
+at (x, y), each slice closed from below with the envelope operator.
 This pins down boundary attainment pointwise, not just up to closure.
 """
 
@@ -37,13 +37,11 @@ from .ncset import (
     NCSet,
     closure_hull,
     from_mixed,
-    intersect,
-    linear_image,
+    joint_image,
     membership,
     ncset,
-    product,
+    ri_overlap,
     union,
-    whole_space,
 )
 from .plfunc import PLFunction
 from .polyhedron import (
@@ -150,19 +148,11 @@ def build_ovf(f: PLFunction, fmap: SVMap) -> OVFInstance:
         raise ImproperObjective("objective takes -inf")
     sv.require_valid_map(fmap)
 
-    clipped, _ = intersect(f.epi, product(fmap.graph, whole_space(1)))
-    keep = [la.unit(n + p + 1, i) for i in range(n)]
-    keep.append(la.unit(n + p + 1, n + p))
-    shadow = linear_image(clipped, tuple(keep))
+    total = n + p + 1
+    parts = [(f.epi, range(total)), (fmap.graph, range(n + p))]
+    shadow = joint_image(total, parts, [*range(n), n + p])
     mu = PLFunction(n, pl.envelope(shadow))
-
-    qc = False
-    hull_d = closure_hull(pl.dom(f))
-    hull_g = closure_hull(fmap.graph)
-    if hull_d is not None and hull_g is not None:
-        joint = hull_d.ri_system().combine(hull_g.ri_system())
-        qc = strict_feasible(joint).feasible
-    return OVFInstance(f, fmap, mu, qc)
+    return OVFInstance(f, fmap, mu, ri_overlap(total, parts))
 
 
 def solution_map(inst: OVFInstance, x: Vec) -> NCSet:

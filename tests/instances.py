@@ -1,12 +1,24 @@
 """Shared fixed instances used across test modules."""
 
+import importlib
+import pkgutil
 from fractions import Fraction as F
 
+import ncvx
 from ncvx import linalg as la
 from ncvx.ncset import NCSet, ncset
 from ncvx.polyhedron import HPoly, box, hpoly
 
 UNIT_SQUARE = box([(0, 1), (0, 1)])
+
+
+def clear_caches() -> None:
+    """Empty every cache in the ncvx modules, so LP counts start cold."""
+    for info in pkgutil.iter_modules(ncvx.__path__):
+        module = importlib.import_module(f"ncvx.{info.name}")
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
 
 
 def punctured_square() -> NCSet:

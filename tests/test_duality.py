@@ -11,16 +11,13 @@ Oracles:
 """
 
 import hashlib
-import importlib
 import itertools
-import pkgutil
 import random
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-import ncvx
 from ncvx import duality as du
 from ncvx import linalg as la
 from ncvx import lp
@@ -38,7 +35,7 @@ from ncvx.errors import (
 from ncvx.plfunc import MINUS_INF, PLUS_INF
 from ncvx.rationals import ext_add
 
-from instances import abs_fn, interval_set
+from instances import abs_fn, clear_caches, interval_set
 
 
 def _abs_pair():
@@ -315,14 +312,6 @@ def test_graph_inf_needs_the_relative_interiors_to_meet():
     assert du.h1_value(phi, closed, g, (F(0),), (F(-1),)) == 0
 
 
-def _clear_caches():
-    for info in pkgutil.iter_modules(ncvx.__path__):
-        module = importlib.import_module(f"ncvx.{info.name}")
-        for obj in vars(module).values():
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
-
-
 def _pointed_cone_map():
     # x -> Ax + c + K with K = {(a, b) : b >= a >= 0}, pointed, in R^2
     k = pf.polycone(ph.hpoly(2, [((1, -1), 0), ((-1, 0), 0)]))
@@ -336,7 +325,7 @@ _DUALS = [(F(a), F(b)) for a in range(-2, 3) for b in range(-2, 3)]
 def test_faces_of_a_cone_graph_take_one_strict_lp():
     # the root's canonical form; each facet child is canonical without one
     a_mat, c, k = _pointed_cone_map()
-    _clear_caches()
+    clear_caches()
     g = sv.affine_plus_cone(a_mat, c, k.k)
     assert len(g.graph.pieces) == 4
     assert lp.strict_feasible.cache_info().misses == 1
@@ -346,7 +335,7 @@ def test_vg_value_takes_no_strict_lp_on_a_cone_graph():
     # every slice value comes with a witness in its own cell
     a_mat, c, k = _pointed_cone_map()
     g = sv.affine_plus_cone(a_mat, c, k.k)
-    _clear_caches()
+    clear_caches()
     for x in _POINTS:
         for ystar in _DUALS:
             du.vg_value(g, x, ystar)
@@ -357,7 +346,7 @@ def test_vg_closed_form_takes_no_canonical_form():
     # the generators are kept on K, so no call even looks a cache up, and
     # they stay out of K's repr and equality
     a_mat, c, k = _pointed_cone_map()
-    _clear_caches()
+    clear_caches()
     assert k.generators == ph.to_vrep(k.k)
     before = ph.canonical_form.cache_info()
     for x in _POINTS:
@@ -371,7 +360,7 @@ def test_vg_closed_form_takes_no_canonical_form():
 def test_lemma74_lp_budget():
     # LP work of four lemma7.4 instances from cold caches; the counts do
     # not drift with the machine, so a regression shows through timing noise
-    _clear_caches()
+    clear_caches()
     report = orc.theorem_suite("lemma7.4", count=4, seed=0)
     assert report.passes == 4
     assert lp.solve_lp.cache_info().misses <= 48

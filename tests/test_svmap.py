@@ -14,7 +14,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from instances import interval_set, point_set, strip_map
+from instances import clear_caches, interval_set, point_set, strip_map
 from ncvx import linalg as la
 from ncvx import lp
 from ncvx import ncset as ns
@@ -336,7 +336,8 @@ def test_pinned_compose():
 def test_compose_qc_is_the_overlap_of_range_and_domain():
     # the former definition, through the images rge(f) and dom(g)
     for _, f, g in _pinned_compose_pairs():
-        assert compose(f, g)[1] == sv._ri_overlap(rge(f), dom(g))
+        both = [(rge(f), range(f.p)), (dom(g), range(f.p))]
+        assert compose(f, g)[1] == ns.ri_overlap(f.p, both)
 
 
 def test_compose_takes_the_hulls_of_the_two_graphs_only(monkeypatch):
@@ -530,8 +531,10 @@ def _pinned_joint_cases():
         rng = random.Random(6000 + i)
         kind, p = i % 4, 1 + (i // 4) % 2
         ax = orc._anchor_point(rng, 1, spec)
-        anchors = [ax + orc._anchor_point(rng, p, spec) if kind == 0 else None for _ in "ab"]
-        f1, f2 = (orc._random_map(rng, spec, 1, p, anchor=a) for a in anchors)
+        anchors = [
+            orc._anchor_point(rng, p, spec) if kind == 0 else None for _ in "ab"
+        ]
+        f1, f2 = (orc._random_map(rng, spec, 1, p, anchor=a and ax + a) for a in anchors)
         if kind == 2:
             f2 = SVMap(1, p, ns.product(_vertex_of(dom(f1)), rge(f2)))
         elif kind == 3:
@@ -558,7 +561,8 @@ def _pinned_joint_cases():
                 theta, f, g = orc._anchored_triple(rng, spec, 1, 1, q, i % 8 == 4)
             else:
                 theta = orc.random_ncset(rng, 1, spec)
-                f, g = orc._random_map(rng, spec, 1, 1), orc._random_map(rng, spec, 1, q)
+                f = orc._random_map(rng, spec, 1, 1)
+                g = orc._random_map(rng, spec, 1, q)
             if kind == 2:
                 theta = _vertex_of(dom(f))
             elif kind == 3:
@@ -595,7 +599,8 @@ def _pinned_joint_cases():
         fmap = orc._random_map(rng, spec, 1, p, anchor=anchor)
         f = orc._random_plf(rng, orc.ULTRA_SPEC, 1 + p, anchor=anchor)
         if kind == 2:
-            f = pf.max_affine(1 + p, _random_rows(rng, 1 + p), domain=_vertex_of(fmap.graph))
+            rows = _random_rows(rng, 1 + p)
+            f = pf.max_affine(1 + p, rows, domain=_vertex_of(fmap.graph))
         elif kind == 3:
             fmap = SVMap(1, p, NCSet(1 + p, ()))
         yield "build_ovf", _ovf_mu, (f, fmap)
@@ -632,3 +637,32 @@ def test_pinned_joint_constructions():
         "epi_strict": "231b11e959cf8ead46367e5b12c6186e6b103bc48f1f28e39cdfe53289491ea0",
         "build_ovf": "0a337e8a9f5685bd13a844f29d864be71a08d075322157fa513e8170b3a2abdf",
     }
+
+
+def test_joint_constructions_lp_budget():
+    # LP work of a seeded anchored map_sum, build_phi and build_ovf from
+    # cold caches, with each result built from its joint ri cells alone;
+    # the counts do not drift with the machine
+    spec = orc.LEAN_SPEC
+    rng = random.Random(2)
+    ax = orc._anchor_point(rng, 1, spec)
+    f1, f2 = (
+        orc._random_map(rng, spec, 1, 2, anchor=ax + orc._anchor_point(rng, 2, spec))
+        for _ in "ab"
+    )
+    theta, f, g = orc._anchored_triple(rng, spec, 1, 1, 2, False)
+    inst, _, _ = orc._anchored_ovf(rng, spec, 1, 1)
+    misses = {}
+    for op, build in (
+        ("map_sum", lambda: map_sum(f1, f2)),
+        ("build_phi", lambda: build_phi(theta, f, g)),
+        ("build_ovf", lambda: vr.build_ovf(inst.f, inst.fmap)),
+    ):
+        clear_caches()
+        build()
+        misses[op] = lp.solve_lp.cache_info().misses
+    print(misses)
+    assert misses["map_sum"] <= 67
+    assert misses["build_phi"] <= 55
+    assert misses["build_ovf"] <= 34
+
