@@ -352,10 +352,12 @@ def lagrange_cone_duality(
 
 
 def vg_value(g: SVMap, x: Vec, ystar: Vec) -> Value:
-    """inf of <-y*, y> over y in G(x), by one LP on the closed slice of
-    each graph piece whose ri meets {x} x R^p (plfunc.slice_inf): the same
-    value as an LP on each canonical piece of G(x), with no canonical
-    form taken."""
+    """inf of <-y*, y> over y in G(x), the support term of Lemma 7.4, by
+    plfunc.slice_inf: the same value as an LP on each canonical piece of
+    G(x), with no canonical form taken.  The graph of x -> Ax + c + K is
+    the faces of one closed polyhedron, whose top face holds all the
+    others, so each call is one LP on that face's closed slice: a point
+    or ray it returns lies in the closed graph, so no strict LP runs."""
     return pl.slice_inf(g.graph, la.vec(x), la.neg(la.vec(ystar)))
 
 

@@ -16,6 +16,16 @@ at given coordinates, one piece per joint ri cell that has a strict
 witness.  The piece is canonicalized from that point of its relative
 interior (preimages do the same), so canonical_form spends no LP on it.
 
+A dominant piece is one whose base D holds every other piece's base, as
+the top face does in the faces of a closed polyhedron (from_closed_hpoly)
+and in most epigraphs.  Integer row checks find it with no LP, once per
+set (NCSet.dominant).  D is then the closed hull of the set, and the set
+lies between ri(D) and D: so a linear cost has the same inf over the set's
+slice at x as over D's closed slice whenever ri(D) meets that slice
+(Rockafellar, Thm 6.5).  closure_hull and plfunc.slice_inf run through
+it, and fall back to every piece when there is no dominant piece or its
+cell misses the slice.
+
 Operations that are exact pointwise but whose relative-interior formula
 needs an overlap qualification (intersection, preimage) return the result
 together with the qualification flag instead of raising.
@@ -25,7 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from . import linalg as la
@@ -40,8 +51,10 @@ from .lp import MixedSystem, strict_feasible
 from .polyhedron import (
     HPoly,
     VPoly,
+    _cancel,
     _canonical_from,
     _hpoly_sort_key,
+    _int_row,
     canonical_form,
     closed_shadow,
     decompose_mixed,
@@ -79,6 +92,69 @@ class NCSet:
         if len(x) != self.dim:
             raise DimensionMismatch("point dim does not match set dim")
         return any(pc.contains(x) for pc in self.pieces)
+
+    @cached_property
+    def dominant(self) -> Optional[ROPoly]:
+        """The piece whose base holds every other piece's base, when exact
+        row checks show one (_dominant_piece); kept on the set, not a
+        field, so repr, equality and hashing see the pieces alone."""
+        return _dominant_piece(self.pieces)
+
+
+def _holds_on(base: HPoly):
+    """A test of integer rows [a..., b] for a.x <= b holding on base, with
+    no LP: the row, reduced against the equality block of base, must be
+    0 <= b with b >= 0, or a positive multiple of a row of base with a
+    bound no smaller.  Sufficient only: an implied row that is no single
+    row of base fails the test."""
+    eqs = [_int_row(a, b) for a, b in base.eq]
+    pivots = [next(j for j, v in enumerate(e) if v) for e in eqs]
+    bounds = {}  # primitive coefficients -> bound
+    for a, b in base.ineq:
+        r = _int_row(a, b)
+        g = gcd(*r[:-1])
+        bounds[tuple(v // g for v in r[:-1])] = Fraction(r[-1], g)
+
+    def holds(row: list[int]) -> bool:
+        for e, pc in zip(eqs, pivots):
+            row = _cancel(row, e, pc)
+        g = gcd(*row[:-1])
+        if not g:
+            return row[-1] >= 0
+        bound = bounds.get(tuple(v // g for v in row[:-1]))
+        return bound is not None and bound <= Fraction(row[-1], g)
+
+    return holds
+
+
+def _dominant_piece(pieces: Sequence[ROPoly]) -> Optional[ROPoly]:
+    """A piece whose base B holds every other base, so that B is the
+    closed convex hull of the union and holds every piece; None when no
+    piece is shown to.  Only the pieces with the fewest equalities (the
+    largest dimension) can be B.  A candidate is kept when each of its
+    rows, and each equality row in both directions, holds on every other
+    base by _holds_on.  Canonical bases are distinct sets, so at most one
+    piece holds all the others."""
+    if len(pieces) <= 1:
+        return pieces[0] if pieces else None
+    fewest = min(len(pc.base.eq) for pc in pieces)
+    tests = {}  # piece index -> _holds_on of its base, built when first needed
+    for pc in pieces:
+        if len(pc.base.eq) != fewest:
+            continue
+        eqs = [_int_row(a, b) for a, b in pc.base.eq]
+        rows = [_int_row(a, b) for a, b in pc.base.ineq]
+        rows += eqs + [[-v for v in e] for e in eqs]
+        for i, other in enumerate(pieces):
+            if other is pc:
+                continue
+            if i not in tests:
+                tests[i] = _holds_on(other.base)
+            if not all(map(tests[i], rows)):
+                break
+        else:
+            return pc
+    return None
 
 
 def ropoly(base: HPoly) -> ROPoly:
@@ -172,28 +248,23 @@ def closure_hull(s: NCSet) -> Optional[HPoly]:
     exactly when the set is nearly convex.
 
     The hull H is the convex hull of the pooled generators of the piece
-    bases, and it holds every base.  So a base that holds every pooled
-    point, and every pooled ray in its recession cone, is H: one piece
-    gives H with no double description, and otherwise exact row checks
-    find such a base.  Failing that, H comes from the pooled generators."""
+    bases, and it holds every base.  So a base that holds every other base
+    is H (it holds the union, and is the closure of its own piece): the
+    dominant piece's base gives H with no double description.  Failing
+    that, a base that holds every pooled point, and every pooled ray in
+    its recession cone, is H; and failing that, H comes from the pooled
+    generators."""
     if not s.pieces:
         return None
-    if len(s.pieces) == 1:
-        return s.pieces[0].base
+    if s.dominant is not None:
+        return s.dominant.base
     vreps = [to_vrep(pc.base) for pc in s.pieces]
     points = sorted({x for v in vreps for x in v.points})
     rays = sorted({r for v in vreps for r in v.rays})
     for pc in s.pieces:
         base = pc.base
-        if all(map(base.contains, points)):
-            cone = MixedSystem(
-                s.dim,
-                tuple((a, la.ZERO) for a, _ in base.ineq),
-                (),
-                tuple((a, la.ZERO) for a, _ in base.eq),
-            )
-            if all(map(cone.satisfies, rays)):
-                return base
+        if all(map(base.contains, points)) and all(map(base.recedes, rays)):
+            return base
     return to_hrep(VPoly(s.dim, tuple(points), tuple(rays)))
 
 
@@ -281,17 +352,32 @@ def joint_image(
 
     The parts are folded in one at a time over one piece of each, and a
     partial cell is dropped as soon as it has no strict point (the first
-    part's pieces need no check).  A surviving cell gives the ri of the
-    closed shadow of its closure (Rockafellar, Thms 6.5 and 6.6),
-    canonicalized from the kept coordinates of its strict witness."""
+    part's pieces need no check).  A fold first tries the cell's strict
+    witness with the part's new columns solved from the piece's
+    equalities (_extend), checked in integers; so a link, whose columns
+    are new and whose rows are equalities, takes no LP.  Only when that
+    point misses the joint cell does strict_feasible decide.  A surviving
+    cell gives the ri of the closed shadow of its closure (Rockafellar,
+    Thms 6.5 and 6.6), canonicalized from the kept coordinates of its
+    strict witness."""
     keep = list(keep)
     (first, cols), *rest = parts
     cells = [(pc.system().embed(cols, dim), None) for pc in first.pieces]
+    used = set(cols)
     for s, cols in rest:
+        new = [c for c in cols if c not in used]
+        used.update(cols)
         moved = [pc.system().embed(cols, dim) for pc in s.pieces]
-        joints = [cell.combine(m) for cell, _ in cells for m in moved]
-        cells = [(j, strict_feasible(j).witness) for j in joints]
-        cells = [(j, w) for j, w in cells if w is not None]
+        folded = []
+        for cell, wit in cells:
+            for m in moved:
+                joint = cell.combine(m)
+                z = None if wit is None else _extend(wit, m, new)
+                if z is None or not joint.satisfies(z):
+                    z = strict_feasible(joint).witness
+                if z is not None:
+                    folded.append((joint, z))
+        cells = folded
     out = []
     for cell, wit in cells:
         closed = cell.closed()
@@ -300,6 +386,24 @@ def joint_image(
         else:
             out.append((closed_shadow(closed, keep), tuple(wit[i] for i in keep)))
     return _ncset_of_cells(len(keep), out)
+
+
+def _extend(z: Vec, m: MixedSystem, new: Sequence[int]) -> Optional[Vec]:
+    """z with its entries at the columns new solved from the equalities of
+    m, the other entries held; z itself when m has none, and None when
+    they cannot be solved."""
+    if not (new and m.eq):
+        return z
+    held = [v if c not in new else la.ZERO for c, v in enumerate(z)]
+    solved = la.solve_linear(
+        tuple(tuple(a[c] for c in new) for a, _ in m.eq),
+        tuple(b - la.dot(a, held) for a, b in m.eq),
+    )
+    if solved is None:
+        return None
+    for c, v in zip(new, solved[0]):
+        held[c] = v
+    return tuple(held)
 
 
 def ri_overlap(dim: int, parts: Sequence[tuple[NCSet, Sequence[int]]]) -> bool:

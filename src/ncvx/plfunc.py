@@ -161,20 +161,52 @@ def slice_inf(s: NCSet, x: Vec, cost: Vec) -> Value:
     slice is empty, -inf when it is unbounded below.
 
     The slice is the union of the cells {y : (x, y) in ri(B)} of the
-    pieces, so this is `cells_inf` on them.  When ri(B) meets the affine
+    pieces, so `cells_inf` on them gives it.  When ri(B) meets the affine
     set L = {x} x R^m, the closure of ri(B) intersected with L is B
     intersected with L (Rockafellar, Thm 6.5): the closed base of the
     slice's own ri piece, with the same LP value, so no slice is put in
     canonical form.
-    """
+
+    A set with a dominant piece D (`NCSet.dominant`) needs one closed LP,
+    on the slice D_x of D: every piece lies in D, so the slice lies in
+    D_x and no value is below the LP's.
+    - Infeasible: the slice is empty, +inf; the Farkas certificate
+      covers every piece at once.
+    - Optimal at w with (x, w) in the set: the LP value is attained.
+    - Unbounded with witness w and ray r, where (x, w + r) lies in a piece
+      whose base recedes along (0, r): that piece holds the whole ray, so
+      the inf is -inf.
+    - Otherwise the dominant cell ri(D) with L decides, by one strict LP.
+      When it is nonempty its closure is D_x (Thm 6.5), and the slice lies
+      between the two, so the LP value (or -inf) is the inf.
+    Only an empty dominant cell, or a set with no dominant piece, goes
+    through `cells_inf` over every piece."""
     if len(x) + len(cost) != s.dim:
         raise DimensionMismatch("point length does not match input dim")
+    top = s.dominant
+    if top is not None:
+        cell = top.system().fix(0, x)
+        out = solve_lp(cost, cell.closed())
+        if out.status == "infeasible":
+            return PLUS_INF
+        if out.status == "optimal":
+            if s.contains(x + out.witness):
+                return out.value
+        else:
+            end = x + la.add(out.witness, out.certificate)
+            ray = la.zeros(len(x)) + out.certificate
+            if any(pc.contains(end) and pc.base.recedes(ray) for pc in s.pieces):
+                return MINUS_INF
+        if strict_feasible(cell).feasible:
+            return MINUS_INF if out.status == "unbounded" else out.value
     return cells_inf([pc.system().fix(0, x) for pc in s.pieces], cost)
 
 
 def eval_at(f: PLFunction, x: Vec) -> Value:
     """inf{lam : (x, lam) in epi}; +inf off the domain, -inf when the
-    slice is unbounded below."""
+    slice is unbounded below.  One closed LP on the slice of the
+    epigraph's dominant piece when it has one (`slice_inf`), which every
+    epigraph built by `from_closed_hpoly` does."""
     return slice_inf(f.epi, la.vec(x), (la.ONE,))
 
 

@@ -20,7 +20,10 @@ LP each sort the rows into implicit equalities and the rest (Fukuda,
 Polyhedral computation FAQ). Redundancy is settled from the strict point
 when there is one: a ray from it that meets one row before any other
 shows a facet with no LP, in the line of Clarkson's ray shooting (1994).
-Each row it does not settle costs one LP, and a lone row none.
+Each row it does not settle costs one LP, and a lone row none.  The
+point where a ray meets a facet lies in the facet's relative interior, so
+the faces of a polyhedron are enumerated from such points, each facet
+seeding its own children.
 
 Projection is Fourier-Motzkin with equality pivoting; on mixed systems a
 derived row is strict when either parent was, which computes exact shadows
@@ -98,6 +101,17 @@ class HPoly:
     def contains(self, x: Vec) -> bool:
         return self.closed_system().satisfies(x)
 
+    def recedes(self, d: Vec) -> bool:
+        """Is d in the recession cone: a.d <= 0 on each row, = 0 on each
+        equality?"""
+        cone = MixedSystem(
+            self.dim,
+            tuple((a, ZERO) for a, _ in self.ineq),
+            (),
+            tuple((a, ZERO) for a, _ in self.eq),
+        )
+        return cone.satisfies(d)
+
 
 @dataclass(frozen=True)
 class VPoly:
@@ -164,6 +178,7 @@ def _reduce(row: Vec, basis: Sequence[Vec], pivots: Sequence[int]) -> Vec:
 
 
 IntRow = tuple[int, ...]  # coefficients, then the right-hand side
+IntPoint = tuple[list[int], int]  # (X, D) for the point X / D
 
 
 def _int_row(a: Vec, b: Fraction) -> list[int]:
@@ -290,6 +305,13 @@ def canonical_form(p: HPoly) -> Optional[HPoly]:
     A caller that holds a point of ri(p) skips step 2 and seeds step 4
     with it (_canonical_from); the facets are unique, so the result is
     the same."""
+    found = _canonical(p)
+    return None if found is None else found[0]
+
+
+def _canonical(p: HPoly) -> Optional[tuple[HPoly, list[Optional[IntPoint]]]]:
+    """canonical_form(p) and, per facet row, the point of that facet's
+    relative interior that step 4 met it at, or None (see _irredundant)."""
     reduced = _eliminate_equalities(p.dim, p.eq, p.ineq)
     if reduced is None:
         return None
@@ -324,19 +346,24 @@ def _canonical_from(p: HPoly, z: Vec) -> Optional[HPoly]:
         if all(_dot(e[:-1], zi) == e[-1] * den for e in eq) and all(
             _dot(r[:-1], zi) < r[-1] * den for r in ineq
         ):
-            return _irredundant(p.dim, _fraction_rows(eq), _fraction_rows(ineq), z)
+            return _irredundant(p.dim, _fraction_rows(eq), _fraction_rows(ineq), z)[0]
     return canonical_form(p)
 
 
-def _facets_seen_from(eq: Sequence[Row], ineq: Sequence[Row], z: Vec) -> list[bool]:
-    """Which rows of a reduced system are shown to be facets from z, a
-    point of the affine hull strictly inside every row.
+def _facets_seen_from(
+    eq: Sequence[Row], ineq: Sequence[Row], z: Vec
+) -> list[Optional[IntPoint]]:
+    """Per row of a reduced system, a point of the facet it cuts shown
+    from z, a point of the affine hull strictly inside every row; None for
+    a row no ray shows.  Points are (X, D) for X / D, so the callers that
+    only need to know which rows are facets build no Fraction.
 
     For row i, the direction d that equals a_i off the pivot columns of
     the equality block and solves E d = 0 on them has a_i.d > 0, since a_i
     is zero on the pivots.  Along z + s d, the row met first, when no
     other row is met at the same step, is tight at a point of the set
-    where every other row is strict, so no other row implies it.  All in
+    where every other row is strict, so no other row implies it, and that
+    point lies in the relative interior of the facet the row cuts.  All in
     integers: rows are scaled once and z is Z / D."""
     eq_rows = [_scaled(a, b)[:2] for a, b in eq]
     rows = [_scaled(a, b)[:2] for a, b in ineq]
@@ -344,7 +371,7 @@ def _facets_seen_from(eq: Sequence[Row], ineq: Sequence[Row], z: Vec) -> list[bo
     gaps = [b * den - _dot(a, zi) for a, b in rows]  # D (b - a.z) > 0
     pivots = [next(j for j, v in enumerate(e) if v) for e, _ in eq_rows]
     scale = lcm(*(e[pc] for (e, _), pc in zip(eq_rows, pivots)))
-    facets = [False] * len(rows)
+    seen: list[Optional[IntPoint]] = [None] * len(rows)
     for a, _ in rows:
         d = [v * scale for v in a]
         for pc in pivots:
@@ -364,26 +391,31 @@ def _facets_seen_from(eq: Sequence[Row], ineq: Sequence[Row], z: Vec) -> list[bo
                 first, gap, rate, tie = j, gaps[j], r, False
             elif lhs == rhs:
                 tie = True
-        if first >= 0 and not tie:
-            facets[first] = True
-    return facets
+        if first >= 0 and not tie and seen[first] is None:
+            # z + gap / (D rate) d
+            seen[first] = [v * rate + gap * w for v, w in zip(zi, d)], den * rate
+    return seen
 
 
 def _irredundant(
     dim: int, eq: tuple[Row, ...], ineq: Sequence[Row], inside: Optional[Vec] = None
-) -> HPoly:
+) -> tuple[HPoly, list[Optional[IntPoint]]]:
     """Step 4 of canonical_form on a reduced system without implicit
     equalities: drop each row that the others imply.  Rows shown to be
     facets from a point strictly inside every row, when one is given, are
     kept with no LP; each other row takes one LP.  The facets are unique,
-    so the result does not depend on which rows the point settles."""
+    so the result does not depend on which rows the point settles.
+
+    Also returns, per kept row, the point of its facet's relative interior
+    that the ray test met, or None (_facets_seen_from): a point strictly
+    inside the rows of a larger system is strictly inside those kept."""
     survivors = list(ineq)
-    settled = [False] * len(survivors)
+    seen: list[Optional[IntPoint]] = [None] * len(survivors)
     if inside is not None:
-        settled = _facets_seen_from(eq, survivors, inside)
+        seen = _facets_seen_from(eq, survivors, inside)
     i = 0
     while len(survivors) > 1 and i < len(survivors):
-        if settled[i]:
+        if seen[i] is not None:
             i += 1
             continue
         a, b = survivors[i]
@@ -391,10 +423,10 @@ def _irredundant(
         out = maximize(a, MixedSystem(dim, tuple(others), (), eq))
         if out.status == "optimal" and out.value <= b:
             survivors.pop(i)
-            settled.pop(i)
+            seen.pop(i)
         else:
             i += 1
-    return HPoly(dim, tuple(survivors), eq)
+    return HPoly(dim, tuple(survivors), eq), seen
 
 
 def is_empty(p: HPoly) -> bool:
@@ -754,23 +786,28 @@ def faces(p: HPoly) -> tuple[HPoly, ...]:
     an implicit equality on it: a row tight on the whole facet would
     define the same facet, and in canonical form two such rows are one
     (Schrijver 1986, Sec. 8.4).  So the child's canonical form is step 1
-    and step 4 of canonical_form, with no strict-feasibility LP."""
-    canon = canonical_form(p)
-    if canon is None:
+    and step 4 of canonical_form, with no strict-feasibility LP.  Step 4
+    of f met the row at a point of the facet's relative interior when its
+    ray test settled the row; that point seeds the child's own ray test,
+    so a face whose rows all show from such points takes no LP at all."""
+    root = _canonical(p)
+    if root is None:
         return ()
     seen: set[HPoly] = set()
-    stack = [canon]
+    stack = [root]
     while stack:
-        f = stack.pop()
+        f, points = stack.pop()
         if f in seen:
             continue
         seen.add(f)
-        for a, b in f.ineq:
+        for (a, b), z in zip(f.ineq, points):
             reduced = _eliminate_equalities(f.dim, f.eq + ((a, b),), f.ineq)
             if reduced is None:
                 raise CertificateError("a facet of a canonical face is nonempty")
-            child = _irredundant(f.dim, *reduced)
-            if child not in seen:
+            if z is not None:
+                z = tuple(Fraction(v, z[1]) for v in z[0])
+            child = _irredundant(f.dim, *reduced, z)
+            if child[0] not in seen:
                 stack.append(child)
     return tuple(sorted(seen, key=_hpoly_sort_key))
 

@@ -5,7 +5,9 @@ Three rules over `src/ncvx`:
 - every top-level function or class is referenced somewhere in `src/` or
   `tests/` outside its own definition;
 - every module-level import binds a name the module uses;
-- no module holds an `assert` statement.
+- no module holds an `assert` statement;
+- no more unbounded caches (`lru_cache(maxsize=None)`, `functools.cache`)
+  than the 12 the library has now: a ratchet until they are bounded.
 
 One rule over the command line: every verb path of the parser (`check`,
 `map compose`, `conj chain`, `duality fenchel`, ...) is run by some golden
@@ -110,6 +112,32 @@ def test_no_assert_in_certificate_checks():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def _is_unbounded_cache(decorator) -> bool:
+    """`cache`, `functools.cache`, or `lru_cache` called with maxsize None."""
+    if isinstance(decorator, (ast.Name, ast.Attribute)):
+        return getattr(decorator, "id", getattr(decorator, "attr", None)) == "cache"
+    if not isinstance(decorator, ast.Call):
+        return False
+    func = decorator.func
+    if getattr(func, "id", getattr(func, "attr", None)) != "lru_cache":
+        return False
+    sizes = decorator.args[:1] + [k.value for k in decorator.keywords if k.arg == "maxsize"]
+    return any(isinstance(v, ast.Constant) and v.value is None for v in sizes)
+
+
+def test_unbounded_caches_do_not_grow():
+    # each one holds every distinct argument for the life of the process;
+    # the limit falls as they are bounded or scoped, and never rises
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in _library_modules()
+        for node in ast.walk(_parse(path))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(map(_is_unbounded_cache, node.decorator_list))
+    ]
+    assert len(found) <= 12, found
 
 
 def _verb_paths(parser, prefix=()) -> list:

@@ -15,6 +15,7 @@ import pytest
 
 from instances import (
     UNIT_SQUARE,
+    clear_caches,
     half_open_interval,
     open_square,
     point_set,
@@ -660,3 +661,85 @@ def test_canonicalization_lp_budget(monkeypatch):
         assert not poly_strict
         cut += sum(len(pc.base.ineq) for pc in got.pieces)
     assert cut > 0  # pieces with rows, whose canonical form needs a point
+
+
+# ---------------------------------------------------------------------------
+# faces seeded from the ray test, and the dominant piece
+
+
+def test_faces_take_one_lp_on_a_cube_and_a_simplex():
+    # the root's strict LP; every facet child is seeded with the point at
+    # which its parent's ray test met it, and settles its rows from there
+    simplex = hpoly(3, [((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0), ((1, 1, 1), 1)])
+    for p, count in ((box([(0, 1)] * 3), 27), (simplex, 15)):
+        clear_caches()
+        got = from_closed_hpoly(p)
+        assert len(got.pieces) == count
+        assert solve_lp.cache_info().misses == 1
+
+
+def _interval(lo, hi):
+    return hpoly(1, [((1,), hi), ((-1,), -lo)])
+
+
+def test_dominant_piece_of_a_face_set_is_the_top_face():
+    for p in (box([(0, 1)] * 3), hpoly(2, [((1, -1), 0), ((-1, 0), 0)])):
+        s = from_closed_hpoly(p)
+        assert s.dominant.base == canonical_form(p)
+    assert punctured_square().dominant.base == canonical_form(UNIT_SQUARE)
+    assert half_open_interval().dominant is not None
+
+
+def test_dominant_piece_none_for_disjoint_or_protruding_pieces():
+    assert two_points().dominant is None
+    assert ncset(1, [_interval(0, 1), _interval(2, 3)]).dominant is None
+    # an open segment that leaves the open square through its side
+    segment = hpoly(2, [((1, 0), 2), ((-1, 0), 0)], [((0, 2), 1)])
+    assert ncset(2, [UNIT_SQUARE, segment]).dominant is None
+    assert NCSet(1, ()).dominant is None
+
+
+def test_dominant_piece_among_pieces_of_the_same_dimension():
+    nested = ncset(1, [_interval(0, 1), _interval(0, 2)])
+    assert nested.dominant.base == canonical_form(_interval(0, 2))
+    assert ncset(1, [_interval(0, 2), _interval(1, 3)]).dominant is None
+    # the same dimension inside a plane: two segments on the x axis
+    short, long = (hpoly(2, [((1, 0), hi), ((-1, 0), 0)], [((0, 1), 0)]) for hi in (1, 3))
+    assert ncset(2, [short, long]).dominant.base == canonical_form(long)
+
+
+def test_dominant_piece_is_a_row_check_and_the_hull_does_not_need_it():
+    # the triangle lies in the cube's bottom face, but the row x <= 2 is no
+    # single row of the triangle, so the row check does not show it; the
+    # hull then comes from the pooled generators, and is still the cube
+    cube = box([(0, 2), (0, 2), (0, 1)])
+    triangle = hpoly(3, [((-1, 0, 0), 0), ((0, -1, 0), 0), ((1, 1, 0), 1)], [((0, 0, 1), 0)])
+    s = ncset(3, [cube, triangle])
+    assert s.dominant is None
+    assert closure_hull(s) == canonical_form(cube)
+
+
+def test_dominant_piece_is_kept_on_the_set():
+    s = from_closed_hpoly(box([(0, 1)] * 2))
+    assert s.dominant is s.dominant
+    assert repr(s) == f"NCSet(dim=2, pieces={s.pieces!r})"
+    assert s == NCSet(s.dim, s.pieces) and hash(s) == hash(NCSet(s.dim, s.pieces))
+
+
+def test_closure_hull_of_a_dominated_set_runs_no_double_description(monkeypatch):
+    dd_calls = _counted(monkeypatch, ph, "_cone_generators")
+    rng = random.Random(13)
+    dominated = 0
+    for i in range(24):
+        s = orc.random_ncset(rng, 1 + i % 3, orc.LEAN_SPEC)
+        clear_caches()
+        dd_calls.clear()
+        hull = closure_hull(s)
+        if s.dominant is not None:
+            dominated += len(s.pieces) > 1
+            assert hull == s.dominant.base and not dd_calls
+        vreps = [to_vrep(pc.base) for pc in s.pieces]
+        points = tuple(x for v in vreps for x in v.points)
+        rays = tuple(r for v in vreps for r in v.rays)
+        assert hull == ph.to_hrep(ph.VPoly(s.dim, points, rays))
+    assert dominated > 0

@@ -203,6 +203,64 @@ def test_slice_inf_matches_a_strict_check_then_the_closed_lp():
     }
 
 
+def _dominant_slice_cases():
+    """_slice_cases, plus the epigraphs of seeded max-affine functions on
+    half-open boxes (some improper) at vertices of the domain, and the
+    open square with its open left side: at x = 0 the top piece's cell is
+    empty and the slice is the side alone, whose inf is not attained."""
+    yield from _slice_cases()
+    rng = random.Random(7793)
+    for _ in range(30):
+        f = random_plfunction(rng, allow_improper=True)
+        points = [v.points for v in map(to_vrep, (pc.base for pc in f.epi.pieces))]
+        for x in rng.sample([p[: f.n] for ps in points for p in ps], 2):
+            yield f.epi, x, (la.ONE,)
+    side = hpoly(2, [((0, 1), 1), ((0, -1), 0)], [((1, 0), 0)])
+    square = ncset(2, [box([(0, 1), (0, 1)]), side])
+    for cost in ((F(1),), (F(-1),)):
+        yield square, (F(0),), cost
+
+
+def _dominant_branch(s, x, cost):
+    """Which way slice_inf settles the slice."""
+    top = s.dominant
+    if top is None:
+        return "no dominant piece"
+    cell = top.system().fix(0, x)
+    out = lp.solve_lp(cost, cell.closed())
+    if out.status == "infeasible":
+        return "empty dominant slice"
+    if out.status == "optimal" and s.contains(x + out.witness):
+        return "attained in the set"
+    if out.status == "unbounded":
+        end, ray = x + la.add(out.witness, out.certificate), la.zeros(len(x)) + out.certificate
+        if any(pc.contains(end) and pc.base.recedes(ray) for pc in s.pieces):
+            return "-inf along a ray of a piece"
+    if lp.strict_feasible(cell).feasible:
+        return "the dominant cell decides"
+    return "the dominant cell misses the slice"
+
+
+def test_slice_inf_through_the_dominant_piece_is_exact():
+    # the dominant piece's one LP gives the inf over every piece's cell
+    values, branches = set(), set()
+    for s, x, cost in _dominant_slice_cases():
+        got = pf.slice_inf(s, x, cost)
+        cells = [pc.system().fix(0, x) for pc in s.pieces]
+        assert got == pf.cells_inf(cells, cost), (s, x, cost)
+        values.add({MINUS_INF: "-inf", PLUS_INF: "+inf"}.get(got, "finite"))
+        branches.add(_dominant_branch(s, x, cost))
+    assert values == {"-inf", "+inf", "finite"}
+    assert branches == {
+        "no dominant piece",
+        "empty dominant slice",
+        "attained in the set",
+        "-inf along a ray of a piece",
+        "the dominant cell decides",
+        "the dominant cell misses the slice",
+    }
+
+
 # ---------------------------------------------------------------------------
 # properness
 

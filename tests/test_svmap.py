@@ -666,3 +666,37 @@ def test_joint_constructions_lp_budget():
     assert misses["build_phi"] <= 55
     assert misses["build_ovf"] <= 34
 
+
+
+def test_map_sum_link_folds_take_no_lp(monkeypatch):
+    # the link s = y1 + y2 is folded in last, on columns no graph uses, so
+    # the carried strict witness with s solved from the link lies in every
+    # joint cell: no strict LP sees the link's rows.  Seeded anchored sums
+    # from cold caches; the counts do not drift with the machine
+    spec = orc.LEAN_SPEC
+    strict_systems = []
+    real = ns.strict_feasible
+
+    def recorded(system):
+        strict_systems.append(system)
+        return real(system)
+
+    monkeypatch.setattr(ns, "strict_feasible", recorded)
+    misses, pieces = [], 0
+    for seed in range(6):
+        rng = random.Random(seed)
+        ax = orc._anchor_point(rng, 1, spec)
+        f1, f2 = (
+            orc._random_map(rng, spec, 1, 2, anchor=ax + orc._anchor_point(rng, 2, spec))
+            for _ in "ab"
+        )
+        link = la.zeros(1) + ns.sum_link(2).pieces[0].base.eq[0][0]
+        clear_caches()
+        strict_systems.clear()
+        got, _ = map_sum(f1, f2)
+        misses.append(lp.solve_lp.cache_info().misses)
+        pieces += len(got.graph.pieces)
+        assert not any(a == link for m in strict_systems for a, _ in m.eq)
+    print(misses)
+    assert pieces > 0
+    assert all(got <= bound for got, bound in zip(misses, [38, 5, 58, 5, 88, 17]))
