@@ -6,8 +6,12 @@ generator p contributes the row <v, p> <= t and a ray generator r
 contributes <v, r> <= 0.  A conjugate is the support function of an
 epigraph evaluated at (w, -1), so the same rows express every conjugate,
 and each infimal convolution becomes a single LP whose optimal split is
-an exact witness.  Values are compared against an independent direct LP
-on the primal side; a mismatch raises instead of returning.
+an exact witness.  Values are compared against an independent direct
+side on the primal side, a mismatch raising instead of returning.  For
+sums, chains and intersections that side is an inf over the joint ri
+cells of the input pieces (plfunc.cells_inf), with no set built; their
+qualifications read the hull of dom f off the hull of epi f
+(ncset.shadow_hull).
 
 Support values are closure- and hull-invariant, so all LPs run over
 closed piece systems without losing exactness on the relatively open
@@ -32,7 +36,7 @@ from .errors import (
 )
 from .linalg import Mat, Vec, ZERO, ONE
 from .lp import LPOutcome, MixedSystem, maximize, solve_lp, strict_feasible
-from .ncset import NCSet, affine_preimage, closure_hull, from_closed_hpoly, joint_image, ncset
+from .ncset import NCSet, closure_hull, from_closed_hpoly, ncset, shadow_hull
 from .plfunc import MINUS_INF, PLUS_INF, PLFunction, Value
 from .polyhedron import HPoly, canonical_form, empty_hpoly, hpoly, to_vrep
 from .rationals import ext_add, format_rational, format_vector
@@ -116,9 +120,10 @@ def support_of_intersection(
     """Support of s1 cap s2 as the infimal convolution of the two
     supports, with an attained split when finite.
 
-    The direct side is an LP over the computed intersection; the split
-    side is the epigraph-sum LP over (v1, t1, t2).  The two must agree
-    exactly or IdentityViolated is raised.
+    The direct side is the sup over the joint ri cells of the piece pairs
+    (plfunc.cells_inf), with no intersection built; the split side is the
+    epigraph-sum LP over (v1, t1, t2).  The two must agree exactly or
+    IdentityViolated is raised.
     """
     v = la.vec(v)
     if s1.dim != s2.dim or len(v) != s1.dim:
@@ -130,13 +135,13 @@ def support_of_intersection(
         raise QCViolated("relative interiors of the sets do not meet")
 
     n = s1.dim
-    inter = joint_image(n, [(s1, range(n)), (s2, range(n))], range(n))
-    direct = support(inter, v)
+    cells = [a.system().combine(b.system()) for a in s1.pieces for b in s2.pieces]
+    direct = -pf.cells_inf(cells, la.neg(v))
 
-    z = _convolution(support_epigraph(s1), support_epigraph(s2), v, direct.value)
+    z = _convolution(support_epigraph(s1), support_epigraph(s2), v, direct)
     if z is None:
         return PLUS_INF, None
-    return direct.value, SplitWitness(z[:n], la.sub(v, z[:n]), None, (z[n], z[n + 1]))
+    return direct, SplitWitness(z[:n], la.sub(v, z[:n]), None, (z[n], z[n + 1]))
 
 
 def _convolution(e1: HPoly, e2: HPoly, target: Vec, direct: Value) -> Optional[Vec]:
@@ -274,9 +279,10 @@ def conjugate_sum(
 ) -> tuple[Value, Optional[SplitWitness]]:
     """(f1 + f2)* versus the convolution of the two conjugates.
 
-    The left side is an LP over the lifted set {(x, t1, t2) : (x, t1) in
-    epi f1, (x, t2) in epi f2}; the right side is the epigraph-sum LP
-    with its split witness.  Exact agreement is asserted.
+    The left side is the sup over the lifted cells {(x, t1, t2) : (x, t1)
+    in a piece of epi f1, (x, t2) in a piece of epi f2}, by
+    plfunc.cells_inf; the right side is the epigraph-sum LP with its split
+    witness.  Exact agreement is asserted.
     """
     if f1.n != f2.n:
         raise DimensionMismatch("summands must share the argument space")
@@ -284,33 +290,21 @@ def conjugate_sum(
     w = la.vec(w)
     if len(w) != n:
         raise DimensionMismatch("conjugate argument length does not match n")
-    d1, d2 = closure_hull(pf.dom(f1)), closure_hull(pf.dom(f2))
+    d1, d2 = shadow_hull(f1.epi, range(n)), shadow_hull(f2.epi, range(n))
     if d1 is None or d2 is None:
         raise QCViolated("a summand has empty domain")
     if not strict_feasible(d1.ri_system().combine(d2.ri_system())).feasible:
         raise QCViolated("relative interiors of the domains do not meet")
 
-    # direct side over the lifted pairs
-    lhs: Value = MINUS_INF
-    cost = la.neg(w) + (ONE, ONE)  # minimize -<w,x> + t1 + t2
-    for c1 in f1.epi.pieces:
-        lift1 = c1.system().embed(range(n + 1), n + 2)  # (x, t1) at (x, t1, t2)
-        for c2 in f2.epi.pieces:
-            lift2 = c2.system().embed([*range(n), n + 1], n + 2)
-            cell = lift1.combine(lift2)
-            if not strict_feasible(cell).feasible:
-                continue
-            out = solve_lp(cost, cell.closed())
-            if out.status == "unbounded":
-                lhs = PLUS_INF
-                break
-            if out.status != "optimal":
-                raise CertificateError("LP on a nonempty cell has no optimum")
-            cand = -out.value
-            if lhs == MINUS_INF or cand > lhs:
-                lhs = cand
-        if lhs == PLUS_INF:
-            break
+    # direct side: (x, t1) and (x, t2) placed at (x, t1, t2)
+    cells = [
+        c1.system().embed(range(n + 1), n + 2).combine(
+            c2.system().embed([*range(n), n + 1], n + 2)
+        )
+        for c1 in f1.epi.pieces
+        for c2 in f2.epi.pieces
+    ]
+    lhs = -pf.cells_inf(cells, la.neg(w) + (ONE, ONE))
     if lhs == MINUS_INF:
         raise IdentityViolated("qc guarantees a common finite point")
 
@@ -325,8 +319,9 @@ def conjugate_chain(
 ) -> tuple[Value, Optional[Vec]]:
     """(g o A)*(w) = inf{g*(v) : A^T v = w}, with an attaining v.
 
-    The left side is an LP over the pulled-back epigraph of g o A; the
-    right side is an LP over epi g* with the adjoint equations.
+    The left side is the sup over the epigraph cells of g pulled back by
+    (x, t) -> (Ax, t), by plfunc.cells_inf; the right side is an LP over
+    epi g* with the adjoint equations.
     """
     a_mat = la.mat(a_mat)
     p = g.n
@@ -336,7 +331,7 @@ def conjugate_chain(
     w = la.vec(w)
     if len(w) != n:
         raise DimensionMismatch("conjugate argument length does not match n")
-    hull_d = closure_hull(pf.dom(g))
+    hull_d = shadow_hull(g.epi, range(p))
     if hull_d is None:
         raise QCViolated("inner function has empty domain")
     pulled = hull_d.ri_system().pullback(a_mat, la.zeros(p))
@@ -346,8 +341,8 @@ def conjugate_chain(
     # (x, t) -> (Ax, t) pulls epi g back to epi (g o A)
     t_rows = tuple(a_mat[i] + (ZERO,) for i in range(p))
     t_rows += (la.zeros(n) + (ONE,),)
-    composed, _ = affine_preimage(g.epi, t_rows, la.zeros(p + 1))
-    lhs = support(composed, w + (-ONE,)).value
+    cells = [pc.system().pullback(t_rows, la.zeros(p + 1)) for pc in g.epi.pieces]
+    lhs = -pf.cells_inf(cells, la.neg(w) + (ONE,))
     if lhs == MINUS_INF:
         raise IdentityViolated("qc guarantees the composition is somewhere finite")
 

@@ -7,6 +7,11 @@ over the zero-parameter slice of the conjugate's epigraph, so both values
 are exact. V >= V_d is checked on every instance; the named schemes also
 evaluate their textbook dual formulas separately and cross-check them
 against the slice value, raising IdentityViolated on any disagreement.
+
+Each qualification flag is one check on hulls.  The hull of a domain is
+the shadow of the hull of the epigraph or graph (ncset.shadow_hull), and
+dom f is nonempty exactly when epi f has a piece, so no domain is built
+as a set.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from .errors import (
     IdentityViolated,
     ImproperObjective,
     ImproperPerturbation,
-    UsageError,
 )
 from .linalg import Mat, Vec
 from .lp import MixedSystem, solve_lp, strict_feasible
@@ -90,7 +94,7 @@ def _check_weak_duality(v: Value, vd: Value) -> None:
 
 
 def _proper(f: PLFunction) -> bool:
-    return pl.assert_proper(f) and bool(pl.dom(f).pieces)
+    return pl.assert_proper(f) and bool(f.epi.pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +136,7 @@ def _dual_slice_value(f: PLFunction, p: int) -> tuple[Value, Optional[Vec]]:
 def _general_flags(f: PLFunction, p: int) -> tuple[QCFlag, ...]:
     """Does the origin lie in the relative interior of the parameter
     shadow of dom f?"""
-    n = f.n - p
-    proj = tuple(la.unit(f.n, n + j) for j in range(p))
-    shadow = ns.linear_image(pl.dom(f), proj)
-    hull = ns.closure_hull(shadow)
+    hull = ns.shadow_hull(f.epi, range(f.n - p, f.n))
     origin = la.zeros(p)
     holds = hull is not None and hull.ri_system().satisfies(origin)
     return (QCFlag("parameter_origin_interior", holds, origin if holds else None),)
@@ -191,22 +192,26 @@ def general_duality(f: PLFunction, p: int) -> DualityReport:
 
 
 def _lagrange_flags(phi: PLFunction, theta: NCSet, g: SVMap) -> tuple[QCFlag, ...]:
-    cells = []
-    for part in (pl.dom(phi), sv.dom(g), theta):
-        hull = ns.closure_hull(part)
-        if hull is None:
-            return (
-                QCFlag("triple_ri_overlap", False),
-                QCFlag("origin_in_ri_image", False),
-            )
-        cells.append(hull.ri_system())
-    joint = cells[0].combine(cells[1]).combine(cells[2])
-    sf = strict_feasible(joint)
+    """Do ri(dom phi), ri(dom G) and ri(theta) meet, and does the origin
+    lie in the ri of G's image of theta and dom phi?"""
+    n = theta.dim
+    hulls = [
+        ns.shadow_hull(phi.epi, range(n)),
+        ns.shadow_hull(g.graph, range(n)),
+        ns.closure_hull(theta),
+    ]
+    if any(hull is None for hull in hulls):
+        return (
+            QCFlag("triple_ri_overlap", False),
+            QCFlag("origin_in_ri_image", False),
+        )
+    cells = [hull.ri_system() for hull in hulls]
+    sf = strict_feasible(cells[0].combine(cells[1]).combine(cells[2]))
     triple = QCFlag("triple_ri_overlap", sf.feasible, sf.witness, sf.certificate)
 
-    n = theta.dim
-    both = [(theta, range(n)), (pl.dom(phi), range(n))]
-    feasible_x = ns.joint_image(n, both, range(n))
+    # theta cap dom phi: the x-shadow of x in theta and (x, t) in epi phi
+    both = [(theta, range(n)), (phi.epi, range(n + 1))]
+    feasible_x = ns.joint_image(n + 1, both, range(n))
     image, _, _ = sv.image_of_set(g, feasible_x)
     hull = ns.closure_hull(image)
     origin = la.zeros(g.p)
@@ -282,7 +287,7 @@ def lagrange_duality(phi: PLFunction, theta: NCSet, g: SVMap) -> DualityReport:
     flags = _lagrange_flags(phi, theta, g)
     if flags[0].holds != built_qc:
         raise IdentityViolated("the built and the checked qualification disagree")
-    if not pl.dom(f).pieces:
+    if not f.epi.pieces:
         return _vacuous_report("lagrange", flags, f, g.p)
 
     base = general_duality(f, g.p)
@@ -316,7 +321,7 @@ def _cone_flag(
 ) -> QCFlag:
     """Is some x in ri(theta) and ri(dom phi) strictly cone-feasible,
     meaning -g(x) lands in ri K?"""
-    hull_p = ns.closure_hull(pl.dom(phi))
+    hull_p = ns.shadow_hull(phi.epi, range(phi.n))
     hull_t = ns.closure_hull(theta)
     if hull_p is None or hull_t is None:
         return QCFlag("cone_ri_overlap", False)
@@ -405,7 +410,7 @@ def fenchel_lagrange_duality(
     if flags[0].holds != built_qc:
         raise IdentityViolated("the built and the checked qualification disagree")
     n, p = g.n, g.p
-    if not pl.dom(f1).pieces:
+    if not f1.epi.pieces:
         return _vacuous_report("fenchel-lagrange", flags, f1, n + p)
 
     base = general_duality(f1, n + p)
@@ -437,8 +442,8 @@ def fenchel_lagrange_duality(
 
 
 def _fenchel_flag(g_fn: PLFunction, h_fn: PLFunction, a_mat: Mat) -> QCFlag:
-    hull_g = ns.closure_hull(pl.dom(g_fn))
-    hull_h = ns.closure_hull(pl.dom(h_fn))
+    hull_g = ns.shadow_hull(g_fn.epi, range(g_fn.n))
+    hull_h = ns.shadow_hull(h_fn.epi, range(h_fn.n))
     if hull_g is None or hull_h is None:
         return QCFlag("affine_image_ri_overlap", False)
     pulled = hull_h.ri_system().pullback(a_mat, la.zeros(h_fn.n))
@@ -504,25 +509,3 @@ def fenchel_duality(
         v_dual_formula=vd2,
         dual_witness=dual,
     )
-
-
-def qualification_report(scheme: str, **parts) -> tuple[QCFlag, ...]:
-    """The scheme's qualification flags alone, without solving anything."""
-    if scheme == "general":
-        return _general_flags(parts["f"], parts["p"])
-    if scheme in ("lagrange", "fenchel-lagrange"):
-        flags = _lagrange_flags(parts["phi"], parts["theta"], parts["g"])
-        if "k" in parts:
-            flags += (
-                _cone_flag(
-                    parts["phi"],
-                    parts["theta"],
-                    la.mat(parts["a"]),
-                    parts["c"],
-                    parts["k"],
-                ),
-            )
-        return flags
-    if scheme == "fenchel":
-        return (_fenchel_flag(parts["g"], parts["h"], la.mat(parts["a"])),)
-    raise UsageError(f"unknown duality scheme {scheme!r}")

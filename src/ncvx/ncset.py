@@ -60,6 +60,7 @@ from .polyhedron import (
     decompose_mixed,
     difference_witness,
     faces,
+    project,
     to_hrep,
     to_vrep,
 )
@@ -266,6 +267,20 @@ def closure_hull(s: NCSet) -> Optional[HPoly]:
         if all(map(base.contains, points)) and all(map(base.recedes, rays)):
             return base
     return to_hrep(VPoly(s.dim, tuple(points), tuple(rays)))
+
+
+def shadow_hull(s: NCSet, keep: Sequence[int]) -> Optional[HPoly]:
+    """The closed convex hull of the shadow of s on keep (increasing),
+    canonical; None when s is empty.  It is the shadow of the closed hull
+    H of s.  The convex hull of an image is the image of the convex hull,
+    and a linear map sends cl C into cl of the image of C; so the shadow
+    of H lies between the convex hull of the shadow and its closure.  The
+    image of a polyhedron under a linear map is a closed polyhedron
+    (Rockafellar, Thm 19.3), so the shadow of H is that closure, and its
+    ri is the shadow of ri(H) (Thm 6.6).  So the hull of dom f is read
+    off the hull of epi f, with no shadow of a piece taken."""
+    hull = closure_hull(s)
+    return None if hull is None else project(hull, keep)
 
 
 @lru_cache(maxsize=None)

@@ -211,7 +211,11 @@ def eval_at(f: PLFunction, x: Vec) -> Value:
 
 
 def dom(f: PLFunction) -> NCSet:
-    """Projection of the epigraph onto the argument block."""
+    """Projection of the epigraph onto the argument block, as a set.  The
+    library reads only the hull of a domain, off the hull of the epigraph
+    (ncset.shadow_hull), and its emptiness, which is that of the
+    epigraph; the full set serves callers that sample or compare the
+    domain itself."""
     return sv.dom(epigraphical_map(f))
 
 

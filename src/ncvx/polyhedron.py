@@ -58,7 +58,6 @@ from .errors import (
     CertificateError,
     DimensionCapExceeded,
     DimensionMismatch,
-    EmptyPolyhedron,
     PointNotInSet,
 )
 from .linalg import ONE, Vec, ZERO
@@ -167,14 +166,6 @@ def _norm_eq(a: Vec, b: Fraction) -> Row:
     if lead < 0:
         joint = la.neg(joint)
     return joint[:-1], joint[-1]
-
-
-def _reduce(row: Vec, basis: Sequence[Vec], pivots: Sequence[int]) -> Vec:
-    """row minus its part in the span of an RREF basis (pivot entries 1)."""
-    for e, pc in zip(basis, pivots):
-        if row[pc] != 0:
-            row = la.sub(row, la.scale(e, row[pc]))
-    return row
 
 
 IntRow = tuple[int, ...]  # coefficients, then the right-hand side
@@ -437,29 +428,6 @@ def polyhedron_equal(p: HPoly, q: HPoly) -> bool:
     if p.dim != q.dim:
         raise DimensionMismatch("comparing polyhedra of different dims")
     return canonical_form(p) == canonical_form(q)
-
-
-def implicit_equalities(p: HPoly) -> tuple[tuple[int, ...], HPoly]:
-    """Indices of input inequality rows forced to equality, plus the
-    canonical form.  Row i is forced exactly when (a_i, b_i) lies in the
-    row span of the augmented equality block of the canonical form."""
-    canon = canonical_form(p)
-    if canon is None:
-        raise EmptyPolyhedron("implicit equalities of an empty polyhedron")
-    basis, pivots = la.rref([a + (b,) for a, b in canon.eq])
-    idxs = tuple(
-        i
-        for i, (a, b) in enumerate(p.ineq)
-        if la.is_zero(_reduce(a + (b,), basis, pivots))
-    )
-    return idxs, canon
-
-
-def affine_hull(p: HPoly) -> tuple[Row, ...]:
-    canon = canonical_form(p)
-    if canon is None:
-        raise EmptyPolyhedron("affine hull of an empty polyhedron")
-    return canon.eq
 
 
 # ---------------------------------------------------------------------------

@@ -113,23 +113,6 @@ def ri_graph(f: SVMap) -> ROPoly:
     return ri
 
 
-def certify_ri_graph(f: SVMap, points: Sequence[Vec]) -> bool:
-    """Fiber law spot check: (x,y) in ri(graph) iff x in ri(dom) and
-    y in ri(F(x))."""
-    ri = ri_graph(f)
-    ri_dom = relative_interior(dom(f))
-    for xy in points:
-        x, y = xy[: f.n], xy[f.n :]
-        lhs = ri.contains(la.vec(xy))
-        rhs = False
-        if ri_dom.contains(x):
-            fiber = relative_interior(eval_at(f, x))
-            rhs = fiber is not None and fiber.contains(y)
-        if lhs != rhs:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # images, inverse images, restriction
 

@@ -18,6 +18,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from ncvx import conjugate as cj
 from ncvx import duality as du
 from ncvx import linalg as la
 from ncvx import lp
@@ -30,7 +31,6 @@ from ncvx.errors import (
     DimensionMismatch,
     IdentityViolated,
     ImproperPerturbation,
-    UsageError,
 )
 from ncvx.plfunc import MINUS_INF, PLUS_INF
 from ncvx.rationals import ext_add
@@ -442,6 +442,40 @@ def test_fenchel_duality_random():
 
 
 # ---------------------------------------------------------------------------
+# domain hulls
+
+
+def test_schemes_and_sum_and_chain_rules_build_no_domain_set(monkeypatch):
+    # each qualification reads the hull of a domain off the hull of the
+    # epigraph or graph, and each direct side takes an inf over ri cells,
+    # so no domain or linear image is built as a set
+    calls = Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls[f"{module.__name__}.{name}"] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in [(ns, "linear_image"), (sv, "linear_image"), (pf, "dom")]:
+        count(module, name)
+    count(sv, "dom")
+    clear_caches()
+    phi = pf.max_affine(1, [((F(1),), F(0))])
+    g = sv.affine_plus_cone(la.mat([[F(-1)]]), (F(1),), pf.nonneg_orthant(1).k)
+    h = pf.max_affine(1, [((F(1),), F(-1)), ((F(-1),), F(1))])  # |y - 1|
+    du.general_duality(_abs_pair(), 1)
+    du.lagrange_duality(phi, ns.whole_space(1), g)
+    du.fenchel_duality(abs_fn(), h, la.mat([[F(1)]]))
+    cj.conjugate_sum(abs_fn(), h, (F(0),))
+    cj.conjugate_chain(abs_fn(), la.mat([[F(2)]]), (F(1),))
+    assert calls == Counter()
+
+
+# ---------------------------------------------------------------------------
 # report plumbing
 
 
@@ -451,20 +485,6 @@ def test_report_qc_lookup():
     with pytest.raises(KeyError):
         rep.qc("no_such_flag")
     assert rep.all_qc()
-
-
-def test_qualification_report_dispatch():
-    phi = pf.max_affine(1, [((F(1),), F(0))])
-    theta = ns.whole_space(1)
-    g = sv.affine_plus_cone(
-        la.mat([[F(-1)]]), (F(1),), pf.nonneg_orthant(1).k
-    )
-    flags = du.qualification_report("lagrange", phi=phi, theta=theta, g=g)
-    assert {f.name for f in flags} == {"triple_ri_overlap", "origin_in_ri_image"}
-    flags2 = du.qualification_report("general", f=_abs_pair(), p=1)
-    assert [f.name for f in flags2] == ["parameter_origin_interior"]
-    with pytest.raises(UsageError):
-        du.qualification_report("no-such-scheme")
 
 
 def test_duality_reports_are_deterministic():

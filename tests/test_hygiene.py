@@ -1,9 +1,12 @@
 """Dead-code and assert guards for the library, using the stdlib `ast` only.
 
-Three rules over `src/ncvx`:
+Rules over `src/ncvx`:
 
 - every top-level function or class is referenced somewhere in `src/` or
   `tests/` outside its own definition;
+- one that nothing in `src/ncvx` references is on the `TEST_ONLY` list,
+  which may only shrink, so dead library code cannot hide behind its own
+  unit tests;
 - every module-level import binds a name the module uses;
 - no module holds an `assert` statement;
 - no more unbounded caches (`lru_cache(maxsize=None)`, `functools.cache`)
@@ -47,10 +50,32 @@ def _library_modules() -> list:
     return sorted(LIBRARY.glob("*.py"))
 
 
-def test_every_top_level_definition_is_referenced():
+# definitions that tests use as helpers or pin, with no caller in the
+# library; a name leaves the list when it gains a caller or is deleted
+TEST_ONLY = {
+    "conjugate.biconjugate",
+    "linalg.rank",
+    "ncset.minkowski_sum",
+    "ncset.set_equal",
+    "oracle.registered_theorems",
+    "plfunc.affine_function",
+    "plfunc.const_function",
+    "plfunc.from_epigraphical",
+    "plfunc.indicator",
+    "polyhedron.box",
+    "polyhedron.vrep_contains",
+    "svmap.const_map",
+    "svmap.rge",
+    "svmap.ri_graph",
+}
+
+
+def _unreferenced(folders) -> set:
+    """module.name of each top-level library definition that no file below
+    folders references outside the definition itself."""
     trees = {
         path: _parse(path)
-        for folder in (ROOT / "src", ROOT / "tests")
+        for folder in folders
         for path in sorted(folder.rglob("*.py"))
     }
     library = set(_library_modules())
@@ -65,13 +90,23 @@ def test_every_top_level_definition_is_referenced():
                 for node in tree.body
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             ]
-    unreferenced = []
+    unreferenced = set()
     for module, node in defs:
         # references inside a definition's own body do not keep it alive
         inside = _names_used(node.body).count(node.name)
         if used.get(node.name, 0) - inside <= 0:
-            unreferenced.append(f"{module}.{node.name}")
-    assert unreferenced == []
+            unreferenced.add(f"{module}.{node.name}")
+    return unreferenced
+
+
+def test_every_top_level_definition_is_referenced():
+    assert _unreferenced([ROOT / "src", ROOT / "tests"]) == set()
+
+
+def test_definitions_without_a_library_caller_are_listed():
+    found = _unreferenced([LIBRARY])
+    assert sorted(found - TEST_ONLY) == [], "give it a caller or delete it"
+    assert sorted(TEST_ONLY - found) == [], "take it off TEST_ONLY"
 
 
 def test_every_module_level_import_is_used():

@@ -24,6 +24,7 @@ from instances import (
 )
 from ncvx import linalg as la
 from ncvx import oracle as orc
+from ncvx import plfunc as pf
 from ncvx import polyhedron as ph
 from ncvx import svmap as sv
 from ncvx import variational as vr
@@ -50,6 +51,7 @@ from ncvx.ncset import (
     relative_interior,
     ropoly,
     set_equal,
+    shadow_hull,
     union,
 )
 from ncvx.polyhedron import (
@@ -343,6 +345,21 @@ def test_image_of_punctured_square_is_whole_interval():
 def test_identity_image_preserves_set():
     got = linear_image(OMEGA_B, la.identity(2))
     assert set_equal(got, OMEGA_B)
+
+
+def test_shadow_hull_is_the_hull_of_the_domain():
+    # the hull of dom f and of dom G, read off the hull of the epigraph or
+    # graph, against the hull of the domain built piece by piece
+    spec = orc.LEAN_SPEC
+    for seed in range(100):
+        rng = random.Random(seed)
+        n = 1 + seed % 3
+        f = orc._random_plf(rng, spec, n)
+        assert shadow_hull(f.epi, range(n)) == closure_hull(pf.dom(f))
+        n, p = [(1, 1), (1, 2), (2, 1)][seed % 3]
+        g = orc._random_map(rng, spec, n, p)
+        assert shadow_hull(g.graph, range(n)) == closure_hull(sv.dom(g))
+    assert shadow_hull(NCSet(3, ()), range(2)) is None
 
 
 def test_ri_commutes_with_linear_image():

@@ -14,13 +14,12 @@ from fractions import Fraction as F
 import pytest
 
 from ncvx import linalg as la
-from ncvx.errors import DimensionCapExceeded, EmptyPolyhedron, PointNotInSet
+from ncvx.errors import DimensionCapExceeded, PointNotInSet
 from ncvx.lp import MixedSystem, feasible_point, solve_lp, strict_feasible
 from ncvx.polyhedron import (
     HPoly,
     VPoly,
     _cone_generators,
-    affine_hull,
     box,
     canonical_form,
     decompose_mixed,
@@ -28,7 +27,6 @@ from ncvx.polyhedron import (
     empty_hpoly,
     faces,
     hpoly,
-    implicit_equalities,
     is_empty,
     normal_cone_at,
     normal_cone_hrep,
@@ -615,51 +613,6 @@ def test_project_membership_commutes_with_fiber_feasibility():
             assert shadow.satisfies(y) == strict_feasible(fiber).feasible
 
 
-# ---------------------------------------------------------------------------
-# implicit equalities and affine hulls
-
-
-def test_implicit_equalities_forced_pair():
-    p = hpoly(1, ineq=[((1,), 0), ((-1,), 0)])
-    idxs, canon = implicit_equalities(p)
-    assert idxs == (0, 1)
-    assert canon == HPoly(1, (), (((F(1),), F(0)),))
-
-
-def test_implicit_equalities_full_dimensional():
-    idxs, canon = implicit_equalities(SQUARE)
-    assert idxs == ()
-    assert canon == canonical_form(SQUARE)
-
-
-def test_implicit_equalities_triangle_face():
-    p = hpoly(
-        2,
-        ineq=[((1, 1), 1), ((-1, -1), -1), ((-1, 0), 0), ((0, -1), 0)],
-    )
-    idxs, canon = implicit_equalities(p)
-    assert idxs == (0, 1)
-    assert canon.eq == (((F(1), F(1)), F(1)),)
-
-
-def test_implicit_equalities_empty_raises():
-    with pytest.raises(EmptyPolyhedron):
-        implicit_equalities(empty_hpoly(2))
-
-
-def test_implicit_equalities_match_per_row_strict_lps():
-    # row i is forced exactly when a_i.x < b_i admits no point of the set
-    for p in _pinned_polyhedra():
-        if canonical_form(p) is None:
-            continue
-        expected = tuple(
-            i
-            for i, r in enumerate(p.ineq)
-            if not strict_feasible(MixedSystem(p.dim, p.ineq, (r,), p.eq)).feasible
-        )
-        assert implicit_equalities(p)[0] == expected
-
-
 def _lp_misses(p):
     canonical_form.cache_clear()
     solve_lp.cache_clear()
@@ -677,17 +630,6 @@ def test_canonical_form_lp_counts():
     # along each row's normal meets that row first, so all three are facets
     triangle = hpoly(2, ineq=[((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)])
     assert _lp_misses(triangle) == 1
-
-
-def test_affine_hull_segment():
-    p = box([(0, 1), (0, 0)])
-    assert affine_hull(p) == (((F(0), F(1)), F(0)),)
-
-
-def test_affine_hull_full_dim_and_point():
-    assert affine_hull(SQUARE) == ()
-    p = hpoly(2, eq=[((1, 0), 1), ((0, 1), 2)])
-    assert affine_hull(p) == (((F(1), F(0)), F(1)), ((F(0), F(1)), F(2)))
 
 
 # ---------------------------------------------------------------------------
