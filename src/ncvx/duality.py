@@ -194,7 +194,7 @@ def general_duality(f: PLFunction, p: int) -> DualityReport:
 def _lagrange_flags(phi: PLFunction, theta: NCSet, g: SVMap) -> tuple[QCFlag, ...]:
     """Do ri(dom phi), ri(dom G) and ri(theta) meet, and does the origin
     lie in the ri of G's image of theta and dom phi?"""
-    n = theta.dim
+    n, p = theta.dim, g.p
     hulls = [
         ns.shadow_hull(phi.epi, range(n)),
         ns.shadow_hull(g.graph, range(n)),
@@ -209,12 +209,15 @@ def _lagrange_flags(phi: PLFunction, theta: NCSet, g: SVMap) -> tuple[QCFlag, ..
     sf = strict_feasible(cells[0].combine(cells[1]).combine(cells[2]))
     triple = QCFlag("triple_ri_overlap", sf.feasible, sf.witness, sf.certificate)
 
-    # theta cap dom phi: the x-shadow of x in theta and (x, t) in epi phi
-    both = [(theta, range(n)), (phi.epi, range(n + 1))]
-    feasible_x = ns.joint_image(n + 1, both, range(n))
-    image, _, _ = sv.image_of_set(g, feasible_x)
-    hull = ns.closure_hull(image)
-    origin = la.zeros(g.p)
+    # G(theta cap dom phi): the y-shadow of x in theta, (x, t) in epi phi
+    # and (x, y) in gph G, over (x, y, t)
+    parts = [
+        (theta, range(n)),
+        (phi.epi, [*range(n), n + p]),
+        (g.graph, range(n + p)),
+    ]
+    hull = ns.closure_hull(ns.joint_image(n + p + 1, parts, range(n, n + p)))
+    origin = la.zeros(p)
     holds = hull is not None and hull.ri_system().satisfies(origin)
     at_zero = QCFlag("origin_in_ri_image", holds, origin if holds else None)
     return triple, at_zero

@@ -61,6 +61,7 @@ from .polyhedron import (
     difference_witness,
     faces,
     project,
+    ri_shadow,
     to_hrep,
     to_vrep,
 )
@@ -372,9 +373,10 @@ def joint_image(
     equalities (_extend), checked in integers; so a link, whose columns
     are new and whose rows are equalities, takes no LP.  Only when that
     point misses the joint cell does strict_feasible decide.  A surviving
-    cell gives the ri of the closed shadow of its closure (Rockafellar,
-    Thms 6.5 and 6.6), canonicalized from the kept coordinates of its
-    strict witness."""
+    cell gives one piece, polyhedron.ri_shadow of it from its strict
+    witness: the ri of the closed shadow of its closure (Rockafellar,
+    Thms 6.5 and 6.6), canonicalized from the witness's kept
+    coordinates."""
     keep = list(keep)
     (first, cols), *rest = parts
     cells = [(pc.system().embed(cols, dim), None) for pc in first.pieces]
@@ -393,14 +395,7 @@ def joint_image(
                 if z is not None:
                     folded.append((joint, z))
         cells = folded
-    out = []
-    for cell, wit in cells:
-        closed = cell.closed()
-        if len(keep) == dim:
-            out.append((HPoly(dim, closed.weak, closed.eq), wit))
-        else:
-            out.append((closed_shadow(closed, keep), tuple(wit[i] for i in keep)))
-    return _ncset_of_cells(len(keep), out)
+    return _of_canonical(len(keep), (ri_shadow(cell, wit, keep) for cell, wit in cells))
 
 
 def _extend(z: Vec, m: MixedSystem, new: Sequence[int]) -> Optional[Vec]:

@@ -41,7 +41,7 @@ from .polyhedron import (
     HPoly,
     VPoly,
     canonical_form,
-    cells_equal,
+    closed_shadow,
     decompose_mixed,
     hpoly,
     polyhedron_equal,
@@ -263,8 +263,9 @@ def envelope(s: NCSet) -> NCSet:
     """Epigraph of x -> inf{lam : (x, lam) in s}.
 
     Always contains s; equals s exactly when s is a legitimate epigraph.
-    Per piece: the x-shadow of the piece (relatively open) crossed with
-    the upward closure of the closed base, split into open cells.
+    Per piece: the x-shadow of the piece (relatively open, project_mixed)
+    crossed with the upward closure of the closed base (closed_shadow, no
+    LP), split into open cells.
     """
     n = s.dim - 1
     xs = list(range(n))
@@ -276,7 +277,7 @@ def envelope(s: NCSet) -> NCSet:
         chain = (la.zeros(n) + (la.ONE, -la.ONE), la.ZERO)
         lifted = q.closed_system().embed(range(n + 1), n + 2)
         lifted = MixedSystem(n + 2, lifted.weak + (chain,), (), lifted.eq)
-        upward = project_mixed(lifted, xs + [n + 1])
+        upward = closed_shadow(lifted, xs + [n + 1]).closed_system()
         cell = upward.combine(shadow.embed(xs, n + 1))
         bases.extend(decompose_mixed(cell))
     return ncset(s.dim, bases)
@@ -359,7 +360,9 @@ def epi_m(g_mat: Mat, g_shift: Vec, m: NCSet) -> tuple[NCSet, bool]:
         return result, hull_m is None and hull_r is None
     pulled_ri = hull_m.ri_system().pullback(t, shift)
     ok, _ = is_nearly_convex(result)
-    certified = ok and cells_equal(hull_r.ri_system(), pulled_ri)
+    certified = ok and (
+        project_mixed(pulled_ri, range(pulled_ri.dim)) == hull_r.ri_system()
+    )
     return result, certified
 
 

@@ -25,17 +25,18 @@ point where a ray meets a facet lies in the facet's relative interior, so
 the faces of a polyhedron are enumerated from such points, each facet
 seeding its own children.
 
-Projection is Fourier-Motzkin with equality pivoting; on mixed systems a
-derived row is strict when either parent was, which computes exact shadows
-of systems with strict rows. Strict shadows are pruned of implied rows by
-LP; closed shadows are not, since canonical_form removes those rows
-anyway. Vertex/ray descriptions come from the double description method
-run on the homogenization, and the same cone routine applied to the polar
-gives the reverse conversion. The method runs in integers: each row is
-scaled once to a primitive integer vector, rays and lineality vectors stay
-primitive integer tuples, and each ray carries a bitmask of the rows it is
-tight on, so the adjacency test of two rays is a mask test against the
-others. Fractions appear only in its result.
+Projection is Fourier-Motzkin with equality pivoting, on closed systems
+only and with no LP: canonical_form removes the redundant rows it leaves.
+A relatively open cell has one shadow rule, ri(AC) = A ri(C) (Rockafellar,
+Thm 6.6): its shadow is the ri of the closed shadow of its closure,
+canonicalized from the kept coordinates of a point of the cell
+(ri_shadow). Vertex/ray descriptions come from the double description
+method run on the homogenization, and the same cone routine applied to
+the polar gives the reverse conversion. The method runs in integers: each
+row is scaled once to a primitive integer vector, rays and lineality
+vectors stay primitive integer tuples, and each ray carries a bitmask of
+the rows it is tight on, so the adjacency test of two rays is a mask test
+against the others. Fractions appear only in its result.
 
 Mixed cells (weak + strict + equality rows) are the set-algebra workhorse:
 region subtraction peels one constraint at a time, each cell carrying a
@@ -59,6 +60,7 @@ from .errors import (
     DimensionCapExceeded,
     DimensionMismatch,
     PointNotInSet,
+    UsageError,
 )
 from .linalg import ONE, Vec, ZERO
 from .lp import (
@@ -431,7 +433,7 @@ def polyhedron_equal(p: HPoly, q: HPoly) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Fourier-Motzkin projection with strictness propagation
+# Fourier-Motzkin projection and the shadows of relatively open cells
 
 
 def _dedupe_mixed(m: MixedSystem) -> MixedSystem:
@@ -473,43 +475,14 @@ def _dedupe_mixed(m: MixedSystem) -> MixedSystem:
     )
 
 
-def _prune_mixed(m: MixedSystem) -> MixedSystem:
-    """Remove rows implied by the rest, one strict LP per row; empty
-    systems collapse to a marker.  Only strict projections (project_mixed)
-    need it: a closed shadow goes to canonical_form, which removes the
-    same rows itself."""
-    m = _dedupe_mixed(m)
-    if not strict_feasible(m).feasible:
-        return MixedSystem(m.dim, ((la.zeros(m.dim), Fraction(-1)),), (), ())
-    rows = [(a, b, "w") for a, b in m.weak] + [(a, b, "s") for a, b in m.strict]
-    i = 0
-    while i < len(rows):
-        a, b, kind = rows[i]
-        others = rows[:i] + rows[i + 1 :]
-        weak = tuple((x, y) for x, y, k in others if k == "w")
-        strict = tuple((x, y) for x, y, k in others if k == "s")
-        if kind == "w":
-            # does any point of the rest violate a.x <= b?
-            probe = MixedSystem(m.dim, weak, strict + ((la.neg(a), -b),), m.eq)
-        else:
-            probe = MixedSystem(m.dim, weak + ((la.neg(a), -b),), strict, m.eq)
-        if strict_feasible(probe).feasible:
-            i += 1
-        else:
-            rows.pop(i)
-    return MixedSystem(
-        m.dim,
-        tuple((a, b) for a, b, k in rows if k == "w"),
-        tuple((a, b) for a, b, k in rows if k == "s"),
-        m.eq,
-    )
-
-
 def _drop_coord(v: Vec, idx: int) -> Vec:
     return v[:idx] + v[idx + 1 :]
 
 
 def _eliminate(m: MixedSystem, idx: int) -> MixedSystem:
+    """A closed system with coordinate idx dropped: an equality holding it
+    is substituted into the other rows, or else each row positive in it is
+    added to each row negative in it (Fourier-Motzkin)."""
     pivot = next(((a, b) for a, b in m.eq if a[idx] != 0), None)
     if pivot is not None:
         pa, pb = pivot
@@ -525,39 +498,35 @@ def _eliminate(m: MixedSystem, idx: int) -> MixedSystem:
         return MixedSystem(
             m.dim - 1,
             tuple(subst(r) for r in m.weak),
-            tuple(subst(r) for r in m.strict),
+            (),
             tuple(subst(r) for r in m.eq if r != pivot),
         )
 
-    tagged = [(a, b, False) for a, b in m.weak] + [(a, b, True) for a, b in m.strict]
-    stay_w, stay_s, pos, neg = [], [], [], []
-    for a, b, is_strict in tagged:
+    stay, pos, neg = [], [], []
+    for a, b in m.weak:
         if a[idx] > 0:
-            pos.append((a, b, is_strict))
+            pos.append((a, b))
         elif a[idx] < 0:
-            neg.append((a, b, is_strict))
-        elif is_strict:
-            stay_s.append((_drop_coord(a, idx), b))
+            neg.append((a, b))
         else:
-            stay_w.append((_drop_coord(a, idx), b))
-    for (ap, bp, sp), (an, bn, sn) in itertools.product(pos, neg):
+            stay.append((_drop_coord(a, idx), b))
+    for (ap, bp), (an, bn) in itertools.product(pos, neg):
         coef_p = ap[idx]
         coef_n = -an[idx]
         a = la.add(la.scale(ap, coef_n), la.scale(an, coef_p))
-        b = coef_n * bp + coef_p * bn
-        row = (_drop_coord(a, idx), b)
-        (stay_s if sp or sn else stay_w).append(row)
+        stay.append((_drop_coord(a, idx), coef_n * bp + coef_p * bn))
     return MixedSystem(
         m.dim - 1,
-        tuple(stay_w),
-        tuple(stay_s),
+        tuple(stay),
+        (),
         tuple((_drop_coord(a, idx), b) for a, b in m.eq),
     )
 
 
 def _fm_shadow(m: MixedSystem, keep: Sequence[int]) -> MixedSystem:
-    """Fourier-Motzkin shadow onto the kept coordinates (in the order
-    given), deduplicated between eliminations; redundant rows stay."""
+    """Fourier-Motzkin shadow of a closed system onto the kept coordinates
+    (in the order given), deduplicated between eliminations; redundant
+    rows stay."""
     keep = tuple(keep)
     if sorted(set(keep)) != sorted(keep) or any(
         i < 0 or i >= m.dim for i in keep
@@ -567,33 +536,57 @@ def _fm_shadow(m: MixedSystem, keep: Sequence[int]) -> MixedSystem:
         raise DimensionMismatch("projection must keep coordinate order")
     if not keep:
         raise DimensionMismatch("cannot project onto no coordinates")
+    if m.strict:
+        raise CertificateError("Fourier-Motzkin runs on closed systems")
     current = _dedupe_mixed(m)
     for idx in sorted(set(range(m.dim)) - set(keep), reverse=True):
         current = _dedupe_mixed(_eliminate(current, idx))
     return current
 
 
-def project_mixed(m: MixedSystem, keep: Sequence[int]) -> MixedSystem:
-    """Exact shadow of the solution set onto the kept coordinates (in the
-    order given), strictness propagated through every derived row, and
-    rows implied by the rest pruned by LP (_prune_mixed).  This serves
-    the strict projections; closed ones go through closed_shadow."""
-    return _project_cached(m, tuple(keep))
-
-
-@lru_cache(maxsize=None)
-def _project_cached(m: MixedSystem, keep: tuple[int, ...]) -> MixedSystem:
-    return _prune_mixed(_fm_shadow(m, keep))
-
-
 def closed_shadow(m: MixedSystem, keep: Sequence[int]) -> HPoly:
     """The projection of a closed system onto the keep coordinates, by
-    Fourier-Motzkin with no LP.  Redundant rows are left for
-    canonical_form, which every caller applies, to remove."""
+    Fourier-Motzkin with no LP; a relatively open cell projects through
+    ri_shadow instead.  Redundant rows are left for canonical_form, which
+    every caller applies, to remove."""
     shadow = _fm_shadow(m, keep)
-    if shadow.strict:
-        raise CertificateError("projecting a closed system gave strict rows")
     return HPoly(shadow.dim, shadow.weak, shadow.eq)
+
+
+def ri_shadow(cell: MixedSystem, z: Vec, keep: Sequence[int]) -> HPoly:
+    """The canonical base whose ri is the shadow on keep (increasing) of a
+    relatively open cell, strict rows and equalities, that holds z.
+
+    The cell is the ri of its closure cell.closed(), and the ri of a
+    linear image is the image of the ri (Rockafellar, Thm 6.6); so the
+    base is the closed shadow of the closure, canonicalized from z's kept
+    coordinates, a point of its ri.  Keeping every column runs no
+    Fourier-Motzkin."""
+    keep = list(keep)
+    closed = cell.closed()
+    if keep == list(range(cell.dim)):
+        base = _canonical_from(HPoly(cell.dim, closed.weak, closed.eq), z)
+    else:
+        base = _canonical_from(closed_shadow(closed, keep), tuple(z[i] for i in keep))
+    if base is None:
+        raise CertificateError("the shadow of a cell with a point is nonempty")
+    return base
+
+
+def project_mixed(m: MixedSystem, keep: Sequence[int]) -> MixedSystem:
+    """The shadow on keep (increasing) of a relatively open cell, given as
+    strict rows and equalities: the ri system of ri_shadow from a strict
+    witness of the cell, or the marker 0 <= -1 when the cell is empty.
+    The result is canonical, so two shadows are one set exactly when they
+    are equal.  A weak row raises UsageError: the closure and ri of a
+    cell with weak and strict rows need not be its closed() and itself."""
+    if m.weak:
+        raise UsageError("project_mixed takes strict rows and equalities only")
+    keep = list(keep)
+    wit = strict_feasible(m).witness
+    if wit is None:
+        return empty_hpoly(len(keep)).closed_system()
+    return ri_shadow(m, wit, keep).ri_system()
 
 
 def project(p: HPoly, coords: Sequence[int]) -> HPoly:
@@ -932,14 +925,6 @@ def difference_witness(
     if wit is None:
         raise CertificateError("a cell left by subtraction must have a witness")
     return wit
-
-
-def cells_equal(c1: MixedSystem, c2: MixedSystem) -> bool:
-    """Exact equality of two mixed-system solution sets."""
-    return (
-        difference_witness([c1], [c2]) is None
-        and difference_witness([c2], [c1]) is None
-    )
 
 
 @lru_cache(maxsize=None)

@@ -15,8 +15,8 @@ on the relevant relative interiors (ncset.ri_overlap). The certify_*
 helpers and the image check verify the ri formulas themselves as exact
 set identities, all through one routine: the ri cells of the operands
 are embedded in a common product space and combined, the result is
-projected, and its shadow is compared with the ri cell of the result by
-two-way subtraction.
+projected (polyhedron.project_mixed), and its canonical shadow is
+compared with the ri cell of the result's canonical hull as a tuple.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .ncset import (
     sum_link,
     whole_space,
 )
-from .polyhedron import HPoly, cells_equal, project_mixed
+from .polyhedron import HPoly, empty_hpoly, project_mixed
 
 
 @dataclass(frozen=True)
@@ -130,15 +130,16 @@ def _ri_formula_holds(
 ) -> bool:
     """Exact check of an ri formula: ri(result) equals the shadow on keep
     of the joint cell in R^dim where each part, an ri cell, sits at its
-    columns.  Keeping every column projects nothing."""
+    columns.  Both sides are canonical, so set equality is equality of
+    the systems; an empty shadow is the marker 0 <= -1."""
     lhs_cell = _ri_cell(result)
     if any(cell is None for cell, _ in parts):
         return lhs_cell is None
     joint = reduce(MixedSystem.combine, [cell.embed(cols, dim) for cell, cols in parts])
-    shadow = joint if len(keep) == dim else project_mixed(joint, keep)
+    shadow = project_mixed(joint, keep)
     if lhs_cell is None:
-        return not strict_feasible(shadow).feasible
-    return cells_equal(lhs_cell, shadow)
+        return shadow == empty_hpoly(len(keep)).closed_system()
+    return shadow == lhs_cell
 
 
 def _clip_parts(f: SVMap, omega: NCSet) -> list:

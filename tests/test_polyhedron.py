@@ -14,7 +14,7 @@ from fractions import Fraction as F
 import pytest
 
 from ncvx import linalg as la
-from ncvx.errors import DimensionCapExceeded, PointNotInSet
+from ncvx.errors import DimensionCapExceeded, PointNotInSet, UsageError
 from ncvx.lp import MixedSystem, feasible_point, solve_lp, strict_feasible
 from ncvx.polyhedron import (
     HPoly,
@@ -578,27 +578,39 @@ def test_project_cone_covers_line():
 def test_project_uses_equality_pivot():
     m = MixedSystem(
         2,
-        (((F(1), F(0)), F(3)),),
-        (((F(0), F(1)), F(2)),),
+        (),
+        (((F(1), F(0)), F(3)), ((F(0), F(1)), F(2))),
         (((F(1), F(1)), F(1)),),
     )
     shadow = project_mixed(m, [0])
     # y = 1 - x, so y < 2 becomes -x < 1
-    assert sorted(shadow.strict) == [((F(-1),), F(1))]
-    assert sorted(shadow.weak) == [((F(1),), F(3))]
+    assert sorted(shadow.strict) == [((F(-1),), F(1)), ((F(1),), F(3))]
+    assert shadow.weak == () and shadow.eq == ()
+
+
+def test_project_rejects_weak_rows_next_to_strict_ones():
+    # a cell with weak and strict rows need not be the ri of its closure
+    m = MixedSystem(
+        2,
+        (((F(1), F(0)), F(3)),),
+        (((F(0), F(1)), F(2)),),
+        (((F(1), F(1)), F(1)),),
+    )
+    with pytest.raises(UsageError):
+        project_mixed(m, [0])
 
 
 def test_project_membership_commutes_with_fiber_feasibility():
     rng = random.Random(11)
-    for _ in range(10):
-        rows_w = [
+    for trial in range(10):
+        rows = [
             (la.vec([rng.randint(-2, 2) for _ in range(3)]), F(rng.randint(-1, 3)))
-            for _ in range(3)
+            for _ in range(4)
         ]
-        rows_s = [
-            (la.vec([rng.randint(-2, 2) for _ in range(3)]), F(rng.randint(0, 3)))
-        ]
-        m = MixedSystem(3, tuple(rows_w) + box([(-2, 2)] * 3).ineq, tuple(rows_s), ())
+        # every other cell lies in a plane, so the shadow pivots on it
+        plane = la.vec([1, rng.randint(-1, 1), rng.randint(-1, 1)])
+        eq = ((plane, F(rng.randint(-1, 1))),)
+        m = MixedSystem(3, (), tuple(rows) + box([(-2, 2)] * 3).ineq, eq[: trial % 2])
         keep = sorted(rng.sample(range(3), 2))
         shadow = project_mixed(m, keep)
         for y in grid(-2, 2, 2, 2):

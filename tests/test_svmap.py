@@ -259,6 +259,32 @@ def test_compose_with_doubling():
     assert certify_compose(STRIP, g, got)
 
 
+def test_ri_formula_checks_subtract_no_cells(monkeypatch):
+    # both sides of each ri formula are canonical, so the checks compare
+    # systems and run no cell subtraction
+    calls = Counter()
+    real = ph.subtract_cells
+
+    def counted(*args):
+        calls["subtract_cells"] += 1
+        return real(*args)
+
+    sum_pair = (const_map(1, interval_set(0, 1)), identity_map(1))
+    doubling = affine_map(la.mat([[2]]), la.vec([0]))
+    restricted, _ = restrict(STRIP, interval_set(0, 1))
+    summed, _ = map_sum(*sum_pair)
+    composed, _ = compose(STRIP, doubling)
+    halfline = from_closed_hpoly(hpoly(1, [((-1,), 0)]))
+    clear_caches()
+    monkeypatch.setattr(ph, "subtract_cells", counted)
+    assert certify_restrict(STRIP, interval_set(0, 1), restricted)
+    assert certify_sum(*sum_pair, summed)
+    assert certify_compose(STRIP, doubling, composed)
+    assert image_of_set(STRIP, interval_set(0, 1))[1:] == (True, True)
+    assert pf.epi_m(((1,),), (1,), halfline)[1]
+    assert calls == Counter()
+
+
 def test_compose_with_identity():
     got, qc = compose(STRIP, identity_map(1))
     assert qc
