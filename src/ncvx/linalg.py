@@ -22,7 +22,8 @@ ONE = Fraction(1)
 
 
 def vec(entries: Iterable) -> Vec:
-    return tuple(Fraction(e) for e in entries)
+    """A Fraction tuple; Fraction entries pass through as they are."""
+    return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
 
 
 def mat(rows: Iterable[Iterable]) -> Mat:

@@ -3,7 +3,8 @@
 A two-phase primal simplex with Bland's anti-cycling pivot rule (smallest
 eligible index enters; ties in the ratio test break toward the smallest
 basic index), so every solve terminates and is deterministic. Free
-variables are split into nonnegative pairs and weak rows get slacks.
+variables are split into nonnegative pairs x = x+ - x- and weak rows get
+slacks.
 
 The tableau is fraction-free, in the line of Edmonds (1967) and Bareiss
 (1968): each input row is scaled once to integers, and each tableau row is
@@ -12,6 +13,23 @@ coefficient, which is kept positive. The objective row carries one
 positive integer denominator. A pivot cross-multiplies and takes out the
 gcd of each changed row, and the ratio test compares rhs/coef exactly by
 cross-multiplication, so the pivot path is that of the rational tableau.
+
+The tableau stores only the x+, slack and rhs columns. The x- column of
+a variable is always minus its x+ column, so Bland's rule reads x-_j as
+the x+ column with its sign flipped, and the variables keep their indices
+(x+, x-, slacks, artificials) for every tie-break. The artificial
+columns of phase 1 never re-enter, so they are not stored either: when
+phase 1 ends with a positive value, the Farkas vector is read off the
+dual vector pi of the final basis, which solves B^T pi = c_B (on the
+weak rows, the slack reduced costs give it). So the pivot path, every
+witness and every certificate are those of the full tableau.
+
+A MixedSystem keeps its rows scaled to integers once, on first use
+(MixedSystem.scaled_rows), and the systems it makes by closed, opened,
+combine, embed, homogeneous and fix carry them over.  satisfies,
+solve_lp, strict_feasible and the canonical forms of the polyhedron
+module read them, and a caller that checks one point against many
+systems scales the point once (satisfies_int).
 
 Every answer carries an exact certificate: an optimal witness point, a
 Farkas vector proving infeasibility, or an improving feasible ray proving
@@ -34,7 +52,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 from typing import Optional, Sequence
 
 from . import linalg as la
@@ -42,6 +60,9 @@ from .errors import CertificateError, DimensionMismatch, UsageError
 from .linalg import Mat, Vec, ZERO, ONE
 
 Row = tuple[Vec, Fraction]
+# (A, B, L): a row a.x ? b times the lcm L of its denominators (_scaled)
+Scaled = tuple[tuple[int, ...], int, int]
+ScaledRows = tuple[tuple[Scaled, ...], tuple[Scaled, ...], tuple[Scaled, ...]]
 
 
 def row(coeffs, rhs) -> Row:
@@ -50,7 +71,12 @@ def row(coeffs, rhs) -> Row:
 
 @dataclass(frozen=True)
 class MixedSystem:
-    """Finitely many weak (<=), strict (<) and equality rows over R^dim."""
+    """Finitely many weak (<=), strict (<) and equality rows over R^dim.
+
+    The rows scaled to integers are kept on the system from their first
+    use (scaled_rows), in its __dict__ and not as a field, so repr,
+    equality and hashing see the Fraction rows alone.  They are tuples of
+    ints, which the garbage collector stops tracking."""
 
     dim: int
     weak: tuple[Row, ...] = ()
@@ -62,36 +88,81 @@ class MixedSystem:
             if len(coeffs) != self.dim:
                 raise DimensionMismatch("row length does not match system dim")
 
+    def scaled_rows(self) -> ScaledRows:
+        """(weak, strict, eq), each row as _scaled gives it; computed once."""
+        kept = self.__dict__.get("_scaled")
+        if kept is None:
+            kept = self.__dict__["_scaled"] = tuple(
+                tuple([_scaled(a, b) for a, b in block])
+                for block in (self.weak, self.strict, self.eq)
+            )
+        return kept
+
     def satisfies(self, x: Vec) -> bool:
-        """In integers: x = X / D, and each row scaled once to A.x ? B is
-        compared as A.X ? B D."""
         if len(x) != self.dim:
             raise DimensionMismatch("point length does not match system dim")
-        xi, den = _integer_point(x)
+        return self.satisfies_int(*_integer_point(x))
 
-        def gap(row: Row) -> int:
-            a, b, _ = _scaled(*row)
-            return b * den - _dot(a, xi)
-
+    def satisfies_int(self, xi: Sequence[int], den: int) -> bool:
+        """satisfies(X / D) for integers X and D > 0, in integers: each
+        kept row A.x ? B (over L > 0) is compared as A.X ? B D."""
+        weak, strict, eq = self.scaled_rows()
         return (
-            all(gap(r) >= 0 for r in self.weak)
-            and all(gap(r) > 0 for r in self.strict)
-            and all(gap(r) == 0 for r in self.eq)
+            all(b * den >= _dot(a, xi) for a, b, _ in weak)
+            and all(b * den > _dot(a, xi) for a, b, _ in strict)
+            and all(b * den == _dot(a, xi) for a, b, _ in eq)
         )
+
+    def _carry(self, out: "MixedSystem", move) -> "MixedSystem":
+        """out, a system made from this one, with move(*kept rows) handed in
+        as its kept rows when this system has them; otherwise out computes
+        its own on first use.  closed, opened, homogeneous, combine and
+        embed carry them so; fix works on them, and pullback does not."""
+        kept = self.__dict__.get("_scaled")
+        return out if kept is None else _keeping(out, move(*kept))
 
     def closed(self) -> "MixedSystem":
         """Weaken every strict row; the closure of a feasible system."""
-        return MixedSystem(self.dim, self.weak + self.strict, (), self.eq)
+        out = MixedSystem(self.dim, self.weak + self.strict, (), self.eq)
+        return self._carry(out, lambda weak, strict, eq: (weak + strict, (), eq))
+
+    def opened(self) -> "MixedSystem":
+        """Make every weak row strict; on the closed system of a canonical
+        polyhedron, its relative interior."""
+        out = MixedSystem(self.dim, (), self.weak + self.strict, self.eq)
+        return self._carry(out, lambda weak, strict, eq: ((), weak + strict, eq))
+
+    def homogeneous(self) -> "MixedSystem":
+        """The rows with zero right-hand sides; on a closed system, its
+        recession cone.  A kept row (A, B, L) becomes (A, 0, L) over
+        gcd(L, A), the lcm of the denominators of A / L."""
+
+        def rows(block):
+            return tuple((a, ZERO) for a, _ in block)
+
+        def kept(block):
+            out = []
+            for a, _, den in block:
+                g = gcd(den, *a)
+                out.append((tuple([v // g for v in a]), 0, den // g) if g > 1 else (a, 0, den))
+            return tuple(out)
+
+        out = MixedSystem(self.dim, rows(self.weak), rows(self.strict), rows(self.eq))
+        return self._carry(out, lambda *blocks: tuple(map(kept, blocks)))
 
     def combine(self, other: "MixedSystem") -> "MixedSystem":
         if other.dim != self.dim:
             raise DimensionMismatch("combining systems of different dims")
-        return MixedSystem(
+        out = MixedSystem(
             self.dim,
             self.weak + other.weak,
             self.strict + other.strict,
             self.eq + other.eq,
         )
+        theirs = other.__dict__.get("_scaled")
+        if theirs is None:
+            return out
+        return self._carry(out, lambda *mine: tuple(map(add, mine, theirs)))
 
     # Changes of coordinates, row by row within each block.  Row order is
     # kept: the simplex pivot path, and with it every witness, depends on it.
@@ -116,24 +187,47 @@ class MixedSystem:
                 runs.append([j, c, 1])
         runs.sort(key=lambda run: run[1])
 
-        def move(a, b):
-            out, at = (), 0
+        def place(a, zero):
+            out, at = a[:0], 0
             for s, t, k in runs:
-                out += la.zeros(t - at) + a[s : s + k]
+                out += zero * (t - at) + a[s : s + k]
                 at = t + k
-            return out + la.zeros(dim - at), b
+            return out + zero * (dim - at)
 
-        return self._map_rows(dim, move)
+        def moved(*blocks):
+            return tuple(tuple([(place(a, (0,)), b, den) for a, b, den in bl]) for bl in blocks)
+
+        return self._carry(self._map_rows(dim, lambda a, b: (place(a, (ZERO,)), b)), moved)
 
     def fix(self, start: int, values: Vec) -> "MixedSystem":
         """Substitute values for coordinates start, start+1, ... and drop
-        them."""
+        them.  Worked on the kept integer rows, with values = V / D: a row
+        (A, B, L) keeps the coefficients of A off the fixed block and gets
+        the right-hand side B D - A_fixed.V, all over L D; divided by
+        their gcd with L D, these are the kept rows of the result.  The
+        Fraction coefficients are reused, and each right-hand side costs
+        one Fraction."""
         stop = start + len(values)
+        vi, vd = _integer_point(values)
 
-        def move(a, b):
-            return a[:start] + a[stop:], b - la.dot(a[start:stop], values)
+        def rows(block, scaled):
+            out, ints = [], []
+            for (a, _), (ai, bi, li) in zip(block, scaled):
+                rest = ai[:start] + ai[stop:]
+                if vd > 1:
+                    rest = tuple([v * vd for v in rest])
+                rhs, den = bi * vd - _dot(ai[start:stop], vi), li * vd
+                g = gcd(den, rhs, *rest)
+                if g > 1:
+                    rest = tuple([v // g for v in rest])
+                out.append((a[:start] + a[stop:], Fraction(rhs, den)))
+                ints.append((rest, rhs // g, den // g))
+            return tuple(out), tuple(ints)
 
-        return self._map_rows(self.dim - len(values), move)
+        own = (self.weak, self.strict, self.eq)
+        blocks = [rows(block, scaled) for block, scaled in zip(own, self.scaled_rows())]
+        out = MixedSystem(self.dim - len(values), *(rows for rows, _ in blocks))
+        return _keeping(out, tuple(ints for _, ints in blocks))
 
     def pullback(self, t: Mat, shift: Vec) -> "MixedSystem":
         """The rows under z -> t z + shift: a.y <= b becomes
@@ -143,6 +237,27 @@ class MixedSystem:
             return la.mat_t_vec(t, a), b - la.dot(a, shift)
 
         return self._map_rows(len(t[0]) if t else 0, move)
+
+
+def _keeping(system: MixedSystem, rows: ScaledRows) -> MixedSystem:
+    """system, with rows handed in as its kept integer rows: they must be
+    what scaled_rows would compute from its Fraction rows."""
+    system.__dict__["_scaled"] = rows
+    return system
+
+
+def int_system(dim: int, weak, strict, eq) -> MixedSystem:
+    """The system of integer rows [A..., B] for A.x ? B, its Fraction rows
+    built once and the integer rows kept as they are (over L = 1)."""
+
+    def rows(block):
+        return tuple((tuple(map(Fraction, r[:-1])), Fraction(r[-1])) for r in block)
+
+    def kept(block):
+        return tuple([(tuple(r[:-1]), r[-1], 1) for r in block])
+
+    system = MixedSystem(dim, rows(weak), rows(strict), rows(eq))
+    return _keeping(system, (kept(weak), kept(strict), kept(eq)))
 
 
 @dataclass(frozen=True)
@@ -164,10 +279,10 @@ class StrictFeasibility:
     certificate: Optional[Vec] = None
 
 
-def _scaled(a: Vec, b: Fraction) -> tuple[list[int], int, int]:
+def _scaled(a: Vec, b: Fraction) -> Scaled:
     """(A, B, L): the row a.x ? b times the lcm L of its denominators."""
     den = lcm(b.denominator, *(x.denominator for x in a))
-    ints = [x.numerator * (den // x.denominator) for x in a]
+    ints = tuple([x.numerator * (den // x.denominator) for x in a])
     return ints, b.numerator * (den // b.denominator), den
 
 
@@ -177,25 +292,28 @@ def _integer_point(x: Vec) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in x], den
 
 
-def _pivot(rows, obj, basis, pr, pc):
-    """Pivot on (pr, pc) by cross-multiplication.  Row i stands for
-    rows[i] / rows[i][basis[i]], whose basic coefficient is kept positive;
-    obj (when given) ends with a positive denominator after its rhs entry."""
+def _pivot(rows, obj, basis, pr, enter):
+    """Pivot variable enter = (index, column, sign) into row pr by
+    cross-multiplication; the variable's column is sign times the stored
+    one.  Row i stands for rows[i] / (its basic variable's entry), which is
+    kept positive; obj (when given) ends with a positive denominator after
+    its rhs entry."""
+    var, col, sign = enter
     prow = rows[pr]
-    p = prow[pc]
+    p = sign * prow[col]
     if p < 0:  # only in the drive-out step
         p = -p
         prow = rows[pr] = [-v for v in prow]
     for i, r in enumerate(rows):
-        f = r[pc]
+        f = sign * r[col]
         if f and i != pr:
             rows[i] = _primitive([p * a - f * b for a, b in zip(r, prow)])
-    if obj is not None and obj[pc]:
-        f = obj[pc]
+    if obj is not None and obj[col]:
+        f = sign * obj[col]
         new = [p * a - f * b for a, b in zip(obj, prow)]
         new.append(p * obj[-1])
         obj[:] = _primitive(new)
-    basis[pr] = pc
+    basis[pr] = var
 
 
 def _primitive(v: list[int]) -> list[int]:
@@ -203,21 +321,34 @@ def _primitive(v: list[int]) -> list[int]:
     return [x // g for x in v] if g > 1 else v
 
 
-def _run(rows, obj, basis, ncols) -> Optional[int]:
+def _entering(obj, n, width):
+    """Bland's choice over x+ (indices 0..n-1), x- (n..2n-1) and the
+    slacks (2n..), as (index, stored column, sign), or None at optimum.
+    The reduced cost of x-_j is minus that of x+_j."""
+    for j in range(n):
+        if obj[j] < 0:
+            return j, j, 1
+    for j in range(n):
+        if obj[j] > 0:
+            return n + j, j, -1
+    for j in range(n, width):
+        if obj[j] < 0:
+            return n + j, j, 1
+    return None
+
+
+def _run(rows, obj, basis, n, width):
     """Bland iterations for a min problem; None at optimum, else the
-    entering column that proves unboundedness."""
+    entering variable that proves unboundedness."""
     while True:
-        enter = -1
-        for j in range(ncols):
-            if obj[j] < 0:
-                enter = j
-                break
-        if enter < 0:
+        enter = _entering(obj, n, width)
+        if enter is None:
             return None
+        _, col, sign = enter
         # smallest (rhs / coef, basic index), compared by cross-multiplying
         best_row = -1
         for i, r in enumerate(rows):
-            coef = r[enter]
+            coef = sign * r[col]
             if coef <= 0:
                 continue
             if best_row >= 0:
@@ -230,6 +361,11 @@ def _run(rows, obj, basis, ncols) -> Optional[int]:
         _pivot(rows, obj, basis, best_row, enter)
 
 
+def _entry(r, j, n):
+    """The entry of variable j in a stored tableau row r."""
+    return -r[j - n] if n <= j < 2 * n else r[j if j < n else j - n]
+
+
 @lru_cache(maxsize=None)
 def solve_lp(c: Vec, system: MixedSystem) -> LPOutcome:
     """Minimize c.x over a system of weak and equality rows."""
@@ -239,24 +375,22 @@ def solve_lp(c: Vec, system: MixedSystem) -> LPOutcome:
     if len(c) != n:
         raise DimensionMismatch("objective length does not match system dim")
 
-    scaled = [_scaled(a, b) for a, b in system.weak + system.eq]
-    m_w = len(system.weak)
+    weak, _, eq = system.scaled_rows()
+    scaled = weak + eq
+    m_w = len(weak)
     m = len(scaled)
-    n_real = 2 * n + m_w  # x+ block, x- block, slack block
-    art0 = n_real
+    width = n + m_w  # stored columns: x+ block, slack block; then the rhs
+    art0 = 2 * n + m_w  # index of the first artificial variable
 
     signs = []
     rows = []
     for i, (a, b, den) in enumerate(scaled):
         sigma = 1 if b >= 0 else -1
-        r = [0] * (n_real + m + 1)
-        for j in range(n):
-            r[j] = sigma * a[j]
-            r[n + j] = -sigma * a[j]
+        r = [sigma * v for v in a] if sigma < 0 else list(a)
+        r += [0] * m_w
         if i < m_w:
-            r[2 * n + i] = sigma * den
-        r[art0 + i] = den
-        r[-1] = sigma * b
+            r[n + i] = sigma * den
+        r.append(sigma * b)
         signs.append(sigma)
         rows.append(r)
 
@@ -265,18 +399,16 @@ def solve_lp(c: Vec, system: MixedSystem) -> LPOutcome:
     # minus the sum of all rows off the artificial columns, over den0
     den0 = lcm(*(den for _, _, den in scaled))
     weights = [den0 // den for _, _, den in scaled]
-    obj = [-sum(w * r[j] for w, r in zip(weights, rows)) for j in [*range(n_real), -1]]
-    obj = _primitive(obj[:-1] + [0] * m + [obj[-1], den0])
+    obj = [-sum(map(mul, weights, col)) for col in zip(*rows)] or [0] * (width + 1)
+    obj = _primitive(obj + [den0])
 
-    if _run(rows, obj, basis, n_real) is not None:  # artificials never re-enter
+    if _run(rows, obj, basis, n, width) is not None:
         raise CertificateError("phase 1 is bounded below by zero")
     if obj[-2] < 0:  # the phase-1 value -obj[-2] / obj[-1] is positive
-        # Dual multipliers off the artificial reduced costs give a Farkas
-        # certificate for the original row order, over the denominator obj[-1].
-        den = obj[-1]
-        mult = [-sigma * (den - obj[art0 + i]) for i, sigma in enumerate(signs)]
+        cert = _farkas(scaled, signs, basis, obj, n, m_w)
+        den = lcm(*(y.denominator for y in cert))
+        mult = [y.numerator * (den // y.denominator) for y in cert]
         _verify_farkas(scaled, m_w, n, mult, weights)
-        cert = tuple(Fraction(y, den) for y in mult)
         return LPOutcome(status="infeasible", certificate=cert)
 
     # Drive leftover artificials out of the basis; rows that cannot pivot
@@ -284,27 +416,26 @@ def solve_lp(c: Vec, system: MixedSystem) -> LPOutcome:
     keep = []
     for i in range(len(rows)):
         if basis[i] >= art0:
-            pc = next((j for j in range(n_real) if rows[i][j] != 0), None)
+            pc = next((j for j in range(width) if rows[i][j] != 0), None)
             if pc is None:
                 continue
-            _pivot(rows, None, basis, i, pc)
+            _pivot(rows, None, basis, i, (pc if pc < n else n + pc, pc, 1))
         keep.append(i)
-    rows = [rows[i][:n_real] + [rows[i][-1]] for i in keep]
+    rows = [rows[i] for i in keep]
     basis = [basis[i] for i in keep]
 
     c_int, _, c_den = _scaled(c, ZERO)
-    cost = c_int + [-v for v in c_int] + [0] * (m_w + 1)
-    obj = cost + [c_den]
+    obj = [*c_int] + [0] * (m_w + 1) + [c_den]
     for r, j in zip(rows, basis):
-        cb = cost[j]
+        cb = c_int[j] if j < n else -c_int[j - n] if j < 2 * n else 0
         if cb:
             # obj - (cb / c_den) * r / r[j], over a common denominator
-            f, g = cb * obj[-1], c_den * r[j]
+            f, g = cb * obj[-1], c_den * _entry(r, j, n)
             new = [g * o - f * v for o, v in zip(obj, r)]
             new.append(g * obj[-1])
             obj = _primitive(new)
 
-    enter = _run(rows, obj, basis, n_real)
+    enter = _run(rows, obj, basis, n, width)
 
     point, den = _basic_values(rows, basis, n, lambda r: r[-1])
     _verify_point(scaled, m_w, point, den)
@@ -314,28 +445,62 @@ def solve_lp(c: Vec, system: MixedSystem) -> LPOutcome:
         return LPOutcome(status="optimal", value=value, witness=witness)
 
     # the entering variable moves at rate 1 and the basic ones follow
-    ray, den = _basic_values(rows, basis, n, lambda r: -r[enter])
-    if enter < n:
-        ray[enter] += den
-    elif enter < 2 * n:
-        ray[enter - n] -= den
+    var, col, sign = enter
+    ray, den = _basic_values(rows, basis, n, lambda r: -sign * r[col])
+    if var < n:
+        ray[var] += den
+    elif var < 2 * n:
+        ray[var - n] -= den
     ray = _primitive(ray) if any(ray) else ray
     _verify_ray(c_int, scaled, m_w, ray)
     cert = tuple(Fraction(v) for v in ray)
     return LPOutcome(status="unbounded", witness=witness, certificate=cert)
 
 
+def _farkas(scaled, signs, basis, obj, n, m_w) -> Vec:
+    """The Farkas vector of an infeasible phase 1, from its final basis.
+
+    Row i of the phase-1 problem is sigma_i times the input row a_i.x
+    (+ s_i) = b_i, plus an artificial with coefficient 1.  The duals pi
+    of the final basis B solve B^T pi = c_B, with cost 1 on the
+    artificials and 0 elsewhere, and y_i = -sigma_i pi_i: the vector the
+    reduced costs 1 - pi_i of the artificial columns would give.  On a
+    weak row, the reduced cost -sigma_i pi_i of its slack is y_i itself;
+    the equality rows solve what is left of B^T pi = c_B.  The caller
+    checks y: nonnegative on the weak rows, y.A = 0, y.b < 0."""
+    art0 = 2 * n + m_w
+    y = [Fraction(obj[n + k], obj[-1]) for k in range(m_w)]
+    eqs = range(m_w, len(scaled))
+    if not eqs:
+        return tuple(y)
+    lhs, rhs = [], []
+    for j in basis:
+        if j < 2 * n:  # the column of x+_j (or x-_j): sum_i sigma_i a_ij pi_i = 0
+            s = 1 if j < n else -1
+            col = [Fraction(s * sg * a[j % n], den) for sg, (a, _, den) in zip(signs, scaled)]
+            lhs.append(tuple(col[i] for i in eqs))
+            # the weak rows' pi_k = -sigma_k y_k, moved to the right
+            rhs.append(sum((c * sg * v for c, sg, v in zip(col, signs, y)), ZERO))
+        elif j >= art0 + m_w:  # the artificial of an equality row: pi = 1
+            lhs.append(tuple(ONE if i == j - art0 else ZERO for i in eqs))
+            rhs.append(ONE)
+    solved = la.solve_linear(tuple(lhs), tuple(rhs))
+    if solved is None or solved[1]:
+        raise CertificateError("a simplex basis is nonsingular")
+    return tuple(y) + tuple(-signs[i] * pi for i, pi in zip(eqs, solved[0]))
+
+
 def _basic_values(rows, basis, n, entry) -> tuple[list[int], int]:
     """(X, den): x = X / den where the basic variable of row r takes
-    entry(r) / r[basic], every other one 0, and x = x+ - x-."""
+    entry(r) / (its own entry in r), every other one 0, and x = x+ - x-."""
     den = 1
     for r, j in zip(rows, basis):
         if j < 2 * n and entry(r):
-            den = lcm(den, r[j])
+            den = lcm(den, _entry(r, j, n))
     x = [0] * n
     for r, j in zip(rows, basis):
         if j < 2 * n:
-            v = entry(r) * (den // r[j])
+            v = entry(r) * (den // _entry(r, j, n))
             if j < n:
                 x[j] += v
             else:
@@ -413,6 +578,15 @@ def strict_feasible(system: MixedSystem) -> StrictFeasibility:
     weak.append((la.zeros(n) + (ONE,), ONE))
     eq = [(a + (ZERO,), b) for a, b in system.eq]
     lifted = MixedSystem(n + 1, tuple(weak), (), tuple(eq))
+    # the same rows scaled: t has coefficient L in a strict row over L
+    s_weak, s_strict, s_eq = system.scaled_rows()
+    _keeping(lifted, (
+        tuple([(a + (0,), b, den) for a, b, den in s_weak])
+        + tuple([(a + (den,), b, den) for a, b, den in s_strict])
+        + (((0,) * n + (1,), 1, 1),),
+        (),
+        tuple([(a + (0,), b, den) for a, b, den in s_eq]),
+    ))
     out = maximize(la.zeros(n) + (ONE,), lifted)
     if out.status == "infeasible":
         # Certificate rows line up with (weak, strict-as-weak, cap, eq); we

@@ -18,11 +18,12 @@ interior (preimages do the same), so canonical_form spends no LP on it.
 
 A dominant piece is one whose base D holds every other piece's base, as
 the top face does in the faces of a closed polyhedron (from_closed_hpoly)
-and in most epigraphs.  Integer row checks find it with no LP, once per
-set (NCSet.dominant).  D is then the closed hull of the set, and the set
-lies between ri(D) and D: so a linear cost has the same inf over the set's
-slice at x as over D's closed slice whenever ri(D) meets that slice
-(Rockafellar, Thm 6.5).  closure_hull and plfunc.slice_inf run through
+and in most epigraphs.  A set made of faces is handed its top face
+(from_faces); on any other set, integer row checks find it with no LP,
+once per set (NCSet.dominant).  D is then the closed hull of the set,
+and the set lies between ri(D) and D: so a linear cost has the same inf
+over the set's slice at x as over D's closed slice whenever ri(D) meets
+that slice (Rockafellar, Thm 6.5).  closure_hull and plfunc.slice_inf run through
 it, and fall back to every piece when there is no dominant piece or its
 cell misses the slice.
 
@@ -47,14 +48,14 @@ from .errors import (
     NotNearlyConvex,
 )
 from .linalg import Mat, Vec
-from .lp import MixedSystem, strict_feasible
+from .lp import MixedSystem, _integer_point, strict_feasible
 from .polyhedron import (
     HPoly,
     VPoly,
     _cancel,
     _canonical_from,
     _hpoly_sort_key,
-    _int_row,
+    _int_rows,
     canonical_form,
     closed_shadow,
     decompose_mixed,
@@ -91,15 +92,19 @@ class NCSet:
     pieces: tuple[ROPoly, ...]
 
     def contains(self, x: Vec) -> bool:
+        """Exact row checks in integers, the point scaled once for every
+        piece."""
         if len(x) != self.dim:
             raise DimensionMismatch("point dim does not match set dim")
-        return any(pc.contains(x) for pc in self.pieces)
+        xi, den = _integer_point(x)
+        return any(pc.system().satisfies_int(xi, den) for pc in self.pieces)
 
     @cached_property
     def dominant(self) -> Optional[ROPoly]:
-        """The piece whose base holds every other piece's base, when exact
-        row checks show one (_dominant_piece); kept on the set, not a
-        field, so repr, equality and hashing see the pieces alone."""
+        """The piece whose base holds every other piece's base: the top
+        face of a set made by from_faces, or else the one exact row checks
+        show (_dominant_piece); kept on the set, not a field, so repr,
+        equality and hashing see the pieces alone."""
         return _dominant_piece(self.pieces)
 
 
@@ -109,11 +114,10 @@ def _holds_on(base: HPoly):
     0 <= b with b >= 0, or a positive multiple of a row of base with a
     bound no smaller.  Sufficient only: an implied row that is no single
     row of base fails the test."""
-    eqs = [_int_row(a, b) for a, b in base.eq]
+    eqs, ineq = _int_rows(base)
     pivots = [next(j for j, v in enumerate(e) if v) for e in eqs]
     bounds = {}  # primitive coefficients -> bound
-    for a, b in base.ineq:
-        r = _int_row(a, b)
+    for r in ineq:
         g = gcd(*r[:-1])
         bounds[tuple(v // g for v in r[:-1])] = Fraction(r[-1], g)
 
@@ -144,8 +148,7 @@ def _dominant_piece(pieces: Sequence[ROPoly]) -> Optional[ROPoly]:
     for pc in pieces:
         if len(pc.base.eq) != fewest:
             continue
-        eqs = [_int_row(a, b) for a, b in pc.base.eq]
-        rows = [_int_row(a, b) for a, b in pc.base.ineq]
+        eqs, rows = _int_rows(pc.base)
         rows += eqs + [[-v for v in e] for e in eqs]
         for i, other in enumerate(pieces):
             if other is pc:
@@ -190,7 +193,18 @@ def from_closed_hpoly(p: HPoly) -> NCSet:
     """A closed polyhedron is the union of the ri's of its nonempty faces.
     faces() gives each face once, canonical and in ncset's piece order,
     so this equals from_mixed(p.closed_system()) with no decomposition."""
-    return NCSet(p.dim, tuple(ROPoly(f) for f in faces(p)))
+    return from_faces(p.dim, faces(p))
+
+
+def from_faces(dim: int, all_faces: Sequence[HPoly]) -> NCSet:
+    """The union of the ri's of the faces of one closed polyhedron, given
+    in faces() order.  The first face is the polyhedron itself, which
+    holds every other face, so it is kept as the set's dominant piece and
+    no row check looks for it."""
+    s = NCSet(dim, tuple(ROPoly(f) for f in all_faces))
+    if s.pieces:
+        s.__dict__["dominant"] = s.pieces[0]
+    return s
 
 
 def from_closure_and_faces(p: HPoly, active_sets: Iterable[Sequence[int]]) -> NCSet:

@@ -23,7 +23,7 @@ from . import linalg as la
 from . import svmap as sv
 from .errors import CertificateError, DimensionMismatch, InvalidEpigraph, UsageError
 from .linalg import Mat, Vec
-from .lp import MixedSystem, solve_lp, strict_feasible
+from .lp import MixedSystem, _integer_point, solve_lp, strict_feasible
 from .ncset import (
     NCSet,
     affine_preimage,
@@ -180,7 +180,13 @@ def slice_inf(s: NCSet, x: Vec, cost: Vec) -> Value:
       When it is nonempty its closure is D_x (Thm 6.5), and the slice lies
       between the two, so the LP value (or -inf) is the inf.
     Only an empty dominant cell, or a set with no dominant piece, goes
-    through `cells_inf` over every piece."""
+    through `cells_inf` over every piece.
+
+    The dominant slice is `MixedSystem.fix` of D's kept ri system: it is
+    worked on D's kept integer rows and the integer x, reuses D's
+    coefficients, builds one Fraction per right-hand side and hands its
+    integer rows to the closed LP.  The membership and ray checks scale
+    each point once for all pieces."""
     if len(x) + len(cost) != s.dim:
         raise DimensionMismatch("point length does not match input dim")
     top = s.dominant
@@ -193,10 +199,11 @@ def slice_inf(s: NCSet, x: Vec, cost: Vec) -> Value:
             if s.contains(x + out.witness):
                 return out.value
         else:
-            end = x + la.add(out.witness, out.certificate)
-            ray = la.zeros(len(x)) + out.certificate
-            if any(pc.contains(end) and pc.base.recedes(ray) for pc in s.pieces):
-                return MINUS_INF
+            end = _integer_point(x + la.add(out.witness, out.certificate))
+            ray = _integer_point(la.zeros(len(x)) + out.certificate)
+            for pc in s.pieces:
+                if pc.system().satisfies_int(*end) and pc.base.cone_system().satisfies_int(*ray):
+                    return MINUS_INF
         if strict_feasible(cell).feasible:
             return MINUS_INF if out.status == "unbounded" else out.value
     return cells_inf([pc.system().fix(0, x) for pc in s.pieces], cost)

@@ -69,8 +69,8 @@ from .lp import (
     _dot,
     _integer_point,
     _primitive,
-    _scaled,
     feasible_point,
+    int_system,
     maximize,
     strict_feasible,
 )
@@ -81,7 +81,12 @@ MAX_CELLS = 50_000
 
 @dataclass(frozen=True)
 class HPoly:
-    """{x : A x <= b, E x = d} with rational rows."""
+    """{x : A x <= b, E x = d} with rational rows.
+
+    Its closed system, ri system and recession-cone system are each made
+    once, on first use, and kept in the polyhedron's __dict__ with the
+    integer rows they keep (MixedSystem.scaled_rows); they are not fields,
+    so repr, equality and hashing see the rows alone."""
 
     dim: int
     ineq: tuple[Row, ...] = ()
@@ -93,25 +98,33 @@ class HPoly:
                 raise DimensionMismatch("row length does not match dim")
 
     def closed_system(self) -> MixedSystem:
-        return MixedSystem(self.dim, self.ineq, (), self.eq)
+        kept = self.__dict__.get("_closed")
+        if kept is None:
+            kept = MixedSystem(self.dim, self.ineq, (), self.eq)
+            self.__dict__["_closed"] = kept
+        return kept
 
     def ri_system(self) -> MixedSystem:
         """Meaningful on canonical forms: strict rows carve the ri."""
-        return MixedSystem(self.dim, (), self.ineq, self.eq)
+        kept = self.__dict__.get("_ri")
+        if kept is None:
+            kept = self.__dict__["_ri"] = self.closed_system().opened()
+        return kept
+
+    def cone_system(self) -> MixedSystem:
+        """The recession cone: a.d <= 0 on each row, = 0 on each
+        equality."""
+        kept = self.__dict__.get("_cone")
+        if kept is None:
+            kept = self.__dict__["_cone"] = self.closed_system().homogeneous()
+        return kept
 
     def contains(self, x: Vec) -> bool:
         return self.closed_system().satisfies(x)
 
     def recedes(self, d: Vec) -> bool:
-        """Is d in the recession cone: a.d <= 0 on each row, = 0 on each
-        equality?"""
-        cone = MixedSystem(
-            self.dim,
-            tuple((a, ZERO) for a, _ in self.ineq),
-            (),
-            tuple((a, ZERO) for a, _ in self.eq),
-        )
-        return cone.satisfies(d)
+        """Is d in the recession cone?"""
+        return self.cone_system().satisfies(d)
 
 
 @dataclass(frozen=True)
@@ -170,16 +183,18 @@ def _norm_eq(a: Vec, b: Fraction) -> Row:
     return joint[:-1], joint[-1]
 
 
-IntRow = tuple[int, ...]  # coefficients, then the right-hand side
+IntRow = Sequence[int]  # coefficients, then the right-hand side
 IntPoint = tuple[list[int], int]  # (X, D) for the point X / D
 
 
-def _int_row(a: Vec, b: Fraction) -> list[int]:
-    ints, rhs, _ = _scaled(a, b)
-    return ints + [rhs]
+def _int_rows(p: HPoly) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """(equality rows, inequality rows) of p as integer rows, read off the
+    rows its closed system keeps."""
+    weak, _, eq = p.closed_system().scaled_rows()
+    return [a + (b,) for a, b, _ in eq], [a + (b,) for a, b, _ in weak]
 
 
-def _cancel(row: list[int], e: Sequence[int], pc: int) -> list[int]:
+def _cancel(row: IntRow, e: Sequence[int], pc: int) -> IntRow:
     """primitive(e[pc] row - row[pc] e): zero in column pc, and a positive
     multiple of row minus its part along e, since e[pc] > 0."""
     if not row[pc]:
@@ -189,20 +204,20 @@ def _cancel(row: list[int], e: Sequence[int], pc: int) -> list[int]:
 
 
 def _eliminate_int(
-    dim: int, eq: Iterable[Row], ineq: Iterable[Row]
-) -> Optional[tuple[list[IntRow], list[IntRow]]]:
-    """Step 1 of canonical_form on primitive integer rows.
+    dim: int, eq: Iterable[IntRow], ineq: Iterable[IntRow]
+) -> Optional[tuple[list[tuple[int, ...]], list[tuple[int, ...]]]]:
+    """Step 1 of canonical_form on integer rows.
 
-    Fraction-free Gauss-Jordan: each equality row is scaled once to
-    integers, and a pivot row e (e[pc] > 0) cancels column pc from every
-    other row by cross-multiplication, keeping rows primitive.  The basis
-    comes out in pivot order, each row the primitive multiple of its RREF
-    row, whose leading entry is its pivot.  The inequality rows are
-    reduced the same way; positive multiples keep their sense.  None when
-    this alone shows the set empty."""
-    basis: list[list[int]] = []
+    Fraction-free Gauss-Jordan: a pivot row e (e[pc] > 0) cancels column
+    pc from every other row by cross-multiplication, keeping rows
+    primitive.  The basis comes out in pivot order, each row the
+    primitive multiple of its RREF row, whose leading entry is its pivot.
+    The inequality rows are reduced the same way; positive multiples keep
+    their sense.  They come out primitive, deduplicated and sorted.  None
+    when this alone shows the set empty."""
+    basis: list[IntRow] = []
     pivots: list[int] = []
-    work = [r for r in (_int_row(a, b) for a, b in eq) if any(r)]
+    work = [r for r in eq if any(r)]
     for c in range(dim + 1):
         at = next((i for i, r in enumerate(work) if r[c]), None)
         if at is None:
@@ -218,43 +233,32 @@ def _eliminate_int(
         basis.append(e)
         pivots.append(c)
     rows = set()
-    for a, b in ineq:
-        r = _int_row(a, b)
+    for r in ineq:
         for e, pc in zip(basis, pivots):
             r = _cancel(r, e, pc)
         if not any(r[:-1]):
             if r[-1] < 0:
                 return None
             continue
-        rows.add(tuple(_primitive(r)))
+        rows.add(tuple(_primitive(list(r))))
     return [tuple(e) for e in basis], sorted(rows)
 
 
-def _fraction_rows(rows: Iterable[IntRow]) -> tuple[Row, ...]:
-    return tuple((tuple(map(Fraction, r[:-1])), Fraction(r[-1])) for r in rows)
+def _hpoly_of(dim: int, eq: Sequence[IntRow], ineq: Sequence[IntRow]) -> HPoly:
+    """The polyhedron of integer rows, its closed system kept with them."""
+    closed = int_system(dim, ineq, (), eq)
+    p = HPoly(dim, closed.weak, closed.eq)
+    p.__dict__["_closed"] = closed
+    return p
 
 
-def _eliminate_equalities(
-    dim: int, eq: Iterable[Row], ineq: Iterable[Row]
-) -> Optional[tuple[tuple[Row, ...], tuple[Row, ...]]]:
-    """The equality block in RREF and the inequality rows reduced against
-    its pivots, normalized, deduplicated and sorted; None when this alone
-    shows the set empty (a 0 = 1 pivot, or a row reduced to 0 <= b < 0).
-    Computed in integers (_eliminate_int); Fractions only at the end."""
-    reduced = _eliminate_int(dim, eq, ineq)
-    if reduced is None:
-        return None
-    return _fraction_rows(reduced[0]), _fraction_rows(reduced[1])
-
-
-def _split_implicit(
-    dim: int, ineq: Sequence[Row], eq: Sequence[Row]
-) -> tuple[list[Row], list[Row]]:
-    """(implicit equalities, other rows) of a nonempty system, in rounds of
-    one LP: maximize the sum of slacks t_i in [0, 1], with a_i.x + t_i <= b_i
-    on the rows not yet classified.  A row strict at the optimal point is no
-    implicit equality; when no row is strict there, the optimum is 0 and
-    every unclassified row is tight on the whole set."""
+def _split_implicit(dim: int, ineq: Sequence[Row], eq: Sequence[Row]) -> list[int]:
+    """The indices of the implicit equalities among the rows of a nonempty
+    system, in rounds of one LP: maximize the sum of slacks t_i in [0, 1],
+    with a_i.x + t_i <= b_i on the rows not yet classified.  A row strict
+    at the optimal point is no implicit equality; when no row is strict
+    there, the optimum is 0 and every unclassified row is tight on the
+    whole set."""
     todo = list(range(len(ineq)))
     while todo:
         k = len(todo)
@@ -275,7 +279,7 @@ def _split_implicit(
                 raise CertificateError("a positive slack sum makes some row strict")
             break
         todo = [i for i in todo if i not in strict]
-    return [ineq[i] for i in todo], [r for i, r in enumerate(ineq) if i not in todo]
+    return todo
 
 
 @lru_cache(maxsize=None)
@@ -297,70 +301,89 @@ def canonical_form(p: HPoly) -> Optional[HPoly]:
 
     A caller that holds a point of ri(p) skips step 2 and seeds step 4
     with it (_canonical_from); the facets are unique, so the result is
-    the same."""
+    the same.  The rows are integer from step 1 on.  Their Fractions are
+    built once, for the LP of step 2, and the result reuses them."""
     found = _canonical(p)
     return None if found is None else found[0]
 
 
-def _canonical(p: HPoly) -> Optional[tuple[HPoly, list[Optional[IntPoint]]]]:
+# a canonical polyhedron and, per facet row, a point of that facet's ri or None
+Seeded = tuple[HPoly, list[Optional[IntPoint]]]
+
+
+def _canonical(p: HPoly) -> Optional[Seeded]:
     """canonical_form(p) and, per facet row, the point of that facet's
     relative interior that step 4 met it at, or None (see _irredundant)."""
-    reduced = _eliminate_equalities(p.dim, p.eq, p.ineq)
+    reduced = _eliminate_int(p.dim, *_int_rows(p))
     if reduced is None:
         return None
     eq, ineq = reduced
+    q = _hpoly_of(p.dim, eq, ineq)
     inside = None
     if ineq:
-        joint = strict_feasible(MixedSystem(p.dim, (), tuple(ineq), eq))
-        inside = joint.witness
-        if not joint.feasible:
+        joint = strict_feasible(q.ri_system())
+        if joint.feasible:
+            inside = _integer_point(joint.witness)
+        else:
             if joint.certificate is not None:
                 return None
-            implicit, ineq = _split_implicit(p.dim, ineq, eq)
-            reduced = _eliminate_equalities(p.dim, eq + tuple(implicit), ineq)
+            implicit = _split_implicit(p.dim, q.ineq, q.eq)
+            rest = [r for i, r in enumerate(ineq) if i not in implicit]
+            reduced = _eliminate_int(p.dim, eq + [ineq[i] for i in implicit], rest)
             if reduced is None:
                 raise CertificateError("a nonempty system reduced to an empty one")
             eq, ineq = reduced
-    return _irredundant(p.dim, eq, ineq, inside)
+            q = _hpoly_of(p.dim, eq, ineq)
+    keep, seen = _irredundant(p.dim, eq, ineq, inside)
+    if len(keep) < len(ineq):  # only after LPs
+        q = _hpoly_of(p.dim, eq, [ineq[i] for i in keep])
+    return q, seen
 
 
 def _canonical_from(p: HPoly, z: Vec) -> Optional[HPoly]:
-    """canonical_form(p) for a caller holding z, a point of ri(p).
+    """canonical_form(p) for a caller holding z, a point of ri(p)."""
+    found = _canonical_seeded(p, z)
+    return None if found is None else found[0]
+
+
+def _canonical_seeded(p: HPoly, z: Vec) -> Optional[Seeded]:
+    """_canonical(p) for a caller holding z, a point of ri(p).
 
     After step 1, z settles step 2 when it satisfies every equality row
     and every reduced row strictly, checked in integers: then the reduced
     rows have a strict point, so none is an implicit equality, and z
     seeds the facet test of step 4.  When the check fails, p goes through
-    canonical_form."""
-    reduced = _eliminate_int(p.dim, p.eq, p.ineq)
+    _canonical."""
+    reduced = _eliminate_int(p.dim, *_int_rows(p))
     if reduced is not None:
         eq, ineq = reduced
         zi, den = _integer_point(z)
         if all(_dot(e[:-1], zi) == e[-1] * den for e in eq) and all(
             _dot(r[:-1], zi) < r[-1] * den for r in ineq
         ):
-            return _irredundant(p.dim, _fraction_rows(eq), _fraction_rows(ineq), z)[0]
-    return canonical_form(p)
+            keep, seen = _irredundant(p.dim, eq, ineq, (zi, den))
+            return _hpoly_of(p.dim, eq, [ineq[i] for i in keep]), seen
+    return _canonical(p)
 
 
 def _facets_seen_from(
-    eq: Sequence[Row], ineq: Sequence[Row], z: Vec
+    eq: Sequence[IntRow], ineq: Sequence[IntRow], z: IntPoint
 ) -> list[Optional[IntPoint]]:
     """Per row of a reduced system, a point of the facet it cuts shown
-    from z, a point of the affine hull strictly inside every row; None for
-    a row no ray shows.  Points are (X, D) for X / D, so the callers that
-    only need to know which rows are facets build no Fraction.
+    from z = Z / D, a point of the affine hull strictly inside every row;
+    None for a row no ray shows.  Rows and points are integer, so the
+    callers that only need to know which rows are facets build no
+    Fraction.
 
     For row i, the direction d that equals a_i off the pivot columns of
     the equality block and solves E d = 0 on them has a_i.d > 0, since a_i
     is zero on the pivots.  Along z + s d, the row met first, when no
     other row is met at the same step, is tight at a point of the set
     where every other row is strict, so no other row implies it, and that
-    point lies in the relative interior of the facet the row cuts.  All in
-    integers: rows are scaled once and z is Z / D."""
-    eq_rows = [_scaled(a, b)[:2] for a, b in eq]
-    rows = [_scaled(a, b)[:2] for a, b in ineq]
-    zi, den = _integer_point(z)
+    point lies in the relative interior of the facet the row cuts."""
+    eq_rows = [(e[:-1], e[-1]) for e in eq]
+    rows = [(r[:-1], r[-1]) for r in ineq]
+    zi, den = z
     gaps = [b * den - _dot(a, zi) for a, b in rows]  # D (b - a.z) > 0
     pivots = [next(j for j, v in enumerate(e) if v) for e, _ in eq_rows]
     scale = lcm(*(e[pc] for (e, _), pc in zip(eq_rows, pivots)))
@@ -391,35 +414,40 @@ def _facets_seen_from(
 
 
 def _irredundant(
-    dim: int, eq: tuple[Row, ...], ineq: Sequence[Row], inside: Optional[Vec] = None
-) -> tuple[HPoly, list[Optional[IntPoint]]]:
-    """Step 4 of canonical_form on a reduced system without implicit
-    equalities: drop each row that the others imply.  Rows shown to be
-    facets from a point strictly inside every row, when one is given, are
-    kept with no LP; each other row takes one LP.  The facets are unique,
-    so the result does not depend on which rows the point settles.
+    dim: int, eq: Sequence[IntRow], ineq: Sequence[IntRow], inside: Optional[IntPoint]
+) -> tuple[list[int], list[Optional[IntPoint]]]:
+    """Step 4 of canonical_form on the integer rows of a reduced system
+    without implicit equalities: drop each row that the others imply.
+    Rows shown to be facets from a point strictly inside every row, when
+    one is given, are kept with no LP; each other row takes one LP, on
+    Fraction rows built then.  The facets are unique, so the result does
+    not depend on which rows the point settles.
 
-    Also returns, per kept row, the point of its facet's relative interior
-    that the ray test met, or None (_facets_seen_from): a point strictly
-    inside the rows of a larger system is strictly inside those kept."""
-    survivors = list(ineq)
-    seen: list[Optional[IntPoint]] = [None] * len(survivors)
+    Returns the indices of the kept rows and, per kept row, the point of
+    its facet's relative interior that the ray test met, or None
+    (_facets_seen_from): a point strictly inside the rows of a larger
+    system is strictly inside those kept."""
+    keep = list(range(len(ineq)))
+    seen: list[Optional[IntPoint]] = [None] * len(ineq)
     if inside is not None:
-        seen = _facets_seen_from(eq, survivors, inside)
+        seen = _facets_seen_from(eq, ineq, inside)
+    if len(keep) < 2 or all(seen):
+        return keep, seen
+    system = int_system(dim, ineq, (), eq)
     i = 0
-    while len(survivors) > 1 and i < len(survivors):
+    while len(keep) > 1 and i < len(keep):
         if seen[i] is not None:
             i += 1
             continue
-        a, b = survivors[i]
-        others = survivors[:i] + survivors[i + 1 :]
-        out = maximize(a, MixedSystem(dim, tuple(others), (), eq))
+        a, b = system.weak[keep[i]]
+        others = tuple(system.weak[j] for j in keep if j != keep[i])
+        out = maximize(a, MixedSystem(dim, others, (), system.eq))
         if out.status == "optimal" and out.value <= b:
-            survivors.pop(i)
+            keep.pop(i)
             seen.pop(i)
         else:
             i += 1
-    return HPoly(dim, tuple(survivors), eq), seen
+    return keep, seen
 
 
 def is_empty(p: HPoly) -> bool:
@@ -739,7 +767,8 @@ def vrep_contains(v: VPoly, x: Vec) -> bool:
 
 @lru_cache(maxsize=None)
 def faces(p: HPoly) -> tuple[HPoly, ...]:
-    """Every nonempty face, canonical, the polyhedron itself included.
+    """Every nonempty face, canonical, the polyhedron itself included, in
+    _hpoly_sort_key order, so the polyhedron comes first.
 
     Only the root takes a full canonical form.  A child is a facet of a
     canonical face f: f with one of its rows (a, b) made an equality.  The
@@ -750,27 +779,42 @@ def faces(p: HPoly) -> tuple[HPoly, ...]:
     and step 4 of canonical_form, with no strict-feasibility LP.  Step 4
     of f met the row at a point of the facet's relative interior when its
     ray test settled the row; that point seeds the child's own ray test,
-    so a face whose rows all show from such points takes no LP at all."""
+    so a face whose rows all show from such points takes no LP at all.
+    Each face travels as its integer rows from step 1 to the ray test of
+    its children, and its Fraction rows are built once, when it is first
+    met."""
     root = _canonical(p)
-    if root is None:
-        return ()
-    seen: set[HPoly] = set()
-    stack = [root]
+    return () if root is None else _faces_below(*root)
+
+
+def faces_from(p: HPoly, z: Vec) -> tuple[HPoly, ...]:
+    """faces(p) for a caller holding z, a point of ri(p): the root is
+    canonicalized from z (_canonical_seeded)."""
+    root = _canonical_seeded(p, z)
+    return () if root is None else _faces_below(*root)
+
+
+def _faces_below(root: HPoly, points: list[Optional[IntPoint]]) -> tuple[HPoly, ...]:
+    dim = root.dim
+    eq, ineq = _int_rows(root)
+    found: dict[tuple, HPoly] = {}
+    stack = [(eq, ineq, points, root)]
     while stack:
-        f, points = stack.pop()
-        if f in seen:
+        eq, ineq, points, face = stack.pop()
+        key = (tuple(eq), tuple(ineq))
+        if key in found:
             continue
-        seen.add(f)
-        for (a, b), z in zip(f.ineq, points):
-            reduced = _eliminate_equalities(f.dim, f.eq + ((a, b),), f.ineq)
+        found[key] = face if face is not None else _hpoly_of(dim, eq, ineq)
+        for row, z in zip(ineq, points):
+            reduced = _eliminate_int(dim, [*eq, row], ineq)
             if reduced is None:
                 raise CertificateError("a facet of a canonical face is nonempty")
-            if z is not None:
-                z = tuple(Fraction(v, z[1]) for v in z[0])
-            child = _irredundant(f.dim, *reduced, z)
-            if child[0] not in seen:
-                stack.append(child)
-    return tuple(sorted(seen, key=_hpoly_sort_key))
+            child_eq, child_ineq = reduced
+            keep, seen = _irredundant(dim, child_eq, child_ineq, z)
+            rows = [child_ineq[i] for i in keep]
+            if (tuple(child_eq), tuple(rows)) not in found:
+                stack.append((child_eq, rows, seen, None))
+    return tuple(sorted(found.values(), key=_hpoly_sort_key))
 
 
 def _hpoly_sort_key(p: HPoly):

@@ -36,6 +36,7 @@ from .ncset import (
     _ncset_of_cells,
     closure_hull,
     from_closed_hpoly,
+    from_faces,
     joint_image,
     linear_image,
     ncset,
@@ -48,7 +49,7 @@ from .ncset import (
     sum_link,
     whole_space,
 )
-from .polyhedron import HPoly, empty_hpoly, project_mixed
+from .polyhedron import HPoly, empty_hpoly, faces_from, project_mixed
 
 
 @dataclass(frozen=True)
@@ -356,7 +357,17 @@ def const_map(n: int, s: NCSet) -> SVMap:
 
 
 def affine_plus_cone(a: Mat, c: Vec, cone: HPoly) -> SVMap:
-    """x -> Ax + c + K for a polyhedral cone K given by homogeneous rows."""
+    """x -> Ax + c + K for a polyhedral cone K given by homogeneous rows.
+
+    The graph is the faces of one closed polyhedron, whose root is
+    canonicalized from a point in hand: with k0 a strict witness of K's ri
+    system, a point of ri K, z = (0, c + k0) lies in the ri of the graph,
+    the preimage of ri K under the surjective affine map
+    (x, y) -> y - Ax - c (Rockafellar, Thm 6.6).  The canonical form of K
+    has paid for that witness when K came from plfunc.polycone with no
+    redundant row, or when its generators were taken.  Rows of K with an
+    implicit equality have no strict witness, and the graph's root then
+    takes its own strict LP."""
     p = len(a)
     n = len(a[0]) if a else 0
     if cone.dim != p:
@@ -370,5 +381,10 @@ def affine_plus_cone(a: Mat, c: Vec, cone: HPoly) -> SVMap:
             out.append((la.neg(la.mat_t_vec(a, k)) + k, la.dot(k, la.vec(c))))
         return tuple(out)
 
-    graph = from_closed_hpoly(HPoly(n + p, shift(cone.ineq), shift(cone.eq)))
-    return SVMap(n, p, graph)
+    closed = HPoly(n + p, shift(cone.ineq), shift(cone.eq))
+    # with no inequality rows K is a subspace, and 0 lies in its ri
+    k0 = strict_feasible(cone.ri_system()).witness if cone.ineq else la.zeros(p)
+    if k0 is None:
+        return SVMap(n, p, from_closed_hpoly(closed))
+    z = la.zeros(n) + la.add(la.vec(c), k0)
+    return SVMap(n, p, from_faces(n + p, faces_from(closed, z)))

@@ -249,6 +249,49 @@ def test_pinned_vg_values():
     )
 
 
+def _slice_by_fractions(base, x):
+    # the former construction of the dominant slice: top.system().fix(0, x)
+    # .closed(), each right-hand side b - a_x.x in Fractions
+    n = len(x)
+    rows = [(a[n:], b - la.dot(a[:n], x)) for a, b in base.ineq]
+    eqs = [(a[n:], b - la.dot(a[:n], x)) for a, b in base.eq]
+    return lp.MixedSystem(base.dim - n, tuple(rows), (), tuple(eqs))
+
+
+def _rescaled(system):
+    # the kept rows by their definition, from the system's own Fractions
+    return tuple(
+        tuple(lp._scaled(a, b) for a, b in block)
+        for block in (system.weak, system.strict, system.eq)
+    )
+
+
+def test_slice_lp_matches_the_fraction_slice():
+    # the closed LP slice_inf solves on the dominant piece is the former
+    # Fraction slice, row for row, with the same LPOutcome; it and the
+    # base's kept systems keep the rows _scaled gives
+    statuses = Counter()
+    for g, x, ystar in _pinned_vg_cases():
+        top = g.graph.dominant
+        if top is None:
+            continue
+        base = top.base
+        for system in (base.closed_system(), base.ri_system(), base.cone_system()):
+            assert system.scaled_rows() == _rescaled(system)
+        x, cost = la.vec(x), la.neg(la.vec(ystar))
+        former = _slice_by_fractions(base, x)
+        cell = top.system().fix(0, x)
+        assert cell.closed() == former
+        for system in (cell, cell.closed()):
+            assert system.scaled_rows() == _rescaled(system)
+        lp.solve_lp.cache_clear()
+        got = lp.solve_lp(cost, cell.closed())
+        lp.solve_lp.cache_clear()
+        assert got == lp.solve_lp(cost, former)
+        statuses[got.status] += 1
+    assert set(statuses) == {"optimal", "unbounded", "infeasible"}, statuses
+
+
 def test_vg_value_matches_an_lp_on_each_canonical_piece():
     # the former definition: G(x) in canonical pieces, one LP on each base
     for g, x, ystar in _pinned_vg_cases():
@@ -331,6 +374,43 @@ def test_faces_of_a_cone_graph_take_one_strict_lp():
     assert lp.strict_feasible.cache_info().misses == 1
 
 
+def _cone_graph_by_faces(a_mat, c, k):
+    # the former construction: every face of the closed graph, the root
+    # canonicalized by its own strict LP
+    n = len(a_mat[0])
+
+    def shift(rows):
+        return tuple(
+            (la.neg(la.mat_t_vec(a_mat, r)) + r, la.dot(r, la.vec(c))) for r, _ in rows
+        )
+
+    closed = ph.HPoly(n + k.k.dim, shift(k.k.ineq), shift(k.k.eq))
+    return ns.from_closed_hpoly(closed)
+
+
+def test_cone_graph_over_a_warm_cone_takes_no_strict_lp():
+    # the graph's root is canonicalized from (0, c + k0), with k0 the strict
+    # witness of K's ri system, which K's own canonical form has paid for
+    cones = (
+        _pointed_cone_map()[2],
+        pf.nonneg_orthant(2),
+        pf.polycone(ph.hpoly(2, [((1, 2), 0), ((-1, 1), 0)])),  # wide wedge
+        pf.polycone(ph.hpoly(2, [((1, 0), 0)])),  # half-plane
+        pf.polycone(ph.hpoly(2, eq=[((1, -1), 0)])),  # a line: 0 is in its ri
+        pf.polycone(ph.hpoly(2, [((0, -1), 0)], [((1, 0), 0)])),  # a ray
+        pf.polycone(ph.hpoly(2)),  # the plane
+    )
+    a_mat, c = la.mat([[F(1)], [F(-2)]]), (F(1), F(0))
+    for k in cones:
+        clear_caches()
+        ph.canonical_form(k.k)
+        before = lp.strict_feasible.cache_info().misses
+        g = sv.affine_plus_cone(a_mat, c, k.k)
+        assert lp.strict_feasible.cache_info().misses == before, k
+        assert g.graph == _cone_graph_by_faces(a_mat, c, k)
+        assert g.graph.dominant == g.graph.pieces[0]
+
+
 def test_vg_value_takes_no_strict_lp_on_a_cone_graph():
     # every slice value comes with a witness in its own cell
     a_mat, c, k = _pointed_cone_map()
@@ -377,9 +457,9 @@ def test_lemma74_lp_budget():
     clear_caches()
     report = orc.theorem_suite("lemma7.4", count=4, seed=0)
     assert report.passes == 4
-    assert lp.solve_lp.cache_info().misses <= 31
-    assert lp.strict_feasible.cache_info().misses <= 6
-    assert ph.canonical_form.cache_info().misses <= 6
+    assert lp.solve_lp.cache_info().misses <= 27
+    assert lp.strict_feasible.cache_info().misses <= 2
+    assert ph.canonical_form.cache_info().misses <= 2
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,11 @@ Rules over `src/ncvx`:
 - every module-level import binds a name the module uses;
 - no module holds an `assert` statement;
 - no more unbounded caches (`lru_cache(maxsize=None)`, `functools.cache`)
-  than the 11 the library has now: a ratchet until they are bounded.
+  than the 11 the library has now: a ratchet until they are bounded;
+- no more call sites of the row and point scalers `_scaled`, `_int_row`
+  and `_integer_point` outside `lp.MixedSystem`, which keeps its rows
+  scaled, than `RESCALING` allows per module: a ratchet, so that per-call
+  rescaling of rows a system already keeps cannot creep back.
 
 One rule over the command line: every verb path of the parser (`check`,
 `map compose`, `conj chain`, `duality fenchel`, ...) is run by some golden
@@ -173,6 +177,40 @@ def test_unbounded_caches_do_not_grow():
         and any(map(_is_unbounded_cache, node.decorator_list))
     ]
     assert len(found) <= 11, found
+
+
+# call sites of the scalers outside lp.MixedSystem, per module and name;
+# a count may only fall, and is lowered when a call site goes.  lp scales
+# each LP's cost vector; the others scale a point once for many checks.
+SCALERS = {"_scaled", "_int_row", "_integer_point"}
+RESCALING = {
+    "lp._scaled": 1,
+    "ncset._integer_point": 1,
+    "plfunc._integer_point": 2,
+    "polyhedron._integer_point": 2,
+}
+
+
+def test_rows_are_not_rescaled_per_call():
+    found: dict[str, int] = {}
+    for path in _library_modules():
+        tree = _parse(path)
+        kept = [
+            node
+            for node in tree.body
+            if isinstance(node, ast.ClassDef) and f"{path.stem}.{node.name}" == "lp.MixedSystem"
+        ]
+        inside = {id(n) for top in kept for n in ast.walk(top)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in inside:
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in SCALERS:
+                key = f"{path.stem}.{name}"
+                found[key] = found.get(key, 0) + 1
+    over = {k: v for k, v in found.items() if v > RESCALING.get(k, 0)}
+    assert over == {}, "read MixedSystem.scaled_rows, or scale the point once"
+    assert found == RESCALING, "a call site went: lower its count"
 
 
 def _verb_paths(parser, prefix=()) -> list:

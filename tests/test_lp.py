@@ -479,3 +479,115 @@ def test_pinned_strict_feasibility():
     assert digest.hexdigest() == (
         "520a0d2e30070ee3b9a856a5165a78e9509eb65bd9564d5430ee020a074758a1"
     )
+
+
+# ---------------------------------------------------------------------------
+# the integer rows a system keeps
+
+
+def _rescaled(system):
+    """The kept form by its definition: every row scaled from its Fractions."""
+    return tuple(
+        tuple(lp._scaled(a, b) for a, b in block)
+        for block in (system.weak, system.strict, system.eq)
+    )
+
+
+def _random_mixed(rng, n):
+    """Rows with small rational coefficients, zero entries and rows among
+    them, in all three blocks."""
+
+    def entry():
+        return F(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 6)))
+
+    def block(k):
+        return tuple((tuple(entry() for _ in range(n)), entry()) for _ in range(k))
+
+    weak, strict, eq = block(rng.randint(0, 3)), block(rng.randint(0, 3)), block(rng.randint(0, 2))
+    return MixedSystem(n, weak, strict, eq)
+
+
+def _fix_by_fractions(system, start, values):
+    # the former MixedSystem.fix, row by row in Fractions
+    stop = start + len(values)
+
+    def rows(block):
+        return tuple(
+            (a[:start] + a[stop:], b - la.dot(a[start:stop], values)) for a, b in block
+        )
+
+    dim = system.dim - len(values)
+    return MixedSystem(dim, rows(system.weak), rows(system.strict), rows(system.eq))
+
+
+def test_kept_rows_are_the_scaled_rows():
+    # whatever a system was made by, and whether its parts had their rows
+    # scaled first or not, the rows it keeps are _scaled of its own rows
+    rng = random.Random(2303_0779)
+    for k in range(120):
+        n = rng.randint(1, 4)
+        system, other = _random_mixed(rng, n), _random_mixed(rng, n)
+        if k % 2:
+            system.scaled_rows()
+            other.scaled_rows()
+        start = rng.randint(0, n - 1)
+        k_fixed = rng.randint(1, n - start)
+        values = tuple(F(rng.randint(-5, 5), rng.choice((1, 2, 3))) for _ in range(k_fixed))
+        t = tuple(
+            tuple(F(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(2)) for _ in range(n)
+        )
+        shift = tuple(F(rng.randint(-3, 3), rng.choice((1, 4))) for _ in range(n))
+        cols = rng.sample(range(n + 2), n)
+        made = {
+            "closed": system.closed(),
+            "combine": system.combine(other),
+            "embed": system.embed(cols, n + 2),
+            "fix": system.fix(start, values),
+            "pullback": system.pullback(t, shift),
+            "closed fix": system.fix(start, values).closed(),
+            "opened": system.opened(),
+            "homogeneous": system.homogeneous(),
+        }
+        assert made["fix"] == _fix_by_fractions(system, start, values)
+        for name, derived in made.items():
+            assert derived.scaled_rows() == _rescaled(derived), (name, system)
+    for rows in ([[1, -2, 3], [0, 0, 1]], [[4, 6, -2]], []):
+        made = lp.int_system(2, rows, rows[:1], rows[1:])
+        assert made.scaled_rows() == _rescaled(made)
+
+
+def _satisfies_by_fractions(system, x):
+    # the definition, row by row in Fractions
+    def gaps(block):
+        return [b - la.dot(a, x) for a, b in block]
+
+    return (
+        all(g >= 0 for g in gaps(system.weak))
+        and all(g > 0 for g in gaps(system.strict))
+        and all(g == 0 for g in gaps(system.eq))
+    )
+
+
+def test_integer_satisfies_matches_the_fraction_definition():
+    rng = random.Random(7793)
+    verdicts = set()
+    on_a_row = 0
+    for _ in range(400):
+        n = rng.randint(1, 3)
+        system = _random_mixed(rng, n)
+        x = tuple(F(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(n))
+        rows = system.weak + system.strict + system.eq
+        if rows and rng.random() < 0.5:
+            # move x onto a row, so that ties are met
+            a, b = rng.choice(rows)
+            j = next((j for j, v in enumerate(a) if v), None)
+            if j is not None:
+                x = x[:j] + (x[j] + (b - la.dot(a, x)) / a[j],) + x[j + 1 :]
+                on_a_row += 1
+        want = _satisfies_by_fractions(system, x)
+        assert system.satisfies(x) == want
+        xi, den = lp._integer_point(x)
+        scale = rng.randint(1, 3)  # an unreduced X / D names the same point
+        assert system.satisfies_int([v * scale for v in xi], den * scale) == want
+        verdicts.add(want)
+    assert verdicts == {True, False} and on_a_row > 100

@@ -32,6 +32,7 @@ from ncvx.errors import DimensionMismatch, NotNearlyConvex
 from ncvx.lp import MixedSystem, solve_lp, strict_feasible
 from ncvx.ncset import (
     NCSet,
+    _dominant_piece,
     affine_preimage,
     closed_shadow,
     closure,
@@ -480,6 +481,27 @@ def test_pinned_from_closed_hpoly():
     assert digest.hexdigest() == (
         "1c4e0c1d97b5293be7fa7e603dea12c93d191c375ed942246e517b7247684f25"
     )
+
+
+def test_from_closed_hpoly_seeds_its_root_as_the_dominant_piece():
+    # the root face holds every other face, so it is handed to the set; the
+    # row checks of _dominant_piece, when they find a piece, find the same
+    shown = unshown = 0
+    for p in _pinned_closed_polyhedra():
+        s = from_closed_hpoly(p)
+        if not s.pieces:
+            assert s.dominant is None
+            continue
+        assert s.__dict__["dominant"] is s.pieces[0]
+        assert s.pieces[0].base == canonical_form(p)
+        found = _dominant_piece(s.pieces)
+        if found is None:
+            unshown += 1
+        else:
+            assert found is s.dominant
+            shown += 1
+    print(shown, unshown)
+    assert shown > 10
 
 
 def test_from_closed_hpoly_equals_the_decomposed_closed_system():
