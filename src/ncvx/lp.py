@@ -1,10 +1,23 @@
 """Exact linear programming over the rationals.
 
-A two-phase primal simplex with Bland's anti-cycling pivot rule (smallest
-eligible index enters; ties in the ratio test break toward the smallest
-basic index), so every solve terminates and is deterministic. Free
-variables are split into nonnegative pairs x = x+ - x- and weak rows get
-slacks.
+A primal simplex with Bland's anti-cycling pivot rule (smallest eligible
+index enters; ties in the ratio test break toward the smallest basic
+index), so every solve terminates and is deterministic. Free variables
+are split into nonnegative pairs x = x+ - x- and weak rows get slacks.
+It has two entries:
+
+- solve_lp (and feasible_point, maximize, strict_feasible on it): any
+  system of weak and equality rows, in two phases, cached.  Its witnesses
+  and certificates are the ones the library reports, so every answer that
+  reaches an output comes from here.
+- maximize_from_origin: integer rows A u <= g with g >= 0, so the origin
+  is feasible and phase 2 starts from the all-slack basis, with no
+  artificials, no drive-out and no cache.  The polyhedron module uses it
+  where the LP's point never reaches an output: the slack LP that finds a
+  point of a relative interior (polyhedron.strict_point, step 2 of a
+  canonical form) and the redundancy LPs of a canonical form, shifted to
+  a strict point.  It answers with a point and, at an optimum, the dual
+  vector read off the slack reduced costs, or with an improving ray.
 
 The tableau is fraction-free, in the line of Edmonds (1967) and Bareiss
 (1968): each input row is scaled once to integers, and each tableau row is
@@ -32,10 +45,11 @@ module read them, and a caller that checks one point against many
 systems scales the point once (satisfies_int).
 
 Every answer carries an exact certificate: an optimal witness point, a
-Farkas vector proving infeasibility, or an improving feasible ray proving
-unboundedness. Each is checked in integers against the scaled input rows
-before it is returned, and a failed check raises CertificateError; values
-become Fractions only in the returned LPOutcome.
+Farkas vector proving infeasibility, an improving feasible ray proving
+unboundedness, or (from the origin) a dual vector proving optimality.
+Each is checked in integers against the scaled input rows before it is
+returned, and a failed check raises CertificateError; values become
+Fractions only in the returned LPOutcome.
 
 Strict feasibility (membership in the relative interior of a row system)
 is decided by maximizing a shared slack variable t added to every strict
@@ -540,6 +554,67 @@ def _verify_ray(c, scaled, m_w, ray):
         d = _dot(a, ray)
         if d > 0 or (i >= m_w and d != 0):
             raise CertificateError("ray must stay in the recession cone")
+
+
+@dataclass(frozen=True)
+class OriginOutcome:
+    """An answer of maximize_from_origin, in integers.  x = point / den is
+    the final basic point.  At an optimum, y = dual / dual_den has y >= 0,
+    y A = c and y.g = c.x; when the LP is unbounded, ray has A ray <= 0
+    and c.ray > 0 (dual is None)."""
+
+    point: list[int]
+    den: int
+    dual: Optional[list[int]] = None
+    dual_den: int = 1
+    ray: Optional[list[int]] = None
+
+
+def maximize_from_origin(
+    a: Sequence[Sequence[int]], g: Sequence[int], c: Sequence[int]
+) -> OriginOutcome:
+    """Maximize c.u over the integer rows A u <= g, u free, when g >= 0.
+
+    The origin is feasible, so the all-slack basis starts phase 2 and
+    there is no phase 1: no artificials and no drive-out.  The tableau is
+    solve_lp's, with slack coefficient 1, and so is the pivot rule.  The
+    dual vector is the slack reduced costs of the final basis.  The point,
+    the ray and the dual vector are each checked in integers before they
+    are returned."""
+    n, m = len(c), len(a)
+    if any(b < 0 for b in g):
+        raise UsageError("the origin must satisfy every row")
+    rows = []
+    for i, (r, b) in enumerate(zip(a, g)):
+        row = [*r] + [0] * m
+        row[n + i] = 1
+        row.append(b)
+        rows.append(row)
+    basis = [2 * n + i for i in range(m)]
+    cost = [-v for v in c]  # the tableau minimizes
+    obj = cost + [0] * (m + 1) + [1]
+    enter = _run(rows, obj, basis, n, n + m)
+
+    scaled = [(r, b, 1) for r, b in zip(a, g)]
+    point, den = _basic_values(rows, basis, n, lambda r: r[-1])
+    _verify_point(scaled, m, point, den)
+    if enter is not None:
+        var, col, sign = enter
+        ray, step = _basic_values(rows, basis, n, lambda r: -sign * r[col])
+        if var < n:
+            ray[var] += step
+        elif var < 2 * n:
+            ray[var - n] -= step
+        _verify_ray(cost, scaled, m, ray)
+        return OriginOutcome(point, den, ray=_primitive(ray))
+    dual, dual_den = obj[n : n + m], obj[-1]
+    if any(y < 0 for y in dual):
+        raise CertificateError("dual multipliers must be nonnegative")
+    if any(sum(y * r[j] for y, r in zip(dual, a)) != v * dual_den for j, v in enumerate(c)):
+        raise CertificateError("dual combination must equal the objective")
+    if _dot(dual, g) * den != _dot(c, point) * dual_den:
+        raise CertificateError("dual value must equal the optimal value")
+    return OriginOutcome(point, den, dual, dual_den)
 
 
 def feasible_point(system: MixedSystem) -> LPOutcome:

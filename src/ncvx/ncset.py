@@ -63,6 +63,7 @@ from .polyhedron import (
     faces,
     project,
     ri_shadow,
+    strict_point,
     to_hrep,
     to_vrep,
 )
@@ -386,7 +387,7 @@ def joint_image(
     witness with the part's new columns solved from the piece's
     equalities (_extend), checked in integers; so a link, whose columns
     are new and whose rows are equalities, takes no LP.  Only when that
-    point misses the joint cell does strict_feasible decide.  A surviving
+    point misses the joint cell does strict_point decide.  A surviving
     cell gives one piece, polyhedron.ri_shadow of it from its strict
     witness: the ri of the closed shadow of its closure (Rockafellar,
     Thms 6.5 and 6.6), canonicalized from the witness's kept
@@ -405,7 +406,7 @@ def joint_image(
                 joint = cell.combine(m)
                 z = None if wit is None else _extend(wit, m, new)
                 if z is None or not joint.satisfies(z):
-                    z = strict_feasible(joint).witness
+                    z = strict_point(joint)
                 if z is not None:
                     folded.append((joint, z))
         cells = folded

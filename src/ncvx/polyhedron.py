@@ -11,19 +11,22 @@ every remaining inequality strict".
 
 The canonical form spends LPs only on what linear algebra cannot settle.
 RREF of the equality block, fraction-free on integer rows, finds the
-emptiness that shows as 0 = 1 or as a reduced row 0 <= b < 0. One
-strict-feasibility LP over all reduced rows then settles the usual case:
-a strict point means no implicit equalities, a Farkas certificate means
-empty. A caller that already holds a point of the relative interior hands
-it in instead of that LP. Only when it fails do rounds of one slack-sum
-LP each sort the rows into implicit equalities and the rest (Fukuda,
-Polyhedral computation FAQ). Redundancy is settled from the strict point
-when there is one: a ray from it that meets one row before any other
-shows a facet with no LP, in the line of Clarkson's ray shooting (1994).
-Each row it does not settle costs one LP, and a lone row none.  The
-point where a ray meets a facet lies in the facet's relative interior, so
-the faces of a polyhedron are enumerated from such points, each facet
-seeding its own children.
+emptiness that shows as 0 = 1 or as a reduced row 0 <= b < 0. One slack
+LP over all reduced rows then settles the usual case: a point with a
+positive slack means no implicit equalities, and a negative optimal slack
+means empty. It runs on the free columns of the equality block, from a
+feasible basis, with no phase 1 (lp.maximize_from_origin), and its dual
+vector proves the optimum. A caller that already holds a point of the
+relative interior hands it in instead of that LP. Only at a zero slack
+do rounds of one slack-sum LP each sort the rows into implicit
+equalities and the rest (Fukuda, Polyhedral computation FAQ). Redundancy
+is settled from the strict point: a ray from it that meets one row
+before any other shows a facet with no LP, in the line of Clarkson's ray
+shooting (1994). Each row it does not settle costs one LP from the same
+point, again with no phase 1, and a lone row none.  The point where a ray
+meets a facet lies in the facet's relative interior, so the faces of a
+polyhedron are enumerated from such points, each facet seeding its own
+children.  A canonical form keeps its strict point (ri_point).
 
 Projection is Fourier-Motzkin with equality pivoting, on closed systems
 only and with no LP: canonical_form removes the redundant rows it leaves.
@@ -42,7 +45,10 @@ Mixed cells (weak + strict + equality rows) are the set-algebra workhorse:
 region subtraction peels one constraint at a time, each cell carrying a
 point of its own that settles most of its nonemptiness tests with no LP,
 and any feasible mixed system splits into relatively open polyhedra by
-recursing on the facets of its closure.
+recursing on the facets of its closure.  Where a strict point only
+settles a yes or no, or seeds a unique result, strict_point finds it by
+the slack LP from the origin; strict_feasible's witness, which outputs
+show, comes from its own two-phase LP.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from . import linalg as la
@@ -72,6 +78,7 @@ from .lp import (
     feasible_point,
     int_system,
     maximize,
+    maximize_from_origin,
     strict_feasible,
 )
 
@@ -85,8 +92,9 @@ class HPoly:
 
     Its closed system, ri system and recession-cone system are each made
     once, on first use, and kept in the polyhedron's __dict__ with the
-    integer rows they keep (MixedSystem.scaled_rows); they are not fields,
-    so repr, equality and hashing see the rows alone."""
+    integer rows they keep (MixedSystem.scaled_rows); a canonical form
+    made here also keeps a point of its ri there (ri_point).  They are not
+    fields, so repr, equality and hashing see the rows alone."""
 
     dim: int
     ineq: tuple[Row, ...] = ()
@@ -203,18 +211,9 @@ def _cancel(row: IntRow, e: Sequence[int], pc: int) -> IntRow:
     return _primitive([p * x - f * y for x, y in zip(row, e)])
 
 
-def _eliminate_int(
-    dim: int, eq: Iterable[IntRow], ineq: Iterable[IntRow]
-) -> Optional[tuple[list[tuple[int, ...]], list[tuple[int, ...]]]]:
-    """Step 1 of canonical_form on integer rows.
-
-    Fraction-free Gauss-Jordan: a pivot row e (e[pc] > 0) cancels column
-    pc from every other row by cross-multiplication, keeping rows
-    primitive.  The basis comes out in pivot order, each row the
-    primitive multiple of its RREF row, whose leading entry is its pivot.
-    The inequality rows are reduced the same way; positive multiples keep
-    their sense.  They come out primitive, deduplicated and sorted.  None
-    when this alone shows the set empty."""
+def _echelon(dim: int, eq: Iterable[IntRow]) -> Optional[tuple[list[IntRow], list[int]]]:
+    """The Gauss-Jordan step of _eliminate_int: (basis, pivots), or None
+    when the equalities are inconsistent (0 = b with b nonzero)."""
     basis: list[IntRow] = []
     pivots: list[int] = []
     work = [r for r in eq if any(r)]
@@ -223,7 +222,7 @@ def _eliminate_int(
         if at is None:
             continue
         if c == dim:
-            return None  # 0 = b with b nonzero
+            return None
         e = work.pop(at)
         if e[c] < 0:
             e = [-x for x in e]
@@ -232,16 +231,137 @@ def _eliminate_int(
         work = [r for r in (_cancel(r, e, c) for r in work) if any(r)]
         basis.append(e)
         pivots.append(c)
+    return basis, pivots
+
+
+def _reduce(row: IntRow, basis: Sequence[IntRow], pivots: Sequence[int]) -> IntRow:
+    for e, pc in zip(basis, pivots):
+        row = _cancel(row, e, pc)
+    return row
+
+
+def _eliminate_int(
+    dim: int, eq: Iterable[IntRow], ineq: Iterable[IntRow]
+) -> Optional[tuple[list[tuple[int, ...]], list[tuple[int, ...]]]]:
+    """Step 1 of canonical_form on integer rows.
+
+    Fraction-free Gauss-Jordan (_echelon): a pivot row e (e[pc] > 0)
+    cancels column pc from every other row by cross-multiplication,
+    keeping rows primitive.  The basis comes out in pivot order, each row
+    the primitive multiple of its RREF row, whose leading entry is its
+    pivot.  The inequality rows are reduced the same way; positive
+    multiples keep their sense.  They come out primitive, deduplicated and
+    sorted.  None when this alone shows the set empty."""
+    echelon = _echelon(dim, eq)
+    if echelon is None:
+        return None
+    basis, pivots = echelon
     rows = set()
     for r in ineq:
-        for e, pc in zip(basis, pivots):
-            r = _cancel(r, e, pc)
+        r = _reduce(r, basis, pivots)
         if not any(r[:-1]):
             if r[-1] < 0:
                 return None
             continue
         rows.add(tuple(_primitive(list(r))))
     return [tuple(e) for e in basis], sorted(rows)
+
+
+def _max_slack(
+    cols: Sequence[Sequence[int]], g: Sequence[int], on: Sequence[int], cap: int
+) -> tuple[list[int], int, int]:
+    """(U, S, D): the largest s, over u.cols[i] + on[i] s <= g[i] and
+    s <= cap, is S / D, at u = U / D.  The right-hand sides are
+    nonnegative, so the LP starts at u = 0, s = 0 (maximize_from_origin),
+    and its dual vector proves the optimum."""
+    width = len(cols[0]) if cols else 0
+    a = [[*c, f] for c, f in zip(cols, on)] + [[0] * width + [1]]
+    out = maximize_from_origin(a, [*g, cap], [0] * width + [1])
+    if out.ray is not None:
+        raise CertificateError("the slack is capped")
+    *u, s = out.point
+    return u, s, out.den
+
+
+def _slack_point(
+    dim: int, eq: Sequence[IntRow], ineq: Sequence[IntRow], weak: Sequence[IntRow] = ()
+) -> tuple[int, Optional[IntPoint]]:
+    """(sign, point): a point Z / D on every equality row, strictly inside
+    every row of ineq and inside every row of weak (integer rows), with
+    sign 1; else sign 0 when the rows hold somewhere but not so, and -1
+    when they hold nowhere.
+
+    The equalities are eliminated by _echelon (inconsistent ones give -1
+    with no LP), so the reduced rows live on the free columns F.  With
+    t0 = min(1, min b), one LP maximizes t over a_F.x_F + t <= b on every
+    row, t <= 1: shifted by t0, its right-hand sides are nonnegative, so
+    it starts at x = 0, t = t0 (_max_slack).  Its optimum t* is the sign
+    of the answer, since a point where every row holds has t = 0; only
+    at t* = 0 with weak rows is there more to ask.  Then x*, the point of
+    the first LP, holds every row, and answers when ineq is empty;
+    otherwise a second LP from x* puts the slack on the rows of ineq
+    alone.  The pivot columns of the point are solved
+    from the equalities, and the point is checked against the given rows
+    in integers."""
+    echelon = _echelon(dim, eq)
+    if echelon is None:
+        return -1, None
+    basis, pivots = echelon
+    free = [j for j in range(dim) if j not in pivots]
+    rows = [_reduce(r, basis, pivots) for r in [*ineq, *weak]]
+    cols = [[r[j] for j in free] for r in rows]
+    xf, den = [0] * len(free), 1
+    if rows:
+        t0 = min(1, *(r[-1] for r in rows))
+        xf, s, den = _max_slack(cols, [r[-1] - t0 for r in rows], [1] * len(rows), 1 - t0)
+        t_star = t0 * den + s  # t* times den
+        if t_star < 0:
+            return -1, None
+        if t_star == 0 and not weak:
+            return 0, None
+        if t_star == 0 and ineq:
+            # from x* = X / D: a_F.v + s <= D b - a_F.X with x = (X + v) / D
+            # and t = s / D, the slack on the rows of ineq alone
+            on = [1] * len(ineq) + [0] * len(weak)
+            gaps = [r[-1] * den - _dot(c, xf) for r, c in zip(rows, cols)]
+            shift, s, step = _max_slack(cols, gaps, on, den)
+            if s == 0:
+                return 0, None
+            xf, den = [x * step + y for x, y in zip(xf, shift)], den * step
+    # basis row e holds its pivot column at (e_b - e_F.x_F) / e_pc
+    scale = lcm(*(e[pc] for e, pc in zip(basis, pivots)))
+    x = [0] * dim
+    for j, v in zip(free, xf):
+        x[j] = v * scale
+    for e, pc in zip(basis, pivots):
+        x[pc] = (e[-1] * den - sum(e[j] * v for j, v in zip(free, xf))) * (scale // e[pc])
+    den *= scale
+    if (
+        any(_dot(e[:-1], x) != e[-1] * den for e in eq)
+        or any(_dot(r[:-1], x) >= r[-1] * den for r in ineq)
+        or any(_dot(r[:-1], x) > r[-1] * den for r in weak)
+    ):
+        raise CertificateError("a slack point lies in the rows, strictly in the strict ones")
+    g = gcd(den, *x)
+    return 1, ([v // g for v in x], den // g)
+
+
+def strict_point(system: MixedSystem) -> Optional[Vec]:
+    """A point of the system, strict rows strictly, or None when there is
+    none, from one or two slack LPs from the origin (_slack_point).  The
+    point is not strict_feasible's witness, so it is for callers that
+    only need a yes or no, or a point that seeds a unique result."""
+    weak, strict, eq = system.scaled_rows()
+    _, found = _slack_point(
+        system.dim,
+        [a + (b,) for a, b, _ in eq],
+        [a + (b,) for a, b, _ in strict],
+        [a + (b,) for a, b, _ in weak],
+    )
+    if found is None:
+        return None
+    x, den = found
+    return tuple(Fraction(v, den) for v in x)
 
 
 def _hpoly_of(dim: int, eq: Sequence[IntRow], ineq: Sequence[IntRow]) -> HPoly:
@@ -289,20 +409,24 @@ def canonical_form(p: HPoly) -> Optional[HPoly]:
     1. RREF of the equality block; the inequality rows are reduced against
        its pivots.  A 0 = 1 pivot or a row 0 <= b < 0 means empty, and
        rows 0 <= b >= 0 are dropped.  No LP; all in integers.
-    2. One strict-feasibility LP on the reduced rows made strict.  A
-       strict point means no implicit equalities; a Farkas certificate
-       for the closed system means empty.
-    3. Otherwise the implicit equalities come from slack-sum rounds; they
-       join the equality block and step 1 runs once more.
-    4. Redundancy.  When step 2 gave a strict point z, a ray from z
-       shows facets with no LP (see _facets_seen_from); each other row
-       takes one LP.  A lone row needs none: it is nonzero after
-       reduction, so it cuts the affine hull.
+    2. One slack LP on the reduced rows, phase 2 only (_slack_point),
+       with its optimum proved by its dual vector.  A positive slack
+       gives a point strictly inside every row, so no implicit
+       equalities; a negative one means empty.
+    3. At a zero slack the implicit equalities come from slack-sum
+       rounds; they join the equality block, step 1 runs once more, and
+       the slack LP finds the strict point the rows now have.
+    4. Redundancy, from the strict point z.  A ray from z shows facets
+       with no LP (see _facets_seen_from); each other row takes one LP
+       from the origin of the rows shifted to z, and a dropped row
+       carries a dual certificate (_irredundant).  A lone row needs
+       none: it is nonzero after reduction, so it cuts the affine hull.
 
     A caller that holds a point of ri(p) skips step 2 and seeds step 4
     with it (_canonical_from); the facets are unique, so the result is
-    the same.  The rows are integer from step 1 on.  Their Fractions are
-    built once, for the LP of step 2, and the result reuses them."""
+    the same.  The result keeps z (ri_point).  The rows are integer from
+    step 1 on, and their Fractions are built once, for the result (and
+    for the slack-sum rounds of step 3)."""
     found = _canonical(p)
     return None if found is None else found[0]
 
@@ -313,31 +437,47 @@ Seeded = tuple[HPoly, list[Optional[IntPoint]]]
 
 def _canonical(p: HPoly) -> Optional[Seeded]:
     """canonical_form(p) and, per facet row, the point of that facet's
-    relative interior that step 4 met it at, or None (see _irredundant)."""
+    relative interior that step 4 met it at, or None (see _irredundant).
+    The result keeps the strict point of step 2 (ri_point)."""
     reduced = _eliminate_int(p.dim, *_int_rows(p))
     if reduced is None:
         return None
     eq, ineq = reduced
-    q = _hpoly_of(p.dim, eq, ineq)
-    inside = None
-    if ineq:
-        joint = strict_feasible(q.ri_system())
-        if joint.feasible:
-            inside = _integer_point(joint.witness)
-        else:
-            if joint.certificate is not None:
-                return None
-            implicit = _split_implicit(p.dim, q.ineq, q.eq)
-            rest = [r for i, r in enumerate(ineq) if i not in implicit]
-            reduced = _eliminate_int(p.dim, eq + [ineq[i] for i in implicit], rest)
-            if reduced is None:
-                raise CertificateError("a nonempty system reduced to an empty one")
-            eq, ineq = reduced
-            q = _hpoly_of(p.dim, eq, ineq)
+    sign, inside = _slack_point(p.dim, eq, ineq)
+    if sign < 0:
+        return None
+    if inside is None:
+        ri = int_system(p.dim, (), ineq, eq)
+        implicit = _split_implicit(p.dim, ri.strict, ri.eq)
+        rest = [r for i, r in enumerate(ineq) if i not in implicit]
+        reduced = _eliminate_int(p.dim, eq + [ineq[i] for i in implicit], rest)
+        if reduced is None:
+            raise CertificateError("a nonempty system reduced to an empty one")
+        eq, ineq = reduced
+        _, inside = _slack_point(p.dim, eq, ineq)
+        if inside is None:
+            raise CertificateError("rows with no implicit equality have a strict point")
     keep, seen = _irredundant(p.dim, eq, ineq, inside)
-    if len(keep) < len(ineq):  # only after LPs
-        q = _hpoly_of(p.dim, eq, [ineq[i] for i in keep])
-    return q, seen
+    return _kept(_hpoly_of(p.dim, eq, [ineq[i] for i in keep]), inside), seen
+
+
+def _kept(q: HPoly, inside: IntPoint) -> HPoly:
+    """q, a canonical polyhedron, keeping inside, a point of its ri."""
+    q.__dict__["_inside"] = inside
+    return q
+
+
+def ri_point(p: HPoly) -> Optional[Vec]:
+    """A point of ri(p), the one p keeps when it is a canonical form made
+    here, else the one its canonical form keeps; None when p is empty."""
+    kept = p.__dict__.get("_inside")
+    if kept is None:
+        canon = canonical_form(p)
+        if canon is None:
+            return None
+        kept = canon.__dict__["_inside"]
+    x, den = kept
+    return tuple(Fraction(v, den) for v in x)
 
 
 def _canonical_from(p: HPoly, z: Vec) -> Optional[HPoly]:
@@ -362,18 +502,18 @@ def _canonical_seeded(p: HPoly, z: Vec) -> Optional[Seeded]:
             _dot(r[:-1], zi) < r[-1] * den for r in ineq
         ):
             keep, seen = _irredundant(p.dim, eq, ineq, (zi, den))
-            return _hpoly_of(p.dim, eq, [ineq[i] for i in keep]), seen
+            return _kept(_hpoly_of(p.dim, eq, [ineq[i] for i in keep]), (zi, den)), seen
     return _canonical(p)
 
 
 def _facets_seen_from(
-    eq: Sequence[IntRow], ineq: Sequence[IntRow], z: IntPoint
+    eq: Sequence[IntRow], ineq: Sequence[IntRow], z: IntPoint, gaps: Sequence[int]
 ) -> list[Optional[IntPoint]]:
     """Per row of a reduced system, a point of the facet it cuts shown
-    from z = Z / D, a point of the affine hull strictly inside every row;
-    None for a row no ray shows.  Rows and points are integer, so the
-    callers that only need to know which rows are facets build no
-    Fraction.
+    from z = Z / D, a point of the affine hull strictly inside every row,
+    whose gaps D (b - a.z) > 0 are given; None for a row no ray shows.
+    Rows and points are integer, so the callers that only need to know
+    which rows are facets build no Fraction.
 
     For row i, the direction d that equals a_i off the pivot columns of
     the equality block and solves E d = 0 on them has a_i.d > 0, since a_i
@@ -382,13 +522,12 @@ def _facets_seen_from(
     where every other row is strict, so no other row implies it, and that
     point lies in the relative interior of the facet the row cuts."""
     eq_rows = [(e[:-1], e[-1]) for e in eq]
-    rows = [(r[:-1], r[-1]) for r in ineq]
+    rows = [r[:-1] for r in ineq]
     zi, den = z
-    gaps = [b * den - _dot(a, zi) for a, b in rows]  # D (b - a.z) > 0
     pivots = [next(j for j, v in enumerate(e) if v) for e, _ in eq_rows]
     scale = lcm(*(e[pc] for (e, _), pc in zip(eq_rows, pivots)))
     seen: list[Optional[IntPoint]] = [None] * len(rows)
-    for a, _ in rows:
+    for a in rows:
         d = [v * scale for v in a]
         for pc in pivots:
             d[pc] = 0
@@ -397,7 +536,7 @@ def _facets_seen_from(
         if any(_dot(e, d) for e, _ in eq_rows):
             raise CertificateError("a ray direction must stay in the affine hull")
         first, gap, rate, tie = -1, 0, 1, False
-        for j, (aj, _) in enumerate(rows):
+        for j, aj in enumerate(rows):
             r = _dot(aj, d)
             if r <= 0:
                 continue
@@ -418,31 +557,47 @@ def _irredundant(
 ) -> tuple[list[int], list[Optional[IntPoint]]]:
     """Step 4 of canonical_form on the integer rows of a reduced system
     without implicit equalities: drop each row that the others imply.
-    Rows shown to be facets from a point strictly inside every row, when
-    one is given, are kept with no LP; each other row takes one LP, on
-    Fraction rows built then.  The facets are unique, so the result does
-    not depend on which rows the point settles.
+
+    Every row is settled from a point z = Z / D strictly inside every
+    row: inside when given, else _slack_point's.  Rows shown to be facets
+    from z are kept with no LP (_facets_seen_from).  Each other row k
+    takes one LP from the origin: with x = z + v / D, maximize a_k.v over
+    a_j.v <= gap_j (j != k), the gaps D (b_j - a_j.z) > 0 on the free
+    columns of the equality block, where the reduced rows live.  Row k is
+    dropped when the optimum is at most gap_k, on the dual vector y >= 0
+    with y A = a_k and y.gap <= gap_k, checked in integers.  The facets
+    are unique, so the result does not depend on which rows z settles.
 
     Returns the indices of the kept rows and, per kept row, the point of
-    its facet's relative interior that the ray test met, or None
-    (_facets_seen_from): a point strictly inside the rows of a larger
-    system is strictly inside those kept."""
+    its facet's relative interior that the ray test met, or None: a point
+    strictly inside the rows of a larger system is strictly inside those
+    kept."""
     keep = list(range(len(ineq)))
-    seen: list[Optional[IntPoint]] = [None] * len(ineq)
-    if inside is not None:
-        seen = _facets_seen_from(eq, ineq, inside)
+    if inside is None:
+        if len(keep) < 2:
+            return keep, [None] * len(keep)
+        _, inside = _slack_point(dim, eq, ineq)
+        if inside is None:
+            raise CertificateError("rows with no implicit equality have a strict point")
+    zi, den = inside
+    gaps = [r[-1] * den - _dot(r[:-1], zi) for r in ineq]
+    if any(gap <= 0 for gap in gaps):
+        raise CertificateError("a seed point lies strictly inside every row")
+    seen = _facets_seen_from(eq, ineq, inside, gaps)
     if len(keep) < 2 or all(seen):
         return keep, seen
-    system = int_system(dim, ineq, (), eq)
+    pivots = {next(j for j, v in enumerate(e) if v) for e in eq}
+    cols = [[r[j] for j in range(dim) if j not in pivots] for r in ineq]
     i = 0
     while len(keep) > 1 and i < len(keep):
         if seen[i] is not None:
             i += 1
             continue
-        a, b = system.weak[keep[i]]
-        others = tuple(system.weak[j] for j in keep if j != keep[i])
-        out = maximize(a, MixedSystem(dim, others, (), system.eq))
-        if out.status == "optimal" and out.value <= b:
+        k = keep[i]
+        others = [j for j in keep if j != k]
+        bounds = [gaps[j] for j in others]
+        out = maximize_from_origin([cols[j] for j in others], bounds, cols[k])
+        if out.dual is not None and _dot(out.dual, bounds) <= gaps[k] * out.dual_den:
             keep.pop(i)
             seen.pop(i)
         else:
@@ -779,7 +934,8 @@ def faces(p: HPoly) -> tuple[HPoly, ...]:
     and step 4 of canonical_form, with no strict-feasibility LP.  Step 4
     of f met the row at a point of the facet's relative interior when its
     ray test settled the row; that point seeds the child's own ray test,
-    so a face whose rows all show from such points takes no LP at all.
+    so a face whose rows all show from such points takes no LP at all;
+    a face with no such point takes one slack LP to find its own.
     Each face travels as its integer rows from step 1 to the ray test of
     its children, and its Fraction rows are built once, when it is first
     met."""
@@ -905,18 +1061,18 @@ def subtract_cells(
     the next branch or the next affirmed row, so it settles one of those
     two nonemptiness questions with no LP.  A branch that reverses a row
     the affirmed part already holds is empty with no LP either.  Only
-    what is left takes a strict LP, whose witness becomes the point of
-    what it proves nonempty."""
+    what is left takes a strict_point LP, whose point becomes the point of
+    what it proves nonempty.  The cells do not depend on the points."""
     out: list[tuple[MixedSystem, Vec]] = []
     items = _constraints_of(sub)
     for cell, point in cells:
-        if not (sub.satisfies(point) or strict_feasible(cell.combine(sub)).feasible):
+        if not (sub.satisfies(point) or strict_point(cell.combine(sub)) is not None):
             out.append((cell, point))  # disjoint from the subtrahend
             continue
         affirmed, inside = cell, point
         for kind, a, b in items:
             if inside is None:
-                inside = strict_feasible(affirmed).witness
+                inside = strict_point(affirmed)
                 if inside is None:
                     break  # later branches only add rows on top of affirmed
             if kind == "w":
@@ -938,7 +1094,7 @@ def subtract_cells(
                 elif _reverses_a_row(affirmed, br):
                     found = None
                 else:
-                    found = strict_feasible(cand).witness
+                    found = strict_point(cand)
                 if found is not None:
                     out.append((_dedupe_mixed(cand), found))
                     if len(out) > MAX_CELLS:
@@ -953,10 +1109,11 @@ def difference_witness(
     start: list[MixedSystem], subtrahends: Iterable[MixedSystem]
 ) -> Optional[Vec]:
     """A point in (union of start cells) minus (union of subtrahends), or
-    None when the difference is empty."""
+    None when the difference is empty.  The point is strict_feasible's
+    witness of the first cell left; the cells start from strict_point."""
     cells = []
     for c in start:
-        wit = strict_feasible(c).witness
+        wit = strict_point(c)
         if wit is not None:
             cells.append((c, wit))
     for sub in subtrahends:

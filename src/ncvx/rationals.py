@@ -11,6 +11,7 @@ goes through ``ext_add``, which refuses inf + -inf.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -26,16 +27,23 @@ def is_finite(v: ExtReal) -> bool:
     return isinstance(v, Fraction)
 
 
+# the wire form: optional sign, ASCII digits, and an optional /denominator
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" with optional sign. Decimal points are rejected."""
+    """Parse "p/q" or "p" with optional sign, around which whitespace is
+    stripped.  Anything else is rejected: decimal points, and also the
+    exponent and underscore forms Fraction would take, so a short string
+    such as "1e4000000" cannot stand for a huge number."""
     if not isinstance(text, str):
         raise ParseError(f"rational must be a string, got {type(text).__name__}")
     s = text.strip()
-    if "." in s or not s:
+    if not _RATIONAL.fullmatch(s):
         raise ParseError(f"not an exact rational: {text!r}")
     try:
         return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise ParseError(f"not an exact rational: {text!r}") from exc
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import ncvx
 from ncvx import linalg as la
+from ncvx import polyhedron
 from ncvx.ncset import NCSet, ncset
 from ncvx.polyhedron import HPoly, box, hpoly
 
@@ -19,6 +20,21 @@ def clear_caches() -> None:
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear"):
                 obj.cache_clear()
+
+
+def origin_lp_calls(monkeypatch) -> list:
+    """A list that grows by one at each phase-2 LP from the origin
+    (lp.maximize_from_origin), which has no cache: the polyhedron module,
+    its only caller, calls a counting wrapper until monkeypatch undoes it."""
+    calls = []
+    real = polyhedron.maximize_from_origin
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polyhedron, "maximize_from_origin", counted)
+    return calls
 
 
 def punctured_square() -> NCSet:

@@ -447,6 +447,26 @@ def test_vectors_with_a_leading_minus(run):
     assert "expected one argument" in err
 
 
+def test_rationals_take_only_the_wire_form(run, tmp_path):
+    # "p/q" or "p": no exponent or underscore, which Fraction would take,
+    # so a few bytes cannot stand for a huge coefficient
+    code, out, err = run("member", "t.json", "--point=1e2,0")
+    assert (code, out) == (2, "")
+    assert "not an exact rational: '1e2'" in err
+    code, out, _ = run("member", "t.json", "--point", "1_0,0")
+    assert (code, out) == (2, "")
+    doc = {"dim": 1, "pieces": [{"dim": 1, "ineq": [["1", "1e3"], ["-1", "0"]]}]}
+    (tmp_path / "e.json").write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run("ri", "e.json")
+    assert (code, out) == (2, "")
+    assert "not an exact rational: '1e3'" in err
+    doc["pieces"][0]["ineq"][0][1] = " +1000 "
+    (tmp_path / "e.json").write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run("ri", "e.json")
+    assert code == 0
+    assert '"1000"' in out
+
+
 def test_verify_rejects_nonpositive_count(run):
     code, out, err = run("verify", "thm2.4", "--count", "-5")
     assert code == 2

@@ -35,7 +35,7 @@ from ncvx.errors import (
 from ncvx.plfunc import MINUS_INF, PLUS_INF
 from ncvx.rationals import ext_add
 
-from instances import abs_fn, clear_caches, interval_set
+from instances import abs_fn, clear_caches, interval_set, origin_lp_calls
 
 
 def _abs_pair():
@@ -365,13 +365,16 @@ _POINTS = [(F(0),), (F(1),), (F(-3, 2),)]
 _DUALS = [(F(a), F(b)) for a in range(-2, 3) for b in range(-2, 3)]
 
 
-def test_faces_of_a_cone_graph_take_one_strict_lp():
-    # the root's canonical form; each facet child is canonical without one
+def test_faces_of_a_cone_graph_take_one_strict_lp(monkeypatch):
+    # K's canonical form took the one strict LP and keeps its point; the
+    # graph's root is canonicalized from it, and each facet child without
+    # an LP, so the graph itself takes none of either entry
     a_mat, c, k = _pointed_cone_map()
+    origin = origin_lp_calls(monkeypatch)
     clear_caches()
     g = sv.affine_plus_cone(a_mat, c, k.k)
     assert len(g.graph.pieces) == 4
-    assert lp.strict_feasible.cache_info().misses == 1
+    assert lp.solve_lp.cache_info().misses + len(origin) == 0
 
 
 def _cone_graph_by_faces(a_mat, c, k):
@@ -451,14 +454,15 @@ def test_vg_closed_form_takes_no_canonical_form():
     assert repr(k) == f"PolyCone(k={k.k!r})" and k == pf.PolyCone(k.k)
 
 
-def test_lemma74_lp_budget():
+def test_lemma74_lp_budget(monkeypatch):
     # LP work of four lemma7.4 instances from cold caches; the counts do
     # not drift with the machine, so a regression shows through timing noise
+    origin = origin_lp_calls(monkeypatch)
     clear_caches()
     report = orc.theorem_suite("lemma7.4", count=4, seed=0)
     assert report.passes == 4
-    assert lp.solve_lp.cache_info().misses <= 27
-    assert lp.strict_feasible.cache_info().misses <= 2
+    assert lp.solve_lp.cache_info().misses + len(origin) <= 27
+    assert lp.strict_feasible.cache_info().misses == 0
     assert ph.canonical_form.cache_info().misses <= 2
 
 

@@ -187,7 +187,7 @@ RESCALING = {
     "lp._scaled": 1,
     "ncset._integer_point": 1,
     "plfunc._integer_point": 2,
-    "polyhedron._integer_point": 2,
+    "polyhedron._integer_point": 1,
 }
 
 

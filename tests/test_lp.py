@@ -591,3 +591,54 @@ def test_integer_satisfies_matches_the_fraction_definition():
         assert system.satisfies_int([v * scale for v in xi], den * scale) == want
         verdicts.add(want)
     assert verdicts == {True, False} and on_a_row > 100
+
+
+def _origin_system(rng, n, boxed):
+    """Integer rows A u <= g with g >= 0, and a cost c; box rows |u_i| <= 5
+    when boxed keep the brute-force oracle's vertex enumeration complete."""
+    a, g = [], []
+    for _ in range(rng.randint(0, 5)):
+        r = [rng.randint(-3, 3) for _ in range(n)]
+        a.append(r)
+        g.append(rng.randint(0, 4))
+    if boxed:
+        for i in range(n):
+            for s in (1, -1):
+                a.append([s * (j == i) for j in range(n)])
+                g.append(5)
+    return a, g, [rng.randint(-3, 3) for _ in range(n)]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_maximize_from_origin_matches_two_phase(seed):
+    # phase 2 from the all-slack basis against the brute-force oracle (boxed)
+    # and the two-phase solve_lp; every answer carries its certificate
+    rng = random.Random(1000 + seed)
+    n = rng.choice([1, 2, 3])
+    a, g, c = _origin_system(rng, n, boxed=seed % 2 == 0)
+    system = MixedSystem(n, tuple(row(r, b) for r, b in zip(a, g)))
+    out = lp.maximize_from_origin(a, g, c)
+    x = tuple(F(v, out.den) for v in out.point)
+    assert system.satisfies(x)
+    two_phase = maximize(la.vec(c), system)
+    if out.ray is not None:
+        assert two_phase.status == "unbounded"
+        assert all(sum(map(lambda u, v: u * v, r, out.ray)) <= 0 for r in a)
+        assert sum(map(lambda u, v: u * v, c, out.ray)) > 0
+        return
+    value = la.dot(la.vec(c), x)
+    assert two_phase.status == "optimal" and two_phase.value == value
+    if seed % 2 == 0:
+        assert brute_force_lp(la.neg(la.vec(c)), system) == ("optimal", -value)
+    y = [F(v, out.dual_den) for v in out.dual]
+    assert all(v >= 0 for v in y)
+    assert all(sum(v * r[j] for v, r in zip(y, a)) == c[j] for j in range(n))
+    assert sum(v * b for v, b in zip(y, g)) == value
+
+
+def test_maximize_from_origin_needs_a_feasible_origin():
+    with pytest.raises(UsageError, match="origin"):
+        lp.maximize_from_origin([[1]], [-1], [1])
+    # no rows: the origin is optimal for c = 0, and any other c is unbounded
+    assert lp.maximize_from_origin([], [], [0, 0]).dual == []
+    assert lp.maximize_from_origin([], [], [0, -2]).ray == [0, -1]

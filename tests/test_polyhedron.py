@@ -13,9 +13,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from instances import origin_lp_calls
 from ncvx import linalg as la
+from ncvx import polyhedron as ph
 from ncvx.errors import DimensionCapExceeded, PointNotInSet, UsageError
-from ncvx.lp import MixedSystem, feasible_point, solve_lp, strict_feasible
+from ncvx.lp import MixedSystem, feasible_point, maximize, solve_lp, strict_feasible
 from ncvx.polyhedron import (
     HPoly,
     VPoly,
@@ -625,24 +627,140 @@ def test_project_membership_commutes_with_fiber_feasibility():
             assert shadow.satisfies(y) == strict_feasible(fiber).feasible
 
 
-def _lp_misses(p):
-    canonical_form.cache_clear()
-    solve_lp.cache_clear()
-    strict_feasible.cache_clear()
-    canonical_form(p)
-    return solve_lp.cache_info().misses
+def test_canonical_form_lp_counts(monkeypatch):
+    # LPs of both entries: solve_lp misses and phase-2 LPs from the origin
+    origin = origin_lp_calls(monkeypatch)
 
+    def lps(p):
+        canonical_form.cache_clear()
+        solve_lp.cache_clear()
+        strict_feasible.cache_clear()
+        origin.clear()
+        canonical_form(p)
+        return solve_lp.cache_info().misses + len(origin)
 
-def test_canonical_form_lp_counts():
     # equality-only: RREF settles it
-    assert _lp_misses(hpoly(2, eq=[((1, 1), 1), ((2, 2), 2)])) == 0
+    assert lps(hpoly(2, eq=[((1, 1), 1), ((2, 2), 2)])) == 0
     # one row: the joint strict LP, and a lone row is irredundant
-    assert _lp_misses(hpoly(2, ineq=[((1, -1), 3)])) == 1
+    assert lps(hpoly(2, ineq=[((1, -1), 3)])) == 1
     # triangle: the joint strict LP alone; from its strict point a ray
     # along each row's normal meets that row first, so all three are facets
     triangle = hpoly(2, ineq=[((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)])
-    assert _lp_misses(triangle) == 1
+    assert lps(triangle) == 1
 
+
+
+def _two_phase_canonical(p):
+    """The canonical form as the two-phase LP builds it, kept as the
+    reference: step 1, then strict_feasible on the reduced rows made
+    strict, slack-sum rounds when it finds no strict point, and one
+    maximize per row over the others, with no ray test."""
+    reduced = ph._eliminate_int(p.dim, *ph._int_rows(p))
+    if reduced is None:
+        return None
+    eq, ineq = reduced
+    q = ph._hpoly_of(p.dim, eq, ineq)
+    if ineq:
+        joint = strict_feasible(q.ri_system())
+        if not joint.feasible:
+            if joint.certificate is not None:
+                return None
+            implicit = ph._split_implicit(p.dim, q.ineq, q.eq)
+            rest = [r for i, r in enumerate(ineq) if i not in implicit]
+            eq, ineq = ph._eliminate_int(p.dim, eq + [ineq[i] for i in implicit], rest)
+    system = ph._hpoly_of(p.dim, eq, ineq).closed_system()
+    keep = list(range(len(ineq)))
+    i = 0
+    while len(keep) > 1 and i < len(keep):
+        a, b = system.weak[keep[i]]
+        others = tuple(system.weak[j] for j in keep if j != keep[i])
+        out = maximize(a, MixedSystem(p.dim, others, (), system.eq))
+        if out.status == "optimal" and out.value <= b:
+            keep.pop(i)
+        else:
+            i += 1
+    return ph._hpoly_of(p.dim, eq, [ineq[i] for i in keep])
+
+
+def _seeded_system(rng, dim, kind):
+    """Rows of one of four kinds over small integers and halves: plain,
+    with an implicit equality, with redundant rows, or empty."""
+    def vec():
+        return la.vec([F(rng.randint(-3, 3), rng.choice((1, 1, 2))) for _ in range(dim)])
+
+    rows = [(vec(), F(rng.randint(-2, 4))) for _ in range(rng.randint(0, 4))]
+    eq = [(vec(), F(rng.randint(-1, 1)))] if rng.random() < 0.25 else []
+    a, b = vec(), F(rng.randint(-2, 2))
+    if kind == "implicit":
+        rows += [(a, b), (la.neg(a), -b)]
+    elif kind == "redundant":
+        rows += [(la.scale(a, F(2)), 2 * b + 1), (a, b)]
+        if len(rows) > 2:
+            (a1, b1), (a2, b2) = rows[0], rows[1]
+            rows.append((la.add(a1, a2), b1 + b2 + rng.randint(0, 2)))
+    elif kind == "empty":
+        rows += [(a, b), (la.neg(a), -b - 1)]
+    rng.shuffle(rows)
+    return HPoly(dim, tuple(rows), tuple(eq))
+
+
+def test_canonical_form_equals_the_two_phase_construction():
+    # 400 seeded systems in dims 1-3; the canonical form is unique, so the
+    # slack LP from the origin and the redundancy LPs shifted to a strict
+    # point must give what the two-phase LP gives, and the point the
+    # result keeps lies in its relative interior
+    rng = random.Random(19)
+    kinds = ("plain", "implicit", "redundant", "empty")
+    seen = {"empty": 0, "implicit": 0, "dropped": 0, "unbounded": 0}
+    for i in range(400):
+        dim = 1 + i % 3
+        p = _seeded_system(rng, dim, kinds[i % 4])
+        canonical_form.cache_clear()
+        got = canonical_form(p)
+        assert got == _two_phase_canonical(p), p
+        if got is None:
+            seen["empty"] += 1
+            continue
+        assert got.ri_system().satisfies(ph.ri_point(got))
+        seen["implicit"] += len(got.eq) > len(ph._eliminate_int(dim, *ph._int_rows(p))[0])
+        seen["dropped"] += len(got.ineq) < len(ph._eliminate_int(dim, *ph._int_rows(p))[1])
+        seen["unbounded"] += any(
+            got.recedes(d) for d in itertools.product((-1, 0, 1), repeat=dim) if any(d)
+        )
+    assert min(seen.values()) >= 40, seen
+
+
+def test_strict_point_agrees_with_strict_feasible():
+    # the first slack LP puts its slack on weak rows too; when a weak row
+    # is tight on the whole closed set, a second one from the point of the
+    # first puts it on the strict rows alone.  The point found lies in the
+    # system, strict rows strictly
+    rng = random.Random(29)
+    answers = {True: 0, False: 0, "tight weak": 0}
+    for i in range(300):
+        dim = 1 + i % 3
+
+        def rows(k):
+            return tuple(
+                (la.vec([rng.randint(-2, 2) for _ in range(dim)]), F(rng.randint(-1, 3)))
+                for _ in range(k)
+            )
+
+        weak, strict = rows(rng.randint(0, 2)), rows(rng.randint(0, 3))
+        eq = rows(1) if rng.random() < 0.2 else ()
+        if i % 3 == 0:  # a weak pair that holds only on a hyperplane
+            (a, b), = rows(1)
+            weak += ((a, b), (la.neg(a), -b))
+        m = MixedSystem(dim, weak, strict, eq)
+        point = ph.strict_point(m)
+        feasible = strict_feasible(m).feasible
+        assert (point is not None) == feasible, m
+        if point is not None:
+            assert m.satisfies(point)
+        answers[feasible] += 1
+        answers["tight weak"] += feasible and i % 3 == 0
+    assert answers[True] >= 40 and answers[False] >= 40, answers
+    assert answers["tight weak"] >= 25, answers
 
 # ---------------------------------------------------------------------------
 # normal cones
