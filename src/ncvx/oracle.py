@@ -979,7 +979,7 @@ def _chk_thm33(rng, spec, cone_form: bool = False) -> Optional[str]:
     pre, qc = sv.inverse_image(f, theta)
     if not qc:
         return "anchored instance missed the qualification"
-    if not sv.certify_inverse_image(f, theta):
+    if not sv.certify_inverse_image(f, theta, pre):
         return "library could not certify its inverse-image formula"
     bad = _near_convex_both(pre)
     if bad:

@@ -20,13 +20,16 @@ vector proves the optimum. A caller that already holds a point of the
 relative interior hands it in instead of that LP. Only at a zero slack
 do rounds of one slack-sum LP each sort the rows into implicit
 equalities and the rest (Fukuda, Polyhedral computation FAQ). Redundancy
-is settled from the strict point: a ray from it that meets one row
-before any other shows a facet with no LP, in the line of Clarkson's ray
-shooting (1994). Each row it does not settle costs one LP from the same
-point, again with no phase 1, and a lone row none.  The point where a ray
-meets a facet lies in the facet's relative interior, so the faces of a
-polyhedron are enumerated from such points, each facet seeding its own
-children.  A canonical form keeps its strict point (ri_point).
+is settled from the strict point: of parallel rows only the tightest can
+be a facet, and a ray from the point that meets one row before any other
+shows a facet with no LP, in the line of Clarkson's ray shooting (1994);
+a row no ray along its normal shows is tried again with the rows met so
+far projected out of the direction. Each row the rays do not settle
+costs one LP from the same point, again with no phase 1, and a lone row
+none.  The point where a ray meets a facet lies in the facet's relative
+interior, so the faces of a polyhedron are enumerated from such points,
+each facet seeding its own children.  A canonical form keeps its strict
+point (ri_point).
 
 Projection is Fourier-Motzkin with equality pivoting, on closed systems
 only and with no LP: canonical_form removes the redundant rows it leaves.
@@ -47,8 +50,9 @@ point of its own that settles most of its nonemptiness tests with no LP,
 and any feasible mixed system splits into relatively open polyhedra by
 recursing on the facets of its closure.  Where a strict point only
 settles a yes or no, or seeds a unique result, strict_point finds it by
-the slack LP from the origin; strict_feasible's witness, which outputs
-show, comes from its own two-phase LP.
+the slack LP from the origin, after a weak row and its reverse have
+joined the equalities; strict_feasible's witness, which outputs show,
+comes from its own two-phase LP.
 """
 
 from __future__ import annotations
@@ -291,7 +295,9 @@ def _slack_point(
     sign 1; else sign 0 when the rows hold somewhere but not so, and -1
     when they hold nowhere.
 
-    The equalities are eliminated by _echelon (inconsistent ones give -1
+    A weak row whose reverse is also a weak row holds with it only on its
+    hyperplane, so the pair joins the equalities (_hyperplanes).  The
+    equalities are eliminated by _echelon (inconsistent ones give -1
     with no LP), so the reduced rows live on the free columns F.  With
     t0 = min(1, min b), one LP maximizes t over a_F.x_F + t <= b on every
     row, t <= 1: shifted by t0, its right-hand sides are nonnegative, so
@@ -303,12 +309,18 @@ def _slack_point(
     alone.  The pivot columns of the point are solved
     from the equalities, and the point is checked against the given rows
     in integers."""
-    echelon = _echelon(dim, eq)
+    planes = _hyperplanes(weak)
+    echelon = _echelon(dim, [*eq, *planes])
     if echelon is None:
         return -1, None
     basis, pivots = echelon
     free = [j for j in range(dim) if j not in pivots]
-    rows = [_reduce(r, basis, pivots) for r in [*ineq, *weak]]
+    held = [
+        r
+        for r in (_reduce(r, basis, pivots) for r in weak)
+        if any(r[:-1]) or r[-1] < 0  # a pair reduces to 0 <= 0
+    ]
+    rows = [*(_reduce(r, basis, pivots) for r in ineq), *held]
     cols = [[r[j] for j in free] for r in rows]
     xf, den = [0] * len(free), 1
     if rows:
@@ -317,12 +329,12 @@ def _slack_point(
         t_star = t0 * den + s  # t* times den
         if t_star < 0:
             return -1, None
-        if t_star == 0 and not weak:
+        if t_star == 0 and not held:
             return 0, None
         if t_star == 0 and ineq:
             # from x* = X / D: a_F.v + s <= D b - a_F.X with x = (X + v) / D
             # and t = s / D, the slack on the rows of ineq alone
-            on = [1] * len(ineq) + [0] * len(weak)
+            on = [1] * len(ineq) + [0] * len(held)
             gaps = [r[-1] * den - _dot(c, xf) for r, c in zip(rows, cols)]
             shift, s, step = _max_slack(cols, gaps, on, den)
             if s == 0:
@@ -344,6 +356,14 @@ def _slack_point(
         raise CertificateError("a slack point lies in the rows, strictly in the strict ones")
     g = gcd(den, *x)
     return 1, ([v // g for v in x], den // g)
+
+
+def _hyperplanes(weak: Sequence[IntRow]) -> set[tuple[int, ...]]:
+    """The primitive rows a.x <= b of weak, one of each pair, whose
+    reverse -a.x <= -b is also in weak: together they hold exactly on
+    a.x = b."""
+    rows = {tuple(_primitive(list(r))) for r in weak if any(r[:-1])}
+    return {r for r in rows if r > tuple(-v for v in r) and tuple(-v for v in r) in rows}
 
 
 def strict_point(system: MixedSystem) -> Optional[Vec]:
@@ -416,11 +436,13 @@ def canonical_form(p: HPoly) -> Optional[HPoly]:
     3. At a zero slack the implicit equalities come from slack-sum
        rounds; they join the equality block, step 1 runs once more, and
        the slack LP finds the strict point the rows now have.
-    4. Redundancy, from the strict point z.  A ray from z shows facets
-       with no LP (see _facets_seen_from); each other row takes one LP
-       from the origin of the rows shifted to z, and a dropped row
-       carries a dual certificate (_irredundant).  A lone row needs
-       none: it is nonzero after reduction, so it cuts the affine hull.
+    4. Redundancy, from the strict point z.  A row with a tighter
+       parallel row is dropped with no LP (_undominated), and a ray from
+       z shows facets with no LP (see _facets_seen_from); each other row
+       takes one LP from the origin of the rows shifted to z, and a
+       dropped row carries a dual certificate (_irredundant).  A lone
+       row needs none: it is nonzero after reduction, so it cuts the
+       affine hull.
 
     A caller that holds a point of ri(p) skips step 2 and seeds step 4
     with it (_canonical_from); the facets are unique, so the result is
@@ -520,14 +542,20 @@ def _facets_seen_from(
     is zero on the pivots.  Along z + s d, the row met first, when no
     other row is met at the same step, is tight at a point of the set
     where every other row is strict, so no other row implies it, and that
-    point lies in the relative interior of the facet the row cuts."""
+    point lies in the relative interior of the facet the row cuts.  When
+    no ray has shown row i yet, rays along a_i with the rows met so far
+    projected out follow (_project_out): each never meets those rows, and
+    has a_i.d > 0 while a_i is not in their span."""
     eq_rows = [(e[:-1], e[-1]) for e in eq]
     rows = [r[:-1] for r in ineq]
     zi, den = z
     pivots = [next(j for j, v in enumerate(e) if v) for e, _ in eq_rows]
     scale = lcm(*(e[pc] for (e, _), pc in zip(eq_rows, pivots)))
     seen: list[Optional[IntPoint]] = [None] * len(rows)
-    for a in rows:
+
+    def shoot(a: Sequence[int]) -> list[int]:
+        """The rows met first along the direction of a; one row met alone
+        is marked seen."""
         d = [v * scale for v in a]
         for pc in pivots:
             d[pc] = 0
@@ -535,21 +563,48 @@ def _facets_seen_from(
             d[pc] = -_dot(e, d) // e[pc]
         if any(_dot(e, d) for e, _ in eq_rows):
             raise CertificateError("a ray direction must stay in the affine hull")
-        first, gap, rate, tie = -1, 0, 1, False
+        met: list[int] = []
+        gap, rate = 0, 1
         for j, aj in enumerate(rows):
             r = _dot(aj, d)
             if r <= 0:
                 continue
             # step gaps[j] / (D r); compared by cross-multiplying
             lhs, rhs = gaps[j] * rate, gap * r
-            if first < 0 or lhs < rhs:
-                first, gap, rate, tie = j, gaps[j], r, False
+            if not met or lhs < rhs:
+                met, gap, rate = [j], gaps[j], r
             elif lhs == rhs:
-                tie = True
-        if first >= 0 and not tie and seen[first] is None:
+                met.append(j)
+        if len(met) == 1 and seen[met[0]] is None:
             # z + gap / (D rate) d
-            seen[first] = [v * rate + gap * w for v, w in zip(zi, d)], den * rate
+            seen[met[0]] = [v * rate + gap * w for v, w in zip(zi, d)], den * rate
+        return met
+
+    blocked = [shoot(a) for a in rows]
+    for i, (a, met) in enumerate(zip(rows, blocked)):
+        basis: list[list[int]] = []
+        while seen[i] is None and met:
+            size = len(basis)
+            for j in met:
+                q = _project_out(rows[j], basis) if j != i else []
+                if any(q):
+                    basis.append(q)
+            d = _project_out(a, basis)
+            if len(basis) == size or not any(d):
+                break
+            met = shoot(d)
     return seen
+
+
+def _project_out(v: Sequence[int], basis: Sequence[Sequence[int]]) -> list[int]:
+    """A positive multiple of v minus its part in the span of basis, whose
+    vectors are pairwise orthogonal: (q.q) v - (v.q) q for each q in turn,
+    kept primitive."""
+    out = list(v)
+    for q in basis:
+        qq, vq = _dot(q, q), _dot(out, q)
+        out = _primitive([qq * x - vq * y for x, y in zip(out, q)])
+    return out
 
 
 def _irredundant(
@@ -558,9 +613,11 @@ def _irredundant(
     """Step 4 of canonical_form on the integer rows of a reduced system
     without implicit equalities: drop each row that the others imply.
 
-    Every row is settled from a point z = Z / D strictly inside every
-    row: inside when given, else _slack_point's.  Rows shown to be facets
-    from z are kept with no LP (_facets_seen_from).  Each other row k
+    Of rows with the same normal direction, all but the tightest are
+    dropped with no LP (_undominated).  Every other row is settled from a
+    point z = Z / D strictly inside every row: inside when given, else
+    _slack_point's.  Rows shown to be facets from z are kept with no LP
+    (_facets_seen_from).  Each other row k
     takes one LP from the origin: with x = z + v / D, maximize a_k.v over
     a_j.v <= gap_j (j != k), the gaps D (b_j - a_j.z) > 0 on the free
     columns of the equality block, where the reduced rows live.  Row k is
@@ -572,18 +629,18 @@ def _irredundant(
     its facet's relative interior that the ray test met, or None: a point
     strictly inside the rows of a larger system is strictly inside those
     kept."""
-    keep = list(range(len(ineq)))
+    keep = _undominated(ineq)
     if inside is None:
         if len(keep) < 2:
             return keep, [None] * len(keep)
-        _, inside = _slack_point(dim, eq, ineq)
+        _, inside = _slack_point(dim, eq, [ineq[k] for k in keep])
         if inside is None:
             raise CertificateError("rows with no implicit equality have a strict point")
     zi, den = inside
     gaps = [r[-1] * den - _dot(r[:-1], zi) for r in ineq]
     if any(gap <= 0 for gap in gaps):
         raise CertificateError("a seed point lies strictly inside every row")
-    seen = _facets_seen_from(eq, ineq, inside, gaps)
+    seen = _facets_seen_from(eq, [ineq[k] for k in keep], inside, [gaps[k] for k in keep])
     if len(keep) < 2 or all(seen):
         return keep, seen
     pivots = {next(j for j, v in enumerate(e) if v) for e in eq}
@@ -603,6 +660,20 @@ def _irredundant(
         else:
             i += 1
     return keep, seen
+
+
+def _undominated(ineq: Sequence[IntRow]) -> list[int]:
+    """The indices, increasing, of the rows that no parallel row implies:
+    of the rows whose normals are positive multiples of one primitive a,
+    a.x <= b / g for the row (g a, b), only the one of least b / g."""
+    least: dict[tuple[int, ...], int] = {}
+    for i, r in enumerate(ineq):
+        g = gcd(*r[:-1])
+        a = tuple(v // g for v in r[:-1])
+        j = least.get(a)
+        if j is None or r[-1] * gcd(*ineq[j][:-1]) < ineq[j][-1] * g:
+            least[a] = i
+    return sorted(least.values())
 
 
 def is_empty(p: HPoly) -> bool:

@@ -166,17 +166,17 @@ def inverse_image(f: SVMap, theta: NCSet) -> tuple[NCSet, bool]:
     return got, qc
 
 
-def certify_inverse_image(f: SVMap, theta: NCSet) -> bool:
+def certify_inverse_image(f: SVMap, theta: NCSet, got: NCSet) -> bool:
     """ri(F^{-1}(theta)) = {x in ri(dom F) : ri F(x) meets ri(theta)},
-    checked exactly via the graph shadow. Under the qualification this is
-    the image formula for F^{-1}, which image_of_set has already checked;
-    only without it does the shadow get built here."""
-    got, qc, holds = image_of_set(inverse(f), theta)
-    if qc:
-        return holds
-    total = f.n + f.p
-    parts = [(_ri_cell(f.graph), range(total)), (_ri_cell(theta), range(f.n, total))]
-    return _ri_formula_holds(got, total, parts, range(f.n))
+    checked exactly via the graph shadow, for the preimage got that
+    inverse_image(f, theta) returned.  This is the image formula for
+    F^{-1}, laid out as image_of_set lays it out, so under the
+    qualification its joint cell and shadow are the ones inverse_image
+    has already built."""
+    g = inverse(f)
+    total = g.n + g.p
+    parts = [(_ri_cell(g.graph), range(total)), (_ri_cell(theta), range(g.n))]
+    return _ri_formula_holds(got, total, parts, range(g.n, total))
 
 
 def restrict(f: SVMap, omega: NCSet) -> tuple[SVMap, bool]:

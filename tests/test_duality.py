@@ -425,16 +425,18 @@ def test_vg_value_takes_no_strict_lp_on_a_cone_graph():
     assert lp.strict_feasible.cache_info().misses == 0
 
 
-def test_vg_value_takes_one_lp_per_call_on_a_cone_graph():
+def test_vg_value_takes_one_lp_per_call_on_a_cone_graph(monkeypatch):
     # the graph's top face holds every other face, so each call is one LP
     # on its closed slice, and the point or ray it returns lies in the
-    # closed graph
+    # closed graph; no phase-2 LP from the origin runs beside them
     a_mat, c, k = _pointed_cone_map()
     g = sv.affine_plus_cone(a_mat, c, k.k)
+    origin = origin_lp_calls(monkeypatch)
     clear_caches()
     for x in _POINTS:
         for ystar in _DUALS:
             du.vg_value(g, x, ystar)
+    assert not origin
     assert lp.solve_lp.cache_info().misses == len(_POINTS) * len(_DUALS) == 75
     assert lp.strict_feasible.cache_info().misses == 0
 
@@ -461,7 +463,7 @@ def test_lemma74_lp_budget(monkeypatch):
     clear_caches()
     report = orc.theorem_suite("lemma7.4", count=4, seed=0)
     assert report.passes == 4
-    assert lp.solve_lp.cache_info().misses + len(origin) <= 27
+    assert lp.solve_lp.cache_info().misses + len(origin) <= 26
     assert lp.strict_feasible.cache_info().misses == 0
     assert ph.canonical_form.cache_info().misses <= 2
 

@@ -197,21 +197,25 @@ def test_pinned_near_convexity():
     )
 
 
-def _near_convexity_lp_misses(s):
+def _near_convexity_lps(origin, s):
+    """LPs of both entries, solve_lp misses and phase-2 LPs from the
+    origin, that is_nearly_convex(s) takes once the hull is known."""
     caches = (solve_lp, strict_feasible, canonical_form, closure_hull, is_nearly_convex)
     for cached in caches:
         cached.cache_clear()
     closure_hull(s)
     before = solve_lp.cache_info().misses
+    origin.clear()
     is_nearly_convex(s)
-    return solve_lp.cache_info().misses - before
+    return solve_lp.cache_info().misses - before + len(origin)
 
 
-def test_near_convexity_lp_counts():
+def test_near_convexity_lp_counts(monkeypatch):
     # the hull is a piece: ri(hull) lies in the set with no LP
+    origin = origin_lp_calls(monkeypatch)
     closed_box = from_closed_hpoly(box([(0, 1), (0, 2), (-1, 1)]))
-    assert _near_convexity_lp_misses(closed_box) == 0
-    assert _near_convexity_lp_misses(open_square()) == 0
+    assert _near_convexity_lps(origin, closed_box) == 0
+    assert _near_convexity_lps(origin, open_square()) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -679,6 +683,7 @@ def test_canonicalization_lp_budget(monkeypatch):
     spec = orc.LEAN_SPEC
     dd_calls = _counted(monkeypatch, ph, "_cone_generators")
     poly_strict = _counted(monkeypatch, ph, "strict_feasible")
+    origin = origin_lp_calls(monkeypatch)
     cut = 0
     for i in range(12):
         dim = 1 + i % 3
@@ -687,8 +692,9 @@ def test_canonicalization_lp_budget(monkeypatch):
         s2 = orc.random_ncset(rng, dim, spec, anchor)
         for pc in s1.pieces + s2.pieces:
             _clear_caches()
+            origin.clear()
             closed_shadow(pc.base.closed_system(), range(dim - 1, dim))
-            assert solve_lp.cache_info().misses == 0
+            assert solve_lp.cache_info().misses + len(origin) == 0
             _clear_caches()
             dd_calls.clear()
             assert closure_hull(NCSet(dim, (pc,))) == pc.base

@@ -731,12 +731,14 @@ def test_canonical_form_equals_the_two_phase_construction():
 
 
 def test_strict_point_agrees_with_strict_feasible():
-    # the first slack LP puts its slack on weak rows too; when a weak row
-    # is tight on the whole closed set, a second one from the point of the
+    # a weak row and a multiple of its reverse join the equalities before
+    # any LP; the first slack LP puts its slack on the other weak rows
+    # too, and when one of them is tight on the whole closed set, as three
+    # weak rows summing to 0 <= 0 are, a second one from the point of the
     # first puts it on the strict rows alone.  The point found lies in the
     # system, strict rows strictly
     rng = random.Random(29)
-    answers = {True: 0, False: 0, "tight weak": 0}
+    answers = {True: 0, False: 0, "pair": 0, "triple": 0}
     for i in range(300):
         dim = 1 + i % 3
 
@@ -748,9 +750,13 @@ def test_strict_point_agrees_with_strict_feasible():
 
         weak, strict = rows(rng.randint(0, 2)), rows(rng.randint(0, 3))
         eq = rows(1) if rng.random() < 0.2 else ()
-        if i % 3 == 0:  # a weak pair that holds only on a hyperplane
+        if i % 4 == 0:  # a weak pair that holds only on a hyperplane
             (a, b), = rows(1)
-            weak += ((a, b), (la.neg(a), -b))
+            k = rng.randint(1, 3)
+            weak += ((a, b), (la.scale(a, F(-k)), -k * b))
+        elif i % 4 == 1:  # three weak rows that hold only where all are tight
+            (a, b), (c, d) = rows(2)
+            weak += ((a, b), (c, d), (la.neg(la.add(a, c)), -b - d))
         m = MixedSystem(dim, weak, strict, eq)
         point = ph.strict_point(m)
         feasible = strict_feasible(m).feasible
@@ -758,9 +764,10 @@ def test_strict_point_agrees_with_strict_feasible():
         if point is not None:
             assert m.satisfies(point)
         answers[feasible] += 1
-        answers["tight weak"] += feasible and i % 3 == 0
+        answers["pair"] += feasible and i % 4 == 0
+        answers["triple"] += feasible and i % 4 == 1
     assert answers[True] >= 40 and answers[False] >= 40, answers
-    assert answers["tight weak"] >= 25, answers
+    assert answers["pair"] >= 15 and answers["triple"] >= 15, answers
 
 # ---------------------------------------------------------------------------
 # normal cones
@@ -880,26 +887,31 @@ def test_subtract_cells_leaves_boundary():
     assert all(c.satisfies(point) for c, point in out)
 
 
-def _difference_lp_misses(start, subtrahends):
+def _difference_lps(origin, start, subtrahends):
+    """The witness, and the LPs of both entries: solve_lp misses and
+    phase-2 LPs from the origin."""
     for cached in (canonical_form, solve_lp, strict_feasible):
         cached.cache_clear()
+    origin.clear()
     wit = difference_witness(start, subtrahends)
-    return wit, solve_lp.cache_info().misses
+    return wit, solve_lp.cache_info().misses + len(origin)
 
 
-def test_difference_witness_lp_budget():
+def test_difference_witness_lp_budget(monkeypatch):
     # each cell carries a point, which settles the branch or the affirmed
     # part with no LP, and a branch that reverses a row of the cell is
-    # empty with none; the counts do not drift with the machine
+    # empty with none; a boundary cell whose weak rows pair up on a line
+    # takes one slack LP; the counts do not drift with the machine
+    origin = origin_lp_calls(monkeypatch)
     sq = SQUARE.closed_system()
     ri = canonical_form(SQUARE).ri_system()
     dot_cell = MixedSystem(2, (), (), (((F(1), F(0)), F(1, 2)), ((F(0), F(1)), F(0))))
-    wit, misses = _difference_lp_misses([sq], [ri, dot_cell])
+    wit, lps = _difference_lps(origin, [sq], [ri, dot_cell])
     assert wit == (F(0), F(1))
-    assert misses <= 13
-    wit, misses = _difference_lp_misses([ri], [sq])
+    assert lps <= 8
+    wit, lps = _difference_lps(origin, [ri], [sq])
     assert wit is None
-    assert misses <= 1
+    assert lps <= 1
 
 
 def test_difference_witness_none_when_covered():

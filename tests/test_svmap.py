@@ -14,7 +14,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from instances import clear_caches, interval_set, point_set, strip_map
+from instances import clear_caches, interval_set, origin_lp_calls, point_set, strip_map
 from ncvx import linalg as la
 from ncvx import lp
 from ncvx import ncset as ns
@@ -167,7 +167,7 @@ def test_inverse_image_of_point():
     got, qc = inverse_image(STRIP, point_set(2))
     assert qc
     assert set_equal(got, interval_set(1, 2))
-    assert certify_inverse_image(STRIP, point_set(2))
+    assert certify_inverse_image(STRIP, point_set(2), got)
 
 
 def test_inverse_image_of_range_is_domain():
@@ -182,18 +182,24 @@ def test_inverse_image_boundary_point_flags_qc():
     assert set_equal(got, point_set(2))
 
 
-def test_certify_inverse_image_reuses_the_image_check():
-    # under the qualification inverse_image has already checked the formula
+def test_certify_inverse_image_reuses_the_image_check(monkeypatch):
+    # under the qualification inverse_image has already checked the
+    # formula: the certificate takes no LP of either entry, solve_lp
+    # misses or phase-2 LPs from the origin
+    origin = origin_lp_calls(monkeypatch)
     for module in (lp, ph, ns, sv):
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear"):
                 obj.cache_clear()
-    inverse_image(STRIP, point_set(2))
+    got, _ = inverse_image(STRIP, point_set(2))
     before = lp.solve_lp.cache_info().misses
-    assert certify_inverse_image(STRIP, point_set(2))
+    origin.clear()
+    assert certify_inverse_image(STRIP, point_set(2), got)
     assert lp.solve_lp.cache_info().misses == before
+    assert not origin
     # without it the shadow is built: ri F^{-1}(3) = {2}, but ri F(2) misses 3
-    assert not certify_inverse_image(STRIP, point_set(3))
+    got, _ = inverse_image(STRIP, point_set(3))
+    assert not certify_inverse_image(STRIP, point_set(3), got)
 
 
 def test_restrict_to_subinterval():
@@ -657,10 +663,12 @@ def test_pinned_joint_constructions():
     }
 
 
-def test_joint_constructions_lp_budget():
+def test_joint_constructions_lp_budget(monkeypatch):
     # LP work of a seeded anchored map_sum, build_phi and build_ovf from
-    # cold caches, with each result built from its joint ri cells alone;
-    # the counts do not drift with the machine
+    # cold caches, with each result built from its joint ri cells alone,
+    # counting both entries: solve_lp misses and phase-2 LPs from the
+    # origin; the counts do not drift with the machine
+    origin = origin_lp_calls(monkeypatch)
     spec = orc.LEAN_SPEC
     rng = random.Random(2)
     ax = orc._anchor_point(rng, 1, spec)
@@ -677,29 +685,32 @@ def test_joint_constructions_lp_budget():
         ("build_ovf", lambda: vr.build_ovf(inst.f, inst.fmap)),
     ):
         clear_caches()
+        origin.clear()
         build()
-        misses[op] = lp.solve_lp.cache_info().misses
+        misses[op] = lp.solve_lp.cache_info().misses + len(origin)
     print(misses)
-    assert misses["map_sum"] <= 67
-    assert misses["build_phi"] <= 55
-    assert misses["build_ovf"] <= 34
+    assert misses["map_sum"] <= 36
+    assert misses["build_phi"] <= 14
+    assert misses["build_ovf"] <= 17
 
 
 
 def test_map_sum_link_folds_take_no_lp(monkeypatch):
     # the link s = y1 + y2 is folded in last, on columns no graph uses, so
     # the carried strict witness with s solved from the link lies in every
-    # joint cell: no strict LP sees the link's rows.  Seeded anchored sums
-    # from cold caches; the counts do not drift with the machine
+    # joint cell: no strict LP, of either entry, sees the link's rows.
+    # Seeded anchored sums from cold caches, counting solve_lp misses and
+    # phase-2 LPs from the origin; the counts do not drift with the machine
     spec = orc.LEAN_SPEC
     strict_systems = []
-    real = ns.strict_feasible
+    for name in ("strict_feasible", "strict_point"):
 
-    def recorded(system):
-        strict_systems.append(system)
-        return real(system)
+        def recorded(system, real=getattr(ns, name)):
+            strict_systems.append(system)
+            return real(system)
 
-    monkeypatch.setattr(ns, "strict_feasible", recorded)
+        monkeypatch.setattr(ns, name, recorded)
+    origin = origin_lp_calls(monkeypatch)
     misses, pieces = [], 0
     for seed in range(6):
         rng = random.Random(seed)
@@ -711,10 +722,12 @@ def test_map_sum_link_folds_take_no_lp(monkeypatch):
         link = la.zeros(1) + ns.sum_link(2).pieces[0].base.eq[0][0]
         clear_caches()
         strict_systems.clear()
+        origin.clear()
         got, _ = map_sum(f1, f2)
-        misses.append(lp.solve_lp.cache_info().misses)
+        misses.append(lp.solve_lp.cache_info().misses + len(origin))
         pieces += len(got.graph.pieces)
+        assert strict_systems
         assert not any(a == link for m in strict_systems for a, _ in m.eq)
     print(misses)
     assert pieces > 0
-    assert all(got <= bound for got, bound in zip(misses, [38, 5, 58, 5, 88, 17]))
+    assert all(got <= bound for got, bound in zip(misses, [23, 5, 36, 4, 57, 8]))
