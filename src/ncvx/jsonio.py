@@ -330,5 +330,5 @@ def load_json_file(path: str) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or an integer past the limit on digits
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc

@@ -39,7 +39,7 @@ witness and every certificate are those of the full tableau.
 
 A MixedSystem keeps its rows scaled to integers once, on first use
 (MixedSystem.scaled_rows), and the systems it makes by closed, opened,
-combine, embed, homogeneous and fix carry them over.  satisfies,
+combine, embed, homogeneous, fix and pullback carry them over.  satisfies,
 solve_lp, strict_feasible and the canonical forms of the polyhedron
 module read them, and a caller that checks one point against many
 systems scales the point once (satisfies_int).
@@ -131,7 +131,7 @@ class MixedSystem:
         """out, a system made from this one, with move(*kept rows) handed in
         as its kept rows when this system has them; otherwise out computes
         its own on first use.  closed, opened, homogeneous, combine and
-        embed carry them so; fix works on them, and pullback does not."""
+        embed carry them so; fix and pullback work on them."""
         kept = self.__dict__.get("_scaled")
         return out if kept is None else _keeping(out, move(*kept))
 
@@ -245,12 +245,32 @@ class MixedSystem:
 
     def pullback(self, t: Mat, shift: Vec) -> "MixedSystem":
         """The rows under z -> t z + shift: a.y <= b becomes
-        (t^T a).z <= b - a.shift."""
+        (t^T a).z <= b - a.shift.  Worked on the kept integer rows, with
+        t = T / E and shift = S / F: a row (A, B, L) becomes
+        (F T^T A).z <= E (B F - A.S), all over L E F; divided by their gcd
+        with L E F, these are the kept rows of the result, and its
+        Fraction rows are built from them."""
+        dim = len(t[0]) if t else 0
+        if len(t) != self.dim or len(shift) != self.dim or any(len(r) != dim for r in t):
+            raise DimensionMismatch("pullback map does not match system dim")
+        ti, e = _integer_point([v for r in t for v in r])
+        cols = [ti[j::dim] for j in range(dim)]
+        si, f = _integer_point(shift)
 
-        def move(a, b):
-            return la.mat_t_vec(t, a), b - la.dot(a, shift)
+        def rows(scaled):
+            out, ints = [], []
+            for ai, bi, li in scaled:
+                coeffs = [f * _dot(c, ai) for c in cols]
+                rhs, den = e * (bi * f - _dot(ai, si)), li * e * f
+                g = gcd(den, rhs, *coeffs)
+                coeffs, rhs, den = tuple([v // g for v in coeffs]), rhs // g, den // g
+                out.append((tuple([Fraction(v, den) for v in coeffs]), Fraction(rhs, den)))
+                ints.append((coeffs, rhs, den))
+            return tuple(out), tuple(ints)
 
-        return self._map_rows(len(t[0]) if t else 0, move)
+        blocks = [rows(scaled) for scaled in self.scaled_rows()]
+        out = MixedSystem(dim, *(rows for rows, _ in blocks))
+        return _keeping(out, tuple(ints for _, ints in blocks))
 
 
 def _keeping(system: MixedSystem, rows: ScaledRows) -> MixedSystem:

@@ -48,7 +48,7 @@ from .errors import (
     NotNearlyConvex,
 )
 from .linalg import Mat, Vec
-from .lp import MixedSystem, _integer_point, strict_feasible
+from .lp import MixedSystem, _integer_point
 from .polyhedron import (
     HPoly,
     VPoly,
@@ -58,6 +58,7 @@ from .polyhedron import (
     _int_rows,
     canonical_form,
     closed_shadow,
+    closure_hpoly,
     decompose_mixed,
     difference_witness,
     faces,
@@ -226,7 +227,7 @@ def permute_coords(s: NCSet, perm: Sequence[int]) -> NCSet:
         raise DimensionMismatch("perm must be a permutation of all coordinates")
     cols = sorted(range(s.dim), key=lambda i: perm[i])  # old i goes to cols[i]
     moved = [pc.base.closed_system().embed(cols, s.dim) for pc in s.pieces]
-    return ncset(s.dim, [HPoly(s.dim, m.weak, m.eq) for m in moved])
+    return ncset(s.dim, [closure_hpoly(m) for m in moved])
 
 
 def union(*sets: NCSet) -> NCSet:
@@ -370,7 +371,7 @@ def product(s1: NCSet, s2: NCSet) -> NCSet:
         left = a.base.closed_system().embed(range(n), n + p)
         for b in s2.pieces:
             joint = left.combine(b.base.closed_system().embed(range(n, n + p), n + p))
-            bases.append(HPoly(n + p, joint.weak, joint.eq))
+            bases.append(closure_hpoly(joint))
     return ncset(n + p, bases)
 
 
@@ -438,7 +439,7 @@ def ri_overlap(dim: int, parts: Sequence[tuple[NCSet, Sequence[int]]]) -> bool:
     if any(h is None for h in hulls):
         return False
     cells = [h.ri_system().embed(cols, dim) for h, (_, cols) in zip(hulls, parts)]
-    return strict_feasible(reduce(MixedSystem.combine, cells)).feasible
+    return strict_point(reduce(MixedSystem.combine, cells)) is not None
 
 
 def sum_link(p: int) -> NCSet:
@@ -490,14 +491,14 @@ def affine_preimage(s: NCSet, t: Mat, shift: Vec) -> tuple[NCSet, bool]:
     cells = []
     for pc in s.pieces:
         cell = pc.system().pullback(t, shift)
-        wit = strict_feasible(cell).witness
+        wit = strict_point(cell)
         if wit is not None:
-            cells.append((HPoly(cell.dim, cell.strict, cell.eq), wit))
+            cells.append((closure_hpoly(cell), wit))
     result = _ncset_of_cells(len(t[0]) if t else 0, cells)
     qc = False
     hull = closure_hull(s)
     if hull is not None:
-        qc = strict_feasible(hull.ri_system().pullback(t, shift)).feasible
+        qc = strict_point(hull.ri_system().pullback(t, shift)) is not None
     return result, qc
 
 

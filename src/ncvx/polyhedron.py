@@ -33,6 +33,11 @@ point (ri_point).
 
 Projection is Fourier-Motzkin with equality pivoting, on closed systems
 only and with no LP: canonical_form removes the redundant rows it leaves.
+It runs on the integer rows the system keeps, made primitive once: an
+equality row cancels a column from the others by cross-multiplication,
+each pair of rows of opposite sign in it combines the same way, and of
+rows with parallel normals only the tightest stays between eliminations.
+The shadow's Fraction rows are built once, with the integer rows kept.
 A relatively open cell has one shadow rule, ri(AC) = A ri(C) (Rockafellar,
 Thm 6.6): its shadow is the ri of the closed shadow of its closure,
 canonicalized from the kept coordinates of a point of the cell
@@ -48,11 +53,13 @@ Mixed cells (weak + strict + equality rows) are the set-algebra workhorse:
 region subtraction peels one constraint at a time, each cell carrying a
 point of its own that settles most of its nonemptiness tests with no LP,
 and any feasible mixed system splits into relatively open polyhedra by
-recursing on the facets of its closure.  Where a strict point only
-settles a yes or no, or seeds a unique result, strict_point finds it by
-the slack LP from the origin, after a weak row and its reverse have
-joined the equalities; strict_feasible's witness, which outputs show,
-comes from its own two-phase LP.
+recursing on the facets of its closure.  Each row peeled and its reverse
+keep their integer rows, so no cell is scaled again, and each cell made
+is deduplicated on its integer rows and built from them.  Where a strict
+point only settles a yes or no, or seeds a unique result, strict_point
+finds it by the slack LP from the origin, after a weak row and its
+reverse have joined the equalities; strict_feasible's witness, which
+outputs show, comes from its own two-phase LP.
 """
 
 from __future__ import annotations
@@ -76,8 +83,10 @@ from .linalg import ONE, Vec, ZERO
 from .lp import (
     MixedSystem,
     Row,
+    Scaled,
     _dot,
     _integer_point,
+    _keeping,
     _primitive,
     feasible_point,
     int_system,
@@ -182,24 +191,12 @@ def box(bounds: Sequence[tuple]) -> HPoly:
     return HPoly(n, tuple(rows))
 
 
-def _norm_ineq(a: Vec, b: Fraction) -> Row:
-    joint = la.primitive(a + (b,))
-    return joint[:-1], joint[-1]
-
-
-def _norm_eq(a: Vec, b: Fraction) -> Row:
-    joint = la.primitive(a + (b,))
-    lead = next((v for v in joint if v != 0), ZERO)
-    if lead < 0:
-        joint = la.neg(joint)
-    return joint[:-1], joint[-1]
-
-
 IntRow = Sequence[int]  # coefficients, then the right-hand side
 IntPoint = tuple[list[int], int]  # (X, D) for the point X / D
+IntRows = tuple[list[tuple[int, ...]], list[tuple[int, ...]]]  # (equalities, inequalities)
 
 
-def _int_rows(p: HPoly) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+def _int_rows(p: HPoly) -> IntRows:
     """(equality rows, inequality rows) of p as integer rows, read off the
     rows its closed system keeps."""
     weak, _, eq = p.closed_system().scaled_rows()
@@ -244,9 +241,7 @@ def _reduce(row: IntRow, basis: Sequence[IntRow], pivots: Sequence[int]) -> IntR
     return row
 
 
-def _eliminate_int(
-    dim: int, eq: Iterable[IntRow], ineq: Iterable[IntRow]
-) -> Optional[tuple[list[tuple[int, ...]], list[tuple[int, ...]]]]:
+def _eliminate_int(dim: int, eq: Iterable[IntRow], ineq: Iterable[IntRow]) -> Optional[IntRows]:
     """Step 1 of canonical_form on integer rows.
 
     Fraction-free Gauss-Jordan (_echelon): a pivot row e (e[pc] > 0)
@@ -384,12 +379,19 @@ def strict_point(system: MixedSystem) -> Optional[Vec]:
     return tuple(Fraction(v, den) for v in x)
 
 
-def _hpoly_of(dim: int, eq: Sequence[IntRow], ineq: Sequence[IntRow]) -> HPoly:
-    """The polyhedron of integer rows, its closed system kept with them."""
-    closed = int_system(dim, ineq, (), eq)
-    p = HPoly(dim, closed.weak, closed.eq)
+def closure_hpoly(m: MixedSystem) -> HPoly:
+    """The polyhedron of m's rows with its strict rows weakened, keeping
+    m.closed() (m itself when it has no strict row) as its closed system,
+    with the integer rows m keeps."""
+    closed = m.closed() if m.strict else m
+    p = HPoly(m.dim, closed.weak, closed.eq)
     p.__dict__["_closed"] = closed
     return p
+
+
+def _hpoly_of(dim: int, eq: Sequence[IntRow], ineq: Sequence[IntRow]) -> HPoly:
+    """The polyhedron of integer rows, its closed system kept with them."""
+    return closure_hpoly(int_system(dim, ineq, (), eq))
 
 
 def _split_implicit(dim: int, ineq: Sequence[Row], eq: Sequence[Row]) -> list[int]:
@@ -690,97 +692,17 @@ def polyhedron_equal(p: HPoly, q: HPoly) -> bool:
 # Fourier-Motzkin projection and the shadows of relatively open cells
 
 
-def _dedupe_mixed(m: MixedSystem) -> MixedSystem:
-    weak: dict[tuple, Fraction] = {}
-    strict: dict[tuple, Fraction] = {}
-    false_weak = []
-    false_strict = []
-    for a, b in m.weak:
-        if la.is_zero(a):
-            if b < 0:
-                false_weak.append((a, b))
-            continue
-        a, b = _norm_ineq(a, b)
-        if a not in weak or b < weak[a]:
-            weak[a] = b
-    for a, b in m.strict:
-        if la.is_zero(a):
-            if b <= 0:
-                false_strict.append((a, b))
-            continue
-        a, b = _norm_ineq(a, b)
-        if a not in strict or b < strict[a]:
-            strict[a] = b
-    for a in list(weak):
-        if a in strict and strict[a] <= weak[a]:
-            del weak[a]
-    eq = []
-    for a, b in m.eq:
-        if la.is_zero(a):
-            if b != 0:
-                false_weak.append((la.zeros(m.dim), Fraction(-1)))
-            continue
-        eq.append(_norm_eq(a, b))
-    return MixedSystem(
-        m.dim,
-        tuple(sorted(weak.items())) + tuple(false_weak),
-        tuple(sorted(strict.items())) + tuple(false_strict),
-        tuple(sorted(set(eq))),
-    )
-
-
-def _drop_coord(v: Vec, idx: int) -> Vec:
-    return v[:idx] + v[idx + 1 :]
-
-
-def _eliminate(m: MixedSystem, idx: int) -> MixedSystem:
-    """A closed system with coordinate idx dropped: an equality holding it
-    is substituted into the other rows, or else each row positive in it is
-    added to each row negative in it (Fourier-Motzkin)."""
-    pivot = next(((a, b) for a, b in m.eq if a[idx] != 0), None)
-    if pivot is not None:
-        pa, pb = pivot
-
-        def subst(row: Row) -> Row:
-            a, b = row
-            if a[idx] != 0:
-                f = a[idx] / pa[idx]
-                a = la.sub(a, la.scale(pa, f))
-                b = b - f * pb
-            return _drop_coord(a, idx), b
-
-        return MixedSystem(
-            m.dim - 1,
-            tuple(subst(r) for r in m.weak),
-            (),
-            tuple(subst(r) for r in m.eq if r != pivot),
-        )
-
-    stay, pos, neg = [], [], []
-    for a, b in m.weak:
-        if a[idx] > 0:
-            pos.append((a, b))
-        elif a[idx] < 0:
-            neg.append((a, b))
-        else:
-            stay.append((_drop_coord(a, idx), b))
-    for (ap, bp), (an, bn) in itertools.product(pos, neg):
-        coef_p = ap[idx]
-        coef_n = -an[idx]
-        a = la.add(la.scale(ap, coef_n), la.scale(an, coef_p))
-        stay.append((_drop_coord(a, idx), coef_n * bp + coef_p * bn))
-    return MixedSystem(
-        m.dim - 1,
-        tuple(stay),
-        (),
-        tuple((_drop_coord(a, idx), b) for a, b in m.eq),
-    )
-
-
-def _fm_shadow(m: MixedSystem, keep: Sequence[int]) -> MixedSystem:
+def _fm_shadow(m: MixedSystem, keep: Sequence[int]) -> Optional[IntRows]:
     """Fourier-Motzkin shadow of a closed system onto the kept coordinates
-    (in the order given), deduplicated between eliminations; redundant
-    rows stay."""
+    (increasing), as (equality rows, inequality rows) in integers, or None
+    when a row 0 = b (b nonzero) or 0 <= b < 0 shows the system empty;
+    redundant rows stay.
+
+    The rows the system keeps (scaled_rows) are made primitive once.  An
+    equality row e nonzero in the dropped column, with e[c] > 0, cancels
+    the column from every other row (_cancel); else each row positive in
+    it is added to each row negative in it, cross-multiplied and made
+    primitive.  Between eliminations the rows are merged (_merged)."""
     keep = tuple(keep)
     if sorted(set(keep)) != sorted(keep) or any(
         i < 0 or i >= m.dim for i in keep
@@ -792,10 +714,57 @@ def _fm_shadow(m: MixedSystem, keep: Sequence[int]) -> MixedSystem:
         raise DimensionMismatch("cannot project onto no coordinates")
     if m.strict:
         raise CertificateError("Fourier-Motzkin runs on closed systems")
-    current = _dedupe_mixed(m)
-    for idx in sorted(set(range(m.dim)) - set(keep), reverse=True):
-        current = _dedupe_mixed(_eliminate(current, idx))
-    return current
+    weak, _, eq = m.scaled_rows()
+    found = _merged(
+        [_primitive([*a, b]) for a, b, _ in eq], [_primitive([*a, b]) for a, b, _ in weak]
+    )
+    for c in sorted(set(range(m.dim)) - set(keep), reverse=True):
+        if found is None:
+            return None
+        eqs, rows = found
+        at = next((i for i, e in enumerate(eqs) if e[c]), None)
+        if at is not None:
+            e = eqs.pop(at)
+            if e[c] < 0:
+                e = tuple(-v for v in e)
+            eqs = [_cancel(r, e, c) for r in eqs]
+            rows = [_cancel(r, e, c) for r in rows]
+        else:
+            pos = [r for r in rows if r[c] > 0]
+            neg = [r for r in rows if r[c] < 0]
+            rows = [r for r in rows if not r[c]] + [
+                _primitive([-n[c] * x + p[c] * y for x, y in zip(p, n)])
+                for p in pos
+                for n in neg
+            ]
+        found = _merged(
+            [(*r[:c], *r[c + 1 :]) for r in eqs], [(*r[:c], *r[c + 1 :]) for r in rows]
+        )
+    return found
+
+
+def _merged(eq: Iterable[IntRow], ineq: Iterable[IntRow]) -> Optional[IntRows]:
+    """Primitive integer rows deduplicated and sorted: each equality row
+    with its first nonzero entry positive, and of the inequality rows with
+    parallel normals only the tightest (_undominated).  Rows 0 = 0 and
+    0 <= b >= 0 are dropped; None when a row 0 = b (b nonzero) or
+    0 <= b < 0 shows the set empty."""
+    eqs, rows = set(), set()
+    for r in eq:
+        if not any(r[:-1]):
+            if r[-1]:
+                return None
+            continue
+        lead = next(v for v in r if v)
+        eqs.add(tuple(r) if lead > 0 else tuple(-v for v in r))
+    for r in ineq:
+        if not any(r[:-1]):
+            if r[-1] < 0:
+                return None
+            continue
+        rows.add(tuple(r))
+    ineq = sorted(rows)
+    return sorted(eqs), [ineq[i] for i in _undominated(ineq)]
 
 
 def closed_shadow(m: MixedSystem, keep: Sequence[int]) -> HPoly:
@@ -803,8 +772,11 @@ def closed_shadow(m: MixedSystem, keep: Sequence[int]) -> HPoly:
     Fourier-Motzkin with no LP; a relatively open cell projects through
     ri_shadow instead.  Redundant rows are left for canonical_form, which
     every caller applies, to remove."""
+    dim = len(keep)
     shadow = _fm_shadow(m, keep)
-    return HPoly(shadow.dim, shadow.weak, shadow.eq)
+    if shadow is None:
+        return _hpoly_of(dim, [], [(0,) * dim + (-1,)])
+    return _hpoly_of(dim, *shadow)
 
 
 def ri_shadow(cell: MixedSystem, z: Vec, keep: Sequence[int]) -> HPoly:
@@ -817,11 +789,10 @@ def ri_shadow(cell: MixedSystem, z: Vec, keep: Sequence[int]) -> HPoly:
     coordinates, a point of its ri.  Keeping every column runs no
     Fourier-Motzkin."""
     keep = list(keep)
-    closed = cell.closed()
     if keep == list(range(cell.dim)):
-        base = _canonical_from(HPoly(cell.dim, closed.weak, closed.eq), z)
+        base = _canonical_from(closure_hpoly(cell), z)
     else:
-        base = _canonical_from(closed_shadow(closed, keep), tuple(z[i] for i in keep))
+        base = _canonical_from(closed_shadow(cell.closed(), keep), tuple(z[i] for i in keep))
     if base is None:
         raise CertificateError("the shadow of a cell with a point is nonempty")
     return base
@@ -1101,25 +1072,80 @@ def normal_cone_hrep(v: VPoly, x: Vec) -> HPoly:
 # Mixed cells: subtraction and decomposition into relatively open pieces
 
 
-def _constraints_of(m: MixedSystem):
-    return (
-        [("w", a, b) for a, b in m.weak]
-        + [("s", a, b) for a, b in m.strict]
-        + [("e", a, b) for a, b in m.eq]
-    )
+def _one_row(dim: int, block: int, row: Row, kept: Scaled) -> MixedSystem:
+    """The system of one row in block 0 (weak), 1 (strict) or 2 (equality),
+    keeping its integer row."""
+    rows: list[tuple] = [(), (), ()]
+    ints: list[tuple] = [(), (), ()]
+    rows[block], ints[block] = (row,), (kept,)
+    return _keeping(MixedSystem(dim, *rows), tuple(ints))
+
+
+def _peeled(sub: MixedSystem) -> list[tuple[list[MixedSystem], MixedSystem]]:
+    """Per row of sub, weak, strict, then equality rows: (branches, kept),
+    the one-row systems of the part that breaks the row and of the row
+    itself.  c.x <= d breaks as -c.x < -d, c.x < d as -c.x <= -d, and
+    c.x = d as c.x < d or -c.x < -d.  Each keeps its integer row, the
+    reverse of (C, D, L) being (-C, -D, L)."""
+    out = []
+    for block, (rows, ints) in enumerate(zip((sub.weak, sub.strict, sub.eq), sub.scaled_rows())):
+        for (a, b), (ai, bi, den) in zip(rows, ints):
+            row = (a, b), (ai, bi, den)
+            back = (la.neg(a), -b), (tuple([-v for v in ai]), -bi, den)
+            if block < 2:  # a weak row breaks strictly, a strict one weakly
+                branches = [_one_row(sub.dim, 1 - block, *back)]
+            else:
+                branches = [_one_row(sub.dim, 1, *row), _one_row(sub.dim, 1, *back)]
+            out.append((branches, _one_row(sub.dim, block, *row)))
+    return out
 
 
 def _reverses_a_row(m: MixedSystem, br: MixedSystem) -> bool:
     """Does m hold the reverse of br's one row, so that the two have no
     common point?  c.x < d is excluded by -c.x <= -d, -c.x < -d and
-    c.x = d in either sign; c.x <= d by -c.x < -d.  Rows are compared as
-    they stand, so a scaled copy is not seen."""
-    if br.strict:
-        (c, d), = br.strict
-        back = (la.neg(c), -d)
-        return back in m.weak or back in m.strict or back in m.eq or (c, d) in m.eq
-    (c, d), = br.weak
-    return (la.neg(c), -d) in m.strict
+    c.x = d in either sign; c.x <= d by -c.x < -d.  The integer rows are
+    compared as they stand, so a scaled copy is not seen."""
+    weak, strict, eq = m.scaled_rows()
+    br_weak, br_strict, _ = br.scaled_rows()
+    (c, d, den), = br_strict or br_weak
+    back = (tuple([-v for v in c]), -d, den)
+    if br_strict:
+        return back in weak or back in strict or back in eq or (c, d, den) in eq
+    return back in strict
+
+
+def _dedupe_mixed(m: MixedSystem) -> MixedSystem:
+    """m, a system with a point, with its integer rows made primitive:
+    equality rows as _merged leaves them; of the weak (and of the strict)
+    rows with one primitive (a, b) normal part a, only the least b; a
+    weak row dropped when a strict row with its normal part is as tight;
+    rows 0 ? b that hold dropped.  Sorted, and built by int_system."""
+    weak, strict, eq = m.scaled_rows()
+    least: list[dict[tuple[int, ...], int]] = [{}, {}]
+    for block, rows in enumerate((weak, strict)):
+        bound = least[block]
+        for a, b, _ in rows:
+            if not any(a):
+                if b < 0 or (b == 0 and block == 1):
+                    raise CertificateError("a cell with a point holds no false row")
+                continue
+            *a, b = _primitive([*a, b])
+            a = tuple(a)
+            if a not in bound or b < bound[a]:
+                bound[a] = b
+    weak_least, strict_least = least
+    for a, b in strict_least.items():
+        if a in weak_least and b <= weak_least[a]:
+            del weak_least[a]
+    found = _merged([_primitive([*a, b]) for a, b, _ in eq], ())
+    if found is None:
+        raise CertificateError("a cell with a point holds no false row")
+    return int_system(
+        m.dim,
+        sorted(a + (b,) for a, b in weak_least.items()),
+        sorted(a + (b,) for a, b in strict_least.items()),
+        found[0],
+    )
 
 
 def subtract_cells(
@@ -1133,31 +1159,22 @@ def subtract_cells(
     two nonemptiness questions with no LP.  A branch that reverses a row
     the affirmed part already holds is empty with no LP either.  Only
     what is left takes a strict_point LP, whose point becomes the point of
-    what it proves nonempty.  The cells do not depend on the points."""
+    what it proves nonempty.  The cells do not depend on the points.
+    Every system here keeps its integer rows, so none is scaled again,
+    and each cell out is built from its deduplicated integer rows."""
     out: list[tuple[MixedSystem, Vec]] = []
-    items = _constraints_of(sub)
+    peeled = _peeled(sub)
     for cell, point in cells:
+        cell.scaled_rows()  # so that what is combined with cell keeps its rows
         if not (sub.satisfies(point) or strict_point(cell.combine(sub)) is not None):
             out.append((cell, point))  # disjoint from the subtrahend
             continue
         affirmed, inside = cell, point
-        for kind, a, b in items:
+        for branches, keep in peeled:
             if inside is None:
                 inside = strict_point(affirmed)
                 if inside is None:
                     break  # later branches only add rows on top of affirmed
-            if kind == "w":
-                branches = [MixedSystem(cell.dim, (), ((la.neg(a), -b),), ())]
-                keep = MixedSystem(cell.dim, ((a, b),), (), ())
-            elif kind == "s":
-                branches = [MixedSystem(cell.dim, ((la.neg(a), -b),), (), ())]
-                keep = MixedSystem(cell.dim, (), ((a, b),), ())
-            else:
-                branches = [
-                    MixedSystem(cell.dim, (), ((a, b),), ()),
-                    MixedSystem(cell.dim, (), ((la.neg(a), -b),), ()),
-                ]
-                keep = MixedSystem(cell.dim, (), (), ((a, b),))
             for br in branches:
                 cand = affirmed.combine(br)
                 if br.satisfies(inside):
@@ -1205,7 +1222,7 @@ def decompose_mixed(m: MixedSystem) -> tuple[HPoly, ...]:
     returned as the canonical closed bases whose ri's cover it."""
     if not strict_feasible(m).feasible:
         return ()
-    base = canonical_form(HPoly(m.dim, m.weak + m.strict, m.eq))
+    base = canonical_form(closure_hpoly(m))
     if base is None:
         raise CertificateError("the closure of a nonempty set cannot be empty")
     pieces = {base}

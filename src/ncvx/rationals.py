@@ -28,26 +28,30 @@ def is_finite(v: ExtReal) -> bool:
 
 
 # the wire form: optional sign, ASCII digits, and an optional /denominator
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p" with optional sign, around which whitespace is
     stripped.  Anything else is rejected: decimal points, and also the
     exponent and underscore forms Fraction would take, so a short string
-    such as "1e4000000" cannot stand for a huge number."""
+    such as "1e4000000" cannot stand for a huge number.  The Fraction is
+    built from the two integers the pattern matched."""
     if not isinstance(text, str):
         raise ParseError(f"rational must be a string, got {type(text).__name__}")
-    s = text.strip()
-    if not _RATIONAL.fullmatch(s):
-        raise ParseError(f"not an exact rational: {text!r}")
+    found = _RATIONAL.fullmatch(text.strip())
     try:
-        return Fraction(s)
-    except ZeroDivisionError as exc:
-        raise ParseError(f"not an exact rational: {text!r}") from exc
+        num, den = (int(found[1]), int(found[2] or 1)) if found else (0, 0)
+    except ValueError as exc:  # past the interpreter's limit on digits
+        raise ParseError(f"rational with too many digits: {exc}") from None
+    if not den:
+        raise ParseError(f"not an exact rational: {text!r}")
+    return Fraction(num, den)
 
 
 def format_rational(v: ExtReal) -> str:
+    if isinstance(v, Fraction):
+        return str(v)
     if v == PLUS_INF:
         return "inf"
     if v == MINUS_INF:

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 from . import linalg as la
 from .errors import DimensionMismatch, EmptyDomain, UsageError
 from .linalg import Mat, Vec
-from .lp import MixedSystem, strict_feasible
+from .lp import MixedSystem
 from .ncset import (
     NCSet,
     ROPoly,
@@ -48,7 +48,15 @@ from .ncset import (
     sum_link,
     whole_space,
 )
-from .polyhedron import HPoly, empty_hpoly, faces_from, project_mixed, ri_point
+from .polyhedron import (
+    HPoly,
+    closure_hpoly,
+    empty_hpoly,
+    faces_from,
+    project_mixed,
+    ri_point,
+    strict_point,
+)
 
 
 @dataclass(frozen=True)
@@ -78,9 +86,9 @@ def eval_at(f: SVMap, x: Vec) -> NCSet:
     cells = []
     for pc in f.graph.pieces:
         cell = pc.system().fix(0, x)
-        wit = strict_feasible(cell).witness
+        wit = strict_point(cell)
         if wit is not None:
-            cells.append((HPoly(f.p, cell.strict, cell.eq), wit))
+            cells.append((closure_hpoly(cell), wit))
     return _ncset_of_cells(f.p, cells)
 
 

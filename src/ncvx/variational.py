@@ -49,6 +49,7 @@ from .polyhedron import (
     NormalConeRep,
     canonical_form,
     closed_shadow,
+    closure_hpoly,
     empty_hpoly,
     normal_cone_at,
     normal_cone_hrep,
@@ -107,7 +108,7 @@ def subdifferential(f: PLFunction, x: Vec) -> Subdifferential:
         raise ValueNotFinite("subdifferential needs a finite value")
     cone = _normal_hrep_of(f.epi, x + (value,)).closed_system()
     at = cone.fix(f.n, (-la.ONE,))
-    canon = canonical_form(HPoly(f.n, at.weak, at.eq))
+    canon = canonical_form(closure_hpoly(at))
     return Subdifferential(canon if canon is not None else empty_hpoly(f.n))
 
 
@@ -121,7 +122,7 @@ def coderivative(f: SVMap, point: Vec, v: Vec) -> HPoly:
         raise PointNotInGraph("coderivative requested off the graph")
     cone = _normal_hrep_of(f.graph, point).closed_system()
     at = cone.fix(f.n, la.neg(v))
-    canon = canonical_form(HPoly(f.n, at.weak, at.eq))
+    canon = canonical_form(closure_hpoly(at))
     return canon if canon is not None else empty_hpoly(f.n)
 
 

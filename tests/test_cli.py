@@ -467,6 +467,18 @@ def test_rationals_take_only_the_wire_form(run, tmp_path):
     assert '"1000"' in out
 
 
+def test_numbers_past_the_digit_limit_exit_2(run, tmp_path):
+    # int() refuses more than 4300 digits with a ValueError, which must
+    # reach the user as a parse error, not a traceback
+    code, out, err = run("member", "t.json", "--point=" + "1" * 5000 + ",0")
+    assert (code, out) == (2, "")
+    assert "rational with too many digits" in err
+    (tmp_path / "big.json").write_text('{"dim": ' + "1" * 5000 + ', "pieces": []}')
+    code, out, err = run("ri", "big.json")
+    assert (code, out) == (2, "")
+    assert "invalid JSON in big.json" in err
+
+
 def test_verify_rejects_nonpositive_count(run):
     code, out, err = run("verify", "thm2.4", "--count", "-5")
     assert code == 2

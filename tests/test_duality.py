@@ -365,7 +365,7 @@ _POINTS = [(F(0),), (F(1),), (F(-3, 2),)]
 _DUALS = [(F(a), F(b)) for a in range(-2, 3) for b in range(-2, 3)]
 
 
-def test_faces_of_a_cone_graph_take_one_strict_lp(monkeypatch):
+def test_faces_of_a_cone_graph_take_no_lp_of_either_entry(monkeypatch):
     # K's canonical form took the one strict LP and keeps its point; the
     # graph's root is canonicalized from it, and each facet child without
     # an LP, so the graph itself takes none of either entry

@@ -1,0 +1,290 @@
+"""The integer Fourier-Motzkin shadow and the integer subtraction cells,
+against the former Fraction constructions, kept here as references.
+
+Canonical forms are unique, so the shadows are compared canonicalized;
+subtraction cells and their points must be the same rows in the same
+order, compared by repr.  Every system either construction hands on keeps
+its integer rows (MixedSystem.scaled_rows), equal to what lp._scaled gives
+for its Fraction rows.
+"""
+
+import itertools
+import random
+from fractions import Fraction as F
+
+from ncvx import linalg as la
+from ncvx import polyhedron as ph
+from ncvx.lp import MixedSystem, _scaled
+from ncvx.polyhedron import HPoly, canonical_form, closed_shadow, subtract_cells
+
+# ---------------------------------------------------------------------------
+# the former Fraction constructions
+
+
+def _norm_ineq(a, b):
+    joint = la.primitive(a + (b,))
+    return joint[:-1], joint[-1]
+
+
+def _norm_eq(a, b):
+    joint = la.primitive(a + (b,))
+    if next((v for v in joint if v != 0), la.ZERO) < 0:
+        joint = la.neg(joint)
+    return joint[:-1], joint[-1]
+
+
+def _fraction_dedupe(m):
+    weak, strict, false_weak, false_strict = {}, {}, [], []
+    for a, b in m.weak:
+        if la.is_zero(a):
+            if b < 0:
+                false_weak.append((a, b))
+            continue
+        a, b = _norm_ineq(a, b)
+        if a not in weak or b < weak[a]:
+            weak[a] = b
+    for a, b in m.strict:
+        if la.is_zero(a):
+            if b <= 0:
+                false_strict.append((a, b))
+            continue
+        a, b = _norm_ineq(a, b)
+        if a not in strict or b < strict[a]:
+            strict[a] = b
+    for a in list(weak):
+        if a in strict and strict[a] <= weak[a]:
+            del weak[a]
+    eq = []
+    for a, b in m.eq:
+        if la.is_zero(a):
+            if b != 0:
+                false_weak.append((la.zeros(m.dim), F(-1)))
+            continue
+        eq.append(_norm_eq(a, b))
+    return MixedSystem(
+        m.dim,
+        tuple(sorted(weak.items())) + tuple(false_weak),
+        tuple(sorted(strict.items())) + tuple(false_strict),
+        tuple(sorted(set(eq))),
+    )
+
+
+def _drop(v, idx):
+    return v[:idx] + v[idx + 1 :]
+
+
+def _fraction_eliminate(m, idx):
+    pivot = next(((a, b) for a, b in m.eq if a[idx] != 0), None)
+    if pivot is not None:
+        pa, pb = pivot
+
+        def subst(row):
+            a, b = row
+            if a[idx] != 0:
+                f = a[idx] / pa[idx]
+                a, b = la.sub(a, la.scale(pa, f)), b - f * pb
+            return _drop(a, idx), b
+
+        rest = tuple(subst(r) for r in m.eq if r != pivot)
+        return MixedSystem(m.dim - 1, tuple(subst(r) for r in m.weak), (), rest)
+    stay, pos, neg = [], [], []
+    for a, b in m.weak:
+        if a[idx] > 0:
+            pos.append((a, b))
+        elif a[idx] < 0:
+            neg.append((a, b))
+        else:
+            stay.append((_drop(a, idx), b))
+    for (ap, bp), (an, bn) in itertools.product(pos, neg):
+        a = la.add(la.scale(ap, -an[idx]), la.scale(an, ap[idx]))
+        stay.append((_drop(a, idx), -an[idx] * bp + ap[idx] * bn))
+    eq = tuple((_drop(a, idx), b) for a, b in m.eq)
+    return MixedSystem(m.dim - 1, tuple(stay), (), eq)
+
+
+def _fraction_shadow(m, keep):
+    current = _fraction_dedupe(m)
+    for idx in sorted(set(range(m.dim)) - set(keep), reverse=True):
+        current = _fraction_dedupe(_fraction_eliminate(current, idx))
+    return HPoly(current.dim, current.weak, current.eq)
+
+
+def _fraction_reverses_a_row(m, br):
+    if br.strict:
+        (c, d), = br.strict
+        back = (la.neg(c), -d)
+        return back in m.weak or back in m.strict or back in m.eq or (c, d) in m.eq
+    (c, d), = br.weak
+    return (la.neg(c), -d) in m.strict
+
+
+def _fraction_subtract_cells(cells, sub):
+    out = []
+    items = (
+        [("w", a, b) for a, b in sub.weak]
+        + [("s", a, b) for a, b in sub.strict]
+        + [("e", a, b) for a, b in sub.eq]
+    )
+    for cell, point in cells:
+        if not (sub.satisfies(point) or ph.strict_point(cell.combine(sub)) is not None):
+            out.append((cell, point))
+            continue
+        affirmed, inside = cell, point
+        for kind, a, b in items:
+            if inside is None:
+                inside = ph.strict_point(affirmed)
+                if inside is None:
+                    break
+            if kind == "w":
+                branches = [MixedSystem(cell.dim, (), ((la.neg(a), -b),), ())]
+                keep = MixedSystem(cell.dim, ((a, b),), (), ())
+            elif kind == "s":
+                branches = [MixedSystem(cell.dim, ((la.neg(a), -b),), (), ())]
+                keep = MixedSystem(cell.dim, (), ((a, b),), ())
+            else:
+                branches = [
+                    MixedSystem(cell.dim, (), ((a, b),), ()),
+                    MixedSystem(cell.dim, (), ((la.neg(a), -b),), ()),
+                ]
+                keep = MixedSystem(cell.dim, (), (), ((a, b),))
+            for br in branches:
+                cand = affirmed.combine(br)
+                if br.satisfies(inside):
+                    found = inside
+                elif _fraction_reverses_a_row(affirmed, br):
+                    found = None
+                else:
+                    found = ph.strict_point(cand)
+                if found is not None:
+                    out.append((_fraction_dedupe(cand), found))
+            affirmed = affirmed.combine(keep)
+            if not keep.satisfies(inside):
+                inside = None
+    return out
+
+
+# ---------------------------------------------------------------------------
+# seeded inputs
+
+
+def _rows(rng, dim, k, free=()):
+    """k rows with small coefficients, some of them fractional, and zero
+    in the free columns."""
+    out = []
+    for _ in range(k):
+        a = [0 if j in free else rng.randint(-3, 3) for j in range(dim)]
+        den = rng.choice((1, 1, 2, 3))
+        out.append((la.vec([F(v, den) for v in a]), F(rng.randint(-2, 4), den)))
+    return tuple(out)
+
+
+def _closed_systems(count, seed):
+    """(system, keep, kind) for closed systems with equalities, empty ones,
+    free columns, and zero rows; keep is one column, all but one, or a
+    random set, in turn."""
+    rng = random.Random(seed)
+    for i in range(count):
+        dim = 2 + i % 4
+        kind = ("eq", "empty", "free", "plain")[(i // 3) % 4]
+        free = {rng.randrange(dim)} if kind == "free" else set()
+        weak = _rows(rng, dim, rng.randint(2, 6), free)
+        eq = _rows(rng, dim, rng.randint(1, 2), free) if kind == "eq" else ()
+        if kind == "empty":
+            (a, b), = _rows(rng, dim, 1)
+            weak += ((a, b), (la.neg(a), -b - rng.randint(1, 2)))
+        if rng.random() < 0.1:
+            zero = (la.zeros(dim), F(rng.randint(-1, 1)))
+            weak, eq = (weak + (zero,), eq) if rng.random() < 0.5 else (weak, eq + (zero,))
+        if i % 3 == 0:
+            keep = [rng.randrange(dim)]
+        elif i % 3 == 1:
+            keep = sorted(set(range(dim)) - {rng.randrange(dim)})
+        else:
+            keep = sorted(rng.sample(range(dim), rng.randint(1, dim - 1)))
+        yield MixedSystem(dim, weak, (), eq), keep, kind
+
+
+def _mixed(rng, dim):
+    weak = _rows(rng, dim, rng.randint(0, 2))
+    strict = _rows(rng, dim, rng.randint(0, 2))
+    eq = _rows(rng, dim, 1) if rng.random() < 0.25 else ()
+    return MixedSystem(dim, weak, strict, eq)
+
+
+def _keeps_its_rows(m: MixedSystem) -> bool:
+    kept = m.__dict__.get("_scaled")
+    return kept == tuple(
+        tuple(_scaled(a, b) for a, b in block) for block in (m.weak, m.strict, m.eq)
+    )
+
+
+# ---------------------------------------------------------------------------
+# tests
+
+
+def test_integer_shadow_matches_the_fraction_shadow():
+    seen = {"eq": 0, "empty": 0, "lineality": 0, "one": 0, "all but one": 0}
+    for m, keep, kind in _closed_systems(320, seed=2003):
+        got = canonical_form(closed_shadow(m, keep))
+        want = canonical_form(_fraction_shadow(m, keep))
+        assert got == want, (m, keep)
+        dropped = [c for c in range(m.dim) if c not in keep]
+        seen["eq"] += kind == "eq" and any(a[c] for a, _ in m.eq for c in dropped)
+        seen["empty"] += got is None
+        if got is not None:
+            normals = [a for a, _ in got.ineq + got.eq]
+            seen["lineality"] += not normals or la.rank(normals) < len(keep)
+        seen["one"] += len(keep) == 1
+        seen["all but one"] += len(keep) == m.dim - 1 > 1
+    assert min(seen.values()) >= 40, seen
+
+
+def test_integer_cells_match_the_fraction_cells():
+    rng = random.Random(2011)
+    changed = 0
+    for i in range(160):
+        dim = 1 + i % 3
+        cells = []
+        for _ in range(rng.randint(1, 3)):
+            cell = _mixed(rng, dim)
+            point = ph.strict_point(cell)
+            if point is not None:
+                cells.append((cell, point))
+        subs = [_mixed(rng, dim) for _ in range(2)]
+        if cells and rng.random() < 0.4:  # a subtrahend sharing rows with a cell
+            base = cells[0][0]
+            subs[0] = MixedSystem(dim, base.strict, base.weak, subs[0].eq)
+        got, want = cells, cells
+        for sub in subs:
+            got, want = subtract_cells(got, sub), _fraction_subtract_cells(want, sub)
+            assert repr(got) == repr(want)
+            changed += repr(got) != repr(cells)
+    assert changed >= 100, changed
+
+
+def test_shadows_cells_and_pullbacks_keep_their_integer_rows():
+    for m, keep, _ in _closed_systems(60, seed=2017):
+        assert _keeps_its_rows(closed_shadow(m, keep).closed_system()), (m, keep)
+    rng = random.Random(2027)
+    cells = 0
+    for i in range(60):
+        dim = 1 + i % 3
+        cell = _mixed(rng, dim)
+        point = ph.strict_point(cell)
+        if point is None:
+            continue
+        for out, _ in subtract_cells([(cell, point)], _mixed(rng, dim)):
+            assert _keeps_its_rows(out), out
+            cells += 1
+        t = tuple(
+            la.vec([F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(2)])
+            for _ in range(dim)
+        )
+        shift = la.vec([F(rng.randint(-2, 2), rng.choice((1, 3))) for _ in range(dim)])
+        pulled = cell.pullback(t, shift)
+        assert _keeps_its_rows(pulled)
+        for block, moved in zip(
+            (cell.weak, cell.strict, cell.eq), (pulled.weak, pulled.strict, pulled.eq)
+        ):
+            assert moved == tuple((la.mat_t_vec(t, a), b - la.dot(a, shift)) for a, b in block)
+    assert cells >= 30, cells

@@ -703,13 +703,12 @@ def test_map_sum_link_folds_take_no_lp(monkeypatch):
     # phase-2 LPs from the origin; the counts do not drift with the machine
     spec = orc.LEAN_SPEC
     strict_systems = []
-    for name in ("strict_feasible", "strict_point"):
 
-        def recorded(system, real=getattr(ns, name)):
-            strict_systems.append(system)
-            return real(system)
+    def recorded(system, real=ns.strict_point):
+        strict_systems.append(system)
+        return real(system)
 
-        monkeypatch.setattr(ns, name, recorded)
+    monkeypatch.setattr(ns, "strict_point", recorded)
     origin = origin_lp_calls(monkeypatch)
     misses, pieces = [], 0
     for seed in range(6):
