@@ -35,10 +35,10 @@ from .errors import (
     QCViolated,
 )
 from .linalg import Mat, Vec, ZERO, ONE
-from .lp import LPOutcome, MixedSystem, maximize, solve_lp, strict_feasible
+from .lp import LPOutcome, MixedSystem, maximize, solve_lp
 from .ncset import NCSet, closure_hull, from_closed_hpoly, ncset, shadow_hull
 from .plfunc import MINUS_INF, PLUS_INF, PLFunction, Value
-from .polyhedron import HPoly, canonical_form, empty_hpoly, hpoly, to_vrep
+from .polyhedron import HPoly, canonical_form, empty_hpoly, hpoly, strict_point, to_vrep
 from .rationals import ext_add, format_rational, format_vector
 from .svmap import SVMap
 from .variational import OVFInstance
@@ -131,7 +131,7 @@ def support_of_intersection(
     h1, h2 = closure_hull(s1), closure_hull(s2)
     if h1 is None or h2 is None:
         raise QCViolated("an empty set has no relative interior")
-    if not strict_feasible(h1.ri_system().combine(h2.ri_system())).feasible:
+    if strict_point(h1.ri_system().combine(h2.ri_system())) is None:
         raise QCViolated("relative interiors of the sets do not meet")
 
     n = s1.dim
@@ -197,7 +197,7 @@ def conjugate_epigraph(f: PLFunction) -> HPoly:
 def fenchel(f: PLFunction) -> PLFunction:
     """f* as a closed convex function, all epigraph faces included."""
     epi = conjugate_epigraph(f)
-    if not strict_feasible(epi.closed_system()).feasible:
+    if strict_point(epi.closed_system()) is None:
         return PLFunction(f.n, ncset(f.n + 1, []))
     return PLFunction(f.n, from_closed_hpoly(epi))
 
@@ -231,7 +231,7 @@ def svm_conjugate(fm: SVMap, uv) -> SupportEvaluation:
 
 def _full_graph(fm: SVMap) -> bool:
     hull = closure_hull(fm.graph)
-    return hull is not None and not hull.ineq and not hull.eq
+    return hull is not None and not any(hull.closed_system().rows)
 
 
 def ovf_conjugate(inst: OVFInstance, w) -> tuple[Value, Optional[SplitWitness]]:
@@ -293,7 +293,7 @@ def conjugate_sum(
     d1, d2 = shadow_hull(f1.epi, range(n)), shadow_hull(f2.epi, range(n))
     if d1 is None or d2 is None:
         raise QCViolated("a summand has empty domain")
-    if not strict_feasible(d1.ri_system().combine(d2.ri_system())).feasible:
+    if strict_point(d1.ri_system().combine(d2.ri_system())) is None:
         raise QCViolated("relative interiors of the domains do not meet")
 
     # direct side: (x, t1) and (x, t2) placed at (x, t1, t2)
@@ -335,7 +335,7 @@ def conjugate_chain(
     if hull_d is None:
         raise QCViolated("inner function has empty domain")
     pulled = hull_d.ri_system().pullback(a_mat, la.zeros(p))
-    if not strict_feasible(pulled).feasible:
+    if strict_point(pulled) is None:
         raise QCViolated("the range of A misses ri(dom g)")
 
     # (x, t) -> (Ax, t) pulls epi g back to epi (g o A)
@@ -353,7 +353,7 @@ def conjugate_chain(
     ]
     out = solve_lp(
         la.zeros(p) + (ONE,),
-        MixedSystem(p + 1, eg.ineq, (), eg.eq + tuple(eqs)),
+        eg.closed_system().combine(MixedSystem(p + 1, (), (), tuple(eqs))),
     )
     if lhs == PLUS_INF:
         if out.status == "optimal":

@@ -13,11 +13,11 @@ It has two entries:
 - maximize_from_origin: integer rows A u <= g with g >= 0, so the origin
   is feasible and phase 2 starts from the all-slack basis, with no
   artificials, no drive-out and no cache.  The polyhedron module uses it
-  where the LP's point never reaches an output: the slack LP that finds a
-  point of a relative interior (polyhedron.strict_point, step 2 of a
-  canonical form) and the redundancy LPs of a canonical form, shifted to
-  a strict point.  It answers with a point and, at an optimum, the dual
-  vector read off the slack reduced costs, or with an improving ray.
+  where the LP's point never reaches an output: the slack LPs of
+  polyhedron.strict_point and of a canonical form, and the redundancy
+  LPs, shifted to a strict point.  It answers with a point and, at an
+  optimum, the dual vector read off the slack reduced costs, or with an
+  improving ray.
 
 The tableau is fraction-free, in the line of Edmonds (1967) and Bareiss
 (1968): each input row is scaled once to integers, and each tableau row is
@@ -37,12 +37,10 @@ dual vector pi of the final basis, which solves B^T pi = c_B (on the
 weak rows, the slack reduced costs give it). So the pivot path, every
 witness and every certificate are those of the full tableau.
 
-A MixedSystem keeps its rows scaled to integers once, on first use
-(MixedSystem.scaled_rows), and the systems it makes by closed, opened,
-combine, embed, homogeneous, fix and pullback carry them over.  satisfies,
-solve_lp, strict_feasible and the canonical forms of the polyhedron
-module read them, and a caller that checks one point against many
-systems scales the point once (satisfies_int).
+A MixedSystem holds each row once, as integers (A, B, L); its Fraction
+rows are a view built on first read.  Everything here reads the integer
+rows, and a caller that checks one point against many systems scales the
+point once (satisfies_int).
 
 Every answer carries an exact certificate: an optimal witness point, a
 Farkas vector proving infeasibility, an improving feasible ray proving
@@ -50,19 +48,11 @@ unboundedness, or (from the origin) a dual vector proving optimality.
 Each is checked in integers against the scaled input rows before it is
 returned, and a failed check raises CertificateError; values become
 Fractions only in the returned LPOutcome.
-
-Strict feasibility (membership in the relative interior of a row system)
-is decided by maximizing a shared slack variable t added to every strict
-row, capped at 1. The sign of the optimum t* settles the answer: t* > 0
-exactly when some point satisfies all strict rows with room to spare;
-t* = 0 when the closed relaxation is nonempty but no point is strict, the
-verified optimum (x*, 0) being a point of it; and t* < 0 exactly when the
-closed relaxation is empty, since any of its points would give t = 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from fractions import Fraction
 from math import gcd, lcm
@@ -83,34 +73,67 @@ def row(coeffs, rhs) -> Row:
     return la.vec(coeffs), Fraction(rhs)
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
 class MixedSystem:
     """Finitely many weak (<=), strict (<) and equality rows over R^dim.
 
-    The rows scaled to integers are kept on the system from their first
-    use (scaled_rows), in its __dict__ and not as a field, so repr,
-    equality and hashing see the Fraction rows alone.  They are tuples of
-    ints, which the garbage collector stops tracking."""
+    The fields are dim and rows: the blocks (weak, strict, eq), each row
+    a.x ? b held once as (A, B, L) with L the lcm of the denominators,
+    A = L a and B = L b (_scaled), which the row determines one to one.
+    Equality and hashing read them.  weak, strict and eq are read-only
+    Fraction views, each built on its first read, for repr, JSON output
+    and the oracle.  The constructor takes Fraction rows, from_ints
+    integer ones; every derived system is worked out on integer rows."""
 
-    dim: int
-    weak: tuple[Row, ...] = ()
-    strict: tuple[Row, ...] = ()
-    eq: tuple[Row, ...] = ()
+    __slots__ = ("dim", "rows", "_views", "_hash")
 
-    def __post_init__(self):
-        for coeffs, _ in self.weak + self.strict + self.eq:
-            if len(coeffs) != self.dim:
+    def __init__(self, dim: int, weak=(), strict=(), eq=()):
+        blocks = (weak, strict, eq)
+        if any(len(a) != dim for block in blocks for a, _ in block):
+            raise DimensionMismatch("row length does not match system dim")
+        _fill(self, dim, tuple(tuple([_scaled(a, b) for a, b in block]) for block in blocks))
+
+    @staticmethod
+    def from_ints(dim: int, weak=(), strict=(), eq=()) -> "MixedSystem":
+        """The system of integer forms (A, B, L), each with L > 0 and
+        gcd(L, A, B) = 1, as _scaled gives them; no Fraction is built."""
+        rows = (tuple(weak), tuple(strict), tuple(eq))
+        for a, b, den in rows[0] + rows[1] + rows[2]:
+            if len(a) != dim:
                 raise DimensionMismatch("row length does not match system dim")
+            if den < 1 or (den > 1 and gcd(den, b, *a) > 1):
+                raise UsageError("an integer row (A, B, L) needs L > 0 and gcd 1")
+        return _new(dim, rows)
 
-    def scaled_rows(self) -> ScaledRows:
-        """(weak, strict, eq), each row as _scaled gives it; computed once."""
-        kept = self.__dict__.get("_scaled")
-        if kept is None:
-            kept = self.__dict__["_scaled"] = tuple(
-                tuple([_scaled(a, b) for a, b in block])
-                for block in (self.weak, self.strict, self.eq)
-            )
-        return kept
+    weak = property(lambda self: self._view(0))
+    strict = property(lambda self: self._view(1))
+    eq = property(lambda self: self._view(2))
+
+    def _view(self, k: int) -> tuple[Row, ...]:
+        if self._views is None:
+            _set(self, "_views", [None, None, None])
+        if self._views[k] is None:
+            self._views[k] = tuple([_fraction_row(*r) for r in self.rows[k]])
+        return self._views[k]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.dim == other.dim and self.rows == other.rows
+
+    def __hash__(self):
+        if self._hash is None:
+            _set(self, "_hash", hash((self.dim, self.rows)))
+        return self._hash
+
+    def __repr__(self):
+        blocks = f"weak={self.weak!r}, strict={self.strict!r}, eq={self.eq!r}"
+        return f"MixedSystem(dim={self.dim!r}, {blocks})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def satisfies(self, x: Vec) -> bool:
         if len(x) != self.dim:
@@ -119,73 +142,46 @@ class MixedSystem:
 
     def satisfies_int(self, xi: Sequence[int], den: int) -> bool:
         """satisfies(X / D) for integers X and D > 0, in integers: each
-        kept row A.x ? B (over L > 0) is compared as A.X ? B D."""
-        weak, strict, eq = self.scaled_rows()
+        row A.x ? B (over L > 0) is compared as A.X ? B D."""
+        weak, strict, eq = self.rows
         return (
             all(b * den >= _dot(a, xi) for a, b, _ in weak)
             and all(b * den > _dot(a, xi) for a, b, _ in strict)
             and all(b * den == _dot(a, xi) for a, b, _ in eq)
         )
 
-    def _carry(self, out: "MixedSystem", move) -> "MixedSystem":
-        """out, a system made from this one, with move(*kept rows) handed in
-        as its kept rows when this system has them; otherwise out computes
-        its own on first use.  closed, opened, homogeneous, combine and
-        embed carry them so; fix and pullback work on them."""
-        kept = self.__dict__.get("_scaled")
-        return out if kept is None else _keeping(out, move(*kept))
-
     def closed(self) -> "MixedSystem":
         """Weaken every strict row; the closure of a feasible system."""
-        out = MixedSystem(self.dim, self.weak + self.strict, (), self.eq)
-        return self._carry(out, lambda weak, strict, eq: (weak + strict, (), eq))
+        weak, strict, eq = self.rows
+        return _new(self.dim, (weak + strict, (), eq)) if strict else self
 
     def opened(self) -> "MixedSystem":
         """Make every weak row strict; on the closed system of a canonical
         polyhedron, its relative interior."""
-        out = MixedSystem(self.dim, (), self.weak + self.strict, self.eq)
-        return self._carry(out, lambda weak, strict, eq: ((), weak + strict, eq))
+        weak, strict, eq = self.rows
+        return _new(self.dim, ((), weak + strict, eq))
 
     def homogeneous(self) -> "MixedSystem":
         """The rows with zero right-hand sides; on a closed system, its
-        recession cone.  A kept row (A, B, L) becomes (A, 0, L) over
+        recession cone.  A row (A, B, L) becomes (A, 0, L) over
         gcd(L, A), the lcm of the denominators of A / L."""
 
         def rows(block):
-            return tuple((a, ZERO) for a, _ in block)
-
-        def kept(block):
             out = []
             for a, _, den in block:
                 g = gcd(den, *a)
                 out.append((tuple([v // g for v in a]), 0, den // g) if g > 1 else (a, 0, den))
             return tuple(out)
 
-        out = MixedSystem(self.dim, rows(self.weak), rows(self.strict), rows(self.eq))
-        return self._carry(out, lambda *blocks: tuple(map(kept, blocks)))
+        return _new(self.dim, tuple(map(rows, self.rows)))
 
     def combine(self, other: "MixedSystem") -> "MixedSystem":
         if other.dim != self.dim:
             raise DimensionMismatch("combining systems of different dims")
-        out = MixedSystem(
-            self.dim,
-            self.weak + other.weak,
-            self.strict + other.strict,
-            self.eq + other.eq,
-        )
-        theirs = other.__dict__.get("_scaled")
-        if theirs is None:
-            return out
-        return self._carry(out, lambda *mine: tuple(map(add, mine, theirs)))
+        return _new(self.dim, tuple(map(add, self.rows, other.rows)))
 
     # Changes of coordinates, row by row within each block.  Row order is
     # kept: the simplex pivot path, and with it every witness, depends on it.
-
-    def _map_rows(self, dim: int, move) -> "MixedSystem":
-        def rows(block):
-            return tuple(move(a, b) for a, b in block)
-
-        return MixedSystem(dim, rows(self.weak), rows(self.strict), rows(self.eq))
 
     def embed(self, cols: Sequence[int], dim: int) -> "MixedSystem":
         """The same rows in R^dim: coordinate j moves to column cols[j] and
@@ -201,55 +197,47 @@ class MixedSystem:
                 runs.append([j, c, 1])
         runs.sort(key=lambda run: run[1])
 
-        def place(a, zero):
-            out, at = a[:0], 0
+        def place(a):
+            out, at = (), 0
             for s, t, k in runs:
-                out += zero * (t - at) + a[s : s + k]
+                out += (0,) * (t - at) + a[s : s + k]
                 at = t + k
-            return out + zero * (dim - at)
+            return out + (0,) * (dim - at)
 
-        def moved(*blocks):
-            return tuple(tuple([(place(a, (0,)), b, den) for a, b, den in bl]) for bl in blocks)
-
-        return self._carry(self._map_rows(dim, lambda a, b: (place(a, (ZERO,)), b)), moved)
+        rows = tuple(tuple([(place(a), b, den) for a, b, den in block]) for block in self.rows)
+        return _new(dim, rows)
 
     def fix(self, start: int, values: Vec) -> "MixedSystem":
         """Substitute values for coordinates start, start+1, ... and drop
-        them.  Worked on the kept integer rows, with values = V / D: a row
-        (A, B, L) keeps the coefficients of A off the fixed block and gets
-        the right-hand side B D - A_fixed.V, all over L D; divided by
-        their gcd with L D, these are the kept rows of the result.  The
-        Fraction coefficients are reused, and each right-hand side costs
-        one Fraction."""
+        them.  With values = V / D, a row (A, B, L) keeps the coefficients
+        of A off the fixed block and gets the right-hand side
+        B D - A_fixed.V, all over L D; divided by their gcd with L D, these
+        are the rows of the result."""
         stop = start + len(values)
         vi, vd = _integer_point(values)
 
-        def rows(block, scaled):
-            out, ints = [], []
-            for (a, _), (ai, bi, li) in zip(block, scaled):
-                rest = ai[:start] + ai[stop:]
+        def rows(block):
+            out = []
+            for a, b, den in block:
+                rest = a[:start] + a[stop:]
                 if vd > 1:
                     rest = tuple([v * vd for v in rest])
-                rhs, den = bi * vd - _dot(ai[start:stop], vi), li * vd
+                rhs, den = b * vd - _dot(a[start:stop], vi), den * vd
                 g = gcd(den, rhs, *rest)
                 if g > 1:
                     rest = tuple([v // g for v in rest])
-                out.append((a[:start] + a[stop:], Fraction(rhs, den)))
-                ints.append((rest, rhs // g, den // g))
-            return tuple(out), tuple(ints)
+                out.append((rest, rhs // g, den // g))
+            return tuple(out)
 
-        own = (self.weak, self.strict, self.eq)
-        blocks = [rows(block, scaled) for block, scaled in zip(own, self.scaled_rows())]
-        out = MixedSystem(self.dim - len(values), *(rows for rows, _ in blocks))
-        return _keeping(out, tuple(ints for _, ints in blocks))
+        rows = tuple(map(rows, self.rows))
+        return _new(self.dim - len(values), rows)
 
     def pullback(self, t: Mat, shift: Vec) -> "MixedSystem":
         """The rows under z -> t z + shift: a.y <= b becomes
-        (t^T a).z <= b - a.shift.  Worked on the kept integer rows, with
-        t = T / E and shift = S / F: a row (A, B, L) becomes
-        (F T^T A).z <= E (B F - A.S), all over L E F; divided by their gcd
-        with L E F, these are the kept rows of the result, and its
-        Fraction rows are built from them."""
+        (t^T a).z <= b - a.shift.  With t = T / E and shift = S / F, a row
+        (A, B, L) becomes (F T^T A).z <= E (B F - A.S), all over L E F;
+        divided by their gcd with L E F, these are the rows of the
+        result."""
         dim = len(t[0]) if t else 0
         if len(t) != self.dim or len(shift) != self.dim or any(len(r) != dim for r in t):
             raise DimensionMismatch("pullback map does not match system dim")
@@ -257,41 +245,33 @@ class MixedSystem:
         cols = [ti[j::dim] for j in range(dim)]
         si, f = _integer_point(shift)
 
-        def rows(scaled):
-            out, ints = [], []
-            for ai, bi, li in scaled:
-                coeffs = [f * _dot(c, ai) for c in cols]
-                rhs, den = e * (bi * f - _dot(ai, si)), li * e * f
+        def rows(block):
+            out = []
+            for a, b, den in block:
+                coeffs = [f * _dot(c, a) for c in cols]
+                rhs, den = e * (b * f - _dot(a, si)), den * e * f
                 g = gcd(den, rhs, *coeffs)
-                coeffs, rhs, den = tuple([v // g for v in coeffs]), rhs // g, den // g
-                out.append((tuple([Fraction(v, den) for v in coeffs]), Fraction(rhs, den)))
-                ints.append((coeffs, rhs, den))
-            return tuple(out), tuple(ints)
+                out.append((tuple([v // g for v in coeffs]), rhs // g, den // g))
+            return tuple(out)
 
-        blocks = [rows(scaled) for scaled in self.scaled_rows()]
-        out = MixedSystem(dim, *(rows for rows, _ in blocks))
-        return _keeping(out, tuple(ints for _, ints in blocks))
+        return _new(dim, tuple(map(rows, self.rows)))
 
 
-def _keeping(system: MixedSystem, rows: ScaledRows) -> MixedSystem:
-    """system, with rows handed in as its kept integer rows: they must be
-    what scaled_rows would compute from its Fraction rows."""
-    system.__dict__["_scaled"] = rows
+def _fill(system: MixedSystem, dim: int, rows: ScaledRows) -> MixedSystem:
+    # the views and the hash come on first use
+    _set(system, "dim", dim)
+    _set(system, "rows", rows)
+    _set(system, "_views", None)
+    _set(system, "_hash", None)
     return system
 
 
-def int_system(dim: int, weak, strict, eq) -> MixedSystem:
-    """The system of integer rows [A..., B] for A.x ? B, its Fraction rows
-    built once and the integer rows kept as they are (over L = 1)."""
+def _new(dim: int, rows: ScaledRows) -> MixedSystem:
+    return _fill(object.__new__(MixedSystem), dim, rows)
 
-    def rows(block):
-        return tuple((tuple(map(Fraction, r[:-1])), Fraction(r[-1])) for r in block)
 
-    def kept(block):
-        return tuple([(tuple(r[:-1]), r[-1], 1) for r in block])
-
-    system = MixedSystem(dim, rows(weak), rows(strict), rows(eq))
-    return _keeping(system, (kept(weak), kept(strict), kept(eq)))
+def _fraction_row(a: Sequence[int], b: int, den: int) -> Row:
+    return tuple([Fraction(v, den) for v in a]), Fraction(b, den)
 
 
 @dataclass(frozen=True)
@@ -403,13 +383,13 @@ def _entry(r, j, n):
 @lru_cache(maxsize=None)
 def solve_lp(c: Vec, system: MixedSystem) -> LPOutcome:
     """Minimize c.x over a system of weak and equality rows."""
-    if system.strict:
+    weak, strict, eq = system.rows
+    if strict:
         raise UsageError("solve_lp does not accept strict rows")
     n = system.dim
     if len(c) != n:
         raise DimensionMismatch("objective length does not match system dim")
 
-    weak, _, eq = system.scaled_rows()
     scaled = weak + eq
     m_w = len(weak)
     m = len(scaled)
@@ -654,12 +634,16 @@ def maximize(v: Vec, system: MixedSystem) -> LPOutcome:
 def strict_feasible(system: MixedSystem) -> StrictFeasibility:
     """Does some point satisfy every row, strict rows strictly?
 
-    One slack LP, and one more only when its optimum t* is negative: then
-    the closed relaxation is empty and feasible_point gives its Farkas
-    certificate.  At t* = 0 the closed relaxation is nonempty and the
-    answer is "not strict" with no certificate."""
+    One LP maximizes a shared slack t added to every strict row, capped
+    at 1.  t* > 0 exactly when some point satisfies all strict rows with
+    room to spare.  At t* = 0 the closed relaxation is nonempty, the
+    verified optimum (x*, 0) being a point of it, and the answer is "not
+    strict" with no certificate.  t* < 0 exactly when the closed
+    relaxation is empty, since any of its points would give t = 0; then
+    one more LP, feasible_point, gives its Farkas certificate."""
     n = system.dim
-    if not system.strict:
+    weak, strict, eq = system.rows
+    if not strict:
         out = feasible_point(system)
         if out.status == "infeasible":
             return StrictFeasibility(False, certificate=out.certificate)
@@ -667,27 +651,20 @@ def strict_feasible(system: MixedSystem) -> StrictFeasibility:
 
     # Lift to (x, t): strict rows become a.x + t <= b, and t <= 1 keeps the
     # objective bounded. A positive optimum is exactly a strict witness.
-    weak = [(a + (ZERO,), b) for a, b in system.weak]
-    for a, b in system.strict:
-        weak.append((a + (ONE,), b))
-    weak.append((la.zeros(n) + (ONE,), ONE))
-    eq = [(a + (ZERO,), b) for a, b in system.eq]
-    lifted = MixedSystem(n + 1, tuple(weak), (), tuple(eq))
-    # the same rows scaled: t has coefficient L in a strict row over L
-    s_weak, s_strict, s_eq = system.scaled_rows()
-    _keeping(lifted, (
-        tuple([(a + (0,), b, den) for a, b, den in s_weak])
-        + tuple([(a + (den,), b, den) for a, b, den in s_strict])
+    # t has coefficient L in a strict row over L.
+    lifted = _new(n + 1, (
+        tuple([(a + (0,), b, den) for a, b, den in weak])
+        + tuple([(a + (den,), b, den) for a, b, den in strict])
         + (((0,) * n + (1,), 1, 1),),
         (),
-        tuple([(a + (0,), b, den) for a, b, den in s_eq]),
+        tuple([(a + (0,), b, den) for a, b, den in eq]),
     ))
     out = maximize(la.zeros(n) + (ONE,), lifted)
     if out.status == "infeasible":
         # Certificate rows line up with (weak, strict-as-weak, cap, eq); we
         # drop the cap multiplier and keep the original order.
         cert = out.certificate
-        m_w, m_s = len(system.weak), len(system.strict)
+        m_w, m_s = len(weak), len(strict)
         reordered = cert[: m_w + m_s] + cert[m_w + m_s + 1 :]
         return StrictFeasibility(False, certificate=reordered)
     if out.status != "optimal":

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from . import linalg as la
@@ -54,8 +54,10 @@ from .polyhedron import (
     VPoly,
     _cancel,
     _canonical_from,
+    _canonical_hpoly,
+    _flat,
     _hpoly_sort_key,
-    _int_rows,
+    _ri_int_point,
     canonical_form,
     closed_shadow,
     closure_hpoly,
@@ -116,7 +118,8 @@ def _holds_on(base: HPoly):
     0 <= b with b >= 0, or a positive multiple of a row of base with a
     bound no smaller.  Sufficient only: an implied row that is no single
     row of base fails the test."""
-    eqs, ineq = _int_rows(base)
+    weak, _, eq = base.closed_system().rows
+    eqs, ineq = _flat(eq), _flat(weak)
     pivots = [next(j for j, v in enumerate(e) if v) for e in eqs]
     bounds = {}  # primitive coefficients -> bound
     for r in ineq:
@@ -145,13 +148,13 @@ def _dominant_piece(pieces: Sequence[ROPoly]) -> Optional[ROPoly]:
     piece holds all the others."""
     if len(pieces) <= 1:
         return pieces[0] if pieces else None
-    fewest = min(len(pc.base.eq) for pc in pieces)
+    fewest = min(len(pc.base.closed_system().rows[2]) for pc in pieces)
     tests = {}  # piece index -> _holds_on of its base, built when first needed
     for pc in pieces:
-        if len(pc.base.eq) != fewest:
+        weak, _, eq = pc.base.closed_system().rows
+        if len(eq) != fewest:
             continue
-        eqs, rows = _int_rows(pc.base)
-        rows += eqs + [[-v for v in e] for e in eqs]
+        rows = _flat(weak) + _flat(eq) + [(*(-v for v in a), -b) for a, b, _ in eq]
         for i, other in enumerate(pieces):
             if other is pc:
                 continue
@@ -365,14 +368,23 @@ def set_equal(a: NCSet, b: NCSet) -> bool:
 
 
 def product(s1: NCSet, s2: NCSet) -> NCSet:
+    """s1 x s2, one piece ri(A) x ri(B) = ri(A x B) per pair of pieces,
+    with no LP: the canonical rows of A and B, padded with zeros, are
+    those of A x B, the equalities of A before those of B (so the block
+    stays in RREF) and the facets of both sorted.  The ri points A and B
+    keep make the point the piece keeps (ri_point)."""
     n, p = s1.dim, s2.dim
-    bases = []
+    pieces = []
     for a in s1.pieces:
         left = a.base.closed_system().embed(range(n), n + p)
+        xa, da = _ri_int_point(a.base)
         for b in s2.pieces:
-            joint = left.combine(b.base.closed_system().embed(range(n, n + p), n + p))
-            bases.append(closure_hpoly(joint))
-    return ncset(n + p, bases)
+            weak, _, eq = left.combine(b.base.closed_system().embed(range(n, n + p), n + p)).rows
+            xb, db = _ri_int_point(b.base)
+            den = lcm(da, db)
+            z = [v * (den // da) for v in xa] + [v * (den // db) for v in xb], den
+            pieces.append(_canonical_hpoly(n + p, _flat(eq), sorted(_flat(weak)), z))
+    return _of_canonical(n + p, pieces)
 
 
 def joint_image(

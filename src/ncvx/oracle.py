@@ -278,9 +278,25 @@ def _in_hull_rows(rows: tuple[tuple, tuple], x: Vec) -> bool:
     )
 
 
-def _ri_rows_as_system(dim: int, rows: tuple[tuple, tuple]) -> MixedSystem:
+@dataclass(frozen=True)
+class _Rows:
+    """Weak, strict and equality rows in Fractions, as the oracle builds
+    them; unlike a MixedSystem's, they are read back as given."""
+
+    dim: int
+    weak: tuple = ()
+    strict: tuple = ()
+    eq: tuple = ()
+
+
+def _joined(a: _Rows | MixedSystem, b: _Rows | MixedSystem) -> _Rows:
+    """The rows of a, then those of b, block by block."""
+    return _Rows(a.dim, a.weak + b.weak, a.strict + b.strict, a.eq + b.eq)
+
+
+def _ri_rows_as_system(dim: int, rows: tuple[tuple, tuple]) -> _Rows:
     ineq, eq = rows
-    return MixedSystem(dim, (), ineq, eq)
+    return _Rows(dim, (), ineq, eq)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +330,7 @@ def _np_row(a: Vec, b: Fraction, pts: np.ndarray, den: int, op: str) -> np.ndarr
     return lhs == bi
 
 
-def _np_system_mask(ms: MixedSystem, pts: np.ndarray, den: int) -> np.ndarray:
+def _np_system_mask(ms: _Rows | MixedSystem, pts: np.ndarray, den: int) -> np.ndarray:
     mask = np.ones(len(pts), dtype=bool)
     for a, b in ms.weak:
         mask &= _np_row(a, b, pts, den, "<=")
@@ -480,7 +496,7 @@ def generator_conjugate_oracle(f: PLFunction, w) -> Value:
 # existential questions by Fourier-Motzkin, for fiber-search oracles
 
 
-def _tiny_feasible(ms: MixedSystem) -> bool:
+def _tiny_feasible(ms: _Rows | MixedSystem) -> bool:
     """Feasibility of a small mixed system by strictness-tracking
     Fourier-Motzkin elimination; meant for a handful of variables."""
     rows = [(a, b, False) for a, b in ms.weak]
@@ -506,29 +522,27 @@ def _tiny_feasible(ms: MixedSystem) -> bool:
     return all(b > 0 if strict else b >= 0 for _, b, strict in rows)
 
 
-def _fix_prefix(ms: MixedSystem, x: Vec) -> MixedSystem:
+def _fix_prefix(ms: _Rows | MixedSystem, x: Vec) -> _Rows:
     """Substitute the first len(x) coordinates, leaving the tail free."""
     k = len(x)
 
     def sub_rows(rows):
         return tuple((a[k:], b - la.dot(a[:k], x)) for a, b in rows)
 
-    return MixedSystem(
-        ms.dim - k, sub_rows(ms.weak), sub_rows(ms.strict), sub_rows(ms.eq)
-    )
+    return _Rows(ms.dim - k, sub_rows(ms.weak), sub_rows(ms.strict), sub_rows(ms.eq))
 
 
-def _fix_suffix(ms: MixedSystem, y: Vec) -> MixedSystem:
+def _fix_suffix(ms: _Rows | MixedSystem, y: Vec) -> _Rows:
     k = ms.dim - len(y)
 
     def sub_rows(rows):
         return tuple((a[:k], b - la.dot(a[k:], y)) for a, b in rows)
 
-    return MixedSystem(k, sub_rows(ms.weak), sub_rows(ms.strict), sub_rows(ms.eq))
+    return _Rows(k, sub_rows(ms.weak), sub_rows(ms.strict), sub_rows(ms.eq))
 
 
-def _with_eq(ms: MixedSystem, rows: Sequence[tuple]) -> MixedSystem:
-    return ms.combine(MixedSystem(ms.dim, (), (), tuple(rows)))
+def _with_eq(ms: _Rows | MixedSystem, rows: Sequence[tuple]) -> _Rows:
+    return _Rows(ms.dim, ms.weak, ms.strict, ms.eq + tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -949,13 +963,13 @@ def _chk_thm31(rng, spec, cone_form: bool = False) -> Optional[str]:
 
     def oracle_member(y: Vec) -> bool:
         return any(
-            _tiny_feasible(oc.combine(_fix_suffix(gc, y)))
+            _tiny_feasible(_joined(oc, _fix_suffix(gc, y)))
             for oc in ocs
             for gc in gcs
         )
 
     def oracle_ri(y: Vec) -> bool:
-        return _tiny_feasible(om_sys.combine(_fix_suffix(g_sys, y)))
+        return _tiny_feasible(_joined(om_sys, _fix_suffix(g_sys, y)))
 
     probes = _identity_probes(p, img)
     return _compare_preds(
@@ -994,13 +1008,13 @@ def _chk_thm33(rng, spec, cone_form: bool = False) -> Optional[str]:
 
     def oracle_member(x: Vec) -> bool:
         return any(
-            _tiny_feasible(tc.combine(_fix_prefix(gc, x)))
+            _tiny_feasible(_joined(tc, _fix_prefix(gc, x)))
             for tc in tcs
             for gc in gcs
         )
 
     def oracle_ri(x: Vec) -> bool:
-        return _tiny_feasible(th_sys.combine(_fix_prefix(g_sys, x)))
+        return _tiny_feasible(_joined(th_sys, _fix_prefix(g_sys, x)))
 
     probes = _identity_probes(n, pre)
     return _compare_preds(
@@ -1082,7 +1096,7 @@ def _chk_thm37(rng, spec) -> Optional[str]:
     s1 = _ri_rows_as_system(n + p, r1)
     s2 = _ri_rows_as_system(n + p, r2)
 
-    def split_sys(msys: MixedSystem, z: Vec) -> MixedSystem:
+    def split_sys(msys: _Rows | MixedSystem, z: Vec) -> _Rows:
         # rows over y1 for the second graph evaluated at (x, y - y1)
         x, y = z[:n], z[n:]
         fixed = _fix_prefix(msys, x)
@@ -1090,9 +1104,7 @@ def _chk_thm37(rng, spec) -> Optional[str]:
         def flip(rows):
             return tuple((la.neg(a), b - la.dot(a, y)) for a, b in rows)
 
-        return MixedSystem(
-            p, flip(fixed.weak), flip(fixed.strict), flip(fixed.eq)
-        )
+        return _Rows(p, flip(fixed.weak), flip(fixed.strict), flip(fixed.eq))
 
     c1s = [pc.base.ri_system() for pc in f1.graph.pieces]
     c2s = [pc.base.ri_system() for pc in f2.graph.pieces]
@@ -1100,14 +1112,14 @@ def _chk_thm37(rng, spec) -> Optional[str]:
     def oracle_member(z: Vec) -> bool:
         x = z[:n]
         return any(
-            _tiny_feasible(_fix_prefix(c1, x).combine(split_sys(c2, z)))
+            _tiny_feasible(_joined(_fix_prefix(c1, x), split_sys(c2, z)))
             for c1 in c1s
             for c2 in c2s
         )
 
     def oracle_ri(z: Vec) -> bool:
         return _tiny_feasible(
-            _fix_prefix(s1, z[:n]).combine(split_sys(s2, z))
+            _joined(_fix_prefix(s1, z[:n]), split_sys(s2, z))
         )
 
     probes = _identity_probes(n + p, total.graph, den={1: 8, 2: 1}.get(n + p, 0))
@@ -1134,8 +1146,8 @@ def _chk_thm38(rng, spec) -> Optional[str]:
     rf = _ri_rows_as_system(n + p, _hull_ri_rows(f.graph))
     rg = _ri_rows_as_system(p + q, _hull_ri_rows(g.graph))
 
-    def mid_system(c1: MixedSystem, c2: MixedSystem, z: Vec) -> MixedSystem:
-        return _fix_prefix(c1, z[:n]).combine(_fix_suffix(c2, z[n:]))
+    def mid_system(c1: _Rows | MixedSystem, c2: _Rows | MixedSystem, z: Vec) -> _Rows:
+        return _joined(_fix_prefix(c1, z[:n]), _fix_suffix(c2, z[n:]))
 
     c1s = [pc.base.ri_system() for pc in f.graph.pieces]
     c2s = [pc.base.ri_system() for pc in g.graph.pieces]

@@ -23,7 +23,7 @@ from . import linalg as la
 from . import svmap as sv
 from .errors import CertificateError, DimensionMismatch, InvalidEpigraph, UsageError
 from .linalg import Mat, Vec
-from .lp import MixedSystem, _integer_point, solve_lp, strict_feasible
+from .lp import MixedSystem, _integer_point, solve_lp
 from .ncset import (
     NCSet,
     affine_preimage,
@@ -46,6 +46,7 @@ from .polyhedron import (
     hpoly,
     polyhedron_equal,
     project_mixed,
+    strict_point,
     to_vrep,
 )
 from .rationals import MINUS_INF, PLUS_INF, ExtReal as Value
@@ -135,7 +136,7 @@ def cells_inf(cells: Sequence[MixedSystem], cost: Vec) -> Value:
       satisfies the cell.
     The kept values are walked from the least (-inf first, verified before
     unverified, then by cell order); the first that is verified, or whose
-    cell `strict_feasible` finds nonempty, is the inf.  So a
+    cell `strict_point` finds nonempty, is the inf.  So a
     strict-feasibility LP is spent only on a cell that the walk reaches
     and whose witness misses it."""
     kept = []
@@ -151,7 +152,7 @@ def cells_inf(cells: Sequence[MixedSystem], cost: Vec) -> Value:
             value = out.value
         kept.append((value, not cell.satisfies(out.witness), i))
     for value, unverified, i in sorted(kept):
-        if not unverified or strict_feasible(cells[i]).feasible:
+        if not unverified or strict_point(cells[i]) is not None:
             return value
     return PLUS_INF
 
@@ -182,11 +183,9 @@ def slice_inf(s: NCSet, x: Vec, cost: Vec) -> Value:
     Only an empty dominant cell, or a set with no dominant piece, goes
     through `cells_inf` over every piece.
 
-    The dominant slice is `MixedSystem.fix` of D's kept ri system: it is
-    worked on D's kept integer rows and the integer x, reuses D's
-    coefficients, builds one Fraction per right-hand side and hands its
-    integer rows to the closed LP.  The membership and ray checks scale
-    each point once for all pieces."""
+    The dominant slice is `MixedSystem.fix` of D's ri system, worked on
+    its integer rows and the integer x with no Fraction built.  The
+    membership and ray checks scale each point once for all pieces."""
     if len(x) + len(cost) != s.dim:
         raise DimensionMismatch("point length does not match input dim")
     top = s.dominant
@@ -204,7 +203,7 @@ def slice_inf(s: NCSet, x: Vec, cost: Vec) -> Value:
             for pc in s.pieces:
                 if pc.system().satisfies_int(*end) and pc.base.cone_system().satisfies_int(*ray):
                     return MINUS_INF
-        if strict_feasible(cell).feasible:
+        if strict_point(cell) is not None:
             return MINUS_INF if out.status == "unbounded" else out.value
     return cells_inf([pc.system().fix(0, x) for pc in s.pieces], cost)
 
@@ -233,11 +232,8 @@ def assert_proper(f: PLFunction) -> bool:
     down, which is a sign condition on the lam column of its rows.
     """
     for pc in f.epi.pieces:
-        base = pc.base
-        down_ok = all(a[f.n] >= 0 for a, _ in base.ineq) and all(
-            a[f.n] == 0 for a, _ in base.eq
-        )
-        if down_ok:
+        weak, _, eq = pc.base.closed_system().rows
+        if all(a[f.n] >= 0 for a, _, _ in weak) and all(a[f.n] == 0 for a, _, _ in eq):
             return False
     return True
 
@@ -283,7 +279,7 @@ def envelope(s: NCSet) -> NCSet:
         # upward closure of q, computed over (x, lam', lam) with lam' <= lam
         chain = (la.zeros(n) + (la.ONE, -la.ONE), la.ZERO)
         lifted = q.closed_system().embed(range(n + 1), n + 2)
-        lifted = MixedSystem(n + 2, lifted.weak + (chain,), (), lifted.eq)
+        lifted = lifted.combine(MixedSystem(n + 2, (chain,)))
         upward = closed_shadow(lifted, xs + [n + 1]).closed_system()
         cell = upward.combine(shadow.embed(xs, n + 1))
         bases.extend(decompose_mixed(cell))
@@ -424,8 +420,8 @@ class PolyCone:
     k: HPoly
 
     def __post_init__(self):
-        rows = self.k.ineq + self.k.eq
-        if any(b != 0 for _, b in rows):
+        weak, _, eq = self.k.closed_system().rows
+        if any(b for _, b, _ in weak + eq):
             raise UsageError("cone rows must be homogeneous")
 
     @cached_property
@@ -436,8 +432,8 @@ class PolyCone:
 
 
 def polycone(p: HPoly) -> PolyCone:
-    rows = p.ineq + p.eq
-    if any(b != 0 for _, b in rows):
+    weak, _, eq = p.closed_system().rows
+    if any(b for _, b, _ in weak + eq):
         raise UsageError("cone rows must be homogeneous")
     canon = canonical_form(p)
     if canon is None:

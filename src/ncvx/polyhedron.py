@@ -9,57 +9,47 @@ are identical, which turns set equality into tuple comparison. The
 relative interior of a canonical polyhedron is exactly "equalities hold,
 every remaining inequality strict".
 
-The canonical form spends LPs only on what linear algebra cannot settle.
-RREF of the equality block, fraction-free on integer rows, finds the
-emptiness that shows as 0 = 1 or as a reduced row 0 <= b < 0. One slack
-LP over all reduced rows then settles the usual case: a point with a
-positive slack means no implicit equalities, and a negative optimal slack
-means empty. It runs on the free columns of the equality block, from a
-feasible basis, with no phase 1 (lp.maximize_from_origin), and its dual
-vector proves the optimum. A caller that already holds a point of the
-relative interior hands it in instead of that LP. Only at a zero slack
-do rounds of one slack-sum LP each sort the rows into implicit
-equalities and the rest (Fukuda, Polyhedral computation FAQ). Redundancy
-is settled from the strict point: of parallel rows only the tightest can
-be a facet, and a ray from the point that meets one row before any other
-shows a facet with no LP, in the line of Clarkson's ray shooting (1994);
-a row no ray along its normal shows is tried again with the rows met so
-far projected out of the direction. Each row the rays do not settle
-costs one LP from the same point, again with no phase 1, and a lone row
-none.  The point where a ray meets a facet lies in the facet's relative
-interior, so the faces of a polyhedron are enumerated from such points,
-each facet seeding its own children.  A canonical form keeps its strict
-point (ri_point).
+Every kernel here runs on the integer rows a system holds
+(lp.MixedSystem), and every polyhedron or cell it makes is built from
+integer rows; Fractions appear only in the points it returns and in the
+rows a reader asks for.
+
+The canonical form spends LPs only on what linear algebra cannot settle
+(see canonical_form): RREF, then one slack LP from a feasible basis with
+no phase 1 (lp.maximize_from_origin), slack-sum rounds only at a zero
+slack (Fukuda, Polyhedral computation FAQ), and redundancy settled from
+the strict point, by rays that show facets with no LP, in the line of
+Clarkson's ray shooting (1994), and one LP from the same point for each
+row they leave.  The point where a ray meets a facet lies in the facet's
+relative interior, so the faces of a polyhedron are enumerated from such
+points, each facet seeding its own children.  A canonical form, and each
+face seeded so, keeps its point (ri_point).
 
 Projection is Fourier-Motzkin with equality pivoting, on closed systems
 only and with no LP: canonical_form removes the redundant rows it leaves.
-It runs on the integer rows the system keeps, made primitive once: an
-equality row cancels a column from the others by cross-multiplication,
-each pair of rows of opposite sign in it combines the same way, and of
-rows with parallel normals only the tightest stays between eliminations.
-The shadow's Fraction rows are built once, with the integer rows kept.
-A relatively open cell has one shadow rule, ri(AC) = A ri(C) (Rockafellar,
-Thm 6.6): its shadow is the ri of the closed shadow of its closure,
-canonicalized from the kept coordinates of a point of the cell
-(ri_shadow). Vertex/ray descriptions come from the double description
-method run on the homogenization, and the same cone routine applied to
-the polar gives the reverse conversion. The method runs in integers: each
-row is scaled once to a primitive integer vector, rays and lineality
-vectors stay primitive integer tuples, and each ray carries a bitmask of
-the rows it is tight on, so the adjacency test of two rays is a mask test
-against the others. Fractions appear only in its result.
+Each row is made primitive once: an equality row cancels a column from
+the others by cross-multiplication, each pair of rows of opposite sign
+in it combines the same way, and of rows with parallel normals only the
+tightest stays between eliminations.  A relatively open cell has one
+shadow rule, ri(AC) = A ri(C) (Rockafellar, Thm 6.6): its shadow is the
+ri of the closed shadow of its closure, canonicalized from the kept
+coordinates of a point of the cell (ri_shadow). Vertex/ray descriptions
+come from the double description method run on the homogenization, and
+the same cone routine applied to the polar gives the reverse conversion;
+rays and lineality vectors stay primitive integer tuples, and each ray
+carries a bitmask of the rows it is tight on, so the adjacency test of
+two rays is a mask test against the others.
 
 Mixed cells (weak + strict + equality rows) are the set-algebra workhorse:
 region subtraction peels one constraint at a time, each cell carrying a
 point of its own that settles most of its nonemptiness tests with no LP,
 and any feasible mixed system splits into relatively open polyhedra by
-recursing on the facets of its closure.  Each row peeled and its reverse
-keep their integer rows, so no cell is scaled again, and each cell made
-is deduplicated on its integer rows and built from them.  Where a strict
-point only settles a yes or no, or seeds a unique result, strict_point
-finds it by the slack LP from the origin, after a weak row and its
-reverse have joined the equalities; strict_feasible's witness, which
-outputs show, comes from its own two-phase LP.
+recursing on the facets of its closure.  Each cell made is deduplicated
+on its integer rows.  Where a strict point only settles a yes or no, or
+seeds a unique result, strict_point finds it by the slack LP from the
+origin, after a weak row and its reverse have joined the equalities;
+strict_feasible's witness, which outputs show, comes from its own
+two-phase LP.
 """
 
 from __future__ import annotations
@@ -82,15 +72,12 @@ from .errors import (
 from .linalg import ONE, Vec, ZERO
 from .lp import (
     MixedSystem,
-    Row,
     Scaled,
     _dot,
     _integer_point,
-    _keeping,
     _primitive,
+    _set,
     feasible_point,
-    int_system,
-    maximize,
     maximize_from_origin,
     strict_feasible,
 )
@@ -99,53 +86,67 @@ DEFAULT_DIM_CAP = 6
 MAX_CELLS = 50_000
 
 
-@dataclass(frozen=True)
 class HPoly:
     """{x : A x <= b, E x = d} with rational rows.
 
-    Its closed system, ri system and recession-cone system are each made
-    once, on first use, and kept in the polyhedron's __dict__ with the
-    integer rows they keep (MixedSystem.scaled_rows); a canonical form
-    made here also keeps a point of its ri there (ri_point).  They are not
-    fields, so repr, equality and hashing see the rows alone."""
+    Its one field is its closed system, the MixedSystem of the weak rows
+    A x <= b and the equalities E x = d, which holds them as integers;
+    ineq and eq are its Fraction views, and equality and hashing are its.
+    The constructor takes Fraction rows, closure_hpoly a system.  The ri
+    and recession-cone systems are made once, on first use, and a
+    canonical form made here keeps a point of its ri (ri_point)."""
 
-    dim: int
-    ineq: tuple[Row, ...] = ()
-    eq: tuple[Row, ...] = ()
+    __slots__ = ("dim", "_closed", "_ri", "_cone", "_inside")
 
-    def __post_init__(self):
-        for a, _ in self.ineq + self.eq:
-            if len(a) != self.dim:
-                raise DimensionMismatch("row length does not match dim")
+    def __init__(self, dim: int, ineq=(), eq=()):
+        _polyhedron(self, MixedSystem(dim, ineq, (), eq))
+
+    ineq = property(lambda self: self._closed.weak)
+    eq = property(lambda self: self._closed.eq)
+
+    def __eq__(self, other):
+        return self._closed == other._closed if other.__class__ is HPoly else NotImplemented
+
+    def __hash__(self):
+        return hash(self._closed)
+
+    def __repr__(self):
+        return f"HPoly(dim={self.dim!r}, ineq={self.ineq!r}, eq={self.eq!r})"
+
+    __setattr__ = MixedSystem.__setattr__
 
     def closed_system(self) -> MixedSystem:
-        kept = self.__dict__.get("_closed")
-        if kept is None:
-            kept = MixedSystem(self.dim, self.ineq, (), self.eq)
-            self.__dict__["_closed"] = kept
-        return kept
+        return self._closed
 
     def ri_system(self) -> MixedSystem:
         """Meaningful on canonical forms: strict rows carve the ri."""
-        kept = self.__dict__.get("_ri")
-        if kept is None:
-            kept = self.__dict__["_ri"] = self.closed_system().opened()
-        return kept
+        if self._ri is None:
+            _set(self, "_ri", self._closed.opened())
+        return self._ri
 
     def cone_system(self) -> MixedSystem:
         """The recession cone: a.d <= 0 on each row, = 0 on each
         equality."""
-        kept = self.__dict__.get("_cone")
-        if kept is None:
-            kept = self.__dict__["_cone"] = self.closed_system().homogeneous()
-        return kept
+        if self._cone is None:
+            _set(self, "_cone", self._closed.homogeneous())
+        return self._cone
 
     def contains(self, x: Vec) -> bool:
-        return self.closed_system().satisfies(x)
+        return self._closed.satisfies(x)
 
     def recedes(self, d: Vec) -> bool:
         """Is d in the recession cone?"""
         return self.cone_system().satisfies(d)
+
+
+def _polyhedron(p: HPoly, closed: MixedSystem) -> HPoly:
+    """p, not yet set, as the polyhedron of closed, with no strict row."""
+    _set(p, "dim", closed.dim)
+    _set(p, "_closed", closed)
+    _set(p, "_ri", None)
+    _set(p, "_cone", None)
+    _set(p, "_inside", None)
+    return p
 
 
 @dataclass(frozen=True)
@@ -178,10 +179,6 @@ def empty_hpoly(dim: int) -> HPoly:
     return HPoly(dim, ((la.zeros(dim), Fraction(-1)),), ())
 
 
-def full_space(dim: int) -> HPoly:
-    return HPoly(dim)
-
-
 def box(bounds: Sequence[tuple]) -> HPoly:
     n = len(bounds)
     rows = []
@@ -196,11 +193,15 @@ IntPoint = tuple[list[int], int]  # (X, D) for the point X / D
 IntRows = tuple[list[tuple[int, ...]], list[tuple[int, ...]]]  # (equalities, inequalities)
 
 
-def _int_rows(p: HPoly) -> IntRows:
-    """(equality rows, inequality rows) of p as integer rows, read off the
-    rows its closed system keeps."""
-    weak, _, eq = p.closed_system().scaled_rows()
-    return [a + (b,) for a, b, _ in eq], [a + (b,) for a, b, _ in weak]
+def _flat(block: Sequence[Scaled]) -> list[tuple[int, ...]]:
+    """Rows (A, B, L) of a system as the integer rows [A..., B] the
+    kernels here take, a positive multiple of each."""
+    return [a + (b,) for a, b, _ in block]
+
+
+def _over_one(rows: Iterable[IntRow]) -> tuple[Scaled, ...]:
+    """Integer rows [A..., B] as the rows (A, B, 1) of a system."""
+    return tuple([(tuple(r[:-1]), r[-1], 1) for r in rows])
 
 
 def _cancel(row: IntRow, e: Sequence[int], pc: int) -> IntRow:
@@ -287,8 +288,8 @@ def _slack_point(
 ) -> tuple[int, Optional[IntPoint]]:
     """(sign, point): a point Z / D on every equality row, strictly inside
     every row of ineq and inside every row of weak (integer rows), with
-    sign 1; else sign 0 when the rows hold somewhere but not so, and -1
-    when they hold nowhere.
+    sign 1; else sign 0 when the rows hold somewhere but not so, with a
+    point where they all hold, and -1 with None when they hold nowhere.
 
     A weak row whose reverse is also a weak row holds with it only on its
     hyperplane, so the pair joins the equalities (_hyperplanes).  The
@@ -298,12 +299,12 @@ def _slack_point(
     row, t <= 1: shifted by t0, its right-hand sides are nonnegative, so
     it starts at x = 0, t = t0 (_max_slack).  Its optimum t* is the sign
     of the answer, since a point where every row holds has t = 0; only
-    at t* = 0 with weak rows is there more to ask.  Then x*, the point of
-    the first LP, holds every row, and answers when ineq is empty;
-    otherwise a second LP from x* puts the slack on the rows of ineq
-    alone.  The pivot columns of the point are solved
-    from the equalities, and the point is checked against the given rows
-    in integers."""
+    at t* = 0 with weak rows is there more to ask.  At t* = 0, x*, the
+    point of the first LP, holds every row, and answers when ineq is
+    empty; otherwise a second LP from x* puts the slack on the rows of
+    ineq alone.  The pivot columns of the point are solved from the
+    equalities, and the point is checked against the given rows in
+    integers."""
     planes = _hyperplanes(weak)
     echelon = _echelon(dim, [*eq, *planes])
     if echelon is None:
@@ -317,7 +318,7 @@ def _slack_point(
     ]
     rows = [*(_reduce(r, basis, pivots) for r in ineq), *held]
     cols = [[r[j] for j in free] for r in rows]
-    xf, den = [0] * len(free), 1
+    xf, den, sign = [0] * len(free), 1, 1
     if rows:
         t0 = min(1, *(r[-1] for r in rows))
         xf, s, den = _max_slack(cols, [r[-1] - t0 for r in rows], [1] * len(rows), 1 - t0)
@@ -325,16 +326,17 @@ def _slack_point(
         if t_star < 0:
             return -1, None
         if t_star == 0 and not held:
-            return 0, None
-        if t_star == 0 and ineq:
+            sign = 0
+        elif t_star == 0 and ineq:
             # from x* = X / D: a_F.v + s <= D b - a_F.X with x = (X + v) / D
             # and t = s / D, the slack on the rows of ineq alone
             on = [1] * len(ineq) + [0] * len(held)
             gaps = [r[-1] * den - _dot(c, xf) for r, c in zip(rows, cols)]
             shift, s, step = _max_slack(cols, gaps, on, den)
             if s == 0:
-                return 0, None
-            xf, den = [x * step + y for x, y in zip(xf, shift)], den * step
+                sign = 0
+            else:
+                xf, den = [x * step + y for x, y in zip(xf, shift)], den * step
     # basis row e holds its pivot column at (e_b - e_F.x_F) / e_pc
     scale = lcm(*(e[pc] for e, pc in zip(basis, pivots)))
     x = [0] * dim
@@ -345,12 +347,12 @@ def _slack_point(
     den *= scale
     if (
         any(_dot(e[:-1], x) != e[-1] * den for e in eq)
-        or any(_dot(r[:-1], x) >= r[-1] * den for r in ineq)
+        or any(_dot(r[:-1], x) + sign > r[-1] * den for r in ineq)
         or any(_dot(r[:-1], x) > r[-1] * den for r in weak)
     ):
         raise CertificateError("a slack point lies in the rows, strictly in the strict ones")
     g = gcd(den, *x)
-    return 1, ([v // g for v in x], den // g)
+    return sign, ([v // g for v in x], den // g)
 
 
 def _hyperplanes(weak: Sequence[IntRow]) -> set[tuple[int, ...]]:
@@ -366,58 +368,49 @@ def strict_point(system: MixedSystem) -> Optional[Vec]:
     none, from one or two slack LPs from the origin (_slack_point).  The
     point is not strict_feasible's witness, so it is for callers that
     only need a yes or no, or a point that seeds a unique result."""
-    weak, strict, eq = system.scaled_rows()
-    _, found = _slack_point(
-        system.dim,
-        [a + (b,) for a, b, _ in eq],
-        [a + (b,) for a, b, _ in strict],
-        [a + (b,) for a, b, _ in weak],
-    )
-    if found is None:
+    weak, strict, eq = system.rows
+    sign, found = _slack_point(system.dim, _flat(eq), _flat(strict), _flat(weak))
+    if sign < 1:
         return None
     x, den = found
     return tuple(Fraction(v, den) for v in x)
 
 
 def closure_hpoly(m: MixedSystem) -> HPoly:
-    """The polyhedron of m's rows with its strict rows weakened, keeping
-    m.closed() (m itself when it has no strict row) as its closed system,
-    with the integer rows m keeps."""
-    closed = m.closed() if m.strict else m
-    p = HPoly(m.dim, closed.weak, closed.eq)
-    p.__dict__["_closed"] = closed
-    return p
+    """The polyhedron of m's rows with its strict rows weakened; m.closed()
+    (m itself when it has no strict row) is its closed system."""
+    return _polyhedron(object.__new__(HPoly), m.closed())
 
 
-def _hpoly_of(dim: int, eq: Sequence[IntRow], ineq: Sequence[IntRow]) -> HPoly:
-    """The polyhedron of integer rows, its closed system kept with them."""
-    return closure_hpoly(int_system(dim, ineq, (), eq))
-
-
-def _split_implicit(dim: int, ineq: Sequence[Row], eq: Sequence[Row]) -> list[int]:
-    """The indices of the implicit equalities among the rows of a nonempty
-    system, in rounds of one LP: maximize the sum of slacks t_i in [0, 1],
-    with a_i.x + t_i <= b_i on the rows not yet classified.  A row strict
-    at the optimal point is no implicit equality; when no row is strict
-    there, the optimum is 0 and every unclassified row is tight on the
-    whole set."""
+def _split_implicit(eq: Sequence[IntRow], ineq: Sequence[IntRow], z: IntPoint) -> list[int]:
+    """The indices of the implicit equalities among the reduced rows ineq
+    of a system with equality rows eq in RREF, given a point Z / D where
+    every row holds.  In rounds of one LP: maximize the sum of slacks
+    t_i in [0, 1], with a_i.x + t_i <= b_i on the rows not yet classified
+    and a_j.x <= b_j on the others.  A row strict at the optimal point is
+    no implicit equality; when no row is strict there, the optimum is 0
+    and every unclassified row is tight on the whole set.  With
+    x = (Z + v) / D and s_i = D t_i, each LP runs from the origin on the
+    free columns of eq: a_F.v + s_i <= D b_i - a.Z, 0 <= s_i <= D."""
+    zi, den = z
+    pivots = {next(j for j, v in enumerate(e) if v) for e in eq}
+    cols = [[r[j] for j in range(len(zi)) if j not in pivots] for r in ineq]
+    gaps = [r[-1] * den - _dot(r[:-1], zi) for r in ineq]
+    width = len(zi) - len(pivots)
     todo = list(range(len(ineq)))
     while todo:
         k = len(todo)
-        slack = dict(zip(todo, la.identity(k)))
-        rows = [(a + slack.get(i, la.zeros(k)), b) for i, (a, b) in enumerate(ineq)]
-        for t in la.identity(k):
-            rows += [(la.zeros(dim) + t, ONE), (la.zeros(dim) + la.neg(t), ZERO)]
-        lifted = MixedSystem(
-            dim + k, tuple(rows), (), tuple((a + la.zeros(k), b) for a, b in eq)
-        )
-        out = maximize(la.zeros(dim) + (ONE,) * k, lifted)
-        if out.status != "optimal":
-            raise CertificateError("slack-sum LP of a nonempty system has an optimum")
-        x = out.witness[:dim]
-        strict = {i for i in todo if la.dot(ineq[i][0], x) < ineq[i][1]}
+        slot = {i: t for t, i in enumerate(todo)}
+        a = [c + [int(slot.get(i) == t) for t in range(k)] for i, c in enumerate(cols)]
+        # s_t <= D and -s_t <= 0
+        a += [[0] * width + [s * (t == u) for u in range(k)] for t in range(k) for s in (1, -1)]
+        out = maximize_from_origin(a, gaps + [den, 0] * k, [0] * width + [1] * k)
+        if out.ray is not None:
+            raise CertificateError("the slack sum is capped")
+        v = out.point[:width]
+        strict = {i for i in todo if _dot(cols[i], v) < gaps[i] * out.den}
         if not strict:
-            if out.value != 0:
+            if any(out.point[width:]):
                 raise CertificateError("a positive slack sum makes some row strict")
             break
         todo = [i for i in todo if i not in strict]
@@ -436,8 +429,9 @@ def canonical_form(p: HPoly) -> Optional[HPoly]:
        gives a point strictly inside every row, so no implicit
        equalities; a negative one means empty.
     3. At a zero slack the implicit equalities come from slack-sum
-       rounds; they join the equality block, step 1 runs once more, and
-       the slack LP finds the strict point the rows now have.
+       rounds from the slack LP's point; they join the equality block,
+       step 1 runs once more, and the slack LP finds the strict point the
+       rows now have.
     4. Redundancy, from the strict point z.  A row with a tighter
        parallel row is dropped with no LP (_undominated), and a ray from
        z shows facets with no LP (see _facets_seen_from); each other row
@@ -448,9 +442,8 @@ def canonical_form(p: HPoly) -> Optional[HPoly]:
 
     A caller that holds a point of ri(p) skips step 2 and seeds step 4
     with it (_canonical_from); the facets are unique, so the result is
-    the same.  The result keeps z (ri_point).  The rows are integer from
-    step 1 on, and their Fractions are built once, for the result (and
-    for the slack-sum rounds of step 3)."""
+    the same.  The result keeps z (ri_point).  Every step works on the
+    integer rows, and the result is built from them, with no Fraction."""
     found = _canonical(p)
     return None if found is None else found[0]
 
@@ -463,45 +456,53 @@ def _canonical(p: HPoly) -> Optional[Seeded]:
     """canonical_form(p) and, per facet row, the point of that facet's
     relative interior that step 4 met it at, or None (see _irredundant).
     The result keeps the strict point of step 2 (ri_point)."""
-    reduced = _eliminate_int(p.dim, *_int_rows(p))
+    reduced = _step_one(p)
     if reduced is None:
         return None
     eq, ineq = reduced
     sign, inside = _slack_point(p.dim, eq, ineq)
     if sign < 0:
         return None
-    if inside is None:
-        ri = int_system(p.dim, (), ineq, eq)
-        implicit = _split_implicit(p.dim, ri.strict, ri.eq)
+    if sign == 0:
+        implicit = _split_implicit(eq, ineq, inside)
         rest = [r for i, r in enumerate(ineq) if i not in implicit]
         reduced = _eliminate_int(p.dim, eq + [ineq[i] for i in implicit], rest)
         if reduced is None:
             raise CertificateError("a nonempty system reduced to an empty one")
         eq, ineq = reduced
-        _, inside = _slack_point(p.dim, eq, ineq)
-        if inside is None:
+        sign, inside = _slack_point(p.dim, eq, ineq)
+        if sign < 1:
             raise CertificateError("rows with no implicit equality have a strict point")
     keep, seen = _irredundant(p.dim, eq, ineq, inside)
-    return _kept(_hpoly_of(p.dim, eq, [ineq[i] for i in keep]), inside), seen
+    return _canonical_hpoly(p.dim, eq, [ineq[i] for i in keep], inside), seen
 
 
-def _kept(q: HPoly, inside: IntPoint) -> HPoly:
-    """q, a canonical polyhedron, keeping inside, a point of its ri."""
-    q.__dict__["_inside"] = inside
+def _step_one(p: HPoly) -> Optional[IntRows]:
+    """Step 1 of canonical_form on the integer rows of p."""
+    weak, _, eq = p.closed_system().rows
+    return _eliminate_int(p.dim, _flat(eq), _flat(weak))
+
+
+def _canonical_hpoly(dim: int, eq: Iterable[IntRow], ineq: Iterable[IntRow], inside) -> HPoly:
+    """The canonical polyhedron of its integer rows [A..., B], keeping
+    inside, a point of its ri, when one is given (ri_point)."""
+    q = closure_hpoly(MixedSystem.from_ints(dim, _over_one(ineq), (), _over_one(eq)))
+    _set(q, "_inside", inside)
     return q
 
 
 def ri_point(p: HPoly) -> Optional[Vec]:
     """A point of ri(p), the one p keeps when it is a canonical form made
     here, else the one its canonical form keeps; None when p is empty."""
-    kept = p.__dict__.get("_inside")
-    if kept is None:
-        canon = canonical_form(p)
-        if canon is None:
-            return None
-        kept = canon.__dict__["_inside"]
-    x, den = kept
-    return tuple(Fraction(v, den) for v in x)
+    kept = _ri_int_point(p)
+    return None if kept is None else tuple(Fraction(v, kept[1]) for v in kept[0])
+
+
+def _ri_int_point(p: HPoly) -> Optional[IntPoint]:
+    """ri_point(p) as (X, D), for the point X / D."""
+    if p._inside is None:
+        p = canonical_form(p)
+    return None if p is None else p._inside
 
 
 def _canonical_from(p: HPoly, z: Vec) -> Optional[HPoly]:
@@ -518,7 +519,7 @@ def _canonical_seeded(p: HPoly, z: Vec) -> Optional[Seeded]:
     rows have a strict point, so none is an implicit equality, and z
     seeds the facet test of step 4.  When the check fails, p goes through
     _canonical."""
-    reduced = _eliminate_int(p.dim, *_int_rows(p))
+    reduced = _step_one(p)
     if reduced is not None:
         eq, ineq = reduced
         zi, den = _integer_point(z)
@@ -526,7 +527,7 @@ def _canonical_seeded(p: HPoly, z: Vec) -> Optional[Seeded]:
             _dot(r[:-1], zi) < r[-1] * den for r in ineq
         ):
             keep, seen = _irredundant(p.dim, eq, ineq, (zi, den))
-            return _kept(_hpoly_of(p.dim, eq, [ineq[i] for i in keep]), (zi, den)), seen
+            return _canonical_hpoly(p.dim, eq, [ineq[i] for i in keep], (zi, den)), seen
     return _canonical(p)
 
 
@@ -635,8 +636,8 @@ def _irredundant(
     if inside is None:
         if len(keep) < 2:
             return keep, [None] * len(keep)
-        _, inside = _slack_point(dim, eq, [ineq[k] for k in keep])
-        if inside is None:
+        sign, inside = _slack_point(dim, eq, [ineq[k] for k in keep])
+        if sign < 1:
             raise CertificateError("rows with no implicit equality have a strict point")
     zi, den = inside
     gaps = [r[-1] * den - _dot(r[:-1], zi) for r in ineq]
@@ -698,7 +699,7 @@ def _fm_shadow(m: MixedSystem, keep: Sequence[int]) -> Optional[IntRows]:
     when a row 0 = b (b nonzero) or 0 <= b < 0 shows the system empty;
     redundant rows stay.
 
-    The rows the system keeps (scaled_rows) are made primitive once.  An
+    The integer rows of the system are made primitive once.  An
     equality row e nonzero in the dropped column, with e[c] > 0, cancels
     the column from every other row (_cancel); else each row positive in
     it is added to each row negative in it, cross-multiplied and made
@@ -712,9 +713,9 @@ def _fm_shadow(m: MixedSystem, keep: Sequence[int]) -> Optional[IntRows]:
         raise DimensionMismatch("projection must keep coordinate order")
     if not keep:
         raise DimensionMismatch("cannot project onto no coordinates")
-    if m.strict:
+    weak, strict, eq = m.rows
+    if strict:
         raise CertificateError("Fourier-Motzkin runs on closed systems")
-    weak, _, eq = m.scaled_rows()
     found = _merged(
         [_primitive([*a, b]) for a, b, _ in eq], [_primitive([*a, b]) for a, b, _ in weak]
     )
@@ -773,10 +774,8 @@ def closed_shadow(m: MixedSystem, keep: Sequence[int]) -> HPoly:
     ri_shadow instead.  Redundant rows are left for canonical_form, which
     every caller applies, to remove."""
     dim = len(keep)
-    shadow = _fm_shadow(m, keep)
-    if shadow is None:
-        return _hpoly_of(dim, [], [(0,) * dim + (-1,)])
-    return _hpoly_of(dim, *shadow)
+    eq, ineq = _fm_shadow(m, keep) or ([], [(0,) * dim + (-1,)])
+    return closure_hpoly(MixedSystem.from_ints(dim, _over_one(ineq), (), _over_one(eq)))
 
 
 def ri_shadow(cell: MixedSystem, z: Vec, keep: Sequence[int]) -> HPoly:
@@ -805,7 +804,7 @@ def project_mixed(m: MixedSystem, keep: Sequence[int]) -> MixedSystem:
     The result is canonical, so two shadows are one set exactly when they
     are equal.  A weak row raises UsageError: the closure and ri of a
     cell with weak and strict rows need not be its closed() and itself."""
-    if m.weak:
+    if m.rows[0]:
         raise UsageError("project_mixed takes strict rows and equalities only")
     keep = list(keep)
     wit = strict_feasible(m).witness
@@ -895,11 +894,12 @@ def to_vrep(p: HPoly, cap: int = DEFAULT_DIM_CAP) -> VPoly:
 @lru_cache(maxsize=None)
 def _vrep_of_canonical(canon: HPoly) -> VPoly:
     n = canon.dim
+    weak, _, eq = canon.closed_system().rows
     rows = [la.unit(n + 1, 0)]
-    for a, b in canon.ineq:
-        rows.append((b,) + la.neg(a))
-    for a, b in canon.eq:
-        rows.append((b,) + la.neg(a))
+    for a, b, _ in weak:
+        rows.append((b, *(-v for v in a)))
+    for a, b, _ in eq:
+        rows.append((b, *(-v for v in a)))
         rows.append((-b,) + a)
     lineality, rays = _cone_generators(n + 1, rows)
     if any(l[0] != 0 for l in lineality):
@@ -979,8 +979,8 @@ def faces(p: HPoly) -> tuple[HPoly, ...]:
     so a face whose rows all show from such points takes no LP at all;
     a face with no such point takes one slack LP to find its own.
     Each face travels as its integer rows from step 1 to the ray test of
-    its children, and its Fraction rows are built once, when it is first
-    met."""
+    its children, is built from them when it is first met, and keeps the
+    point that seeded it (ri_point)."""
     root = _canonical(p)
     return () if root is None else _faces_below(*root)
 
@@ -994,15 +994,16 @@ def faces_from(p: HPoly, z: Vec) -> tuple[HPoly, ...]:
 
 def _faces_below(root: HPoly, points: list[Optional[IntPoint]]) -> tuple[HPoly, ...]:
     dim = root.dim
-    eq, ineq = _int_rows(root)
+    weak, _, eq = root.closed_system().rows
     found: dict[tuple, HPoly] = {}
-    stack = [(eq, ineq, points, root)]
+    stack = [(_flat(eq), _flat(weak), points, None)]
     while stack:
-        eq, ineq, points, face = stack.pop()
+        eq, ineq, points, inside = stack.pop()
         key = (tuple(eq), tuple(ineq))
         if key in found:
             continue
-        found[key] = face if face is not None else _hpoly_of(dim, eq, ineq)
+        # the root is met first
+        found[key] = _canonical_hpoly(dim, eq, ineq, inside) if found else root
         for row, z in zip(ineq, points):
             reduced = _eliminate_int(dim, [*eq, row], ineq)
             if reduced is None:
@@ -1011,12 +1012,16 @@ def _faces_below(root: HPoly, points: list[Optional[IntPoint]]) -> tuple[HPoly, 
             keep, seen = _irredundant(dim, child_eq, child_ineq, z)
             rows = [child_ineq[i] for i in keep]
             if (tuple(child_eq), tuple(rows)) not in found:
-                stack.append((child_eq, rows, seen, None))
+                stack.append((child_eq, rows, seen, z))
     return tuple(sorted(found.values(), key=_hpoly_sort_key))
 
 
 def _hpoly_sort_key(p: HPoly):
-    return (len(p.eq), p.eq, p.ineq)
+    """Fewest equalities first, then the equality and inequality rows.  On
+    canonical forms, whose rows are primitive integers over L = 1, the
+    integer rows order as their Fraction rows do."""
+    weak, _, eq = p.closed_system().rows
+    return (len(eq), eq, weak)
 
 
 def normal_cone_at(p: HPoly, x: Vec) -> NormalConeRep:
@@ -1072,31 +1077,30 @@ def normal_cone_hrep(v: VPoly, x: Vec) -> HPoly:
 # Mixed cells: subtraction and decomposition into relatively open pieces
 
 
-def _one_row(dim: int, block: int, row: Row, kept: Scaled) -> MixedSystem:
-    """The system of one row in block 0 (weak), 1 (strict) or 2 (equality),
-    keeping its integer row."""
+def _one_row(dim: int, block: int, row: Scaled) -> MixedSystem:
+    """The system of one integer row in block 0 (weak), 1 (strict) or 2
+    (equality)."""
     rows: list[tuple] = [(), (), ()]
-    ints: list[tuple] = [(), (), ()]
-    rows[block], ints[block] = (row,), (kept,)
-    return _keeping(MixedSystem(dim, *rows), tuple(ints))
+    rows[block] = (row,)
+    return MixedSystem.from_ints(dim, *rows)
 
 
 def _peeled(sub: MixedSystem) -> list[tuple[list[MixedSystem], MixedSystem]]:
     """Per row of sub, weak, strict, then equality rows: (branches, kept),
     the one-row systems of the part that breaks the row and of the row
     itself.  c.x <= d breaks as -c.x < -d, c.x < d as -c.x <= -d, and
-    c.x = d as c.x < d or -c.x < -d.  Each keeps its integer row, the
-    reverse of (C, D, L) being (-C, -D, L)."""
+    c.x = d as c.x < d or -c.x < -d.  The reverse of the integer row
+    (C, D, L) is (-C, -D, L)."""
     out = []
-    for block, (rows, ints) in enumerate(zip((sub.weak, sub.strict, sub.eq), sub.scaled_rows())):
-        for (a, b), (ai, bi, den) in zip(rows, ints):
-            row = (a, b), (ai, bi, den)
-            back = (la.neg(a), -b), (tuple([-v for v in ai]), -bi, den)
+    for block, rows in enumerate(sub.rows):
+        for row in rows:
+            c, d, den = row
+            back = (tuple([-v for v in c]), -d, den)
             if block < 2:  # a weak row breaks strictly, a strict one weakly
-                branches = [_one_row(sub.dim, 1 - block, *back)]
+                branches = [_one_row(sub.dim, 1 - block, back)]
             else:
-                branches = [_one_row(sub.dim, 1, *row), _one_row(sub.dim, 1, *back)]
-            out.append((branches, _one_row(sub.dim, block, *row)))
+                branches = [_one_row(sub.dim, 1, row), _one_row(sub.dim, 1, back)]
+            out.append((branches, _one_row(sub.dim, block, row)))
     return out
 
 
@@ -1105,8 +1109,8 @@ def _reverses_a_row(m: MixedSystem, br: MixedSystem) -> bool:
     common point?  c.x < d is excluded by -c.x <= -d, -c.x < -d and
     c.x = d in either sign; c.x <= d by -c.x < -d.  The integer rows are
     compared as they stand, so a scaled copy is not seen."""
-    weak, strict, eq = m.scaled_rows()
-    br_weak, br_strict, _ = br.scaled_rows()
+    weak, strict, eq = m.rows
+    br_weak, br_strict, _ = br.rows
     (c, d, den), = br_strict or br_weak
     back = (tuple([-v for v in c]), -d, den)
     if br_strict:
@@ -1119,8 +1123,8 @@ def _dedupe_mixed(m: MixedSystem) -> MixedSystem:
     equality rows as _merged leaves them; of the weak (and of the strict)
     rows with one primitive (a, b) normal part a, only the least b; a
     weak row dropped when a strict row with its normal part is as tight;
-    rows 0 ? b that hold dropped.  Sorted, and built by int_system."""
-    weak, strict, eq = m.scaled_rows()
+    rows 0 ? b that hold dropped.  Sorted, and built from them."""
+    weak, strict, eq = m.rows
     least: list[dict[tuple[int, ...], int]] = [{}, {}]
     for block, rows in enumerate((weak, strict)):
         bound = least[block]
@@ -1140,11 +1144,11 @@ def _dedupe_mixed(m: MixedSystem) -> MixedSystem:
     found = _merged([_primitive([*a, b]) for a, b, _ in eq], ())
     if found is None:
         raise CertificateError("a cell with a point holds no false row")
-    return int_system(
+    return MixedSystem.from_ints(
         m.dim,
-        sorted(a + (b,) for a, b in weak_least.items()),
-        sorted(a + (b,) for a, b in strict_least.items()),
-        found[0],
+        sorted((a, b, 1) for a, b in weak_least.items()),
+        sorted((a, b, 1) for a, b in strict_least.items()),
+        _over_one(found[0]),
     )
 
 
@@ -1159,13 +1163,10 @@ def subtract_cells(
     two nonemptiness questions with no LP.  A branch that reverses a row
     the affirmed part already holds is empty with no LP either.  Only
     what is left takes a strict_point LP, whose point becomes the point of
-    what it proves nonempty.  The cells do not depend on the points.
-    Every system here keeps its integer rows, so none is scaled again,
-    and each cell out is built from its deduplicated integer rows."""
+    what it proves nonempty.  The cells do not depend on the points."""
     out: list[tuple[MixedSystem, Vec]] = []
     peeled = _peeled(sub)
     for cell, point in cells:
-        cell.scaled_rows()  # so that what is combined with cell keeps its rows
         if not (sub.satisfies(point) or strict_point(cell.combine(sub)) is not None):
             out.append((cell, point))  # disjoint from the subtrahend
             continue
@@ -1226,9 +1227,6 @@ def decompose_mixed(m: MixedSystem) -> tuple[HPoly, ...]:
     if base is None:
         raise CertificateError("the closure of a nonempty set cannot be empty")
     pieces = {base}
-    for a, b in base.ineq:
-        deeper = decompose_mixed(
-            MixedSystem(m.dim, m.weak, m.strict, m.eq + ((a, b),))
-        )
-        pieces.update(deeper)
+    for row in base.closed_system().rows[0]:
+        pieces.update(decompose_mixed(m.combine(_one_row(m.dim, 2, row))))
     return tuple(sorted(pieces, key=_hpoly_sort_key))

@@ -32,7 +32,7 @@ from .errors import (
     ValueNotFinite,
 )
 from .linalg import Vec
-from .lp import MixedSystem, strict_feasible
+from .lp import MixedSystem
 from .ncset import (
     NCSet,
     closure_hull,
@@ -170,9 +170,7 @@ def solution_map(inst: OVFInstance, x: Vec) -> NCSet:
         for ep in inst.f.epi.pieces:
             # y as free block: fix x up front and the value at the back
             e_rows = ep.system().fix(0, x).fix(p, (value,))
-            cell = g_rows.combine(e_rows)
-            if strict_feasible(cell).feasible:
-                pieces.append(from_mixed(cell))
+            pieces.append(from_mixed(g_rows.combine(e_rows)))
     if not pieces:
         return ncset(p, [])
     return union(*pieces)

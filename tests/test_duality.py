@@ -258,32 +258,39 @@ def _slice_by_fractions(base, x):
     return lp.MixedSystem(base.dim - n, tuple(rows), (), tuple(eqs))
 
 
-def _rescaled(system):
-    # the kept rows by their definition, from the system's own Fractions
-    return tuple(
-        tuple(lp._scaled(a, b) for a, b in block)
-        for block in (system.weak, system.strict, system.eq)
+def _same_system(got, want):
+    # equal integer rows, equal hashes and the same Fraction rows
+    return (
+        got == want
+        and hash(got) == hash(want)
+        and (got.weak, got.strict, got.eq) == (want.weak, want.strict, want.eq)
     )
 
 
 def test_slice_lp_matches_the_fraction_slice():
     # the closed LP slice_inf solves on the dominant piece is the former
     # Fraction slice, row for row, with the same LPOutcome; it and the
-    # base's kept systems keep the rows _scaled gives
+    # base's closed, ri and cone systems are the systems built from the
+    # Fraction rows of their definitions
     statuses = Counter()
     for g, x, ystar in _pinned_vg_cases():
         top = g.graph.dominant
         if top is None:
             continue
         base = top.base
-        for system in (base.closed_system(), base.ri_system(), base.cone_system()):
-            assert system.scaled_rows() == _rescaled(system)
+        dim, ineq, eq = base.dim, base.ineq, base.eq
+        zero = lambda rows: tuple((a, la.ZERO) for a, _ in rows)
+        for system, want in (
+            (base.closed_system(), lp.MixedSystem(dim, ineq, (), eq)),
+            (base.ri_system(), lp.MixedSystem(dim, (), ineq, eq)),
+            (base.cone_system(), lp.MixedSystem(dim, zero(ineq), (), zero(eq))),
+        ):
+            assert _same_system(system, want)
         x, cost = la.vec(x), la.neg(la.vec(ystar))
         former = _slice_by_fractions(base, x)
         cell = top.system().fix(0, x)
-        assert cell.closed() == former
-        for system in (cell, cell.closed()):
-            assert system.scaled_rows() == _rescaled(system)
+        assert _same_system(cell.closed(), former)
+        assert _same_system(cell, lp.MixedSystem(former.dim, (), former.weak, former.eq))
         lp.solve_lp.cache_clear()
         got = lp.solve_lp(cost, cell.closed())
         lp.solve_lp.cache_clear()

@@ -12,9 +12,10 @@ Rules over `src/ncvx`:
 - no more unbounded caches (`lru_cache(maxsize=None)`, `functools.cache`)
   than the 11 the library has now: a ratchet until they are bounded;
 - no more call sites of the row and point scalers `_scaled`, `_int_row`
-  and `_integer_point` outside `lp.MixedSystem`, which keeps its rows
-  scaled, than `RESCALING` allows per module: a ratchet, so that per-call
-  rescaling of rows a system already keeps cannot creep back.
+  and `_integer_point` outside `lp.MixedSystem`, which holds its rows as
+  integers and is the one place Fraction rows are scaled, than
+  `RESCALING` allows per module: a ratchet, so that per-call rescaling of
+  rows a system already holds cannot creep back.
 
 One rule over the command line: every verb path of the parser (`check`,
 `map compose`, `conj chain`, `duality fenchel`, ...) is run by some golden
@@ -209,7 +210,7 @@ def test_rows_are_not_rescaled_per_call():
                 key = f"{path.stem}.{name}"
                 found[key] = found.get(key, 0) + 1
     over = {k: v for k, v in found.items() if v > RESCALING.get(k, 0)}
-    assert over == {}, "read MixedSystem.scaled_rows, or scale the point once"
+    assert over == {}, "read MixedSystem.rows, or scale the point once"
     assert found == RESCALING, "a call site went: lower its count"
 
 

@@ -15,7 +15,7 @@ import pytest
 
 from ncvx import linalg as la
 from ncvx import lp
-from ncvx.errors import CertificateError, UsageError
+from ncvx.errors import CertificateError, DimensionMismatch, UsageError
 from ncvx.lp import (
     LPOutcome,
     MixedSystem,
@@ -25,6 +25,7 @@ from ncvx.lp import (
     solve_lp,
     strict_feasible,
 )
+from ncvx.polyhedron import HPoly, closure_hpoly
 
 F = Fraction
 
@@ -482,15 +483,7 @@ def test_pinned_strict_feasibility():
 
 
 # ---------------------------------------------------------------------------
-# the integer rows a system keeps
-
-
-def _rescaled(system):
-    """The kept form by its definition: every row scaled from its Fractions."""
-    return tuple(
-        tuple(lp._scaled(a, b) for a, b in block)
-        for block in (system.weak, system.strict, system.eq)
-    )
+# the integer rows a system holds, and their Fraction view
 
 
 def _random_mixed(rng, n):
@@ -520,16 +513,61 @@ def _fix_by_fractions(system, start, values):
     return MixedSystem(dim, rows(system.weak), rows(system.strict), rows(system.eq))
 
 
-def test_kept_rows_are_the_scaled_rows():
-    # whatever a system was made by, and whether its parts had their rows
-    # scaled first or not, the rows it keeps are _scaled of its own rows
+def _by_fractions(system, name, *args):
+    """The derived system built from Fraction rows, by its definition."""
+    weak, strict, eq = system.weak, system.strict, system.eq
+    dim = system.dim
+
+    def rows(block, move):
+        return tuple(move(a, b) for a, b in block)
+
+    if name == "closed":
+        return MixedSystem(dim, weak + strict, (), eq)
+    if name == "opened":
+        return MixedSystem(dim, (), weak + strict, eq)
+    if name == "homogeneous":
+        zero = lambda a, b: (a, F(0))
+        return MixedSystem(dim, rows(weak, zero), rows(strict, zero), rows(eq, zero))
+    if name == "combine":
+        (other,) = args
+        return MixedSystem(dim, weak + other.weak, strict + other.strict, eq + other.eq)
+    if name == "embed":
+        cols, n = args
+
+        def place(a, b):
+            out = [F(0)] * n
+            for j, c in enumerate(cols):
+                out[c] = a[j]
+            return tuple(out), b
+
+        return MixedSystem(n, rows(weak, place), rows(strict, place), rows(eq, place))
+    if name == "fix":
+        return _fix_by_fractions(system, *args)
+    t, shift = args
+    pull = lambda a, b: (la.mat_t_vec(t, a), b - la.dot(a, shift))
+    return MixedSystem(len(t[0]), rows(weak, pull), rows(strict, pull), rows(eq, pull))
+
+
+def _same_system(got, want):
+    """Equal integer rows, equal hashes, and the same Fraction rows."""
+    return (
+        got == want
+        and hash(got) == hash(want)
+        and (got.weak, got.strict, got.eq) == (want.weak, want.strict, want.eq)
+    )
+
+
+def test_derived_systems_match_their_fraction_construction():
+    # each derived system is worked out on integer rows alone; it equals
+    # the system built from the Fraction rows of its definition, and its
+    # Fraction view is those rows, whether or not the view of its source
+    # was read first
     rng = random.Random(2303_0779)
     for k in range(120):
         n = rng.randint(1, 4)
         system, other = _random_mixed(rng, n), _random_mixed(rng, n)
         if k % 2:
-            system.scaled_rows()
-            other.scaled_rows()
+            _ = (system.weak, system.strict, other.eq)  # read the views first
         start = rng.randint(0, n - 1)
         k_fixed = rng.randint(1, n - start)
         values = tuple(F(rng.randint(-5, 5), rng.choice((1, 2, 3))) for _ in range(k_fixed))
@@ -538,22 +576,56 @@ def test_kept_rows_are_the_scaled_rows():
         )
         shift = tuple(F(rng.randint(-3, 3), rng.choice((1, 4))) for _ in range(n))
         cols = rng.sample(range(n + 2), n)
-        made = {
-            "closed": system.closed(),
-            "combine": system.combine(other),
-            "embed": system.embed(cols, n + 2),
-            "fix": system.fix(start, values),
-            "pullback": system.pullback(t, shift),
-            "closed fix": system.fix(start, values).closed(),
-            "opened": system.opened(),
-            "homogeneous": system.homogeneous(),
-        }
-        assert made["fix"] == _fix_by_fractions(system, start, values)
-        for name, derived in made.items():
-            assert derived.scaled_rows() == _rescaled(derived), (name, system)
+        fixed = system.fix(start, values)
+        made = [
+            (system.closed(), ("closed",)),
+            (system.combine(other), ("combine", other)),
+            (system.embed(cols, n + 2), ("embed", cols, n + 2)),
+            (fixed, ("fix", start, values)),
+            (system.pullback(t, shift), ("pullback", t, shift)),
+            (system.opened(), ("opened",)),
+            (system.homogeneous(), ("homogeneous",)),
+        ]
+        for derived, (name, *args) in made:
+            assert _same_system(derived, _by_fractions(system, name, *args)), (name, system)
+        assert _same_system(fixed.closed(), _by_fractions(fixed, "closed"))
     for rows in ([[1, -2, 3], [0, 0, 1]], [[4, 6, -2]], []):
-        made = lp.int_system(2, rows, rows[:1], rows[1:])
-        assert made.scaled_rows() == _rescaled(made)
+        ints = [(tuple(r[:-1]), r[-1], 1) for r in rows]
+        made = MixedSystem.from_ints(2, ints, ints[:1], ints[1:])
+        fractions = [(tuple(map(F, r[:-1])), F(r[-1])) for r in rows]
+        assert _same_system(made, MixedSystem(2, fractions, fractions[:1], fractions[1:]))
+
+
+def test_fraction_and_integer_rows_make_one_system():
+    # the same rows given as Fractions or as integer rows (A, B, L) make
+    # equal systems with equal hashes, printed as the former dataclass
+    given = MixedSystem(
+        2,
+        (((F(1, 2), F(-1)), F(3, 4)),),
+        (((F(0), F(2, 3)), F(1)),),
+        (((F(1), F(1)), F(-2)),),
+    )
+    made = MixedSystem.from_ints(2, (((2, -4), 3, 4),), (((0, 2), 3, 3),), (((1, 1), -2, 1),))
+    assert given == made and hash(given) == hash(made)
+    assert given.rows == made.rows == ((((2, -4), 3, 4),), (((0, 2), 3, 3),), (((1, 1), -2, 1),))
+    former = (
+        "MixedSystem(dim=2, weak=(((Fraction(1, 2), Fraction(-1, 1)), Fraction(3, 4)),), "
+        "strict=(((Fraction(0, 1), Fraction(2, 3)), Fraction(1, 1)),), "
+        "eq=(((Fraction(1, 1), Fraction(1, 1)), Fraction(-2, 1)),))"
+    )
+    assert repr(given) == repr(made) == former
+    hp = HPoly(2, (((F(-1, 3), F(0)), F(5, 6)),), (((F(0), F(2)), F(1)),))
+    made_hp = closure_hpoly(MixedSystem.from_ints(2, (((-2, 0), 5, 6),), (), (((0, 2), 1, 1),)))
+    assert hp == made_hp and hash(hp) == hash(made_hp)
+    assert repr(hp) == repr(made_hp) == (
+        "HPoly(dim=2, ineq=(((Fraction(-1, 3), Fraction(0, 1)), Fraction(5, 6)),), "
+        "eq=(((Fraction(0, 1), Fraction(2, 1)), Fraction(1, 1)),))"
+    )
+    # (A, B, L) must be the form _scaled gives: L > 0 and gcd 1
+    with pytest.raises(UsageError):
+        MixedSystem.from_ints(2, (((2, -4), 6, 4),))
+    with pytest.raises(DimensionMismatch):
+        MixedSystem.from_ints(2, (((1,), 1, 1),))
 
 
 def _satisfies_by_fractions(system, x):

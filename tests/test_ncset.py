@@ -289,6 +289,34 @@ def test_product_of_relative_interiors_is_single_piece():
     assert s.pieces[0].base == canonical_form(box([(0, 1)] * 4))
 
 
+def test_product_equals_the_canonical_form_of_each_pair(monkeypatch):
+    # each piece's base is read off the factors' canonical rows with no LP
+    # of either entry; it is canonical_form of the pair's joint closed
+    # system, row for row, and keeps a point of its ri
+    origin = origin_lp_calls(monkeypatch)
+    rng = random.Random(5)
+    pieces = 0
+    for _ in range(400):
+        n, p = rng.randint(1, 3), rng.randint(1, 3)
+        s1, s2 = (orc.random_ncset(rng, d, orc.LEAN_SPEC) for d in (n, p))
+        clear_caches()
+        origin.clear()
+        got = [pc.base for pc in product(s1, s2).pieces]
+        assert not origin and solve_lp.cache_info().misses == 0
+        want = []
+        for a in s1.pieces:
+            left = a.base.closed_system().embed(range(n), n + p)
+            for b in s2.pieces:
+                right = b.base.closed_system().embed(range(n, n + p), n + p)
+                want.append(canonical_form(ph.closure_hpoly(left.combine(right))))
+        want.sort(key=ph._hpoly_sort_key)
+        assert got == want and repr(got) == repr(want)
+        for base in got:
+            assert base.ri_system().satisfies(ph.ri_point(base))
+        pieces += len(got)
+    assert pieces > 1000, pieces
+
+
 # ---------------------------------------------------------------------------
 # intersect
 

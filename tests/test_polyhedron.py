@@ -10,6 +10,7 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -650,25 +651,61 @@ def test_canonical_form_lp_counts(monkeypatch):
 
 
 
+def _integer_rows(p):
+    """(equality rows, inequality rows) of p, each row (a, b) as the
+    integer row L (a, b), L the lcm of its denominators."""
+
+    def scaled(a, b):
+        den = F(lcm(b.denominator, *(v.denominator for v in a)))
+        return tuple(int(v * den) for v in a + (b,))
+
+    return [scaled(*r) for r in p.eq], [scaled(*r) for r in p.ineq]
+
+
+def _fraction_hpoly(dim, eq, ineq):
+    def rows(block):
+        return tuple((tuple(map(F, r[:-1])), F(r[-1])) for r in block)
+
+    return HPoly(dim, rows(ineq), rows(eq))
+
+
+def _split_implicit_by_fractions(dim, ineq, eq):
+    """The former slack-sum rounds, two-phase LPs on Fraction rows."""
+    todo = list(range(len(ineq)))
+    while todo:
+        k = len(todo)
+        slack = dict(zip(todo, la.identity(k)))
+        rows = [(a + slack.get(i, la.zeros(k)), b) for i, (a, b) in enumerate(ineq)]
+        for t in la.identity(k):
+            rows += [(la.zeros(dim) + t, la.ONE), (la.zeros(dim) + la.neg(t), la.ZERO)]
+        lifted = MixedSystem(dim + k, tuple(rows), (), tuple((a + la.zeros(k), b) for a, b in eq))
+        x = maximize(la.zeros(dim) + (la.ONE,) * k, lifted).witness[:dim]
+        strict = {i for i in todo if la.dot(ineq[i][0], x) < ineq[i][1]}
+        if not strict:
+            break
+        todo = [i for i in todo if i not in strict]
+    return todo
+
+
 def _two_phase_canonical(p):
     """The canonical form as the two-phase LP builds it, kept as the
     reference: step 1, then strict_feasible on the reduced rows made
-    strict, slack-sum rounds when it finds no strict point, and one
-    maximize per row over the others, with no ray test."""
-    reduced = ph._eliminate_int(p.dim, *ph._int_rows(p))
+    strict, slack-sum rounds on Fraction rows when it finds no strict
+    point, and one maximize per row over the others, with no ray test."""
+    reduced = ph._eliminate_int(p.dim, *_integer_rows(p))
     if reduced is None:
         return None
     eq, ineq = reduced
-    q = ph._hpoly_of(p.dim, eq, ineq)
+    q = _fraction_hpoly(p.dim, eq, ineq)
     if ineq:
         joint = strict_feasible(q.ri_system())
         if not joint.feasible:
             if joint.certificate is not None:
                 return None
-            implicit = ph._split_implicit(p.dim, q.ineq, q.eq)
+            implicit = _split_implicit_by_fractions(p.dim, q.ineq, q.eq)
             rest = [r for i, r in enumerate(ineq) if i not in implicit]
             eq, ineq = ph._eliminate_int(p.dim, eq + [ineq[i] for i in implicit], rest)
-    system = ph._hpoly_of(p.dim, eq, ineq).closed_system()
+    system = _fraction_hpoly(p.dim, eq, ineq).closed_system()
     keep = list(range(len(ineq)))
     i = 0
     while len(keep) > 1 and i < len(keep):
@@ -679,7 +716,7 @@ def _two_phase_canonical(p):
             keep.pop(i)
         else:
             i += 1
-    return ph._hpoly_of(p.dim, eq, [ineq[i] for i in keep])
+    return _fraction_hpoly(p.dim, eq, [ineq[i] for i in keep])
 
 
 def _seeded_system(rng, dim, kind):
@@ -722,8 +759,9 @@ def test_canonical_form_equals_the_two_phase_construction():
             seen["empty"] += 1
             continue
         assert got.ri_system().satisfies(ph.ri_point(got))
-        seen["implicit"] += len(got.eq) > len(ph._eliminate_int(dim, *ph._int_rows(p))[0])
-        seen["dropped"] += len(got.ineq) < len(ph._eliminate_int(dim, *ph._int_rows(p))[1])
+        eq, ineq = ph._eliminate_int(dim, *_integer_rows(p))
+        seen["implicit"] += len(got.eq) > len(eq)
+        seen["dropped"] += len(got.ineq) < len(ineq)
         seen["unbounded"] += any(
             got.recedes(d) for d in itertools.product((-1, 0, 1), repeat=dim) if any(d)
         )

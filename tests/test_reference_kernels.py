@@ -3,9 +3,9 @@ against the former Fraction constructions, kept here as references.
 
 Canonical forms are unique, so the shadows are compared canonicalized;
 subtraction cells and their points must be the same rows in the same
-order, compared by repr.  Every system either construction hands on keeps
-its integer rows (MixedSystem.scaled_rows), equal to what lp._scaled gives
-for its Fraction rows.
+order, compared by repr.  Every system the integer constructions hand on
+equals the system built from the Fraction rows of its reference
+construction, with the same hash and the same Fraction view.
 """
 
 import itertools
@@ -14,7 +14,7 @@ from fractions import Fraction as F
 
 from ncvx import linalg as la
 from ncvx import polyhedron as ph
-from ncvx.lp import MixedSystem, _scaled
+from ncvx.lp import MixedSystem
 from ncvx.polyhedron import HPoly, canonical_form, closed_shadow, subtract_cells
 
 # ---------------------------------------------------------------------------
@@ -211,10 +211,11 @@ def _mixed(rng, dim):
     return MixedSystem(dim, weak, strict, eq)
 
 
-def _keeps_its_rows(m: MixedSystem) -> bool:
-    kept = m.__dict__.get("_scaled")
-    return kept == tuple(
-        tuple(_scaled(a, b) for a, b in block) for block in (m.weak, m.strict, m.eq)
+def _same_system(got: MixedSystem, want: MixedSystem) -> bool:
+    return (
+        got == want
+        and hash(got) == hash(want)
+        and (got.weak, got.strict, got.eq) == (want.weak, want.strict, want.eq)
     )
 
 
@@ -262,9 +263,12 @@ def test_integer_cells_match_the_fraction_cells():
     assert changed >= 100, changed
 
 
-def test_shadows_cells_and_pullbacks_keep_their_integer_rows():
+def test_shadows_cells_and_pullbacks_match_their_fraction_construction():
     for m, keep, _ in _closed_systems(60, seed=2017):
-        assert _keeps_its_rows(closed_shadow(m, keep).closed_system()), (m, keep)
+        shadow = closed_shadow(m, keep)
+        rebuilt = MixedSystem(shadow.dim, shadow.ineq, (), shadow.eq)
+        assert _same_system(shadow.closed_system(), rebuilt), (m, keep)
+        assert canonical_form(shadow) == canonical_form(_fraction_shadow(m, keep))
     rng = random.Random(2027)
     cells = 0
     for i in range(60):
@@ -273,8 +277,12 @@ def test_shadows_cells_and_pullbacks_keep_their_integer_rows():
         point = ph.strict_point(cell)
         if point is None:
             continue
-        for out, _ in subtract_cells([(cell, point)], _mixed(rng, dim)):
-            assert _keeps_its_rows(out), out
+        sub = _mixed(rng, dim)
+        got = subtract_cells([(cell, point)], sub)
+        want = _fraction_subtract_cells([(cell, point)], sub)
+        assert len(got) == len(want)
+        for (out, z), (ref, w) in zip(got, want):
+            assert _same_system(out, ref) and z == w, out
             cells += 1
         t = tuple(
             la.vec([F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(2)])
@@ -282,9 +290,9 @@ def test_shadows_cells_and_pullbacks_keep_their_integer_rows():
         )
         shift = la.vec([F(rng.randint(-2, 2), rng.choice((1, 3))) for _ in range(dim)])
         pulled = cell.pullback(t, shift)
-        assert _keeps_its_rows(pulled)
-        for block, moved in zip(
-            (cell.weak, cell.strict, cell.eq), (pulled.weak, pulled.strict, pulled.eq)
-        ):
-            assert moved == tuple((la.mat_t_vec(t, a), b - la.dot(a, shift)) for a, b in block)
+        rows = [
+            tuple((la.mat_t_vec(t, a), b - la.dot(a, shift)) for a, b in block)
+            for block in (cell.weak, cell.strict, cell.eq)
+        ]
+        assert _same_system(pulled, MixedSystem(2, *rows))
     assert cells >= 30, cells
