@@ -69,10 +69,6 @@ Scaled = tuple[tuple[int, ...], int, int]
 ScaledRows = tuple[tuple[Scaled, ...], tuple[Scaled, ...], tuple[Scaled, ...]]
 
 
-def row(coeffs, rhs) -> Row:
-    return la.vec(coeffs), Fraction(rhs)
-
-
 _set = object.__setattr__
 
 

@@ -53,7 +53,7 @@ from .polyhedron import (
     HPoly,
     VPoly,
     _cancel,
-    _canonical_from,
+    _canonical,
     _canonical_hpoly,
     _flat,
     _hpoly_sort_key,
@@ -181,7 +181,8 @@ def ncset(dim: int, bases: Iterable[HPoly]) -> NCSet:
 def _ncset_of_cells(dim: int, cells: Iterable[tuple[HPoly, Vec]]) -> NCSet:
     """ncset of the bases of (base, point of ri(base)) pairs, each
     canonicalized from its point."""
-    return _of_canonical(dim, (_canonical_from(b, z) for b, z in cells))
+    seeded = (_canonical(b, z) for b, z in cells)
+    return _of_canonical(dim, (found[0] for found in seeded if found is not None))
 
 
 def _of_canonical(dim: int, canons: Iterable[Optional[HPoly]]) -> NCSet:
@@ -190,8 +191,8 @@ def _of_canonical(dim: int, canons: Iterable[Optional[HPoly]]) -> NCSet:
 
 
 def from_mixed(m: MixedSystem) -> NCSet:
-    """The solution set of any mixed system, as a union of ri pieces."""
-    return NCSet(m.dim, tuple(ROPoly(b) for b in decompose_mixed(m)))
+    """The solution set of any mixed system, as faces of its closure."""
+    return from_faces(m.dim, decompose_mixed(m))
 
 
 def from_closed_hpoly(p: HPoly) -> NCSet:
@@ -202,10 +203,10 @@ def from_closed_hpoly(p: HPoly) -> NCSet:
 
 
 def from_faces(dim: int, all_faces: Sequence[HPoly]) -> NCSet:
-    """The union of the ri's of the faces of one closed polyhedron, given
-    in faces() order.  The first face is the polyhedron itself, which
-    holds every other face, so it is kept as the set's dominant piece and
-    no row check looks for it."""
+    """The union of the ri's of faces of one closed polyhedron, given in
+    faces() order: all of them, or those decompose_mixed keeps.  The
+    first face is the polyhedron itself, which holds every other face, so
+    it is kept as the set's dominant piece and no row check looks for it."""
     s = NCSet(dim, tuple(ROPoly(f) for f in all_faces))
     if s.pieces:
         s.__dict__["dominant"] = s.pieces[0]

@@ -46,6 +46,8 @@ from .polyhedron import (
     hpoly,
     polyhedron_equal,
     project_mixed,
+    ri_point,
+    ri_shadow,
     strict_point,
     to_vrep,
 )
@@ -266,16 +268,17 @@ def envelope(s: NCSet) -> NCSet:
     """Epigraph of x -> inf{lam : (x, lam) in s}.
 
     Always contains s; equals s exactly when s is a legitimate epigraph.
-    Per piece: the x-shadow of the piece (relatively open, project_mixed)
-    crossed with the upward closure of the closed base (closed_shadow, no
-    LP), split into open cells.
+    Per piece: the x-shadow of the piece (relatively open, ri_shadow from
+    the ri point its canonical base keeps) crossed with the upward
+    closure of the closed base (closed_shadow, no LP), split into open
+    cells.
     """
     n = s.dim - 1
     xs = list(range(n))
     bases = []
     for pc in s.pieces:
         q = pc.base
-        shadow = project_mixed(q.ri_system(), xs)
+        shadow = ri_shadow(q.ri_system(), ri_point(q), xs).ri_system()
         # upward closure of q, computed over (x, lam', lam) with lam' <= lam
         chain = (la.zeros(n) + (la.ONE, -la.ONE), la.ZERO)
         lifted = q.closed_system().embed(range(n + 1), n + 2)

@@ -43,13 +43,15 @@ two rays is a mask test against the others.
 Mixed cells (weak + strict + equality rows) are the set-algebra workhorse:
 region subtraction peels one constraint at a time, each cell carrying a
 point of its own that settles most of its nonemptiness tests with no LP,
-and any feasible mixed system splits into relatively open polyhedra by
-recursing on the facets of its closure.  Each cell made is deduplicated
-on its integer rows.  Where a strict point only settles a yes or no, or
-seeds a unique result, strict_point finds it by the slack LP from the
-origin, after a weak row and its reverse have joined the equalities;
-strict_feasible's witness, which outputs show, comes from its own
-two-phase LP.
+and each cell made is deduplicated on its integer rows.  Any mixed system
+splits into relatively open polyhedra along the faces of its closure: the
+ri's of the faces partition the closure (Rockafellar, Thm 18.2), and the
+face walk keeps a face when it lies in the hyperplane of no strict row, a
+test of linear algebra on its equality block (decompose_mixed).  Where a
+strict point only settles a yes or no, or seeds a unique result,
+strict_point finds it by the slack LP from the origin, after a weak row
+and its reverse have joined the equalities; strict_feasible's witness,
+which outputs show, comes from its own two-phase LP.
 """
 
 from __future__ import annotations
@@ -441,7 +443,7 @@ def canonical_form(p: HPoly) -> Optional[HPoly]:
        affine hull.
 
     A caller that holds a point of ri(p) skips step 2 and seeds step 4
-    with it (_canonical_from); the facets are unique, so the result is
+    with it (_canonical); the facets are unique, so the result is
     the same.  The result keeps z (ri_point).  Every step works on the
     integer rows, and the result is built from them, with no Fraction."""
     found = _canonical(p)
@@ -452,27 +454,38 @@ def canonical_form(p: HPoly) -> Optional[HPoly]:
 Seeded = tuple[HPoly, list[Optional[IntPoint]]]
 
 
-def _canonical(p: HPoly) -> Optional[Seeded]:
+def _canonical(p: HPoly, z: Optional[Vec] = None) -> Optional[Seeded]:
     """canonical_form(p) and, per facet row, the point of that facet's
     relative interior that step 4 met it at, or None (see _irredundant).
-    The result keeps the strict point of step 2 (ri_point)."""
+    A point z of ri(p), when given, settles step 2 if it holds every
+    equality row and every reduced row strictly, checked in integers: then
+    no reduced row is an implicit equality, and z seeds step 4.  The
+    result keeps the strict point it was made from (ri_point)."""
     reduced = _step_one(p)
     if reduced is None:
         return None
     eq, ineq = reduced
-    sign, inside = _slack_point(p.dim, eq, ineq)
-    if sign < 0:
-        return None
-    if sign == 0:
-        implicit = _split_implicit(eq, ineq, inside)
-        rest = [r for i, r in enumerate(ineq) if i not in implicit]
-        reduced = _eliminate_int(p.dim, eq + [ineq[i] for i in implicit], rest)
-        if reduced is None:
-            raise CertificateError("a nonempty system reduced to an empty one")
-        eq, ineq = reduced
+    inside = None
+    if z is not None:
+        zi, den = _integer_point(z)
+        if all(_dot(e[:-1], zi) == e[-1] * den for e in eq) and all(
+            _dot(r[:-1], zi) < r[-1] * den for r in ineq
+        ):
+            inside = zi, den
+    if inside is None:
         sign, inside = _slack_point(p.dim, eq, ineq)
-        if sign < 1:
-            raise CertificateError("rows with no implicit equality have a strict point")
+        if sign < 0:
+            return None
+        if sign == 0:
+            implicit = _split_implicit(eq, ineq, inside)
+            rest = [r for i, r in enumerate(ineq) if i not in implicit]
+            reduced = _eliminate_int(p.dim, eq + [ineq[i] for i in implicit], rest)
+            if reduced is None:
+                raise CertificateError("a nonempty system reduced to an empty one")
+            eq, ineq = reduced
+            sign, inside = _slack_point(p.dim, eq, ineq)
+            if sign < 1:
+                raise CertificateError("rows with no implicit equality have a strict point")
     keep, seen = _irredundant(p.dim, eq, ineq, inside)
     return _canonical_hpoly(p.dim, eq, [ineq[i] for i in keep], inside), seen
 
@@ -503,32 +516,6 @@ def _ri_int_point(p: HPoly) -> Optional[IntPoint]:
     if p._inside is None:
         p = canonical_form(p)
     return None if p is None else p._inside
-
-
-def _canonical_from(p: HPoly, z: Vec) -> Optional[HPoly]:
-    """canonical_form(p) for a caller holding z, a point of ri(p)."""
-    found = _canonical_seeded(p, z)
-    return None if found is None else found[0]
-
-
-def _canonical_seeded(p: HPoly, z: Vec) -> Optional[Seeded]:
-    """_canonical(p) for a caller holding z, a point of ri(p).
-
-    After step 1, z settles step 2 when it satisfies every equality row
-    and every reduced row strictly, checked in integers: then the reduced
-    rows have a strict point, so none is an implicit equality, and z
-    seeds the facet test of step 4.  When the check fails, p goes through
-    _canonical."""
-    reduced = _step_one(p)
-    if reduced is not None:
-        eq, ineq = reduced
-        zi, den = _integer_point(z)
-        if all(_dot(e[:-1], zi) == e[-1] * den for e in eq) and all(
-            _dot(r[:-1], zi) < r[-1] * den for r in ineq
-        ):
-            keep, seen = _irredundant(p.dim, eq, ineq, (zi, den))
-            return _canonical_hpoly(p.dim, eq, [ineq[i] for i in keep], (zi, den)), seen
-    return _canonical(p)
 
 
 def _facets_seen_from(
@@ -785,16 +772,13 @@ def ri_shadow(cell: MixedSystem, z: Vec, keep: Sequence[int]) -> HPoly:
     The cell is the ri of its closure cell.closed(), and the ri of a
     linear image is the image of the ri (Rockafellar, Thm 6.6); so the
     base is the closed shadow of the closure, canonicalized from z's kept
-    coordinates, a point of its ri.  Keeping every column runs no
-    Fourier-Motzkin."""
+    coordinates, a point of its ri.  Keeping every column eliminates
+    none."""
     keep = list(keep)
-    if keep == list(range(cell.dim)):
-        base = _canonical_from(closure_hpoly(cell), z)
-    else:
-        base = _canonical_from(closed_shadow(cell.closed(), keep), tuple(z[i] for i in keep))
-    if base is None:
+    found = _canonical(closed_shadow(cell.closed(), keep), tuple(z[i] for i in keep))
+    if found is None:
         raise CertificateError("the shadow of a cell with a point is nonempty")
-    return base
+    return found[0]
 
 
 def project_mixed(m: MixedSystem, keep: Sequence[int]) -> MixedSystem:
@@ -987,20 +971,30 @@ def faces(p: HPoly) -> tuple[HPoly, ...]:
 
 def faces_from(p: HPoly, z: Vec) -> tuple[HPoly, ...]:
     """faces(p) for a caller holding z, a point of ri(p): the root is
-    canonicalized from z (_canonical_seeded)."""
-    root = _canonical_seeded(p, z)
+    canonicalized from z (_canonical)."""
+    root = _canonical(p, z)
     return () if root is None else _faces_below(*root)
 
 
-def _faces_below(root: HPoly, points: list[Optional[IntPoint]]) -> tuple[HPoly, ...]:
+def _faces_below(
+    root: HPoly, points: list[Optional[IntPoint]], strict: Sequence[IntRow] = ()
+) -> tuple[HPoly, ...]:
+    """The faces of faces(), from the canonical root and its facet points,
+    less each face, and every face below it, that lies in the hyperplane
+    of a row of strict (integer rows [a..., b]): the row reduces to
+    0 = 0 against the face's equality block."""
     dim = root.dim
     weak, _, eq = root.closed_system().rows
-    found: dict[tuple, HPoly] = {}
+    found: dict[tuple, Optional[HPoly]] = {}
     stack = [(_flat(eq), _flat(weak), points, None)]
     while stack:
         eq, ineq, points, inside = stack.pop()
         key = (tuple(eq), tuple(ineq))
         if key in found:
+            continue
+        pivots = [next(j for j, v in enumerate(e) if v) for e in eq]
+        if any(not any(_reduce(r, eq, pivots)) for r in strict):
+            found[key] = None
             continue
         # the root is met first
         found[key] = _canonical_hpoly(dim, eq, ineq, inside) if found else root
@@ -1013,7 +1007,7 @@ def _faces_below(root: HPoly, points: list[Optional[IntPoint]]) -> tuple[HPoly, 
             rows = [child_ineq[i] for i in keep]
             if (tuple(child_eq), tuple(rows)) not in found:
                 stack.append((child_eq, rows, seen, z))
-    return tuple(sorted(found.values(), key=_hpoly_sort_key))
+    return tuple(sorted(filter(None, found.values()), key=_hpoly_sort_key))
 
 
 def _hpoly_sort_key(p: HPoly):
@@ -1219,14 +1213,18 @@ def difference_witness(
 
 @lru_cache(maxsize=None)
 def decompose_mixed(m: MixedSystem) -> tuple[HPoly, ...]:
-    """Split the solution set of a mixed system into relatively open pieces,
-    returned as the canonical closed bases whose ri's cover it."""
-    if not strict_feasible(m).feasible:
-        return ()
-    base = canonical_form(closure_hpoly(m))
-    if base is None:
-        raise CertificateError("the closure of a nonempty set cannot be empty")
-    pieces = {base}
-    for row in base.closed_system().rows[0]:
-        pieces.update(decompose_mixed(m.combine(_one_row(m.dim, 2, row))))
-    return tuple(sorted(pieces, key=_hpoly_sort_key))
+    """The solution set of a mixed system as relatively open pieces: the
+    canonical faces of P = cl m, in faces() order, that lie in the
+    hyperplane of no strict row of m; their ri's partition it.
+
+    The ri's of the nonempty faces of P, the system with its strict rows
+    made weak, partition P (Rockafellar, Thm 18.2).  A strict row holds
+    weakly on P, so its hyperplane meets P in a face, and a point of P
+    lies in m exactly when the face whose ri holds it lies in no such
+    hyperplane.  A face lies in one exactly when the row reduces to 0 = 0
+    against its equality block, and then so does every face below it, so
+    the face walk drops it with all it would reach (_faces_below).  m is
+    empty exactly when P is or the root is dropped.  Only the root takes
+    a canonical form, and no strict LP runs."""
+    root = _canonical(closure_hpoly(m))
+    return () if root is None else _faces_below(*root, _flat(m.rows[1]))

@@ -21,8 +21,11 @@ One rule over the command line: every verb path of the parser (`check`,
 `map compose`, `conj chain`, `duality fenchel`, ...) is run by some golden
 test in `tests/test_cli.py`.
 
-A reference is any `Name` or `Attribute` node spelling the name, so two
-definitions with the same name in different modules count as one.
+A reference is any `Attribute` node spelling the name, and any `Name`
+node spelling it that no enclosing function, lambda or comprehension binds
+for itself: a parameter or local variable of the same name is no
+reference.  Two definitions with the same name in different modules count
+as one.
 """
 
 import argparse
@@ -39,15 +42,63 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _names_used(nodes) -> list:
-    """Every identifier read through a Name or an Attribute below nodes."""
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _local_names(scope) -> set:
+    """The names a function, lambda or comprehension binds for itself: its
+    parameters or comprehension targets, and each name stored, imported,
+    defined or caught in its own body, less those declared global."""
+    if isinstance(scope, _COMPREHENSIONS):
+        todo = [g.target for g in scope.generators]
+        bound = set()
+    else:
+        args = scope.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+        bound = {a.arg for a in params if a is not None}
+        todo = scope.body if isinstance(scope.body, list) else [scope.body]
+    todo, declared = list(todo), set()
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+        elif isinstance(node, ast.Global):
+            declared.update(node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.add(node.name)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)  # its body is a scope of its own
+        elif not isinstance(node, (ast.Lambda, *_COMPREHENSIONS)):
+            todo.extend(ast.iter_child_nodes(node))
+    return bound - declared
+
+
+def _names_used(nodes, shadowed=frozenset()) -> list:
+    """Every identifier read through an Attribute below nodes, and through
+    a Name that is not in shadowed or bound by an enclosing function,
+    lambda or comprehension below nodes (_local_names).  Decorators,
+    defaults and annotations are read in the enclosing scope."""
     out = []
-    for top in nodes:
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                out.append(node.id)
-            elif isinstance(node, ast.Attribute):
-                out.append(node.attr)
+    todo = [(node, shadowed) for node in nodes]
+    while todo:
+        node, hidden = todo.pop()
+        if isinstance(node, _FUNCTIONS):
+            outer = [node.args, *getattr(node, "decorator_list", ())]
+            outer += [node.returns] if getattr(node, "returns", None) else []
+            body = node.body if isinstance(node.body, list) else [node.body]
+            inner = hidden | _local_names(node)
+            todo += [(n, hidden) for n in outer] + [(n, inner) for n in body]
+            continue
+        if isinstance(node, _COMPREHENSIONS):
+            hidden = hidden | _local_names(node)
+        elif isinstance(node, ast.Name) and node.id not in hidden:
+            out.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.append(node.attr)
+        todo += [(child, hidden) for child in ast.iter_child_nodes(node)]
     return out
 
 
@@ -75,15 +126,15 @@ TEST_ONLY = {
 }
 
 
-def _unreferenced(folders) -> set:
-    """module.name of each top-level library definition that no file below
-    folders references outside the definition itself."""
+def _unreferenced(folders, library_dir=LIBRARY) -> set:
+    """module.name of each top-level definition in library_dir that no file
+    below folders references outside the definition itself."""
     trees = {
         path: _parse(path)
         for folder in folders
         for path in sorted(folder.rglob("*.py"))
     }
-    library = set(_library_modules())
+    library = set(library_dir.glob("*.py"))
     defs = []  # (module, definition node)
     used: dict[str, int] = {}
     for path, tree in trees.items():
@@ -98,7 +149,7 @@ def _unreferenced(folders) -> set:
     unreferenced = set()
     for module, node in defs:
         # references inside a definition's own body do not keep it alive
-        inside = _names_used(node.body).count(node.name)
+        inside = _names_used([node]).count(node.name)
         if used.get(node.name, 0) - inside <= 0:
             unreferenced.add(f"{module}.{node.name}")
     return unreferenced
@@ -106,6 +157,57 @@ def _unreferenced(folders) -> set:
 
 def test_every_top_level_definition_is_referenced():
     assert _unreferenced([ROOT / "src", ROOT / "tests"]) == set()
+
+
+def test_a_local_name_does_not_reference_a_definition(tmp_path):
+    # parameters, local variables, comprehension targets, lambda parameters
+    # and caught exceptions spelled like a definition do not keep it alive;
+    # a call, an attribute, a default, a closure's read of a global, an
+    # assignment under `global`, and a read in a scope that does not bind
+    # the name, though a nested function does, all do
+    lib = tmp_path / "lib"
+    lib.mkdir()
+    (lib / "mod.py").write_text(
+        """
+def dead_param(): pass
+def dead_local(): pass
+def dead_comp(): pass
+def dead_lambda(): pass
+def dead_caught(): pass
+def dead_global_target(): pass
+def called(): pass
+def by_attribute(): pass
+def by_closure(): pass
+def by_default(): pass
+def shadowed_inside(): pass
+
+def user(dead_param, flag=by_default):
+    dead_local = [dead_comp for dead_comp in dead_param]
+    f = lambda dead_lambda: dead_lambda
+    try:
+        called()
+    except ValueError as dead_caught:
+        return dead_caught, dead_local, f
+
+    def inner():
+        shadowed_inside = 1
+        return by_closure(), shadowed_inside
+
+    return inner, shadowed_inside
+
+def setter():
+    global dead_global_target
+    dead_global_target = 1
+"""
+    )
+    (tmp_path / "use.py").write_text("import lib.mod as m\nm.by_attribute\nm.user, m.setter\n")
+    assert _unreferenced([tmp_path], lib) == {
+        "mod.dead_param",
+        "mod.dead_local",
+        "mod.dead_comp",
+        "mod.dead_lambda",
+        "mod.dead_caught",
+    }
 
 
 def test_definitions_without_a_library_caller_are_listed():

@@ -21,13 +21,16 @@ from ncvx.lp import (
     MixedSystem,
     feasible_point,
     maximize,
-    row,
     solve_lp,
     strict_feasible,
 )
 from ncvx.polyhedron import HPoly, closure_hpoly
 
 F = Fraction
+
+
+def row(coeffs, rhs):
+    return la.vec(coeffs), F(rhs)
 
 
 def box_system(bounds):

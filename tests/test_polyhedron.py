@@ -745,10 +745,12 @@ def test_canonical_form_equals_the_two_phase_construction():
     # 400 seeded systems in dims 1-3; the canonical form is unique, so the
     # slack LP from the origin and the redundancy LPs shifted to a strict
     # point must give what the two-phase LP gives, and the point the
-    # result keeps lies in its relative interior
+    # result keeps lies in its relative interior; seeded with a point of
+    # its ri, or with one on its boundary, which falls through to step 2,
+    # the result is the same
     rng = random.Random(19)
     kinds = ("plain", "implicit", "redundant", "empty")
-    seen = {"empty": 0, "implicit": 0, "dropped": 0, "unbounded": 0}
+    seen = {"empty": 0, "implicit": 0, "dropped": 0, "unbounded": 0, "boundary seed": 0}
     for i in range(400):
         dim = 1 + i % 3
         p = _seeded_system(rng, dim, kinds[i % 4])
@@ -759,6 +761,10 @@ def test_canonical_form_equals_the_two_phase_construction():
             seen["empty"] += 1
             continue
         assert got.ri_system().satisfies(ph.ri_point(got))
+        for z in {ph.ri_point(f) for f in (got, faces(got)[-1])}:
+            seeded, _ = ph._canonical(p, z)
+            assert seeded == got and seeded.ri_system().satisfies(ph.ri_point(seeded))
+            seen["boundary seed"] += not got.ri_system().satisfies(z)
         eq, ineq = ph._eliminate_int(dim, *_integer_rows(p))
         seen["implicit"] += len(got.eq) > len(eq)
         seen["dropped"] += len(got.ineq) < len(ineq)

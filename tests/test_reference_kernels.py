@@ -1,21 +1,34 @@
-"""The integer Fourier-Motzkin shadow and the integer subtraction cells,
-against the former Fraction constructions, kept here as references.
+"""The integer Fourier-Motzkin shadow, the integer subtraction cells and
+the face-walk decomposition of mixed systems, against the former
+constructions, kept here as references.
 
 Canonical forms are unique, so the shadows are compared canonicalized;
 subtraction cells and their points must be the same rows in the same
-order, compared by repr.  Every system the integer constructions hand on
-equals the system built from the Fraction rows of its reference
-construction, with the same hash and the same Fraction view.
+order, compared by repr, and so must the pieces of a decomposition.
+Every system the integer constructions hand on equals the system built
+from the Fraction rows of its reference construction, with the same hash
+and the same Fraction view.
 """
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction as F
 
+from instances import clear_caches
 from ncvx import linalg as la
+from ncvx import lp
+from ncvx import oracle as orc
 from ncvx import polyhedron as ph
-from ncvx.lp import MixedSystem
-from ncvx.polyhedron import HPoly, canonical_form, closed_shadow, subtract_cells
+from ncvx.lp import MixedSystem, strict_feasible
+from ncvx.polyhedron import (
+    HPoly,
+    canonical_form,
+    closed_shadow,
+    closure_hpoly,
+    decompose_mixed,
+    subtract_cells,
+)
 
 # ---------------------------------------------------------------------------
 # the former Fraction constructions
@@ -163,6 +176,22 @@ def _fraction_subtract_cells(cells, sub):
     return out
 
 
+def _recursive_decompose(m, memo):
+    """The former decompose_mixed: nothing when m has no strict point,
+    else the canonical closure of m and, for each of its facet rows, the
+    pieces of m with that row made an equality."""
+    if m not in memo:
+        pieces = set()
+        if strict_feasible(m).feasible:
+            base = canonical_form(closure_hpoly(m))
+            pieces.add(base)
+            for row in base.ineq:
+                facet = m.combine(MixedSystem(m.dim, (), (), (row,)))
+                pieces.update(_recursive_decompose(facet, memo))
+        memo[m] = tuple(sorted(pieces, key=lambda q: (len(q.eq), q.eq, q.ineq)))
+    return memo[m]
+
+
 # ---------------------------------------------------------------------------
 # seeded inputs
 
@@ -209,6 +238,34 @@ def _mixed(rng, dim):
     strict = _rows(rng, dim, rng.randint(0, 2))
     eq = _rows(rng, dim, 1) if rng.random() < 0.25 else ()
     return MixedSystem(dim, weak, strict, eq)
+
+
+def _decomposed_systems(count, seed):
+    """(system, kind) from a piece of an oracle.random_ncset set in dims
+    1-3, in turn: some of its facet rows made strict, random strict rows
+    added, the reverse of a weak row added (with random strict rows), and
+    a random strict row with its reverse made weak, which is empty."""
+    rng = random.Random(seed)
+    for i in range(count):
+        dim = 1 + i % 3
+        base = rng.choice(orc.random_ncset(rng, dim, orc.LEAN_SPEC).pieces).base
+        weak, strict = list(base.ineq), []
+        kind = ("facets", "random", "reverse", "empty")[i % 4]
+        if kind == "facets" and weak:
+            rng.shuffle(weak)
+            k = rng.randint(1, len(weak))
+            weak, strict = weak[k:], weak[:k]
+        elif kind == "reverse" and weak:
+            a, b = rng.choice(weak)
+            weak.append((la.neg(a), -b))
+            strict = list(_rows(rng, dim, rng.randint(0, 2)))
+        elif kind == "empty":
+            (a, b), = _rows(rng, dim, 1)
+            weak, strict = weak + [(la.neg(a), -b)], [(a, b)]
+        else:
+            kind = "random"
+            strict = list(_rows(rng, dim, rng.randint(1, 3)))
+        yield MixedSystem(dim, tuple(weak), tuple(strict), base.eq), kind
 
 
 def _same_system(got: MixedSystem, want: MixedSystem) -> bool:
@@ -296,3 +353,37 @@ def test_shadows_cells_and_pullbacks_match_their_fraction_construction():
         ]
         assert _same_system(pulled, MixedSystem(2, *rows))
     assert cells >= 30, cells
+
+
+def test_face_walk_decomposition_matches_the_recursion():
+    memo = {}
+    seen = Counter()
+    for m, kind in _decomposed_systems(240, seed=2039):
+        got, want = decompose_mixed(m), _recursive_decompose(m, memo)
+        assert got == want and repr(got) == repr(want), m
+        seen[kind] += 1
+        seen["no piece"] += not want
+        seen["several pieces"] += len(want) > 1
+        seen["lower-dimensional"] += bool(want) and bool(want[0].eq)
+    print(dict(seen))
+    assert min(seen.values()) >= 20, seen
+    assert seen["no piece"] >= seen["empty"] + 20, seen
+
+
+def test_decompose_mixed_runs_no_strict_lp(monkeypatch):
+    # only the root's canonical form runs LPs, phase 2 from the origin;
+    # no strict_feasible call and no solve_lp miss, from cold caches
+    calls = []
+
+    def counted(system, real=strict_feasible):
+        calls.append(system)
+        return real(system)
+
+    monkeypatch.setattr(ph, "strict_feasible", counted)
+    pieces = 0
+    for m, _ in _decomposed_systems(60, seed=2053):
+        clear_caches()
+        pieces += len(decompose_mixed(m))
+        assert lp.solve_lp.cache_info().misses == 0, m
+        assert lp.strict_feasible.cache_info().misses == 0, m
+    assert calls == [] and pieces > 60, pieces

@@ -691,7 +691,7 @@ def test_joint_constructions_lp_budget(monkeypatch):
     print(misses)
     assert misses["map_sum"] <= 36
     assert misses["build_phi"] <= 14
-    assert misses["build_ovf"] <= 17
+    assert misses["build_ovf"] <= 8
 
 
 
