@@ -14,10 +14,11 @@ It has two entries:
   is feasible and phase 2 starts from the all-slack basis, with no
   artificials, no drive-out and no cache.  The polyhedron module uses it
   where the LP's point never reaches an output: the slack LPs of
-  polyhedron.strict_point and of a canonical form, and the redundancy
-  LPs, shifted to a strict point.  It answers with a point and, at an
-  optimum, the dual vector read off the slack reduced costs, or with an
-  improving ray.
+  polyhedron.strict_point and of a canonical form on three or more free
+  columns (fewer are solved by elimination, with no LP), the slack-sum
+  rounds, and the redundancy LPs, shifted to a strict point.  It answers
+  with a point and, at an optimum, the dual vector read off the slack
+  reduced costs, or with an improving ray.
 
 The tableau is fraction-free, in the line of Edmonds (1967) and Bareiss
 (1968): each input row is scaled once to integers, and each tableau row is

@@ -65,6 +65,7 @@ from .polyhedron import (
     difference_witness,
     faces,
     project,
+    ri_point,
     ri_shadow,
     strict_point,
     to_hrep,
@@ -320,11 +321,12 @@ def is_nearly_convex(s: NCSet) -> tuple[bool, Optional[Vec]]:
         raise CertificateError("a set with pieces has a nonempty hull")
     if any(pc.base == hull for pc in s.pieces):
         return True, None
-    ri_wit = difference_witness([hull.ri_system()], [pc.system() for pc in s.pieces])
+    z = ri_point(hull)
+    ri_wit = difference_witness([(hull.ri_system(), z)], [pc.system() for pc in s.pieces])
     if ri_wit is None:
         return True, None
     wit = difference_witness(
-        [hull.closed_system()], [pc.base.closed_system() for pc in s.pieces]
+        [(hull.closed_system(), z)], [pc.base.closed_system() for pc in s.pieces]
     )
     return False, ri_wit if wit is None else wit
 
@@ -354,9 +356,8 @@ def relative_interior(s: NCSet) -> Optional[ROPoly]:
 def contains_set(outer: NCSet, inner: NCSet) -> bool:
     if outer.dim != inner.dim:
         raise DimensionMismatch("comparing sets of different dims")
-    wit = difference_witness(
-        [pc.system() for pc in inner.pieces], [pc.system() for pc in outer.pieces]
-    )
+    cells = [(pc.system(), strict_point(pc.system())) for pc in inner.pieces]
+    wit = difference_witness(cells, [pc.system() for pc in outer.pieces])
     return wit is None
 
 

@@ -15,15 +15,14 @@ integer rows; Fractions appear only in the points it returns and in the
 rows a reader asks for.
 
 The canonical form spends LPs only on what linear algebra cannot settle
-(see canonical_form): RREF, then one slack LP from a feasible basis with
-no phase 1 (lp.maximize_from_origin), slack-sum rounds only at a zero
-slack (Fukuda, Polyhedral computation FAQ), and redundancy settled from
-the strict point, by rays that show facets with no LP, in the line of
-Clarkson's ray shooting (1994), and one LP from the same point for each
-row they leave.  The point where a ray meets a facet lies in the facet's
-relative interior, so the faces of a polyhedron are enumerated from such
-points, each facet seeding its own children.  A canonical form, and each
-face seeded so, keeps its point (ri_point).
+(see canonical_form): RREF, then a strict point, slack-sum rounds only
+where there is none (Fukuda, Polyhedral computation FAQ), and redundancy
+settled from the strict point, by rays that show facets with no LP, in
+the line of Clarkson's ray shooting (1994), and one LP from the same
+point for each row they leave.  The point where a ray meets a facet
+lies in the facet's relative interior, so the faces of a polyhedron are
+enumerated from such points, each facet seeding its own children.  A
+canonical form, and each face seeded so, keeps its point (ri_point).
 
 Projection is Fourier-Motzkin with equality pivoting, on closed systems
 only and with no LP: canonical_form removes the redundant rows it leaves.
@@ -49,9 +48,12 @@ ri's of the faces partition the closure (Rockafellar, Thm 18.2), and the
 face walk keeps a face when it lies in the hyperplane of no strict row, a
 test of linear algebra on its equality block (decompose_mixed).  Where a
 strict point only settles a yes or no, or seeds a unique result,
-strict_point finds it by the slack LP from the origin, after a weak row
-and its reverse have joined the equalities; strict_feasible's witness,
-which outputs show, comes from its own two-phase LP.
+strict_point finds it after a weak row and its reverse have joined the
+equalities: on at most two free columns by Fourier-Motzkin elimination
+of the strict and weak rows (Fourier 1827; Motzkin 1936), with no LP,
+and on more by the slack LP from a feasible basis with no phase 1
+(lp.maximize_from_origin); strict_feasible's witness, which outputs
+show, comes from its own two-phase LP.
 """
 
 from __future__ import annotations
@@ -295,50 +297,81 @@ def _slack_point(
 
     A weak row whose reverse is also a weak row holds with it only on its
     hyperplane, so the pair joins the equalities (_hyperplanes).  The
-    equalities are eliminated by _echelon (inconsistent ones give -1
-    with no LP), so the reduced rows live on the free columns F.  With
-    t0 = min(1, min b), one LP maximizes t over a_F.x_F + t <= b on every
-    row, t <= 1: shifted by t0, its right-hand sides are nonnegative, so
-    it starts at x = 0, t = t0 (_max_slack).  Its optimum t* is the sign
-    of the answer, since a point where every row holds has t = 0; only
-    at t* = 0 with weak rows is there more to ask.  At t* = 0, x*, the
-    point of the first LP, holds every row, and answers when ineq is
-    empty; otherwise a second LP from x* puts the slack on the rows of
-    ineq alone.  The pivot columns of the point are solved from the
-    equalities, and the point is checked against the given rows in
-    integers."""
+    equalities are eliminated by _echelon (inconsistent ones give -1),
+    the other rows are reduced against them, and _free_point solves the
+    reduced rows.  The point is checked against the given rows in
+    integers (_checked)."""
     planes = _hyperplanes(weak)
     echelon = _echelon(dim, [*eq, *planes])
     if echelon is None:
         return -1, None
     basis, pivots = echelon
-    free = [j for j in range(dim) if j not in pivots]
     held = [
         r
         for r in (_reduce(r, basis, pivots) for r in weak)
         if any(r[:-1]) or r[-1] < 0  # a pair reduces to 0 <= 0
     ]
-    rows = [*(_reduce(r, basis, pivots) for r in ineq), *held]
-    cols = [[r[j] for j in free] for r in rows]
-    xf, den, sign = [0] * len(free), 1, 1
-    if rows:
-        t0 = min(1, *(r[-1] for r in rows))
-        xf, s, den = _max_slack(cols, [r[-1] - t0 for r in rows], [1] * len(rows), 1 - t0)
-        t_star = t0 * den + s  # t* times den
-        if t_star < 0:
-            return -1, None
-        if t_star == 0 and not held:
-            sign = 0
-        elif t_star == 0 and ineq:
-            # from x* = X / D: a_F.v + s <= D b - a_F.X with x = (X + v) / D
-            # and t = s / D, the slack on the rows of ineq alone
-            on = [1] * len(ineq) + [0] * len(held)
-            gaps = [r[-1] * den - _dot(c, xf) for r, c in zip(rows, cols)]
-            shift, s, step = _max_slack(cols, gaps, on, den)
-            if s == 0:
-                sign = 0
-            else:
-                xf, den = [x * step + y for x, y in zip(xf, shift)], den * step
+    strict = [_reduce(r, basis, pivots) for r in ineq]
+    return _checked(*_free_point(dim, basis, pivots, strict, held), eq, ineq, weak)
+
+
+def _reduced_point(
+    dim: int, eq: Sequence[IntRow], ineq: Sequence[IntRow]
+) -> tuple[int, Optional[IntPoint]]:
+    """_slack_point on rows step 1 of canonical_form left: equality rows
+    in echelon form and strict rows reduced against them, which are
+    solved as they stand (_free_point)."""
+    pivots = [next(j for j, v in enumerate(e) if v) for e in eq]
+    return _checked(*_free_point(dim, eq, pivots, ineq, ()), eq, ineq, ())
+
+
+def _checked(
+    sign: int,
+    found: Optional[IntPoint],
+    eq: Sequence[IntRow],
+    ineq: Sequence[IntRow],
+    weak: Sequence[IntRow],
+) -> tuple[int, Optional[IntPoint]]:
+    """(sign, found), found in lowest terms, once it is checked in
+    integers: on every row of eq, inside every row of weak, and strictly
+    inside every row of ineq at sign 1."""
+    if found is None:
+        return sign, None
+    x, den = found
+    if (
+        any(_dot(e[:-1], x) != e[-1] * den for e in eq)
+        or any(_dot(r[:-1], x) + (sign == 1) > r[-1] * den for r in ineq)
+        or any(_dot(r[:-1], x) > r[-1] * den for r in weak)
+    ):
+        raise CertificateError("a slack point lies in the rows, strictly in the strict ones")
+    g = gcd(den, *x)
+    return sign, ([v // g for v in x], den // g)
+
+
+def _free_point(
+    dim: int,
+    basis: Sequence[IntRow],
+    pivots: Sequence[int],
+    strict: Sequence[IntRow],
+    held: Sequence[IntRow],
+) -> tuple[int, Optional[IntPoint]]:
+    """The sign and point of _slack_point for equality rows basis in
+    echelon form, with the given pivot columns, and strict and weak rows
+    held reduced against them, so zero on the pivots: they live on the
+    free columns F.  On at most two free columns the point comes by
+    elimination (_eliminated_point), with no LP; on more, by the slack
+    LP (_slack_lp).  The pivot columns of the point are then solved from
+    the equalities."""
+    free = [j for j in range(dim) if j not in pivots]
+    rows = [*strict, *held]
+    if pivots:
+        rows = [[r[j] for j in free] + [r[-1]] for r in rows]
+    if len(free) <= 2:
+        sign, xf, den = _eliminated_point(len(free), rows, len(strict))
+    else:
+        sign, xf, den = _slack_lp(rows, len(strict))
+    if sign < 0:
+        return -1, None
     # basis row e holds its pivot column at (e_b - e_F.x_F) / e_pc
     scale = lcm(*(e[pc] for e, pc in zip(basis, pivots)))
     x = [0] * dim
@@ -346,15 +379,149 @@ def _slack_point(
         x[j] = v * scale
     for e, pc in zip(basis, pivots):
         x[pc] = (e[-1] * den - sum(e[j] * v for j, v in zip(free, xf))) * (scale // e[pc])
-    den *= scale
-    if (
-        any(_dot(e[:-1], x) != e[-1] * den for e in eq)
-        or any(_dot(r[:-1], x) + sign > r[-1] * den for r in ineq)
-        or any(_dot(r[:-1], x) > r[-1] * den for r in weak)
-    ):
-        raise CertificateError("a slack point lies in the rows, strictly in the strict ones")
-    g = gcd(den, *x)
-    return sign, ([v // g for v in x], den // g)
+    return sign, (x, den * scale)
+
+
+def _slack_lp(rows: Sequence[IntRow], strict: int) -> tuple[int, list[int], int]:
+    """(sign, X, D) of _free_point by LP, on the rows [a_F..., b] of the
+    free columns, the first strict of them strict.  With t0 = min(1, min
+    b), one LP maximizes t over a_F.x_F + t <= b on every row, t <= 1:
+    shifted by t0, its right-hand sides are nonnegative, so it starts at
+    x = 0, t = t0 (_max_slack).  Its optimum t* is the sign of the
+    answer, since a point where every row holds has t = 0; only at t* = 0
+    with weak rows is there more to ask.  At t* = 0, x*, the point of the
+    first LP, holds every row, and answers when no row is strict;
+    otherwise a second LP from x* puts the slack on the strict rows
+    alone."""
+    if not rows:
+        return 1, [], 1  # no row: any point, here the origin of F
+    cols = [r[:-1] for r in rows]
+    t0 = min(1, *(r[-1] for r in rows))
+    xf, s, den = _max_slack(cols, [r[-1] - t0 for r in rows], [1] * len(rows), 1 - t0)
+    t_star = t0 * den + s  # t* times den
+    if t_star < 0:
+        return -1, xf, den
+    if t_star > 0 or not strict:
+        return 1, xf, den
+    if strict == len(rows):
+        return 0, xf, den
+    # from x* = X / D: a_F.v + s <= D b - a_F.X with x = (X + v) / D
+    # and t = s / D, the slack on the strict rows alone
+    on = [1] * strict + [0] * (len(rows) - strict)
+    gaps = [r[-1] * den - _dot(c, xf) for r, c in zip(rows, cols)]
+    shift, s, step = _max_slack(cols, gaps, on, den)
+    if s == 0:
+        return 0, xf, den
+    return 1, [x * step + y for x, y in zip(xf, shift)], den * step
+
+
+def _eliminated_point(
+    width: int, rows: Sequence[IntRow], strict: int
+) -> tuple[int, list[int], int]:
+    """(sign, X, D) of _free_point on at most two free columns, by
+    Fourier-Motzkin elimination with no LP (Fourier 1827; Motzkin 1936),
+    on the rows [a_F..., b] of the free columns, the first strict of them
+    strict.
+
+    The second column goes in one step: each row positive in it is added
+    to each row negative in it, cross-multiplied, and the sum is strict
+    when either row is.  The rows zero in it stay.  On the first column
+    the rows are bounds, which give the sign and a value (_on_a_line).
+    The rows then bound the second column at that value; since the value
+    lies in the shadow of the rows, strictly when the sign is 1, so does
+    the value _on_a_line reads off those bounds.  A sign below 1 carries
+    the multipliers y >= 0 of at most four rows, with y.a_F = 0 and
+    y.b < 0 (no point), or y.b <= 0 and a strict row of positive weight
+    (no strict point), checked in integers before it returns."""
+    line = [(r[0] if width else 0, r[-1], i < strict, ((i, 1),)) for i, r in enumerate(rows)]
+    if width == 2:
+        line = [row for row, r in zip(line, rows) if not r[1]] + [
+            (
+                -n[1] * p[0] + p[1] * n[0],
+                -n[1] * p[-1] + p[1] * n[-1],
+                i < strict or k < strict,
+                ((i, -n[1]), (k, p[1])),
+            )
+            for i, p in enumerate(rows)
+            if p[1] > 0
+            for k, n in enumerate(rows)
+            if n[1] < 0
+        ]
+    sign, (x, den), y = _on_a_line(line)
+    if sign < 1:
+        total = sum(v * rows[i][-1] for i, v in y.items())
+        if (
+            any(v < 0 for v in y.values())
+            or any(sum(v * rows[i][j] for i, v in y.items()) for j in range(width))
+            or (total >= 0 if sign < 0 else total > 0)
+            or (sign == 0 and not any(v > 0 and i < strict for i, v in y.items()))
+        ):
+            raise CertificateError("the rows in conflict combine to 0 <= b < 0, or 0 < 0")
+    if sign < 0 or width < 2:
+        return sign, [x] if width else [], den
+    # r[1] (D y) <= D b - r[0] X at x = X / D
+    cut = [(r[1], r[-1] * den - r[0] * x, i < strict, ()) for i, r in enumerate(rows) if r[1]]
+    _, (y, step), _ = _on_a_line(cut)
+    return sign, [x * step, y], den * step
+
+
+# c x <= b on one column (c x < b when strict), the sum of the given rows
+# with the weights ((index, weight), ...)
+LineRow = tuple[int, int, bool, tuple[tuple[int, int], ...]]
+
+
+def _on_a_line(line: Sequence[LineRow]) -> tuple[int, IntPoint, Optional[dict[int, int]]]:
+    """(sign, (X, D), y) for rows of one column: the sign of _slack_point,
+    a value X / D that every row holds, strictly when the sign is 1, and
+    at a sign below 1 the weights y {index: weight} of the given rows in
+    conflict.
+
+    A row 0 <= b < 0 shows no point, and a row 0 < 0 no strict one.  Of
+    the rows c < 0 the tightest lower bound b / c, and of the rows c > 0
+    the tightest upper bound, each strict on a tie when one is strict, are
+    compared by cross-multiplying: c_U times the lower row plus -c_L times
+    the upper row is 0 <= c_U b_L - c_L b_U, whose right-hand side is
+    negative exactly when the bounds cross.  The value is the midpoint of
+    the bounds, one bound moved by 1 when the other is missing, or 0 when
+    there is none."""
+    lo = hi = tight = None
+    for row in line:
+        c, b, strict, w = row
+        if not c:
+            if b < 0:
+                return -1, (0, 1), dict(w)
+            if not b and strict:
+                tight = dict(w)
+        elif c < 0:
+            if lo is None or _tighter(b * lo[0] - lo[1] * c, strict, lo[2]):
+                lo = row
+        elif hi is None or _tighter(hi[1] * c - b * hi[0], strict, hi[2]):
+            hi = row
+    if lo is not None and hi is not None:
+        (cl, bl, sl, wl), (cu, bu, su, wu) = lo, hi
+        gap = cu * bl - cl * bu
+        value = (cu * -bl + bu * -cl, 2 * -cl * cu)
+        if gap < 0 or (gap == 0 and (sl or su)):
+            y = dict.fromkeys([i for i, _ in wl + wu], 0)
+            for i, v in wl:
+                y[i] += cu * v
+            for i, v in wu:
+                y[i] -= cl * v
+            return (-1 if gap < 0 else 0), value, y
+    elif lo is not None:
+        value = (-lo[1] - lo[0], -lo[0])  # b / c + 1
+    elif hi is not None:
+        value = (hi[1] - hi[0], hi[0])  # b / c - 1
+    else:
+        value = (0, 1)
+    return (1 if tight is None else 0), value, tight
+
+
+def _tighter(gain: int, strict: bool, was_strict: bool) -> bool:
+    """Does a bound replace the kept one: is it tighter (gain > 0, gain
+    the cross-multiplied difference), or as tight and strict where the
+    kept one is not?"""
+    return gain > 0 or (gain == 0 and strict and not was_strict)
 
 
 def _hyperplanes(weak: Sequence[IntRow]) -> set[tuple[int, ...]]:
@@ -367,9 +534,10 @@ def _hyperplanes(weak: Sequence[IntRow]) -> set[tuple[int, ...]]:
 
 def strict_point(system: MixedSystem) -> Optional[Vec]:
     """A point of the system, strict rows strictly, or None when there is
-    none, from one or two slack LPs from the origin (_slack_point).  The
-    point is not strict_feasible's witness, so it is for callers that
-    only need a yes or no, or a point that seeds a unique result."""
+    none, by elimination on at most two free columns and by slack LPs
+    from the origin on more (_slack_point).  The point is not
+    strict_feasible's witness, so it is for callers that only need a yes
+    or no, or a point that seeds a unique result."""
     weak, strict, eq = system.rows
     sign, found = _slack_point(system.dim, _flat(eq), _flat(strict), _flat(weak))
     if sign < 1:
@@ -426,13 +594,15 @@ def canonical_form(p: HPoly) -> Optional[HPoly]:
     1. RREF of the equality block; the inequality rows are reduced against
        its pivots.  A 0 = 1 pivot or a row 0 <= b < 0 means empty, and
        rows 0 <= b >= 0 are dropped.  No LP; all in integers.
-    2. One slack LP on the reduced rows, phase 2 only (_slack_point),
-       with its optimum proved by its dual vector.  A positive slack
-       gives a point strictly inside every row, so no implicit
-       equalities; a negative one means empty.
-    3. At a zero slack the implicit equalities come from slack-sum
-       rounds from the slack LP's point; they join the equality block,
-       step 1 runs once more, and the slack LP finds the strict point the
+    2. A strict point of the reduced rows, solved as they stand
+       (_reduced_point): by elimination on at most two free columns, with
+       a checked certificate when there is none, else by one slack LP,
+       phase 2 only, with its optimum proved by its dual vector.  A
+       strict point means no implicit equalities; no point at all means
+       empty.
+    3. When there is a point but no strict one, the implicit equalities
+       come from slack-sum rounds from that point; they join the equality
+       block, step 1 runs once more, and step 2 finds the strict point the
        rows now have.
     4. Redundancy, from the strict point z.  A row with a tighter
        parallel row is dropped with no LP (_undominated), and a ray from
@@ -473,7 +643,7 @@ def _canonical(p: HPoly, z: Optional[Vec] = None) -> Optional[Seeded]:
         ):
             inside = zi, den
     if inside is None:
-        sign, inside = _slack_point(p.dim, eq, ineq)
+        sign, inside = _reduced_point(p.dim, eq, ineq)
         if sign < 0:
             return None
         if sign == 0:
@@ -483,7 +653,7 @@ def _canonical(p: HPoly, z: Optional[Vec] = None) -> Optional[Seeded]:
             if reduced is None:
                 raise CertificateError("a nonempty system reduced to an empty one")
             eq, ineq = reduced
-            sign, inside = _slack_point(p.dim, eq, ineq)
+            sign, inside = _reduced_point(p.dim, eq, ineq)
             if sign < 1:
                 raise CertificateError("rows with no implicit equality have a strict point")
     keep, seen = _irredundant(p.dim, eq, ineq, inside)
@@ -606,7 +776,7 @@ def _irredundant(
     Of rows with the same normal direction, all but the tightest are
     dropped with no LP (_undominated).  Every other row is settled from a
     point z = Z / D strictly inside every row: inside when given, else
-    _slack_point's.  Rows shown to be facets from z are kept with no LP
+    _reduced_point's.  Rows shown to be facets from z are kept with no LP
     (_facets_seen_from).  Each other row k
     takes one LP from the origin: with x = z + v / D, maximize a_k.v over
     a_j.v <= gap_j (j != k), the gaps D (b_j - a_j.z) > 0 on the free
@@ -623,7 +793,7 @@ def _irredundant(
     if inside is None:
         if len(keep) < 2:
             return keep, [None] * len(keep)
-        sign, inside = _slack_point(dim, eq, [ineq[k] for k in keep])
+        sign, inside = _reduced_point(dim, eq, [ineq[k] for k in keep])
         if sign < 1:
             raise CertificateError("rows with no implicit equality have a strict point")
     zi, den = inside
@@ -961,7 +1131,7 @@ def faces(p: HPoly) -> tuple[HPoly, ...]:
     of f met the row at a point of the facet's relative interior when its
     ray test settled the row; that point seeds the child's own ray test,
     so a face whose rows all show from such points takes no LP at all;
-    a face with no such point takes one slack LP to find its own.
+    a face with no such point finds its own (_reduced_point).
     Each face travels as its integer rows from step 1 to the ray test of
     its children, is built from them when it is first met, and keeps the
     point that seeded it (ri_point)."""
@@ -1189,16 +1359,13 @@ def subtract_cells(
 
 
 def difference_witness(
-    start: list[MixedSystem], subtrahends: Iterable[MixedSystem]
+    start: list[tuple[MixedSystem, Vec]], subtrahends: Iterable[MixedSystem]
 ) -> Optional[Vec]:
     """A point in (union of start cells) minus (union of subtrahends), or
-    None when the difference is empty.  The point is strict_feasible's
-    witness of the first cell left; the cells start from strict_point."""
-    cells = []
-    for c in start:
-        wit = strict_point(c)
-        if wit is not None:
-            cells.append((c, wit))
+    None when the difference is empty.  Each start cell comes with a point
+    of its own, as in subtract_cells.  The point is strict_feasible's
+    witness of the first cell left, which does not depend on the points."""
+    cells = list(start)
     for sub in subtrahends:
         if not cells:
             return None

@@ -168,7 +168,7 @@ def _near_convexity_case(s, ok):
             return "hull is a piece"
         return "ri test accepts"
     closed_wit = difference_witness(
-        [hull.closed_system()], [pc.base.closed_system() for pc in s.pieces]
+        [(hull.closed_system(), ph.ri_point(hull))], [pc.base.closed_system() for pc in s.pieces]
     )
     return "closed test fails" if closed_wit is not None else "only ri test fails"
 

@@ -642,12 +642,59 @@ def test_canonical_form_lp_counts(monkeypatch):
 
     # equality-only: RREF settles it
     assert lps(hpoly(2, eq=[((1, 1), 1), ((2, 2), 2)])) == 0
-    # one row: the joint strict LP, and a lone row is irredundant
-    assert lps(hpoly(2, ineq=[((1, -1), 3)])) == 1
-    # triangle: the joint strict LP alone; from its strict point a ray
-    # along each row's normal meets that row first, so all three are facets
+    # one row: two free columns, so elimination finds the strict point,
+    # and a lone row is irredundant
+    assert lps(hpoly(2, ineq=[((1, -1), 3)])) == 0
+    # triangle: elimination finds the strict point; from it a ray along
+    # each row's normal meets that row first, so all three are facets
     triangle = hpoly(2, ineq=[((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)])
-    assert lps(triangle) == 1
+    assert lps(triangle) == 0
+    # tetrahedron: three free columns take the slack LP, and the rays
+    # show every facet
+    tetrahedron = hpoly(
+        3, ineq=[((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0), ((1, 1, 1), 1)]
+    )
+    assert lps(tetrahedron) == 1
+
+
+def test_two_free_columns_take_no_lp(monkeypatch):
+    # the rows left on at most two free columns are solved by elimination:
+    # no LP from the origin and no solve_lp, for strict_point and for
+    # canonical forms whose facets the rays from that point all show;
+    # three free columns still take the slack LP
+    origin = origin_lp_calls(monkeypatch)
+    triangle = [((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)]
+    polygons = [
+        hpoly(2, ineq=triangle),
+        hpoly(2, ineq=[((1, -1), 3)]),
+        hpoly(2, ineq=[*triangle, ((2, 2), 5)]),  # a parallel row, redundant
+        box([(0, 1), (-2, 3)]),
+        # a triangle on the plane x + y + z = 1, and a segment in R^4
+        hpoly(3, ineq=[((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0)], eq=[((1, 1, 1), 1)]),
+        hpoly(
+            4,
+            ineq=[((1, 0, 0, 0), 2), ((-1, 0, 0, 0), 1)],
+            eq=[((0, 1, 0, 0), 1), ((1, 0, 1, 1), 0)],
+        ),
+    ]
+    cells = [canonical_form(p).ri_system() for p in polygons]
+    cells += [c.combine(MixedSystem(c.dim, (), ((la.unit(c.dim, 0), F(1, 3)),))) for c in cells]
+    for p in polygons:
+        canonical_form.cache_clear()
+        solve_lp.cache_clear()
+        origin.clear()
+        assert canonical_form(p) is not None
+        assert solve_lp.cache_info().misses == 0 and origin == [], p
+    for c in cells:
+        solve_lp.cache_clear()
+        assert c.satisfies(ph.strict_point(c)), c
+        assert solve_lp.cache_info().misses == 0 and origin == [], c
+    tetrahedron = canonical_form(
+        hpoly(3, ineq=[((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0), ((1, 1, 1), 1)])
+    )
+    origin.clear()
+    assert ph.strict_point(tetrahedron.ri_system()) is not None
+    assert len(origin) == 1
 
 
 
@@ -944,34 +991,39 @@ def _difference_lps(origin, start, subtrahends):
 def test_difference_witness_lp_budget(monkeypatch):
     # each cell carries a point, which settles the branch or the affirmed
     # part with no LP, and a branch that reverses a row of the cell is
-    # empty with none; a boundary cell whose weak rows pair up on a line
-    # takes one slack LP; the counts do not drift with the machine
+    # empty with none; the cells left live on at most two free columns,
+    # where elimination finds their points with no LP; so only the final
+    # witness, strict_feasible's, takes one; the counts do not drift with
+    # the machine
     origin = origin_lp_calls(monkeypatch)
     sq = SQUARE.closed_system()
     ri = canonical_form(SQUARE).ri_system()
     dot_cell = MixedSystem(2, (), (), (((F(1), F(0)), F(1, 2)), ((F(0), F(1)), F(0))))
-    wit, lps = _difference_lps(origin, [sq], [ri, dot_cell])
+    z = ph.ri_point(SQUARE)
+    wit, lps = _difference_lps(origin, [(sq, z)], [ri, dot_cell])
     assert wit == (F(0), F(1))
-    assert lps <= 8
-    wit, lps = _difference_lps(origin, [ri], [sq])
+    assert lps == 1
+    wit, lps = _difference_lps(origin, [(ri, z)], [sq])
     assert wit is None
-    assert lps <= 1
+    assert lps == 0
 
 
 def test_difference_witness_none_when_covered():
     sq = SQUARE.closed_system()
-    assert difference_witness([sq], [sq]) is None
+    z = ph.ri_point(SQUARE)
+    assert difference_witness([(sq, z)], [sq]) is None
     ri = canonical_form(SQUARE).ri_system()
-    assert difference_witness([ri], [sq]) is None
+    assert difference_witness([(ri, z)], [sq]) is None
 
 
 def test_difference_witness_found():
     sq = SQUARE.closed_system()
     ri = canonical_form(SQUARE).ri_system()
-    wit = difference_witness([sq], [ri])
+    z = ph.ri_point(SQUARE)
+    wit = difference_witness([(sq, z)], [ri])
     assert wit is not None
     assert sq.satisfies(wit) and not ri.satisfies(wit)
     # removing a single point leaves a witness exactly on that point's cell
     dot_cell = MixedSystem(2, (), (), (((F(1), F(0)), F(1, 2)), ((F(0), F(1)), F(0))))
-    wit2 = difference_witness([sq], [dot_cell])
+    wit2 = difference_witness([(sq, z)], [dot_cell])
     assert wit2 is not None and wit2 != (F(1, 2), F(0))

@@ -15,7 +15,7 @@ import random
 from collections import Counter
 from fractions import Fraction as F
 
-from instances import clear_caches
+from instances import clear_caches, origin_lp_calls
 from ncvx import linalg as la
 from ncvx import lp
 from ncvx import oracle as orc
@@ -268,6 +268,45 @@ def _decomposed_systems(count, seed):
         yield MixedSystem(dim, tuple(weak), tuple(strict), base.eq), kind
 
 
+def _few_free_columns(count, seed):
+    """(system, kind) for mixed systems in dims 1-4 whose equality rows,
+    with the weak rows whose reverse is also a weak row, leave at most two
+    free columns, in turn: equality rows, weak pairs, parallel, duplicate
+    and opposite rows, an empty closure, a strict row held tight by its
+    weak reverse, and one row or none (unbounded)."""
+    rng = random.Random(seed)
+    kinds = ("eq", "pair", "parallel", "empty", "tight", "unbounded")
+    for i in range(count):
+        dim = 1 + i % 4
+        kind = kinds[(i // 4) % len(kinds)]
+        # rows diagonal on the cut columns take out dim - 2 columns, or more
+        cut = rng.sample(range(dim), max(0, dim - 2) + (rng.random() < 0.3 and dim > 0))
+        cuts = []
+        for j in cut:
+            a = [0 if k in cut else rng.randint(-2, 2) for k in range(dim)]
+            a[j] = rng.choice((-2, -1, 1, 3))
+            cuts.append((la.vec(a), F(rng.randint(-2, 2), rng.choice((1, 2)))))
+        pairs = kind == "pair" or (kind != "eq" and rng.random() < 0.5)
+        eq = () if pairs else tuple(cuts)
+        weak = [r for a, b in cuts for r in ((a, b), (la.neg(a), -b))] if pairs else []
+        weak += _rows(rng, dim, rng.randint(0, 2))
+        strict = list(_rows(rng, dim, rng.randint(0, 2)))
+        (a, b), = _rows(rng, dim, 1)
+        if kind == "parallel":
+            weak.append((a, b))
+            strict.append((la.scale(a, F(2)), 2 * b))  # a duplicate, scaled
+            (weak if rng.random() < 0.5 else strict).append((a, b + 1))  # parallel
+            (weak if rng.random() < 0.5 else strict).append((la.neg(a), -b + rng.randint(0, 2)))
+        elif kind == "empty":
+            weak += [(a, b), (la.neg(a), -b - rng.randint(1, 2))]
+        elif kind == "tight":
+            weak, strict = weak[: 2 * len(cut)] if pairs else [], [(a, b)]
+            weak.append((la.neg(a), -b))
+        elif kind == "unbounded":
+            weak, strict = weak[: 2 * len(cut)] if pairs else [], strict[:1]
+        yield MixedSystem(dim, tuple(weak), tuple(strict), eq), kind
+
+
 def _same_system(got: MixedSystem, want: MixedSystem) -> bool:
     return (
         got == want
@@ -387,3 +426,31 @@ def test_decompose_mixed_runs_no_strict_lp(monkeypatch):
         assert lp.solve_lp.cache_info().misses == 0, m
         assert lp.strict_feasible.cache_info().misses == 0, m
     assert calls == [] and pieces > 60, pieces
+
+
+def test_eliminated_points_match_the_two_phase_kernel(monkeypatch):
+    # on at most two free columns the sign and point come by elimination,
+    # with no LP from the origin; the sign agrees with strict_feasible and
+    # with feasible_point on the closure, and every point holds the rows
+    origin = origin_lp_calls(monkeypatch)
+    seen = Counter()
+    for m, kind in _few_free_columns(480, seed=2063):
+        weak, strict, eq = (ph._flat(block) for block in m.rows)
+        sign, found = ph._slack_point(m.dim, eq, strict, weak)
+        closed = lp.feasible_point(m.closed()).status == "optimal"
+        assert (sign >= 0) == closed, m
+        assert (sign == 1) == (strict_feasible(m).witness is not None), m
+        point = None if found is None else tuple(F(v, found[1]) for v in found[0])
+        assert (point is None) == (sign < 0), m
+        if sign >= 0:
+            assert (m if sign == 1 else m.closed()).satisfies(point), m
+        assert ph.strict_point(m) == (point if sign == 1 else None), m
+        echelon = ph._echelon(m.dim, [*eq, *ph._hyperplanes(weak)])
+        if echelon is not None:
+            seen[f"{m.dim - len(echelon[1])} free"] += 1
+        seen[kind] += 1
+        seen[("no point", "no strict point", "strict point")[sign + 1]] += 1
+        seen[f"dim {m.dim}"] += 1
+    print(dict(seen))
+    assert min(seen.values()) >= 30, seen
+    assert origin == []
