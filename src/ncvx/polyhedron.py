@@ -340,7 +340,7 @@ def _checked(
     x, den = found
     if (
         any(_dot(e[:-1], x) != e[-1] * den for e in eq)
-        or any(_dot(r[:-1], x) + (sign == 1) > r[-1] * den for r in ineq)
+        or any(_dot(r[:-1], x) + sign > r[-1] * den for r in ineq)
         or any(_dot(r[:-1], x) > r[-1] * den for r in weak)
     ):
         raise CertificateError("a slack point lies in the rows, strictly in the strict ones")
