@@ -365,7 +365,9 @@ def vg_value(g: SVMap, x: Vec, ystar: Vec) -> Value:
     G(x), with no canonical form taken.  The graph of x -> Ax + c + K is
     the faces of one closed polyhedron, whose top face holds all the
     others, so each call is one LP on that face's closed slice: a point
-    or ray it returns lies in the closed graph, so no strict LP runs."""
+    or ray it returns lies in the closed graph, so no strict point is
+    sought.  On at most two free columns of the slice, that LP comes by
+    elimination with no simplex (polyhedron.least)."""
     return pl.slice_inf(g.graph, la.vec(x), la.neg(la.vec(ystar)))
 
 

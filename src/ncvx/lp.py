@@ -9,16 +9,22 @@ It has two entries:
 - solve_lp (and feasible_point, maximize, strict_feasible on it): any
   system of weak and equality rows, in two phases, cached.  Its witnesses
   and certificates are the ones the library reports, so every answer that
-  reaches an output comes from here.
+  reaches an output comes from here.  plfunc.slice_inf and cells_inf run
+  it on a closed cell only when its equalities leave three or more free
+  columns.
 - maximize_from_origin: integer rows A u <= g with g >= 0, so the origin
   is feasible and phase 2 starts from the all-slack basis, with no
   artificials, no drive-out and no cache.  The polyhedron module uses it
-  where the LP's point never reaches an output: the slack LPs of
-  polyhedron.strict_point and of a canonical form on three or more free
-  columns (fewer are solved by elimination, with no LP), the slack-sum
-  rounds, and the redundancy LPs, shifted to a strict point.  It answers
-  with a point and, at an optimum, the dual vector read off the slack
-  reduced costs, or with an improving ray.
+  where the LP's point never reaches an output, on three or more free
+  columns: the slack LPs of polyhedron.strict_point and of a canonical
+  form, the slack-sum rounds, and the redundancy LPs, shifted to a strict
+  point.  It answers with a point and, at an optimum, the dual vector
+  read off the slack reduced costs, or with an improving ray.
+
+On at most two free columns no simplex runs.  polyhedron.least solves
+the closed slice LPs of plfunc and the redundancy LPs of a canonical form
+by elimination, and strict points come by elimination too; each answer
+is checked in integers, and none reaches an output.
 
 The tableau is fraction-free, in the line of Edmonds (1967) and Bareiss
 (1968): each input row is scaled once to integers, and each tableau row is

@@ -390,7 +390,10 @@ def product(s1: NCSet, s2: NCSet) -> NCSet:
 
 
 def joint_image(
-    dim: int, parts: Sequence[tuple[NCSet, Sequence[int]]], keep: Sequence[int]
+    dim: int,
+    parts: Sequence[tuple[NCSet, Sequence[int]]],
+    keep: Sequence[int],
+    z: Optional[Vec] = None,
 ) -> NCSet:
     """The shadow on keep (increasing) of the z in R^dim whose coordinates
     at each part's columns lie in that part's set; two or more parts.  A
@@ -406,10 +409,14 @@ def joint_image(
     cell gives one piece, polyhedron.ri_shadow of it from its strict
     witness: the ri of the closed shadow of its closure (Rockafellar,
     Thms 6.5 and 6.6), canonicalized from the witness's kept
-    coordinates."""
+    coordinates.  A point z of R^dim that the caller holds, such as
+    overlap_point's, is the witness of each first-part cell that
+    holds it, so a fold whose joint cell holds it too takes no LP."""
     keep = list(keep)
     (first, cols), *rest = parts
     cells = [(pc.system().embed(cols, dim), None) for pc in first.pieces]
+    if z is not None:
+        cells = [(cell, z if cell.satisfies(z) else None) for cell, _ in cells]
     used = set(cols)
     for s, cols in rest:
         new = [c for c in cols if c not in used]
@@ -449,11 +456,18 @@ def _extend(z: Vec, m: MixedSystem, new: Sequence[int]) -> Optional[Vec]:
 def ri_overlap(dim: int, parts: Sequence[tuple[NCSet, Sequence[int]]]) -> bool:
     """Do the relative interiors of the parts' sets, each at its columns
     of R^dim, meet?  One strict check on the ri cells of their hulls."""
+    return overlap_point(dim, parts) is not None
+
+
+def overlap_point(dim: int, parts: Sequence[tuple[NCSet, Sequence[int]]]) -> Optional[Vec]:
+    """A point of R^dim where the relative interiors of the parts' sets,
+    each at its columns, meet, or None when they do not: strict_point of
+    the ri cells of their hulls."""
     hulls = [closure_hull(s) for s, _ in parts]
     if any(h is None for h in hulls):
-        return False
+        return None
     cells = [h.ri_system().embed(cols, dim) for h, (_, cols) in zip(hulls, parts)]
-    return strict_point(reduce(MixedSystem.combine, cells)) is not None
+    return strict_point(reduce(MixedSystem.combine, cells))
 
 
 def sum_link(p: int) -> NCSet:

@@ -23,7 +23,7 @@ from . import linalg as la
 from . import svmap as sv
 from .errors import CertificateError, DimensionMismatch, InvalidEpigraph, UsageError
 from .linalg import Mat, Vec
-from .lp import MixedSystem, _integer_point, solve_lp
+from .lp import LPOutcome, MixedSystem, _integer_point, solve_lp
 from .ncset import (
     NCSet,
     affine_preimage,
@@ -44,6 +44,7 @@ from .polyhedron import (
     closed_shadow,
     decompose_mixed,
     hpoly,
+    least,
     polyhedron_equal,
     project_mixed,
     ri_point,
@@ -129,21 +130,23 @@ def cells_inf(cells: Sequence[MixedSystem], cost: Vec) -> Value:
     intersection of convex sets whose ri's meet is the intersection of the
     closures), and a linear cost has the same inf over C and over cl C.
     So the answer is the least closed-LP value over the nonempty cells,
-    and only emptiness needs deciding.  One closed LP per cell, then:
+    and only emptiness needs deciding.  One closed LP per cell, then
+    (_closed_lp: by elimination on at most two free columns, else by the
+    simplex):
     - infeasible: the cell is empty, by the LP's Farkas certificate;
-    - unbounded: when the witness plus the improving ray satisfies the
+    - unbounded: when the point plus the improving ray satisfies the
       cell, that point lies in C and the ray keeps it there, so the inf
       is -inf at once;
-    - otherwise the value is kept, marked verified when the LP's witness
+    - otherwise the value is kept, marked verified when the LP's point
       satisfies the cell.
     The kept values are walked from the least (-inf first, verified before
     unverified, then by cell order); the first that is verified, or whose
-    cell `strict_point` finds nonempty, is the inf.  So a
-    strict-feasibility LP is spent only on a cell that the walk reaches
-    and whose witness misses it."""
+    cell `strict_point` finds nonempty, is the inf.  So a strict point is
+    sought only on a cell that the walk reaches and whose LP point misses
+    it."""
     kept = []
     for i, cell in enumerate(cells):
-        out = solve_lp(cost, cell.closed())
+        out = _closed_lp(cell, cost)
         if out.status == "infeasible":
             continue
         if out.status == "unbounded":
@@ -159,6 +162,16 @@ def cells_inf(cells: Sequence[MixedSystem], cost: Vec) -> Value:
     return PLUS_INF
 
 
+def _closed_lp(cell: MixedSystem, cost: Vec) -> LPOutcome:
+    """The LP of cost on the closed system of a cell: polyhedron.least,
+    exact with no simplex, when the equalities leave at most two free
+    columns, else solve_lp.  least's witness and ray are not solve_lp's,
+    so they serve only the checks that settle which value, each unique,
+    is the inf."""
+    closed = cell.closed()
+    return least(closed, _integer_point(cost)) or solve_lp(cost, closed)
+
+
 def slice_inf(s: NCSet, x: Vec, cost: Vec) -> Value:
     """inf of <cost, y> over the slice {y : (x, y) in s}; +inf when the
     slice is empty, -inf when it is unbounded below.
@@ -171,40 +184,38 @@ def slice_inf(s: NCSet, x: Vec, cost: Vec) -> Value:
     canonical form.
 
     A set with a dominant piece D (`NCSet.dominant`) needs one closed LP,
-    on the slice D_x of D: every piece lies in D, so the slice lies in
-    D_x and no value is below the LP's.
+    on the slice D_x of D (_closed_lp: by elimination, with no simplex,
+    when its equalities leave at most two free columns): every piece lies
+    in D, so the slice lies in D_x and no value is below the LP's.
     - Infeasible: the slice is empty, +inf; the Farkas certificate
       covers every piece at once.
     - Optimal at w with (x, w) in the set: the LP value is attained.
-    - Unbounded with witness w and ray r, where (x, w + r) lies in a piece
-      whose base recedes along (0, r): that piece holds the whole ray, so
-      the inf is -inf.
-    - Otherwise the dominant cell ri(D) with L decides, by one strict LP.
-      When it is nonempty its closure is D_x (Thm 6.5), and the slice lies
-      between the two, so the LP value (or -inf) is the inf.
+    - Unbounded with point w and ray r, where w + r lies in the dominant
+      cell ri(D) with L: r recedes in its closure D_x, and a relatively
+      open convex set holds every point between one of its points and a
+      point of its closure (Rockafellar, Thm 6.1), so the cell holds the
+      whole ray and the inf is -inf.
+    - Otherwise the dominant cell decides, by `strict_point`.  When it is
+      nonempty its closure is D_x (Thm 6.5), and the slice lies between
+      the two, so the LP value (or -inf) is the inf.
     Only an empty dominant cell, or a set with no dominant piece, goes
     through `cells_inf` over every piece.
 
     The dominant slice is `MixedSystem.fix` of D's ri system, worked on
-    its integer rows and the integer x with no Fraction built.  The
-    membership and ray checks scale each point once for all pieces."""
+    its integer rows and the integer x with no Fraction built."""
     if len(x) + len(cost) != s.dim:
         raise DimensionMismatch("point length does not match input dim")
     top = s.dominant
     if top is not None:
         cell = top.system().fix(0, x)
-        out = solve_lp(cost, cell.closed())
+        out = _closed_lp(cell, cost)
         if out.status == "infeasible":
             return PLUS_INF
         if out.status == "optimal":
             if s.contains(x + out.witness):
                 return out.value
-        else:
-            end = _integer_point(x + la.add(out.witness, out.certificate))
-            ray = _integer_point(la.zeros(len(x)) + out.certificate)
-            for pc in s.pieces:
-                if pc.system().satisfies_int(*end) and pc.base.cone_system().satisfies_int(*ray):
-                    return MINUS_INF
+        elif cell.satisfies(la.add(out.witness, out.certificate)):
+            return MINUS_INF
         if strict_point(cell) is not None:
             return MINUS_INF if out.status == "unbounded" else out.value
     return cells_inf([pc.system().fix(0, x) for pc in s.pieces], cost)

@@ -19,7 +19,11 @@ The canonical form spends LPs only on what linear algebra cannot settle
 where there is none (Fukuda, Polyhedral computation FAQ), and redundancy
 settled from the strict point, by rays that show facets with no LP, in
 the line of Clarkson's ray shooting (1994), and one LP from the same
-point for each row they leave.  The point where a ray meets a facet
+point for each row they leave.  An LP on at most two free columns, a
+redundancy LP here or the closed slice LP of plfunc, is solved by
+elimination with no simplex (least): the cost takes the place of a
+column, and one Fourier-Motzkin step leaves bounds on it (Dantzig &
+Eaves 1973).  The point where a ray meets a facet
 lies in the facet's relative interior, so the faces of a polyhedron are
 enumerated from such points, each facet seeding its own children.  A
 canonical form, and each face seeded so, keeps its point (ri_point).
@@ -75,12 +79,15 @@ from .errors import (
 )
 from .linalg import ONE, Vec, ZERO
 from .lp import (
+    LPOutcome,
     MixedSystem,
     Scaled,
     _dot,
     _integer_point,
     _primitive,
     _set,
+    _verify_point,
+    _verify_ray,
     feasible_point,
     maximize_from_origin,
     strict_feasible,
@@ -367,19 +374,34 @@ def _free_point(
     if pivots:
         rows = [[r[j] for j in free] + [r[-1]] for r in rows]
     if len(free) <= 2:
-        sign, xf, den = _eliminated_point(len(free), rows, len(strict))
+        sign, xf, den, _ = _eliminated_point(len(free), rows, len(strict))
     else:
         sign, xf, den = _slack_lp(rows, len(strict))
     if sign < 0:
         return -1, None
-    # basis row e holds its pivot column at (e_b - e_F.x_F) / e_pc
+    return sign, _lifted(dim, basis, pivots, free, xf, den)
+
+
+def _lifted(
+    dim: int,
+    basis: Sequence[IntRow],
+    pivots: Sequence[int],
+    free: Sequence[int],
+    xf: Sequence[int],
+    den: int,
+) -> IntPoint:
+    """The point X / D of the affine set of basis, equality rows in
+    echelon form with the given pivot columns, that is x_F = xf / den on
+    the free columns F: basis row e holds its pivot column at
+    (e_b - e_F.x_F) / e_pc.  With den = 0 and each e_b read as 0, the
+    direction xf of F lifted into the rows' homogeneous part, as (X, 0)."""
     scale = lcm(*(e[pc] for e, pc in zip(basis, pivots)))
     x = [0] * dim
     for j, v in zip(free, xf):
         x[j] = v * scale
     for e, pc in zip(basis, pivots):
         x[pc] = (e[-1] * den - sum(e[j] * v for j, v in zip(free, xf))) * (scale // e[pc])
-    return sign, (x, den * scale)
+    return x, den * scale
 
 
 def _slack_lp(rows: Sequence[IntRow], strict: int) -> tuple[int, list[int], int]:
@@ -415,27 +437,20 @@ def _slack_lp(rows: Sequence[IntRow], strict: int) -> tuple[int, list[int], int]
     return 1, [x * step + y for x, y in zip(xf, shift)], den * step
 
 
-def _eliminated_point(
-    width: int, rows: Sequence[IntRow], strict: int
-) -> tuple[int, list[int], int]:
-    """(sign, X, D) of _free_point on at most two free columns, by
-    Fourier-Motzkin elimination with no LP (Fourier 1827; Motzkin 1936),
-    on the rows [a_F..., b] of the free columns, the first strict of them
-    strict.
-
-    The second column goes in one step: each row positive in it is added
-    to each row negative in it, cross-multiplied, and the sum is strict
-    when either row is.  The rows zero in it stay.  On the first column
-    the rows are bounds, which give the sign and a value (_on_a_line).
-    The rows then bound the second column at that value; since the value
-    lies in the shadow of the rows, strictly when the sign is 1, so does
-    the value _on_a_line reads off those bounds.  A sign below 1 carries
-    the multipliers y >= 0 of at most four rows, with y.a_F = 0 and
-    y.b < 0 (no point), or y.b <= 0 and a strict row of positive weight
-    (no strict point), checked in integers before it returns."""
-    line = [(r[0] if width else 0, r[-1], i < strict, ((i, 1),)) for i, r in enumerate(rows)]
+def _shadow_line(width: int, rows: Sequence[IntRow], strict: int) -> list[LineRow]:
+    """The rows [a..., b] of at most two columns, the first strict of them
+    strict, as rows of the first column (LineRow), the second column
+    eliminated in one Fourier-Motzkin step (Fourier 1827; Motzkin 1936):
+    each row positive in it is added to each row negative in it,
+    cross-multiplied, and the sum is strict when either row is.  The rows
+    zero in it stay.  Each row carries its weights on the given rows."""
+    line = [
+        (r[0] if width else 0, r[-1], i < strict, ((i, 1),))
+        for i, r in enumerate(rows)
+        if width < 2 or not r[1]
+    ]
     if width == 2:
-        line = [row for row, r in zip(line, rows) if not r[1]] + [
+        line += [
             (
                 -n[1] * p[0] + p[1] * n[0],
                 -n[1] * p[-1] + p[1] * n[-1],
@@ -447,7 +462,26 @@ def _eliminated_point(
             for k, n in enumerate(rows)
             if n[1] < 0
         ]
-    sign, (x, den), y = _on_a_line(line)
+    return line
+
+
+def _eliminated_point(
+    width: int, rows: Sequence[IntRow], strict: int
+) -> tuple[int, list[int], int, Optional[dict[int, int]]]:
+    """(sign, X, D, y) of _free_point on at most two free columns, by
+    Fourier-Motzkin elimination with no LP, on the rows [a_F..., b] of the
+    free columns, the first strict of them strict.
+
+    The second column goes in one step (_shadow_line).  On the first
+    column the rows are bounds, which give the sign and a value
+    (_on_a_line).  The rows then bound the second column at that value;
+    since the value lies in the shadow of the rows, strictly when the sign
+    is 1, so does the value _on_a_line reads off those bounds.  A sign
+    below 1 carries the multipliers y >= 0 {index: weight} of at most four
+    rows, with y.a_F = 0 and y.b < 0 (no point), or y.b <= 0 and a strict
+    row of positive weight (no strict point), checked in integers before
+    it returns."""
+    sign, (x, den), y = _on_a_line(_shadow_line(width, rows, strict))
     if sign < 1:
         total = sum(v * rows[i][-1] for i, v in y.items())
         if (
@@ -458,11 +492,11 @@ def _eliminated_point(
         ):
             raise CertificateError("the rows in conflict combine to 0 <= b < 0, or 0 < 0")
     if sign < 0 or width < 2:
-        return sign, [x] if width else [], den
-    # r[1] (D y) <= D b - r[0] X at x = X / D
+        return sign, [x] if width else [], den, y
+    # r[1] (D u) <= D b - r[0] X at x = X / D
     cut = [(r[1], r[-1] * den - r[0] * x, i < strict, ()) for i, r in enumerate(rows) if r[1]]
-    _, (y, step), _ = _on_a_line(cut)
-    return sign, [x * step, y], den * step
+    _, (u, step), _ = _on_a_line(cut)
+    return sign, [x * step, u], den * step, y
 
 
 # c x <= b on one column (c x < b when strict), the sum of the given rows
@@ -522,6 +556,211 @@ def _tighter(gain: int, strict: bool, was_strict: bool) -> bool:
     the cross-multiplied difference), or as tight and strict where the
     kept one is not?"""
     return gain > 0 or (gain == 0 and strict and not was_strict)
+
+
+def least(system: MixedSystem, cost: IntPoint) -> Optional[LPOutcome]:
+    """solve_lp's answer in status and value, for the cost vector C / E
+    given as (C, E), when the equalities of system leave at most two free
+    columns; None on more, where the caller runs solve_lp.  Exact, with
+    no simplex and no cache (_least), and every answer is checked in
+    integers before it returns.  The witness and the ray (certificate,
+    when unbounded) are its own, not solve_lp's, and there is no Farkas
+    vector, so it serves callers that read only the status and the value,
+    which are unique."""
+    weak, strict, eq = system.rows
+    if strict:
+        raise UsageError("least does not accept strict rows")
+    c, den = cost
+    found = _least(system.dim, eq, weak, c)
+    if found is None:
+        return None
+    status, point, ray, _, _ = found
+    if status == "infeasible":
+        return LPOutcome(status)
+    x, d = point
+    witness = tuple([Fraction(v, d) for v in x])
+    if status == "unbounded":
+        return LPOutcome(status, witness=witness, certificate=tuple(map(Fraction, ray)))
+    return LPOutcome(status, Fraction(_dot(c, x), d * den), witness)
+
+
+def _least(
+    dim: int, eq: Sequence[Scaled], ineq: Sequence[Scaled], cost: Sequence[int]
+) -> Optional[tuple[str, Optional[IntPoint], Optional[list[int]], dict[int, int], int]]:
+    """(status, point, ray, y, lam) for the least cost.x over the rows
+    (A, B, L) of a system, eq read as A x = B and ineq as A x <= B, on at
+    most two free columns of eq; None on more.
+
+    The equalities go to echelon form (_echelon), and each row r becomes
+    S r less its part along the basis, S the lcm of the pivots: zero on
+    the pivot columns, and S times r on the affine set of eq, so weights
+    on these rows are weights on the given ones.  _free_least solves the
+    rows on the free columns, and the point and ray are lifted back
+    (_lifted).  Every answer is checked in integers before it returns,
+    else CertificateError: the point holds every row and the ray every
+    homogeneous row, with cost.ray < 0 (lp._verify_point, lp._verify_ray);
+    the multipliers y >= 0 {index: weight} of at most two rows of ineq
+    and lam > 0 at an optimum, or of at most four rows and lam = 0 when
+    there is no point, each with multipliers of eq found to match them
+    (_certified)."""
+    flat = _flat(eq)
+    echelon = _echelon(dim, flat) if eq else ([], [])
+    if echelon is None:
+        # a combination of the equality rows reads 0 = -1, checked there
+        if _combination(flat, [0] * dim + [-1]) is None:
+            raise CertificateError("inconsistent equalities combine to 0 = 1")
+        return "infeasible", None, None, {}, 0
+    basis, pivots = echelon
+    if dim - len(pivots) > 2:
+        return None
+    rows, cf = ineq, cost
+    if basis:
+        free = [j for j in range(dim) if j not in pivots]
+        scale = lcm(*(e[pc] for e, pc in zip(basis, pivots)))
+        steps = [(e, scale // e[pc], pc) for e, pc in zip(basis, pivots)]
+
+        def on_free(r: IntRow) -> list[int]:
+            """S r less its part along the basis, on F and b."""
+            return [scale * r[j] - sum(r[pc] * f * e[j] for e, f, pc in steps) for j in (*free, -1)]
+
+        rows = [(r[:-1], r[-1], 1) for r in map(on_free, _flat(ineq))]
+        cf = on_free([*cost, 0])[:-1]
+    status, xf, den, rf, y, lam = _free_least(rows, cf)
+    point = ray = None
+    if status != "infeasible":
+        point = _lifted(dim, basis, pivots, free, xf, den) if basis else (xf, den)
+        _verify_point([*ineq, *eq], len(ineq), *point)
+        if status == "unbounded":
+            ray = _primitive(_lifted(dim, basis, pivots, free, rf, 0)[0]) if basis else rf
+            _verify_ray(cost, [*ineq, *eq], len(ineq), ray)
+            return status, point, ray, y, lam
+    _certified(flat, ineq, y, lam, cost, point)
+    return status, point, ray, y, lam
+
+
+def _free_least(
+    rows: Sequence[Scaled], cost: Sequence[int]
+) -> tuple[str, Optional[list[int]], int, Optional[list[int]], dict[int, int], int]:
+    """(status, X, D, R, y, lam): the least cost.x over the rows (A, B, L),
+    read as A x <= B, of width = len(cost) <= 2 columns, by elimination
+    (Dantzig & Eaves 1973, Fourier-Motzkin elimination and its dual).  A
+    point X / D unless infeasible, a ray R when unbounded, and the
+    multipliers y {index: weight} of the rows, with lam, that _least
+    checks.
+
+    With zero cost every point is least (_eliminated_point).  Else some
+    column j has c_j != 0, and t = c.x takes its place: with u the other
+    column, |c_j| a.x = s a_j t + s (c_j a_u - c_u a_j) u for s the sign
+    of c_j, so each row, times |c_j|, is a row of (t, u).  u goes in one
+    Fourier-Motzkin step (_shadow_line), and the rows of t left are
+    bounds.  They cross exactly when there is no point (_on_a_line).
+    Else the tightest lower bound c_L t <= b_L (c_L < 0) is the least t,
+    the sum of at most two rows with weights w, so y = |c_j| w and
+    lam = -c_L have y.A = -lam c and -y.b / lam = t; with no lower bound
+    t falls without end.  At the chosen t the rows bound u, which
+    _on_a_line reads a value off, and t = -1 on the homogeneous rows
+    gives the ray."""
+    width = len(cost)
+    j = 0 if width and cost[0] else 1 if width == 2 and cost[1] else None
+    if j is None:
+        sign, xf, den, y = _eliminated_point(width, [(*a, b) for a, b, _ in rows], 0)
+        if sign < 0:
+            return "infeasible", None, 1, None, y, 0
+        return "optimal", xf, den, None, {}, 1
+    o = 1 - j
+    cj, co = cost[j], cost[o] if width == 2 else 0
+    s, m = (1, cj) if cj > 0 else (-1, -cj)
+    if width == 2:
+        tu = [(s * a[j], s * (cj * a[o] - co * a[j]), m * b) for a, b, _ in rows]
+    else:
+        tu = [(s * a[0], 0, m * b) for a, b, _ in rows]
+    line = _shadow_line(2, tu, 0)
+    sign, (t, tden), y = _on_a_line(line)
+    if sign < 0:
+        return "infeasible", None, 1, None, y, 0
+    lo = None
+    for row in line:
+        if row[0] < 0 and (lo is None or row[1] * lo[0] - lo[1] * row[0] > 0):
+            lo = row
+    rf = None
+    if lo is None:
+        status, y, lam = "unbounded", {}, 0
+        # t = -1 on the homogeneous rows: r[1] u <= r[0]
+        _, (u, step), _ = _on_a_line([(r[1], r[0], False, ()) for r in tu if r[1]])
+        rf = [0, 0]
+        rf[j], rf[o] = s * (-step - co * u), m * u
+        del rf[width:]
+    else:
+        status, t, tden, lam = "optimal", -lo[1], -lo[0], -lo[0]
+        y = dict.fromkeys([i for i, _ in lo[3]], 0)
+        for i, v in lo[3]:
+            y[i] += m * v
+    # r[1] (T u) <= T b - r[0] X at t = X / T
+    _, (u, step), _ = _on_a_line([(r[1], r[-1] * tden - r[0] * t, False, ()) for r in tu if r[1]])
+    t, den = t * step, tden * step
+    xf = [0, 0]
+    xf[j], xf[o] = s * (t - co * u), m * u
+    del xf[width:]
+    return status, xf, m * den, rf, y, lam
+
+
+def _certified(
+    eq: Sequence[IntRow],
+    ineq: Sequence[Scaled],
+    y: dict[int, int],
+    lam: int,
+    cost: Sequence[int],
+    point: Optional[IntPoint],
+) -> None:
+    """Check an answer of _least in integers, else CertificateError.  The
+    multipliers y >= 0 of rows of ineq and lam >= 0 leave v = y.A +
+    lam cost, which must be minus a combination mu of the equality rows
+    [E..., d] (_combination, over m > 0; mu = 0 with no equality row):
+    then for every point of the rows, m lam cost.x >= -(m y.b + mu.d).
+    At lam > 0 (at most two rows) that bound is the value at point; at
+    lam = 0 (at most four rows) it reads 0 >= -(m y.b + mu.d) > 0, so
+    there is no point."""
+    if any(v < 0 for v in y.values()) or lam < 0 or len(y) > (2 if lam else 4):
+        raise CertificateError("multipliers are nonnegative, on at most two or four rows")
+    v = [lam * c for c in cost]
+    yb = 0
+    for i, w in y.items():
+        a, b, _ = ineq[i]
+        v = [p + w * q for p, q in zip(v, a)]
+        yb += w * b
+    mu, m = [], 1
+    if eq:
+        found = _combination([e[:-1] for e in eq], [-p for p in v])
+        if found is None:
+            raise CertificateError("the multipliers combine to a multiple of the cost")
+        mu, m = found
+    elif any(v):
+        raise CertificateError("the multipliers combine to a multiple of the cost")
+    total = m * yb + sum(w * e[-1] for w, e in zip(mu, eq))
+    if not lam:
+        if total >= 0:
+            raise CertificateError("the multipliers of no point combine to 0 <= b < 0")
+    elif -total * point[1] != m * lam * _dot(cost, point[0]):
+        raise CertificateError("the dual bound is the value")
+
+
+def _combination(rows: Sequence[IntRow], target: Sequence[int]) -> Optional[tuple[list[int], int]]:
+    """(M, m): integer weights with sum M_i rows_i = m target, m > 0, or
+    None when target is not in the span of the rows; checked in integers.
+    The weights solve the transposed system, put in echelon form by
+    _echelon: each pivot weight is read off its basis row, and the free
+    weights are 0."""
+    found = _echelon(len(rows), [[r[j] for r in rows] + [t] for j, t in enumerate(target)])
+    if found is None:
+        return None
+    basis, pivots = found
+    m = lcm(*(e[pc] for e, pc in zip(basis, pivots)))
+    weights = [0] * len(rows)
+    for e, pc in zip(basis, pivots):
+        weights[pc] = e[-1] * (m // e[pc])
+    if any(sum(w * r[j] for w, r in zip(weights, rows)) != m * t for j, t in enumerate(target)):
+        raise CertificateError("the weights combine the rows to the target")
+    return weights, m
 
 
 def _hyperplanes(weak: Sequence[IntRow]) -> set[tuple[int, ...]]:
@@ -607,7 +846,8 @@ def canonical_form(p: HPoly) -> Optional[HPoly]:
     4. Redundancy, from the strict point z.  A row with a tighter
        parallel row is dropped with no LP (_undominated), and a ray from
        z shows facets with no LP (see _facets_seen_from); each other row
-       takes one LP from the origin of the rows shifted to z, and a
+       takes one LP on the rows shifted to z, by elimination on at most
+       two free columns (least) and from the origin on more, and a
        dropped row carries a dual certificate (_irredundant).  A lone
        row needs none: it is nonzero after reduction, so it cuts the
        affine hull.
@@ -777,13 +1017,15 @@ def _irredundant(
     dropped with no LP (_undominated).  Every other row is settled from a
     point z = Z / D strictly inside every row: inside when given, else
     _reduced_point's.  Rows shown to be facets from z are kept with no LP
-    (_facets_seen_from).  Each other row k
-    takes one LP from the origin: with x = z + v / D, maximize a_k.v over
-    a_j.v <= gap_j (j != k), the gaps D (b_j - a_j.z) > 0 on the free
-    columns of the equality block, where the reduced rows live.  Row k is
-    dropped when the optimum is at most gap_k, on the dual vector y >= 0
-    with y A = a_k and y.gap <= gap_k, checked in integers.  The facets
-    are unique, so the result does not depend on which rows z settles.
+    (_facets_seen_from).  Each other row k takes one LP: with
+    x = z + v / D, maximize a_k.v over a_j.v <= gap_j (j != k), the gaps
+    D (b_j - a_j.z) > 0 on the free columns of the equality block, where
+    the reduced rows live.  On at most two free columns it comes by
+    elimination (_least), on more from the origin (maximize_from_origin).
+    Row k is dropped when the optimum is at most gap_k, on the dual
+    vector y >= 0 with y A = lam a_k and y.gap <= lam gap_k (lam > 0),
+    checked in integers.  The facets are unique, so the result does not
+    depend on which rows z settles, nor on which LP decides.
 
     Returns the indices of the kept rows and, per kept row, the point of
     its facet's relative interior that the ray test met, or None: a point
@@ -805,6 +1047,7 @@ def _irredundant(
         return keep, seen
     pivots = {next(j for j, v in enumerate(e) if v) for e in eq}
     cols = [[r[j] for j in range(dim) if j not in pivots] for r in ineq]
+    width = dim - len(pivots)
     i = 0
     while len(keep) > 1 and i < len(keep):
         if seen[i] is not None:
@@ -813,8 +1056,17 @@ def _irredundant(
         k = keep[i]
         others = [j for j in keep if j != k]
         bounds = [gaps[j] for j in others]
-        out = maximize_from_origin([cols[j] for j in others], bounds, cols[k])
-        if out.dual is not None and _dot(out.dual, bounds) <= gaps[k] * out.dual_den:
+        if width <= 2:
+            rows = [(cols[j], gap, 1) for j, gap in zip(others, bounds)]
+            status, _, _, y, lam = _least(width, (), rows, [-v for v in cols[k]])
+            if status == "infeasible":
+                raise CertificateError("the origin holds every shifted row")
+            dual, dual_den = [y.get(t, 0) for t in range(len(others))], lam
+        else:
+            out = maximize_from_origin([cols[j] for j in others], bounds, cols[k])
+            dual, dual_den = out.dual, out.dual_den if out.dual is not None else 0
+        # no dual (dual_den 0) when a_k.v grows without end
+        if dual_den and _dot(dual, bounds) <= gaps[k] * dual_den:
             keep.pop(i)
             seen.pop(i)
         else:

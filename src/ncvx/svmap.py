@@ -39,6 +39,7 @@ from .ncset import (
     joint_image,
     linear_image,
     ncset,
+    overlap_point,
     permute_coords,
     preimage,
     product,
@@ -217,8 +218,10 @@ def map_sum(f1: SVMap, f2: SVMap) -> tuple[SVMap, bool]:
         (f2.graph, [*range(n), *range(n + p, n + 2 * p)]),
         (sum_link(p), range(n, total)),
     ]
-    graph = joint_image(total, parts, [*range(n), *range(n + 2 * p, total)])
-    return SVMap(n, p, graph), ri_overlap(total, parts[:2])
+    # the overlap point seeds the fold of the two graphs' hull cells
+    z = overlap_point(total, parts[:2])
+    graph = joint_image(total, parts, [*range(n), *range(n + 2 * p, total)], z)
+    return SVMap(n, p, graph), z is not None
 
 
 def certify_sum(f1: SVMap, f2: SVMap, got: SVMap) -> bool:

@@ -432,20 +432,31 @@ def test_vg_value_takes_no_strict_lp_on_a_cone_graph():
     assert lp.strict_feasible.cache_info().misses == 0
 
 
-def test_vg_value_takes_one_lp_per_call_on_a_cone_graph(monkeypatch):
+def test_vg_value_takes_no_simplex_lp_on_a_cone_graph(monkeypatch):
     # the graph's top face holds every other face, so each call is one LP
     # on its closed slice, and the point or ray it returns lies in the
-    # closed graph; no phase-2 LP from the origin runs beside them
+    # closed graph, so no strict point is sought; the slice has at most
+    # two free columns, so that LP comes by elimination (ph.least), and no
+    # simplex LP of either entry runs
     a_mat, c, k = _pointed_cone_map()
     g = sv.affine_plus_cone(a_mat, c, k.k)
     origin = origin_lp_calls(monkeypatch)
+    calls = []
+
+    def counted(system, cost, real=ph.least):
+        calls.append(system)
+        return real(system, cost)
+
+    monkeypatch.setattr(pf, "least", counted)
+    monkeypatch.setattr(pf, "strict_point", lambda system: pytest.fail("a strict point"))
     clear_caches()
     for x in _POINTS:
         for ystar in _DUALS:
             du.vg_value(g, x, ystar)
     assert not origin
-    assert lp.solve_lp.cache_info().misses == len(_POINTS) * len(_DUALS) == 75
+    assert lp.solve_lp.cache_info().misses == 0
     assert lp.strict_feasible.cache_info().misses == 0
+    assert len(calls) == len(_POINTS) * len(_DUALS) == 75
 
 
 def test_vg_closed_form_takes_no_canonical_form():

@@ -289,7 +289,7 @@ SCALERS = {"_scaled", "_int_row", "_integer_point"}
 RESCALING = {
     "lp._scaled": 1,
     "ncset._integer_point": 1,
-    "plfunc._integer_point": 2,
+    "plfunc._integer_point": 1,
     "polyhedron._integer_point": 1,
 }
 

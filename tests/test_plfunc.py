@@ -146,6 +146,17 @@ def _slice_cases():
             else:
                 x = orc._anchor_point(rng, n, spec)
             yield s, x, tuple(orc._coef(rng) for _ in range(m))
+    # the ri of graphs of x -> Ax + c + K on three free columns, where the
+    # closed LP is the simplex, whose unbounded witness plus ray can miss
+    # a cell that is not empty; on at most two, elimination picks a point
+    # of the relative interior of the closed slice, which a nonempty cell
+    # then holds
+    for _ in range(6):
+        k = orc._random_cone(rng, spec, 3)
+        a_mat = orc._random_matrix(rng, 3, 1)
+        s = sv.affine_plus_cone(a_mat, orc._anchor_point(rng, 3, spec), k.k).graph
+        s = ns.NCSet(s.dim, s.pieces[:1])
+        yield s, orc._anchor_point(rng, 1, spec), tuple(orc._coef(rng) for _ in range(3))
 
 
 def _slice_inf_by_strict_check(s, x, cost):
@@ -164,9 +175,11 @@ def _slice_inf_by_strict_check(s, x, cost):
 
 
 def _slice_branches(s, x, cost):
-    """Which of cells_inf's ways of deciding a cell this slice takes."""
+    """Which of cells_inf's ways of deciding a cell this slice takes, with
+    the closed LP cells_inf runs (elimination on at most two free
+    columns, else the simplex)."""
     cells = [pc.system().fix(0, x) for pc in s.pieces]
-    outs = [lp.solve_lp(cost, c.closed()) for c in cells]
+    outs = [pf._closed_lp(c, cost) for c in cells]
     for c, out in zip(cells, outs):
         if out.status == "unbounded" and c.satisfies(la.add(out.witness, out.certificate)):
             return {"-inf by witness and ray"}
@@ -222,20 +235,18 @@ def _dominant_slice_cases():
 
 
 def _dominant_branch(s, x, cost):
-    """Which way slice_inf settles the slice."""
+    """Which way slice_inf settles the slice, with the closed LP it runs."""
     top = s.dominant
     if top is None:
         return "no dominant piece"
     cell = top.system().fix(0, x)
-    out = lp.solve_lp(cost, cell.closed())
+    out = pf._closed_lp(cell, cost)
     if out.status == "infeasible":
         return "empty dominant slice"
     if out.status == "optimal" and s.contains(x + out.witness):
         return "attained in the set"
-    if out.status == "unbounded":
-        end, ray = x + la.add(out.witness, out.certificate), la.zeros(len(x)) + out.certificate
-        if any(pc.contains(end) and pc.base.recedes(ray) for pc in s.pieces):
-            return "-inf along a ray of a piece"
+    if out.status == "unbounded" and cell.satisfies(la.add(out.witness, out.certificate)):
+        return "-inf along a ray in the dominant cell"
     if lp.strict_feasible(cell).feasible:
         return "the dominant cell decides"
     return "the dominant cell misses the slice"
@@ -255,7 +266,7 @@ def test_slice_inf_through_the_dominant_piece_is_exact():
         "no dominant piece",
         "empty dominant slice",
         "attained in the set",
-        "-inf along a ray of a piece",
+        "-inf along a ray in the dominant cell",
         "the dominant cell decides",
         "the dominant cell misses the slice",
     }

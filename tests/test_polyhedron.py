@@ -698,6 +698,54 @@ def test_two_free_columns_take_no_lp(monkeypatch):
 
 
 
+def test_redundancy_on_two_free_columns_takes_no_lp(monkeypatch):
+    # a row that no ray from the strict point shows is tested by an LP on
+    # the free columns; on at most two it comes by elimination
+    # (ph._least), with no LP from the origin, and the canonical form
+    # still drops exactly the implied rows; three free columns still take
+    # LPs from the origin
+    origin = origin_lp_calls(monkeypatch)
+    calls = []
+
+    def counted(*args, real=ph._least):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ph, "_least", counted)
+    rng = random.Random(2417)
+    dropped = 0
+    for i in range(40):
+        dim = 2 + i % 2  # three columns less one equality
+        z = la.vec([F(1, dim)] * dim)  # strictly inside every row
+        rows = []
+        for _ in range(4):
+            a = la.vec([rng.randint(-3, 3) for _ in range(dim)])
+            rows.append((a, la.dot(a, z) + rng.randint(1, 4)))
+        # the sum of two rows, loosened: implied, and parallel to neither
+        (a1, b1), (a2, b2) = rng.sample(rows, 2)
+        rows.append((la.add(a1, a2), b1 + b2 + rng.randint(0, 2)))
+        eq = [((1, 1, 1), F(1))] if dim == 3 else []
+        p = hpoly(dim, rows, eq)
+        canonical_form.cache_clear()
+        origin.clear()
+        canon = canonical_form(p)
+        assert origin == [], p
+        if canon is None:
+            continue
+        for a, b in p.ineq:  # every given row holds on the result
+            assert maximize(a, canon.closed_system()).value <= b, p
+        for k, (a, b) in enumerate(canon.ineq):  # and no kept row is implied
+            rest = MixedSystem(dim, canon.ineq[:k] + canon.ineq[k + 1 :], (), canon.eq)
+            out = maximize(a, rest)
+            assert out.status == "unbounded" or out.value > b, p
+        dropped += len(p.ineq) - len(canon.ineq)
+    assert len(calls) >= 20 and dropped >= 40, (len(calls), dropped)
+    cube = box([(0, 1)] * 3)
+    corner = HPoly(3, (*cube.ineq, ((la.ONE,) * 3, F(3))))
+    origin.clear()
+    assert canonical_form(corner) == canonical_form(cube) and len(origin) > 1
+
+
 def _integer_rows(p):
     """(equality rows, inequality rows) of p, each row (a, b) as the
     integer row L (a, b), L the lcm of its denominators."""

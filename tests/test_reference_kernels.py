@@ -1,6 +1,7 @@
 """The integer Fourier-Motzkin shadow, the integer subtraction cells and
 the face-walk decomposition of mixed systems, against the former
-constructions, kept here as references.
+constructions, kept here as references; the strict points and the LPs
+solved by elimination on at most two free columns, against the simplex.
 
 Canonical forms are unique, so the shadows are compared canonicalized;
 subtraction cells and their points must be the same rows in the same
@@ -307,6 +308,47 @@ def _few_free_columns(count, seed):
         yield MixedSystem(dim, tuple(weak), tuple(strict), eq), kind
 
 
+def _least_cases(count, seed):
+    """(system, cost, kind) for closed systems in dims 0-2, and in dims 3-4
+    with equality rows that leave at most two free columns, in turn: plain
+    rows, equality rows (some inconsistent), a cost zero on the free
+    columns, an empty system, parallel and duplicate rows, and no weak
+    row at all."""
+    rng = random.Random(seed)
+    kinds = ("plain", "eq", "zero cost", "empty", "parallel", "no rows")
+    for i in range(count):
+        kind = kinds[i % len(kinds)]
+        dim = (i // len(kinds)) % 5
+        # rows diagonal on the cut columns take out dim - 2 columns, or more
+        more = kind == "eq" and dim > 0 and rng.random() < 0.3
+        cut = rng.sample(range(dim), max(0, dim - 2) + more)
+        eq = []
+        for j in cut:
+            a = [0 if k in cut else rng.randint(-2, 2) for k in range(dim)]
+            a[j] = rng.choice((-2, -1, 1, 3))
+            eq.append((la.vec(a), F(rng.randint(-2, 2), rng.choice((1, 2)))))
+        if kind == "eq" and not cut and dim:
+            eq += _rows(rng, dim, 1)
+        if kind == "eq" and rng.random() < 0.25:
+            a, b = eq[0] if eq else (la.zeros(dim), F(0))
+            eq.append((la.scale(a, F(2)), 2 * b + rng.choice((0, 1))))  # duplicate or 0 = 1
+        weak = list(_rows(rng, dim, rng.randint(1, 5)))
+        cost = la.vec([F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(dim)])
+        (a, b), = _rows(rng, dim, 1)
+        if kind == "zero cost":  # a combination of the equality rows
+            cost = la.zeros(dim)
+            for e, _ in eq:
+                cost = la.add(cost, la.scale(e, F(rng.randint(-2, 2))))
+        elif kind == "empty":
+            weak += [(a, b), (la.neg(a), -b - rng.randint(1, 2))]
+        elif kind == "parallel":
+            weak += [(a, b), (la.scale(a, F(2)), 2 * b), (a, b + 1)]
+            weak.append((la.neg(a), -b + rng.randint(0, 2)))
+        elif kind == "no rows":
+            weak = []
+        yield MixedSystem(dim, tuple(weak), (), tuple(eq)), cost, kind
+
+
 def _same_system(got: MixedSystem, want: MixedSystem) -> bool:
     return (
         got == want
@@ -453,4 +495,66 @@ def test_eliminated_points_match_the_two_phase_kernel(monkeypatch):
         seen[f"dim {m.dim}"] += 1
     print(dict(seen))
     assert min(seen.values()) >= 30, seen
+    assert origin == []
+
+
+def _check_multipliers(m, cost, found):
+    """The multipliers of ph._least, rechecked in Fractions: y >= 0 on at
+    most two rows (four with no point) and lam, with y.A + lam c = -mu.E
+    for some mu (la.solve_linear); the bound -(y.b + mu.d) / lam is the
+    value at the optimum, and y.b + mu.d < 0 with no point.  Equalities
+    with no solution need no weak multiplier."""
+    status, point, _, y, lam = found
+    if status == "unbounded":
+        assert not y and not lam
+        return
+    weak, _, eq = m.rows
+    c, _ = lp._integer_point(cost) if cost else ([], 1)
+    assert all(v >= 0 for v in y.values()) and len(y) <= (2 if lam else 4)
+    v = [F(lam * x) for x in c]
+    yb = 0
+    for i, w in y.items():
+        a, b, _ = weak[i]
+        v = [x + w * ai for x, ai in zip(v, a)]
+        yb += w * b
+    if status == "infeasible" and not y:
+        assert la.solve_linear(tuple(a for a, _ in m.eq), tuple(b for _, b in m.eq)) is None
+        return
+    rows = tuple(tuple(F(e[j]) for e, _, _ in eq) for j in range(m.dim))
+    solved = la.solve_linear(rows, tuple(-x for x in v))
+    assert solved is not None, (m, cost)
+    total = yb + sum(mu * d for mu, (_, d, _) in zip(solved[0], eq))
+    if lam:
+        assert -F(total) / lam == F(lp._dot(c, point[0]), point[1]), (m, cost)
+    else:
+        assert total < 0, (m, cost)
+
+
+def test_least_matches_the_simplex(monkeypatch):
+    # status and value against lp.solve_lp; every point holds the rows,
+    # every ray recedes in them and lowers the cost, and the multipliers
+    # are checked again here.  Mutations on a copy, each caught: the
+    # substitution sign of t = c.x flipped, the upper bound of t taken
+    # for the lower, and the equality multipliers dropped from the check
+    origin = origin_lp_calls(monkeypatch)
+    seen = Counter()
+    for m, cost, kind in _least_cases(720, seed=2411):
+        c = lp._integer_point(cost) if cost else ([], 1)
+        got, want = ph.least(m, c), lp.solve_lp(cost, m)
+        assert got.status == want.status and got.value == want.value, (m, cost)
+        if got.status != "infeasible":
+            assert m.satisfies(got.witness), (m, cost)
+        if got.status == "unbounded":
+            ray = got.certificate
+            assert m.homogeneous().satisfies(ray) and la.dot(cost, ray) < 0, (m, cost)
+        weak, _, eq = m.rows
+        _check_multipliers(m, cost, ph._least(m.dim, eq, weak, c[0]))
+        echelon = ph._echelon(m.dim, ph._flat(eq))
+        seen[got.status] += 1
+        seen[kind] += 1
+        seen[f"dim {m.dim}"] += 1
+        if echelon is not None:
+            seen[f"{m.dim - len(echelon[1])} free"] += 1
+    print(dict(seen))
+    assert min(seen.values()) >= 40, seen
     assert origin == []

@@ -727,6 +727,9 @@ def test_map_sum_link_folds_take_no_lp(monkeypatch):
         pieces += len(got.graph.pieces)
         assert strict_systems
         assert not any(a == link for m in strict_systems for a, _ in m.eq)
+        # the fold of the two graphs' hull cells starts from the overlap
+        # point, so no system is solved twice
+        assert len(set(strict_systems)) == len(strict_systems), seed
     print(misses)
     assert pieces > 0
     assert all(got <= bound for got, bound in zip(misses, [23, 5, 36, 4, 57, 8]))
