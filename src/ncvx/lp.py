@@ -16,8 +16,9 @@ It has two entries:
   is feasible and phase 2 starts from the all-slack basis, with no
   artificials, no drive-out and no cache.  The polyhedron module uses it
   where the LP's point never reaches an output, on three or more free
-  columns: the slack LPs of polyhedron.strict_point and of a canonical
-  form, the slack-sum rounds, and the redundancy LPs, shifted to a strict
+  columns: the slack LP of polyhedron._relative_interior, which gives
+  strict points and canonical forms their point and, by its dual vector,
+  their implicit equalities, and the redundancy LPs, shifted to a strict
   point.  It answers with a point and, at an optimum, the dual vector
   read off the slack reduced costs, or with an improving ray.
 

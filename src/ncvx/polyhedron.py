@@ -15,18 +15,18 @@ integer rows; Fractions appear only in the points it returns and in the
 rows a reader asks for.
 
 The canonical form spends LPs only on what linear algebra cannot settle
-(see canonical_form): RREF, then a strict point, slack-sum rounds only
-where there is none (Fukuda, Polyhedral computation FAQ), and redundancy
-settled from the strict point, by rays that show facets with no LP, in
-the line of Clarkson's ray shooting (1994), and one LP from the same
-point for each row they leave.  An LP on at most two free columns, a
-redundancy LP here or the closed slice LP of plfunc, is solved by
-elimination with no simplex (least): the cost takes the place of a
-column, and one Fourier-Motzkin step leaves bounds on it (Dantzig &
-Eaves 1973).  The point where a ray meets a facet
-lies in the facet's relative interior, so the faces of a polyhedron are
-enumerated from such points, each facet seeding its own children.  A
-canonical form, and each face seeded so, keeps its point (ri_point).
+(see canonical_form): RREF, then a point of the relative interior
+(_relative_interior), and redundancy settled from that point, by rays
+that show facets with no LP, in the line of Clarkson's ray shooting
+(1994), and one LP from the same point for each row they leave.  An LP
+on at most two free columns, a redundancy LP here or the closed slice
+LP of plfunc, is solved by elimination with no simplex (least): the
+cost takes the place of a column, and one Fourier-Motzkin step leaves
+bounds on it (Dantzig & Eaves 1973).  The point where a ray meets a
+facet lies in the facet's relative interior, so the faces of a
+polyhedron are enumerated from such points, each facet seeding its own
+children.  A canonical form, and each face seeded so, keeps its point
+(ri_point).
 
 Projection is Fourier-Motzkin with equality pivoting, on closed systems
 only and with no LP: canonical_form removes the redundant rows it leaves.
@@ -52,12 +52,17 @@ ri's of the faces partition the closure (Rockafellar, Thm 18.2), and the
 face walk keeps a face when it lies in the hyperplane of no strict row, a
 test of linear algebra on its equality block (decompose_mixed).  Where a
 strict point only settles a yes or no, or seeds a unique result,
-strict_point finds it after a weak row and its reverse have joined the
-equalities: on at most two free columns by Fourier-Motzkin elimination
-of the strict and weak rows (Fourier 1827; Motzkin 1936), with no LP,
+strict_point takes the relative-interior point of the closure and
+checks it against the strict rows, since ri(cl C) = ri C (Rockafellar,
+Thm 6.3).  That one routine serves canonical forms and strict points: a
+strict point of the rows comes on at most two free columns by
+Fourier-Motzkin elimination (Fourier 1827; Motzkin 1936), with no LP,
 and on more by the slack LP from a feasible basis with no phase 1
-(lp.maximize_from_origin); strict_feasible's witness, which outputs
-show, comes from its own two-phase LP.
+(lp.maximize_from_origin); when there is none, the multipliers that
+prove it name rows tight on the whole set (Motzkin's transposition
+theorem), which join the equalities before the next round.
+strict_feasible's witness, which outputs show, comes from its own
+two-phase LP.
 """
 
 from __future__ import annotations
@@ -278,108 +283,70 @@ def _eliminate_int(dim: int, eq: Iterable[IntRow], ineq: Iterable[IntRow]) -> Op
     return [tuple(e) for e in basis], sorted(rows)
 
 
-def _max_slack(
-    cols: Sequence[Sequence[int]], g: Sequence[int], on: Sequence[int], cap: int
-) -> tuple[list[int], int, int]:
-    """(U, S, D): the largest s, over u.cols[i] + on[i] s <= g[i] and
-    s <= cap, is S / D, at u = U / D.  The right-hand sides are
-    nonnegative, so the LP starts at u = 0, s = 0 (maximize_from_origin),
-    and its dual vector proves the optimum."""
-    width = len(cols[0]) if cols else 0
-    a = [[*c, f] for c, f in zip(cols, on)] + [[0] * width + [1]]
-    out = maximize_from_origin(a, [*g, cap], [0] * width + [1])
-    if out.ray is not None:
-        raise CertificateError("the slack is capped")
-    *u, s = out.point
-    return u, s, out.den
+def _relative_interior(
+    dim: int, eq: list[IntRow], ineq: list[IntRow]
+) -> Optional[tuple[list[IntRow], list[IntRow], IntPoint]]:
+    """(eq, ineq, z) for rows as step 1 of canonical_form leaves them, eq
+    in echelon form and ineq reduced against it: the same set with every
+    implicit equality of ineq moved into eq, the rows again as step 1
+    leaves them, and a point z = Z / D of the affine hull strictly inside
+    every row of ineq, so in the relative interior; None when the rows
+    hold nowhere.
 
-
-def _slack_point(
-    dim: int, eq: Sequence[IntRow], ineq: Sequence[IntRow], weak: Sequence[IntRow] = ()
-) -> tuple[int, Optional[IntPoint]]:
-    """(sign, point): a point Z / D on every equality row, strictly inside
-    every row of ineq and inside every row of weak (integer rows), with
-    sign 1; else sign 0 when the rows hold somewhere but not so, with a
-    point where they all hold, and -1 with None when they hold nowhere.
-
-    A weak row whose reverse is also a weak row holds with it only on its
-    hyperplane, so the pair joins the equalities (_hyperplanes).  The
-    equalities are eliminated by _echelon (inconsistent ones give -1),
-    the other rows are reduced against them, and _free_point solves the
-    reduced rows.  The point is checked against the given rows in
-    integers (_checked)."""
-    planes = _hyperplanes(weak)
-    echelon = _echelon(dim, [*eq, *planes])
-    if echelon is None:
-        return -1, None
-    basis, pivots = echelon
-    held = [
-        r
-        for r in (_reduce(r, basis, pivots) for r in weak)
-        if any(r[:-1]) or r[-1] < 0  # a pair reduces to 0 <= 0
-    ]
-    strict = [_reduce(r, basis, pivots) for r in ineq]
-    return _checked(*_free_point(dim, basis, pivots, strict, held), eq, ineq, weak)
+    Each round asks for a strict point of the rows as they stand
+    (_reduced_point).  With none but a point, its multipliers y >= 0
+    combine the rows to 0 <= 0, and y(b - a.x) = 0 with each term >= 0
+    makes every row of positive weight tight at every point of the set
+    (Motzkin's transposition theorem, 1936).  Those rows join the
+    equalities and step 1 runs again.  They are nonzero and zero on the
+    pivot columns, so each round raises the rank of the equalities, and
+    there are at most as many rounds as free columns."""
+    while True:
+        sign, z, y = _reduced_point(dim, eq, ineq)
+        if sign > 0:
+            return eq, ineq, z
+        if sign < 0:
+            return None
+        tight = {i for i, v in y.items() if v > 0}
+        rest = [r for i, r in enumerate(ineq) if i not in tight]
+        reduced = _eliminate_int(dim, eq + [ineq[i] for i in tight], rest)
+        if reduced is None:
+            raise CertificateError("rows with a point keep it once their tight rows are equalities")
+        eq, ineq = reduced
 
 
 def _reduced_point(
     dim: int, eq: Sequence[IntRow], ineq: Sequence[IntRow]
-) -> tuple[int, Optional[IntPoint]]:
-    """_slack_point on rows step 1 of canonical_form left: equality rows
-    in echelon form and strict rows reduced against them, which are
-    solved as they stand (_free_point)."""
+) -> tuple[int, Optional[IntPoint], Optional[dict[int, int]]]:
+    """(sign, point, y) for equality rows eq in echelon form and rows ineq
+    reduced against them, every row of ineq read as strict.  The rows are
+    zero on the pivot columns, so they live on the free columns F.  On at
+    most two free columns the answer comes by elimination
+    (_eliminated_point), with no LP; on more, by the slack LP (_slack_lp).
+
+    Sign 1: a point Z / D, in lowest terms, on every equality row and
+    strictly inside every row of ineq; its pivot columns are solved from
+    the equalities (_lifted), and it is checked in integers.  Below 1: the
+    multipliers y >= 0 {index: weight} of rows of ineq, not all 0, with
+    y.a = 0, and y.b = 0 at sign 0 (the rows hold somewhere, but not all
+    strictly) or y.b < 0 at sign -1 (they hold nowhere), checked in
+    integers where they are found."""
     pivots = [next(j for j, v in enumerate(e) if v) for e in eq]
-    return _checked(*_free_point(dim, eq, pivots, ineq, ()), eq, ineq, ())
-
-
-def _checked(
-    sign: int,
-    found: Optional[IntPoint],
-    eq: Sequence[IntRow],
-    ineq: Sequence[IntRow],
-    weak: Sequence[IntRow],
-) -> tuple[int, Optional[IntPoint]]:
-    """(sign, found), found in lowest terms, once it is checked in
-    integers: on every row of eq, inside every row of weak, and strictly
-    inside every row of ineq at sign 1."""
-    if found is None:
-        return sign, None
-    x, den = found
-    if (
-        any(_dot(e[:-1], x) != e[-1] * den for e in eq)
-        or any(_dot(r[:-1], x) + sign > r[-1] * den for r in ineq)
-        or any(_dot(r[:-1], x) > r[-1] * den for r in weak)
-    ):
-        raise CertificateError("a slack point lies in the rows, strictly in the strict ones")
-    g = gcd(den, *x)
-    return sign, ([v // g for v in x], den // g)
-
-
-def _free_point(
-    dim: int,
-    basis: Sequence[IntRow],
-    pivots: Sequence[int],
-    strict: Sequence[IntRow],
-    held: Sequence[IntRow],
-) -> tuple[int, Optional[IntPoint]]:
-    """The sign and point of _slack_point for equality rows basis in
-    echelon form, with the given pivot columns, and strict and weak rows
-    held reduced against them, so zero on the pivots: they live on the
-    free columns F.  On at most two free columns the point comes by
-    elimination (_eliminated_point), with no LP; on more, by the slack
-    LP (_slack_lp).  The pivot columns of the point are then solved from
-    the equalities."""
     free = [j for j in range(dim) if j not in pivots]
-    rows = [*strict, *held]
-    if pivots:
-        rows = [[r[j] for j in free] + [r[-1]] for r in rows]
+    rows = [[r[j] for j in free] + [r[-1]] for r in ineq] if pivots else ineq
     if len(free) <= 2:
-        sign, xf, den, _ = _eliminated_point(len(free), rows, len(strict))
+        sign, xf, den, y = _eliminated_point(len(free), rows, len(rows))
     else:
-        sign, xf, den = _slack_lp(rows, len(strict))
-    if sign < 0:
-        return -1, None
-    return sign, _lifted(dim, basis, pivots, free, xf, den)
+        sign, xf, den, y = _slack_lp(rows)
+    if sign < 1:
+        return sign, None, y
+    x, den = _lifted(dim, eq, pivots, free, xf, den)
+    if any(_dot(e[:-1], x) != e[-1] * den for e in eq) or any(
+        _dot(r[:-1], x) >= r[-1] * den for r in ineq
+    ):
+        raise CertificateError("a strict point lies on the equalities, strictly inside the rows")
+    g = gcd(den, *x)
+    return 1, ([v // g for v in x], den // g), None
 
 
 def _lifted(
@@ -404,37 +371,35 @@ def _lifted(
     return x, den * scale
 
 
-def _slack_lp(rows: Sequence[IntRow], strict: int) -> tuple[int, list[int], int]:
-    """(sign, X, D) of _free_point by LP, on the rows [a_F..., b] of the
-    free columns, the first strict of them strict.  With t0 = min(1, min
-    b), one LP maximizes t over a_F.x_F + t <= b on every row, t <= 1:
-    shifted by t0, its right-hand sides are nonnegative, so it starts at
-    x = 0, t = t0 (_max_slack).  Its optimum t* is the sign of the
-    answer, since a point where every row holds has t = 0; only at t* = 0
-    with weak rows is there more to ask.  At t* = 0, x*, the point of the
-    first LP, holds every row, and answers when no row is strict;
-    otherwise a second LP from x* puts the slack on the strict rows
-    alone."""
+def _slack_lp(rows: Sequence[IntRow]) -> tuple[int, list[int], int, Optional[dict[int, int]]]:
+    """(sign, X, D, y) of _reduced_point by LP, on the rows [a_F..., b] of
+    the free columns.  With t0 = min(1, min b), one LP maximizes t over
+    a_F.x_F + t <= b on every row and the cap t <= 1: shifted by t0, its
+    right-hand sides are nonnegative, so it starts at x = 0, t = t0
+    (maximize_from_origin, which checks its point and dual vector).  Its
+    optimum t* is the sign of the answer, since a point where every row
+    holds has t = 0.  At t* <= 0 the cap holds strictly, so its weight in
+    the dual vector is 0, and the weights y of the rows have y.a_F = 0
+    and sum to 1 on the t column, so y.b = t*: the rows of positive
+    weight combine to 0 <= t*.  The cap's weight, y != 0 and the sign of
+    y.b are checked in integers."""
     if not rows:
-        return 1, [], 1  # no row: any point, here the origin of F
-    cols = [r[:-1] for r in rows]
+        return 1, [], 1, None  # no row: any point, here the origin of F
+    width = len(rows[0]) - 1
     t0 = min(1, *(r[-1] for r in rows))
-    xf, s, den = _max_slack(cols, [r[-1] - t0 for r in rows], [1] * len(rows), 1 - t0)
-    t_star = t0 * den + s  # t* times den
-    if t_star < 0:
-        return -1, xf, den
-    if t_star > 0 or not strict:
-        return 1, xf, den
-    if strict == len(rows):
-        return 0, xf, den
-    # from x* = X / D: a_F.v + s <= D b - a_F.X with x = (X + v) / D
-    # and t = s / D, the slack on the strict rows alone
-    on = [1] * strict + [0] * (len(rows) - strict)
-    gaps = [r[-1] * den - _dot(c, xf) for r, c in zip(rows, cols)]
-    shift, s, step = _max_slack(cols, gaps, on, den)
-    if s == 0:
-        return 0, xf, den
-    return 1, [x * step + y for x, y in zip(xf, shift)], den * step
+    a = [[*r[:-1], 1] for r in rows] + [[0] * width + [1]]
+    out = maximize_from_origin(a, [r[-1] - t0 for r in rows] + [1 - t0], [0] * width + [1])
+    if out.ray is not None:
+        raise CertificateError("the slack is capped")
+    *xf, s = out.point
+    t_star = t0 * out.den + s  # t* times den
+    if t_star > 0:
+        return 1, xf, out.den, None
+    *y, cap = out.dual
+    total = sum(w * r[-1] for w, r in zip(y, rows))
+    if cap or not any(y) or (total >= 0 if t_star < 0 else total):
+        raise CertificateError("the rows of positive weight combine to 0 <= t*, the cap to none")
+    return (-1 if t_star < 0 else 0), xf, out.den, dict(enumerate(y))
 
 
 def _shadow_line(width: int, rows: Sequence[IntRow], strict: int) -> list[LineRow]:
@@ -468,7 +433,7 @@ def _shadow_line(width: int, rows: Sequence[IntRow], strict: int) -> list[LineRo
 def _eliminated_point(
     width: int, rows: Sequence[IntRow], strict: int
 ) -> tuple[int, list[int], int, Optional[dict[int, int]]]:
-    """(sign, X, D, y) of _free_point on at most two free columns, by
+    """(sign, X, D, y) of _reduced_point on at most two free columns, by
     Fourier-Motzkin elimination with no LP, on the rows [a_F..., b] of the
     free columns, the first strict of them strict.
 
@@ -478,7 +443,7 @@ def _eliminated_point(
     since the value lies in the shadow of the rows, strictly when the sign
     is 1, so does the value _on_a_line reads off those bounds.  A sign
     below 1 carries the multipliers y >= 0 {index: weight} of at most four
-    rows, with y.a_F = 0 and y.b < 0 (no point), or y.b <= 0 and a strict
+    rows, with y.a_F = 0 and y.b < 0 (no point), or y.b = 0 and a strict
     row of positive weight (no strict point), checked in integers before
     it returns."""
     sign, (x, den), y = _on_a_line(_shadow_line(width, rows, strict))
@@ -487,7 +452,7 @@ def _eliminated_point(
         if (
             any(v < 0 for v in y.values())
             or any(sum(v * rows[i][j] for i, v in y.items()) for j in range(width))
-            or (total >= 0 if sign < 0 else total > 0)
+            or (total >= 0 if sign < 0 else total)
             or (sign == 0 and not any(v > 0 and i < strict for i, v in y.items()))
         ):
             raise CertificateError("the rows in conflict combine to 0 <= b < 0, or 0 < 0")
@@ -505,7 +470,7 @@ LineRow = tuple[int, int, bool, tuple[tuple[int, int], ...]]
 
 
 def _on_a_line(line: Sequence[LineRow]) -> tuple[int, IntPoint, Optional[dict[int, int]]]:
-    """(sign, (X, D), y) for rows of one column: the sign of _slack_point,
+    """(sign, (X, D), y) for rows of one column: the sign of _reduced_point,
     a value X / D that every row holds, strictly when the sign is 1, and
     at a sign below 1 the weights y {index: weight} of the given rows in
     conflict.
@@ -773,15 +738,22 @@ def _hyperplanes(weak: Sequence[IntRow]) -> set[tuple[int, ...]]:
 
 def strict_point(system: MixedSystem) -> Optional[Vec]:
     """A point of the system, strict rows strictly, or None when there is
-    none, by elimination on at most two free columns and by slack LPs
-    from the origin on more (_slack_point).  The point is not
-    strict_feasible's witness, so it is for callers that only need a yes
-    or no, or a point that seeds a unique result."""
-    weak, strict, eq = system.rows
-    sign, found = _slack_point(system.dim, _flat(eq), _flat(strict), _flat(weak))
-    if sign < 1:
+    none: the point of the relative interior of its closure that
+    _relative_interior finds, when it holds the strict rows strictly.  A
+    system C with a point has the closed rows as its closure, and
+    ri(cl C) = ri C (Rockafellar, Thm 6.3), so that point lies in C; when
+    it misses a strict row, C is empty.  A closed row and its reverse hold
+    only on their hyperplane, so such pairs join the equalities before
+    any LP (_hyperplanes).  The point is not strict_feasible's witness, so
+    it is for callers that only need a yes or no, or a point that seeds a
+    unique result."""
+    weak, _, eq = system.closed().rows
+    rows = _flat(weak)
+    reduced = _eliminate_int(system.dim, [*_flat(eq), *_hyperplanes(rows)], rows)
+    found = None if reduced is None else _relative_interior(system.dim, *reduced)
+    if found is None or not system.satisfies_int(*found[2]):
         return None
-    x, den = found
+    x, den = found[2]
     return tuple(Fraction(v, den) for v in x)
 
 
@@ -791,41 +763,6 @@ def closure_hpoly(m: MixedSystem) -> HPoly:
     return _polyhedron(object.__new__(HPoly), m.closed())
 
 
-def _split_implicit(eq: Sequence[IntRow], ineq: Sequence[IntRow], z: IntPoint) -> list[int]:
-    """The indices of the implicit equalities among the reduced rows ineq
-    of a system with equality rows eq in RREF, given a point Z / D where
-    every row holds.  In rounds of one LP: maximize the sum of slacks
-    t_i in [0, 1], with a_i.x + t_i <= b_i on the rows not yet classified
-    and a_j.x <= b_j on the others.  A row strict at the optimal point is
-    no implicit equality; when no row is strict there, the optimum is 0
-    and every unclassified row is tight on the whole set.  With
-    x = (Z + v) / D and s_i = D t_i, each LP runs from the origin on the
-    free columns of eq: a_F.v + s_i <= D b_i - a.Z, 0 <= s_i <= D."""
-    zi, den = z
-    pivots = {next(j for j, v in enumerate(e) if v) for e in eq}
-    cols = [[r[j] for j in range(len(zi)) if j not in pivots] for r in ineq]
-    gaps = [r[-1] * den - _dot(r[:-1], zi) for r in ineq]
-    width = len(zi) - len(pivots)
-    todo = list(range(len(ineq)))
-    while todo:
-        k = len(todo)
-        slot = {i: t for t, i in enumerate(todo)}
-        a = [c + [int(slot.get(i) == t) for t in range(k)] for i, c in enumerate(cols)]
-        # s_t <= D and -s_t <= 0
-        a += [[0] * width + [s * (t == u) for u in range(k)] for t in range(k) for s in (1, -1)]
-        out = maximize_from_origin(a, gaps + [den, 0] * k, [0] * width + [1] * k)
-        if out.ray is not None:
-            raise CertificateError("the slack sum is capped")
-        v = out.point[:width]
-        strict = {i for i in todo if _dot(cols[i], v) < gaps[i] * out.den}
-        if not strict:
-            if any(out.point[width:]):
-                raise CertificateError("a positive slack sum makes some row strict")
-            break
-        todo = [i for i in todo if i not in strict]
-    return todo
-
-
 @lru_cache(maxsize=None)
 def canonical_form(p: HPoly) -> Optional[HPoly]:
     """Unique facet-based representation, or None when the set is empty.
@@ -833,17 +770,14 @@ def canonical_form(p: HPoly) -> Optional[HPoly]:
     1. RREF of the equality block; the inequality rows are reduced against
        its pivots.  A 0 = 1 pivot or a row 0 <= b < 0 means empty, and
        rows 0 <= b >= 0 are dropped.  No LP; all in integers.
-    2. A strict point of the reduced rows, solved as they stand
-       (_reduced_point): by elimination on at most two free columns, with
-       a checked certificate when there is none, else by one slack LP,
-       phase 2 only, with its optimum proved by its dual vector.  A
-       strict point means no implicit equalities; no point at all means
-       empty.
-    3. When there is a point but no strict one, the implicit equalities
-       come from slack-sum rounds from that point; they join the equality
-       block, step 1 runs once more, and step 2 finds the strict point the
-       rows now have.
-    4. Redundancy, from the strict point z.  A row with a tighter
+    2. The relative interior (_relative_interior): a strict point of the
+       reduced rows, by elimination on at most two free columns and else
+       by one slack LP, phase 2 only, with its optimum proved by its dual
+       vector.  With none, the multipliers that prove it name rows tight
+       on the whole set; they join the equality block, step 1 runs once
+       more, and so on until a strict point shows that no implicit
+       equality is left, or a certificate shows the set empty.
+    3. Redundancy, from the strict point z.  A row with a tighter
        parallel row is dropped with no LP (_undominated), and a ray from
        z shows facets with no LP (see _facets_seen_from); each other row
        takes one LP on the rows shifted to z, by elimination on at most
@@ -852,7 +786,7 @@ def canonical_form(p: HPoly) -> Optional[HPoly]:
        row needs none: it is nonzero after reduction, so it cuts the
        affine hull.
 
-    A caller that holds a point of ri(p) skips step 2 and seeds step 4
+    A caller that holds a point of ri(p) skips step 2 and seeds step 3
     with it (_canonical); the facets are unique, so the result is
     the same.  The result keeps z (ri_point).  Every step works on the
     integer rows, and the result is built from them, with no Fraction."""
@@ -866,12 +800,13 @@ Seeded = tuple[HPoly, list[Optional[IntPoint]]]
 
 def _canonical(p: HPoly, z: Optional[Vec] = None) -> Optional[Seeded]:
     """canonical_form(p) and, per facet row, the point of that facet's
-    relative interior that step 4 met it at, or None (see _irredundant).
+    relative interior that step 3 met it at, or None (see _irredundant).
     A point z of ri(p), when given, settles step 2 if it holds every
     equality row and every reduced row strictly, checked in integers: then
-    no reduced row is an implicit equality, and z seeds step 4.  The
+    no reduced row is an implicit equality, and z seeds step 3.  The
     result keeps the strict point it was made from (ri_point)."""
-    reduced = _step_one(p)
+    weak, _, eq = p.closed_system().rows
+    reduced = _eliminate_int(p.dim, _flat(eq), _flat(weak))
     if reduced is None:
         return None
     eq, ineq = reduced
@@ -883,27 +818,12 @@ def _canonical(p: HPoly, z: Optional[Vec] = None) -> Optional[Seeded]:
         ):
             inside = zi, den
     if inside is None:
-        sign, inside = _reduced_point(p.dim, eq, ineq)
-        if sign < 0:
+        found = _relative_interior(p.dim, eq, ineq)
+        if found is None:
             return None
-        if sign == 0:
-            implicit = _split_implicit(eq, ineq, inside)
-            rest = [r for i, r in enumerate(ineq) if i not in implicit]
-            reduced = _eliminate_int(p.dim, eq + [ineq[i] for i in implicit], rest)
-            if reduced is None:
-                raise CertificateError("a nonempty system reduced to an empty one")
-            eq, ineq = reduced
-            sign, inside = _reduced_point(p.dim, eq, ineq)
-            if sign < 1:
-                raise CertificateError("rows with no implicit equality have a strict point")
+        eq, ineq, inside = found
     keep, seen = _irredundant(p.dim, eq, ineq, inside)
     return _canonical_hpoly(p.dim, eq, [ineq[i] for i in keep], inside), seen
-
-
-def _step_one(p: HPoly) -> Optional[IntRows]:
-    """Step 1 of canonical_form on the integer rows of p."""
-    weak, _, eq = p.closed_system().rows
-    return _eliminate_int(p.dim, _flat(eq), _flat(weak))
 
 
 def _canonical_hpoly(dim: int, eq: Iterable[IntRow], ineq: Iterable[IntRow], inside) -> HPoly:
@@ -1010,7 +930,7 @@ def _project_out(v: Sequence[int], basis: Sequence[Sequence[int]]) -> list[int]:
 def _irredundant(
     dim: int, eq: Sequence[IntRow], ineq: Sequence[IntRow], inside: Optional[IntPoint]
 ) -> tuple[list[int], list[Optional[IntPoint]]]:
-    """Step 4 of canonical_form on the integer rows of a reduced system
+    """Step 3 of canonical_form on the integer rows of a reduced system
     without implicit equalities: drop each row that the others imply.
 
     Of rows with the same normal direction, all but the tightest are
@@ -1035,7 +955,7 @@ def _irredundant(
     if inside is None:
         if len(keep) < 2:
             return keep, [None] * len(keep)
-        sign, inside = _reduced_point(dim, eq, [ineq[k] for k in keep])
+        sign, inside, _ = _reduced_point(dim, eq, [ineq[k] for k in keep])
         if sign < 1:
             raise CertificateError("rows with no implicit equality have a strict point")
     zi, den = inside
@@ -1379,7 +1299,7 @@ def faces(p: HPoly) -> tuple[HPoly, ...]:
     an implicit equality on it: a row tight on the whole facet would
     define the same facet, and in canonical form two such rows are one
     (Schrijver 1986, Sec. 8.4).  So the child's canonical form is step 1
-    and step 4 of canonical_form, with no strict-feasibility LP.  Step 4
+    and step 3 of canonical_form, with no strict-feasibility LP.  Step 3
     of f met the row at a point of the facet's relative interior when its
     ray test settled the row; that point seeds the child's own ray test,
     so a face whose rows all show from such points takes no LP at all;

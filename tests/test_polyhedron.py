@@ -17,8 +17,8 @@ import pytest
 from instances import origin_lp_calls
 from ncvx import linalg as la
 from ncvx import polyhedron as ph
-from ncvx.errors import DimensionCapExceeded, PointNotInSet, UsageError
-from ncvx.lp import MixedSystem, feasible_point, maximize, solve_lp, strict_feasible
+from ncvx.errors import CertificateError, DimensionCapExceeded, PointNotInSet, UsageError
+from ncvx.lp import MixedSystem, OriginOutcome, feasible_point, maximize, solve_lp, strict_feasible
 from ncvx.polyhedron import (
     HPoly,
     VPoly,
@@ -869,13 +869,161 @@ def test_canonical_form_equals_the_two_phase_construction():
     assert min(seen.values()) >= 40, seen
 
 
+def _implicit_cases(count, seed):
+    """(dim, rows, kind): rows the pair (eq, ineq) of integer rows
+    [a..., b] in dims 1-5 as step 1 of canonical_form leaves them, or None
+    when step 1 alone shows them empty.  A few rows hold at an integer
+    point z0, some of them tight there; each kind adds rows: a tight
+    triple a, b, -a-b through z0, which no pair of reverse rows shows, two
+    triples, a reverse pair, a triple made empty by 1, or nothing.  One
+    equality through z0 at most leaves three free columns or more from
+    dim 4 up."""
+    rng = random.Random(seed)
+    kinds = ("triple", "two triples", "pair", "empty", "plain")
+    for i in range(count):
+        dim, kind = 1 + i % 5, kinds[(i // 5) % len(kinds)]
+        z0 = [rng.randint(-2, 2) for _ in range(dim)]
+
+        def through(a, slack=0):
+            return (*a, sum(x * y for x, y in zip(a, z0)) + slack)
+
+        def vec():
+            return [rng.randint(-3, 3) for _ in range(dim)]
+
+        rows = [through(vec(), rng.choice((0, 0, 1, 2))) for _ in range(rng.randint(0, 3))]
+        for _ in range(2 if kind == "two triples" else kind in ("triple", "empty")):
+            a, b = vec(), vec()
+            rows += [through(a), through(b), through([-x - y for x, y in zip(a, b)])]
+        if kind == "pair":
+            a = vec()
+            rows += [through(a), through([-x for x in a])]
+        if kind == "empty":
+            rows[-1] = (*rows[-1][:-1], rows[-1][-1] - 1)
+        eq = [through(vec())] if dim >= 4 and rng.random() < 0.5 else []
+        rng.shuffle(rows)
+        yield dim, ph._eliminate_int(dim, eq, rows), kind
+
+
+def test_relative_interior_matches_the_fraction_rounds(monkeypatch):
+    # the implicit equalities that _relative_interior reads off the
+    # multipliers of its strict-point kernel are exactly those the former
+    # slack-sum rounds find, on two-phase LPs over Fraction rows: the rows
+    # it returns are step 1 on the given equalities plus those rows, its
+    # point lies on them and strictly inside the rest, and it finds no
+    # point exactly when feasible_point finds none.  Mutations on a copy,
+    # each caught: rows of zero weight taken as tight, and the cap's
+    # weight read as a row's (the y.b check: test_slack_lp_checks_its_dual)
+    seen = {}
+
+    def tally(key):
+        seen[key] = seen.get(key, 0) + 1
+
+    def recorded(name):
+        real = getattr(ph, name)
+
+        def run(*args):
+            out = real(*args)
+            tally(f"{name} sign {out[0]}")
+            return out
+
+        monkeypatch.setattr(ph, name, run)
+
+    for name in ("_slack_lp", "_eliminated_point", "_reduced_point"):
+        recorded(name)
+    for dim, reduced, kind in _implicit_cases(500, seed=2503):
+        tally(kind)
+        if reduced is None:
+            tally("empty by step 1")
+            continue
+        eq, ineq = reduced
+        rounds = seen.get("_reduced_point sign 0", 0)
+        found = ph._relative_interior(dim, eq, ineq)
+        tally(f"{seen.get('_reduced_point sign 0', 0) - rounds} tight rounds")
+        q = _fraction_hpoly(dim, eq, ineq)
+        if found is None:
+            assert feasible_point(q.closed_system()).status == "infeasible", (eq, ineq)
+            continue
+        implicit = _split_implicit_by_fractions(dim, q.ineq, q.eq)
+        rest = [r for i, r in enumerate(ineq) if i not in implicit]
+        got_eq, got_ineq, (zi, den) = found
+        assert (got_eq, got_ineq) == ph._eliminate_int(dim, eq + [ineq[i] for i in implicit], rest)
+        z = la.vec([F(v, den) for v in zi])
+        assert _fraction_hpoly(dim, got_eq, got_ineq).ri_system().satisfies(z), (eq, ineq)
+        tally(f"{dim - len(got_eq)} free left")
+    print(dict(sorted(seen.items())))
+    paths = ("_slack_lp sign 0", "_slack_lp sign -1", "_eliminated_point sign 0")
+    for key in (*paths, "_eliminated_point sign -1", "1 tight rounds", "2 tight rounds"):
+        assert seen.get(key, 0) >= 30, (key, seen)
+
+
+def test_slack_lp_checks_its_dual(monkeypatch):
+    # the slack LP names the tight rows by its dual vector; a dual with
+    # weight on the cap, with no weight, or whose rows combine to
+    # 0 <= b with b != 0 at a slack optimum of 0 proves nothing, and is
+    # refused, here at the origin of rows x <= 0, -x <= 0, x <= 1, -x <= 1
+    # on three columns
+    rows = [(1, 0, 0, 0), (-1, 0, 0, 0), (1, 0, 0, 1), (-1, 0, 0, 1)]
+    sign, _, _, y = ph._slack_lp(rows)
+    assert sign == 0 and {i for i, v in y.items() if v > 0} == {0, 1}
+    for dual in ([1, 1, 0, 0, 1], [0, 0, 0, 0, 0], [0, 0, 1, 1, 0]):
+        outcome = OriginOutcome([0, 0, 0, 0], 1, dual, 2)
+        monkeypatch.setattr(ph, "maximize_from_origin", lambda *args, out=outcome: out)
+        with pytest.raises(CertificateError):
+            ph._slack_lp(rows)
+
+
+def test_implicit_equalities_on_two_free_columns_take_no_lp(monkeypatch):
+    # rows with no strict point on at most two free columns: the
+    # multipliers of elimination name the rows tight on the whole set, so
+    # the canonical form takes no LP from the origin, and equals the
+    # two-phase construction; a tight triple on three free columns still
+    # takes the slack LP
+    origin = origin_lp_calls(monkeypatch)
+    rng = random.Random(2521)
+    for i in range(40):
+        dim = 2 + i % 2  # three columns less one equality
+        z = [rng.randint(-2, 2) for _ in range(dim)]
+        a, b = [rng.randint(-3, 3) for _ in range(dim)], [rng.randint(-3, 3) for _ in range(dim)]
+        normals = [a, [-x for x in a]] if i % 4 < 2 else [a, b, [-x - y for x, y in zip(a, b)]]
+        rows = [(la.vec(n), la.dot(la.vec(n), la.vec(z))) for n in normals]
+        rows += [(la.unit(dim, 0), F(z[0] + 1)), (la.neg(la.unit(dim, 0)), F(1 - z[0]))]
+        eq = [((1, 1, 1), F(sum(z)))] if dim == 3 else []
+        p = hpoly(dim, rows, eq)
+        canonical_form.cache_clear()
+        origin.clear()
+        assert canonical_form(p) == _two_phase_canonical(p), p
+        assert origin == [], p
+    triple = hpoly(3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((-1, -1, 0), 0), ((0, 0, 1), 1)])
+    canonical_form.cache_clear()
+    origin.clear()
+    assert canonical_form(triple).eq == (((1, 0, 0), 0), ((0, 1, 0), 0)) and len(origin) == 1
+
+
+def test_origin_lps_over_seeded_systems_stay_bounded(monkeypatch):
+    # LPs from the origin over the canonical forms of the systems of
+    # _implicit_cases, and the strict points of the same rows, every
+    # other one strict, from cold caches: at most the 1,264 that the
+    # slack-sum rounds and the second slack LP of strict points took on
+    # the same systems
+    origin = origin_lp_calls(monkeypatch)
+    for dim, reduced, _ in _implicit_cases(500, seed=2503):
+        if reduced is None:
+            continue
+        q = _fraction_hpoly(dim, *reduced)
+        canonical_form.cache_clear()
+        canonical_form(q)
+        rows = q.ineq
+        ph.strict_point(MixedSystem(dim, rows[::2], rows[1::2], q.eq))
+    print(len(origin))
+    assert len(origin) <= 1264
+
+
 def test_strict_point_agrees_with_strict_feasible():
     # a weak row and a multiple of its reverse join the equalities before
-    # any LP; the first slack LP puts its slack on the other weak rows
-    # too, and when one of them is tight on the whole closed set, as three
-    # weak rows summing to 0 <= 0 are, a second one from the point of the
-    # first puts it on the strict rows alone.  The point found lies in the
-    # system, strict rows strictly
+    # any LP; three weak rows summing to 0 <= 0 are tight on the whole
+    # closed set, which the multipliers of elimination or of the slack LP
+    # show, and they join the equalities for the next round.  The point
+    # found lies in the system, strict rows strictly
     rng = random.Random(29)
     answers = {True: 0, False: 0, "pair": 0, "triple": 0}
     for i in range(300):

@@ -471,27 +471,33 @@ def test_decompose_mixed_runs_no_strict_lp(monkeypatch):
 
 
 def test_eliminated_points_match_the_two_phase_kernel(monkeypatch):
-    # on at most two free columns the sign and point come by elimination,
-    # with no LP from the origin; the sign agrees with strict_feasible and
-    # with feasible_point on the closure, and every point holds the rows
+    # on at most two free columns the relative interior of the closure and
+    # the strict point come by elimination, with no LP from the origin;
+    # the closure has a point exactly when feasible_point finds one, the
+    # system a strict point exactly when strict_feasible finds a witness,
+    # and every point holds the rows: the closure's point its closed rows,
+    # and the strict point, which is the closure's when that holds the
+    # strict rows strictly, the system
     origin = origin_lp_calls(monkeypatch)
     seen = Counter()
     for m, kind in _few_free_columns(480, seed=2063):
-        weak, strict, eq = (ph._flat(block) for block in m.rows)
-        sign, found = ph._slack_point(m.dim, eq, strict, weak)
-        closed = lp.feasible_point(m.closed()).status == "optimal"
-        assert (sign >= 0) == closed, m
-        assert (sign == 1) == (strict_feasible(m).witness is not None), m
-        point = None if found is None else tuple(F(v, found[1]) for v in found[0])
-        assert (point is None) == (sign < 0), m
-        if sign >= 0:
-            assert (m if sign == 1 else m.closed()).satisfies(point), m
-        assert ph.strict_point(m) == (point if sign == 1 else None), m
-        echelon = ph._echelon(m.dim, [*eq, *ph._hyperplanes(weak)])
-        if echelon is not None:
-            seen[f"{m.dim - len(echelon[1])} free"] += 1
+        weak, _, eq = (ph._flat(block) for block in m.closed().rows)
+        reduced = ph._eliminate_int(m.dim, [*eq, *ph._hyperplanes(weak)], weak)
+        found = None if reduced is None else ph._relative_interior(m.dim, *reduced)
+        assert (found is not None) == (lp.feasible_point(m.closed()).status == "optimal"), m
+        point = ph.strict_point(m)
+        assert (point is not None) == (strict_feasible(m).witness is not None), m
+        if found is not None:
+            z = tuple(F(v, found[2][1]) for v in found[2][0])
+            assert m.closed().satisfies(z), m
+            assert point == (z if m.satisfies(z) else None), m
+        if point is not None:
+            assert m.satisfies(point), m
+        if reduced is not None:
+            seen[f"{m.dim - len(reduced[0])} free"] += 1
         seen[kind] += 1
-        seen[("no point", "no strict point", "strict point")[sign + 1]] += 1
+        answer = "strict point" if point is not None else "no strict point"
+        seen[answer if found is not None else "no point"] += 1
         seen[f"dim {m.dim}"] += 1
     print(dict(seen))
     assert min(seen.values()) >= 30, seen
