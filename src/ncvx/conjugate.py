@@ -367,18 +367,19 @@ def conjugate_chain(
 
 
 def composite_conjugate_identity(
-    g: PLFunction, h: PLFunction, a_mat: Mat, ystar
+    f: PLFunction, g: PLFunction, h: PLFunction, a_mat: Mat, ystar
 ) -> Value:
-    """For f(x, y) = g(x) + h(Ax + y): f*(0, y*) equals
-    g*(-A^T y*) + h*(y*); both sides are computed and must agree."""
+    """For f(x, y) = g(x) + h(Ax + y), the sum the caller has built with
+    plfunc.add_with_affine_inner: f*(0, y*) equals g*(-A^T y*) + h*(y*);
+    both sides are computed and must agree, so a caller that probes
+    several y* builds f once."""
     a_mat = la.mat(a_mat)
     ystar = la.vec(ystar)
     if len(a_mat) != h.n or len(ystar) != h.n:
         raise DimensionMismatch("matrix and y* must live in h's space")
     n = len(a_mat[0]) if a_mat else 0
-    if n != g.n:
-        raise DimensionMismatch("matrix width must match g's space")
-    f = pf.add_with_affine_inner(g, h, a_mat)
+    if n != g.n or f.n != n + h.n:
+        raise DimensionMismatch("matrix width must match g's space, f take (x, y)")
     lhs = fenchel_value(f, la.zeros(n) + ystar)
     rhs_g = fenchel_value(g, la.neg(la.mat_t_vec(a_mat, ystar)))
     rhs_h = fenchel_value(h, ystar)

@@ -501,7 +501,7 @@ def fenchel_duality(
         )
     probes = {la.zeros(p), ystar2, base.dual_witness} - {None}
     for ys in sorted(probes):
-        cj.composite_conjugate_identity(g_fn, h_fn, a_mat, ys)
+        cj.composite_conjugate_identity(f, g_fn, h_fn, a_mat, ys)
 
     flag = _fenchel_flag(g_fn, h_fn, a_mat)
     if flag.holds and base.gap != 0:

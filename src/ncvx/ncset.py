@@ -29,7 +29,10 @@ cell misses the slice.
 
 Operations that are exact pointwise but whose relative-interior formula
 needs an overlap qualification (intersection, preimage) return the result
-together with the qualification flag instead of raising.
+together with the qualification flag instead of raising.  A joint image
+under such a qualification (qualified_image) solves its overlap system
+once: the point where the relative interiors meet gives the flag and
+seeds the folds, so the cells that hold it take no strict LP.
 """
 
 from __future__ import annotations
@@ -389,12 +392,11 @@ def product(s1: NCSet, s2: NCSet) -> NCSet:
     return _of_canonical(n + p, pieces)
 
 
-def joint_image(
-    dim: int,
-    parts: Sequence[tuple[NCSet, Sequence[int]]],
-    keep: Sequence[int],
-    z: Optional[Vec] = None,
-) -> NCSet:
+# sets, each placed at its columns of a joint space
+Parts = Sequence[tuple[NCSet, Sequence[int]]]
+
+
+def joint_image(dim: int, parts: Parts, keep: Sequence[int], z: Optional[Vec] = None) -> NCSet:
     """The shadow on keep (increasing) of the z in R^dim whose coordinates
     at each part's columns lie in that part's set; two or more parts.  A
     linear link such as s = y1 + y2 is a one-piece part.
@@ -453,13 +455,7 @@ def _extend(z: Vec, m: MixedSystem, new: Sequence[int]) -> Optional[Vec]:
     return tuple(held)
 
 
-def ri_overlap(dim: int, parts: Sequence[tuple[NCSet, Sequence[int]]]) -> bool:
-    """Do the relative interiors of the parts' sets, each at its columns
-    of R^dim, meet?  One strict check on the ri cells of their hulls."""
-    return overlap_point(dim, parts) is not None
-
-
-def overlap_point(dim: int, parts: Sequence[tuple[NCSet, Sequence[int]]]) -> Optional[Vec]:
+def overlap_point(dim: int, parts: Parts) -> Optional[Vec]:
     """A point of R^dim where the relative interiors of the parts' sets,
     each at its columns, meet, or None when they do not: strict_point of
     the ri cells of their hulls."""
@@ -468,6 +464,14 @@ def overlap_point(dim: int, parts: Sequence[tuple[NCSet, Sequence[int]]]) -> Opt
         return None
     cells = [h.ri_system().embed(cols, dim) for h, (_, cols) in zip(hulls, parts)]
     return strict_point(reduce(MixedSystem.combine, cells))
+
+
+def qualified_image(dim: int, parts: Parts, keep: Sequence[int]) -> tuple[NCSet, bool]:
+    """joint_image(dim, parts, keep) and the qc flag of its ri formula:
+    do the relative interiors of the parts' sets meet?  One overlap_point
+    gives the flag and seeds the folds."""
+    z = overlap_point(dim, parts)
+    return joint_image(dim, parts, keep, z), z is not None
 
 
 def sum_link(p: int) -> NCSet:
@@ -485,7 +489,7 @@ def intersect(s1: NCSet, s2: NCSet) -> tuple[NCSet, bool]:
     if s1.dim != s2.dim:
         raise DimensionMismatch("intersecting sets of different dims")
     parts = [(s1, range(s1.dim)), (s2, range(s1.dim))]
-    return joint_image(s1.dim, parts, range(s1.dim)), ri_overlap(s1.dim, parts)
+    return qualified_image(s1.dim, parts, range(s1.dim))
 
 
 def _image_base(q: HPoly, t: Mat) -> HPoly:

@@ -1438,8 +1438,8 @@ def _chk_ex68(rng, spec) -> Optional[str]:
     g = _random_plf(rng, ULTRA_SPEC, n, anchor=x0)
     h = _random_plf(rng, ULTRA_SPEC, p, anchor=la.mat_vec(a_mat, x0))
     ystar = tuple(_coef(rng) for _ in range(p))
-    value = cj.composite_conjugate_identity(g, h, a_mat, ystar)
     f = pl.add_with_affine_inner(g, h, a_mat)
+    value = cj.composite_conjugate_identity(f, g, h, a_mat, ystar)
     lhs = generator_conjugate_oracle(f, la.zeros(n) + la.vec(ystar))
     rg = generator_conjugate_oracle(g, la.neg(la.mat_t_vec(a_mat, ystar)))
     rh = generator_conjugate_oracle(h, ystar)

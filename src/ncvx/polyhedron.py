@@ -109,8 +109,9 @@ class HPoly:
     A x <= b and the equalities E x = d, which holds them as integers;
     ineq and eq are its Fraction views, and equality and hashing are its.
     The constructor takes Fraction rows, closure_hpoly a system.  The ri
-    and recession-cone systems are made once, on first use, and a
-    canonical form made here keeps a point of its ri (ri_point)."""
+    and recession-cone systems are made once, on first use.  A canonical
+    form made here keeps a point of its ri (ri_point), and one that keeps
+    a point is a canonical form, its own (canonical_form)."""
 
     __slots__ = ("dim", "_closed", "_ri", "_cone", "_inside")
 
@@ -789,7 +790,13 @@ def canonical_form(p: HPoly) -> Optional[HPoly]:
     A caller that holds a point of ri(p) skips step 2 and seeds step 3
     with it (_canonical); the facets are unique, so the result is
     the same.  The result keeps z (ri_point).  Every step works on the
-    integer rows, and the result is built from them, with no Fraction."""
+    integer rows, and the result is built from them, with no Fraction.
+
+    A form made here keeps its ri point, and only a canonical form is
+    made with one (_canonical_hpoly): so such a p is its own canonical
+    form and is returned as it is, with no step run."""
+    if p._inside is not None:
+        return p
     found = _canonical(p)
     return None if found is None else found[0]
 
@@ -1126,14 +1133,15 @@ def ri_shadow(cell: MixedSystem, z: Vec, keep: Sequence[int]) -> HPoly:
 def project_mixed(m: MixedSystem, keep: Sequence[int]) -> MixedSystem:
     """The shadow on keep (increasing) of a relatively open cell, given as
     strict rows and equalities: the ri system of ri_shadow from a strict
-    witness of the cell, or the marker 0 <= -1 when the cell is empty.
-    The result is canonical, so two shadows are one set exactly when they
-    are equal.  A weak row raises UsageError: the closure and ri of a
-    cell with weak and strict rows need not be its closed() and itself."""
+    point of the cell, or the marker 0 <= -1 when the cell is empty.
+    The result is canonical, whichever point seeds it, so two shadows are
+    one set exactly when they are equal.  A weak row raises UsageError:
+    the closure and ri of a cell with weak and strict rows need not be
+    its closed() and itself."""
     if m.rows[0]:
         raise UsageError("project_mixed takes strict rows and equalities only")
     keep = list(keep)
-    wit = strict_feasible(m).witness
+    wit = strict_point(m)
     if wit is None:
         return empty_hpoly(len(keep)).closed_system()
     return ri_shadow(m, wit, keep).ri_system()

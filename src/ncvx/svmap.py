@@ -10,8 +10,9 @@ and take the shadow of their joint ri cells (ncset.joint_image), with
 no product, intersection or permutation built on the way.
 
 Each operation whose relative-interior formula needs an overlap
-qualification returns a qc flag computed by one strict feasibility check
-on the relevant relative interiors (ncset.ri_overlap). The certify_*
+qualification returns a qc flag from one strict point of the relevant
+relative interiors (ncset.overlap_point), the point that also seeds the
+folds of its joint image (ncset.qualified_image). The certify_*
 helpers and the image check verify the ri formulas themselves as exact
 set identities, all through one routine: the ri cells of the operands
 are embedded in a common product space and combined, the result is
@@ -43,9 +44,9 @@ from .ncset import (
     permute_coords,
     preimage,
     product,
+    qualified_image,
     relative_interior,
     require_valid,
-    ri_overlap,
     sum_link,
     whole_space,
 )
@@ -163,7 +164,7 @@ def image_of_set(f: SVMap, omega: NCSet) -> tuple[NCSet, bool, bool]:
     the image ri formula (ri of the image = union of ri F(x) over
     x in ri(omega) and ri(dom F))."""
     total, parts = f.n + f.p, _clip_parts(f, omega)
-    result, qc = joint_image(total, parts, range(f.n, total)), ri_overlap(total, parts)
+    result, qc = qualified_image(total, parts, range(f.n, total))
     if not qc:
         return result, qc, False
     parts = [(_ri_cell(f.graph), range(total)), (_ri_cell(omega), range(f.n))]
@@ -190,8 +191,8 @@ def certify_inverse_image(f: SVMap, theta: NCSet, got: NCSet) -> bool:
 
 def restrict(f: SVMap, omega: NCSet) -> tuple[SVMap, bool]:
     total, parts = f.n + f.p, _clip_parts(f, omega)
-    clipped = joint_image(total, parts, range(total))
-    return SVMap(f.n, f.p, clipped), ri_overlap(total, parts)
+    clipped, qc = qualified_image(total, parts, range(total))
+    return SVMap(f.n, f.p, clipped), qc
 
 
 def certify_restrict(f: SVMap, omega: NCSet, got: SVMap) -> bool:
@@ -256,8 +257,8 @@ def compose(f: SVMap, g: SVMap) -> tuple[SVMap, bool]:
         raise DimensionMismatch("inner dims do not match")
     total = f.n + f.p + g.p
     parts = [(f.graph, range(f.n + f.p)), (g.graph, range(f.n, total))]
-    keep = [*range(f.n), *range(f.n + f.p, total)]
-    return SVMap(f.n, g.p, joint_image(total, parts, keep)), ri_overlap(total, parts)
+    graph, qc = qualified_image(total, parts, [*range(f.n), *range(f.n + f.p, total)])
+    return SVMap(f.n, g.p, graph), qc
 
 
 def certify_compose(f: SVMap, g: SVMap, got: SVMap) -> bool:
@@ -297,8 +298,8 @@ def build_phi(theta: NCSet, f: SVMap, g: SVMap) -> tuple[SVMap, bool]:
     (x, y, z) with x in R^n, y in R^q, z in R^p.  The qc flag reports that
     ri(dom F), ri(dom G) and ri(theta) meet."""
     total, parts = _phi_parts(theta, f, g)
-    graph = joint_image(total, parts, range(total))
-    return SVMap(f.n + g.p, f.p, graph), ri_overlap(total, parts)
+    graph, qc = qualified_image(total, parts, range(total))
+    return SVMap(f.n + g.p, f.p, graph), qc
 
 
 def build_psi(theta: NCSet, f: SVMap, g: SVMap) -> tuple[SVMap, bool]:
@@ -319,7 +320,7 @@ def build_psi(theta: NCSet, f: SVMap, g: SVMap) -> tuple[SVMap, bool]:
         (g.graph, [*range(n), *range(2 * n, 2 * n + q)]),
     ]
     graph = joint_image(total, parts, range(total))
-    return SVMap(2 * n + q, p, graph), ri_overlap(*phi_layout)
+    return SVMap(2 * n + q, p, graph), overlap_point(*phi_layout) is not None
 
 
 def sum_with_affine_inner(f: SVMap, g: SVMap, a: Mat) -> SVMap:

@@ -37,10 +37,9 @@ from .ncset import (
     NCSet,
     closure_hull,
     from_mixed,
-    joint_image,
     membership,
     ncset,
-    ri_overlap,
+    qualified_image,
     union,
 )
 from .plfunc import PLFunction
@@ -48,12 +47,12 @@ from .polyhedron import (
     HPoly,
     NormalConeRep,
     canonical_form,
-    closed_shadow,
     closure_hpoly,
     empty_hpoly,
     normal_cone_at,
     normal_cone_hrep,
     polyhedron_equal,
+    project,
     to_vrep,
 )
 from .svmap import SVMap
@@ -151,9 +150,8 @@ def build_ovf(f: PLFunction, fmap: SVMap) -> OVFInstance:
 
     total = n + p + 1
     parts = [(f.epi, range(total)), (fmap.graph, range(n + p))]
-    shadow = joint_image(total, parts, [*range(n), n + p])
-    mu = PLFunction(n, pl.envelope(shadow))
-    return OVFInstance(f, fmap, mu, ri_overlap(total, parts))
+    shadow, qc = qualified_image(total, parts, [*range(n), n + p])
+    return OVFInstance(f, fmap, PLFunction(n, pl.envelope(shadow)), qc)
 
 
 def solution_map(inst: OVFInstance, x: Vec) -> NCSet:
@@ -204,8 +202,7 @@ def rhs_formula(inst: OVFInstance, x: Vec, y: Vec) -> HPoly:
         (la.neg(e) + la.zeros(p) + la.neg(e) + e, la.ZERO) for e in la.identity(n)
     )
     cell = f_rows.combine(g_rows).combine(MixedSystem(total, (), (), sums))
-    canon = canonical_form(closed_shadow(cell, range(2 * n + p, total)))
-    return canon if canon is not None else empty_hpoly(n)
+    return project(closure_hpoly(cell), range(2 * n + p, total))
 
 
 def ovf_subdifferential(inst: OVFInstance, x: Vec, y: Vec) -> Subdifferential:

@@ -372,11 +372,12 @@ def test_composite_conjugate_identity_worked():
     g = abs_fn()
     h = pf.max_affine(1, [((F(1),), F(-1)), ((F(-1),), F(1))])  # |y - 1|
     a_mat = la.mat([[F(1)]])
+    f = pf.add_with_affine_inner(g, h, a_mat)
     # g*(-y*) is 0 on [-1, 1] and h*(y*) = y* there, +inf beyond
-    assert cj.composite_conjugate_identity(g, h, a_mat, (F(1),)) == 1
-    assert cj.composite_conjugate_identity(g, h, a_mat, (F(0),)) == 0
-    assert cj.composite_conjugate_identity(g, h, a_mat, (F(1, 2),)) == F(1, 2)
-    assert cj.composite_conjugate_identity(g, h, a_mat, (F(2),)) == PLUS_INF
+    assert cj.composite_conjugate_identity(f, g, h, a_mat, (F(1),)) == 1
+    assert cj.composite_conjugate_identity(f, g, h, a_mat, (F(0),)) == 0
+    assert cj.composite_conjugate_identity(f, g, h, a_mat, (F(1, 2),)) == F(1, 2)
+    assert cj.composite_conjugate_identity(f, g, h, a_mat, (F(2),)) == PLUS_INF
 
 
 def test_composite_conjugate_identity_random():
@@ -387,7 +388,8 @@ def test_composite_conjugate_identity_random():
         g = orc._random_plf(rng, orc.ULTRA_SPEC, 1, anchor=x0)
         h = orc._random_plf(rng, orc.ULTRA_SPEC, 1, anchor=la.mat_vec(a_mat, x0))
         ystar = (F(rng.randint(-2, 2)),)
-        value = cj.composite_conjugate_identity(g, h, a_mat, ystar)
+        f = pf.add_with_affine_inner(g, h, a_mat)
+        value = cj.composite_conjugate_identity(f, g, h, a_mat, ystar)
         rg = orc.generator_conjugate_oracle(g, la.neg(la.mat_t_vec(a_mat, ystar)))
         rh = orc.generator_conjugate_oracle(h, ystar)
         want = rg + rh if PLUS_INF not in (rg, rh) else PLUS_INF

@@ -532,6 +532,24 @@ def test_fenchel_duality_worked():
     assert -(pg + ph) == 1
 
 
+def test_fenchel_duality_builds_the_sum_once(monkeypatch):
+    # the composite conjugate identity is checked at each probe y* on the
+    # sum g(x) + h(Ax + y) that the scheme built for its slice, not on a
+    # sum built again per probe; the worked instance probes 0 and -1
+    calls = []
+
+    def counted(*args, real=pf.add_with_affine_inner):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(pf, "add_with_affine_inner", counted)
+    g = abs_fn()
+    h = pf.max_affine(1, [((F(1),), F(-1)), ((F(-1),), F(1))])  # |y - 1|
+    rep = du.fenchel_duality(g, h, la.mat([[F(1)]]))
+    assert rep.gap == 0 and rep.dual_witness == (F(-1),)
+    assert len(calls) == 1
+
+
 def test_fenchel_duality_random():
     rng = random.Random(53)
     for _ in range(6):

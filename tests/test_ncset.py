@@ -44,6 +44,7 @@ from ncvx.ncset import (
     from_mixed,
     intersect,
     is_nearly_convex,
+    joint_image,
     linear_image,
     membership,
     minkowski_sum,
@@ -315,6 +316,51 @@ def test_product_equals_the_canonical_form_of_each_pair(monkeypatch):
             assert base.ri_system().satisfies(ph.ri_point(base))
         pieces += len(got)
     assert pieces > 1000, pieces
+
+
+def test_a_form_made_here_is_its_own_canonical_form(monkeypatch):
+    # forms made by faces, product, joint_image and ri_shadow on seeded
+    # sets: each equals canonical_form of its rows taken afresh, row for
+    # row, and each that keeps a point of its ri is returned as it is by
+    # canonical_form from a cold cache, with no _canonical run and no LP
+    # of either entry
+    origin = origin_lp_calls(monkeypatch)
+    runs = []
+
+    def counted(*args, real=ph._canonical):
+        runs.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ph, "_canonical", counted)
+    rng = random.Random(11)
+    kept = 0
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        s1, s2 = (orc.random_ncset(rng, n, orc.LEAN_SPEC) for _ in "ab")
+        base = s1.pieces[0].base
+        keep = sorted(rng.sample(range(n), rng.randint(1, n)))
+        both = [(s1, range(n)), (s2, range(n))]
+        forms = [
+            *faces(ph.closure_hpoly(base.closed_system())),
+            *(pc.base for pc in product(s1, s2).pieces),
+            *(pc.base for pc in joint_image(n, both, keep).pieces),
+            ph.ri_shadow(base.ri_system(), ph.ri_point(base), keep),
+        ]
+        for q in forms:
+            canonical_form.cache_clear()
+            fresh = canonical_form(ph.closure_hpoly(q.closed_system()))
+            assert fresh == q and repr(fresh) == repr(q)
+            if q._inside is None:
+                continue
+            assert q.ri_system().satisfies(ph.ri_point(q))
+            canonical_form.cache_clear()
+            runs.clear()
+            origin.clear()
+            misses = solve_lp.cache_info().misses
+            assert canonical_form(q) is q
+            assert not runs and not origin and solve_lp.cache_info().misses == misses
+            kept += 1
+    assert kept > 500, kept
 
 
 # ---------------------------------------------------------------------------
