@@ -5,6 +5,18 @@ Exit codes: 0 when the operation succeeds and every asserted identity or
 qualification holds, 1 when an identity is violated or a qualification
 fails, 2 for usage and parse errors.  Diagnostics go to stderr; stdout
 stays machine-readable.
+
+A process loads only the layers its verb runs.  Every verb loads `jsonio`,
+`ncset`, `svmap` and `plfunc` (with `polyhedron`, `lp` and `linalg` below
+them); the set and map verbs load nothing more.  The handlers of the other
+verbs import their layer themselves:
+
+- `ovf`, `ncone` and `coderiv` load `variational`, and `ovf conjugate`
+  also `conjugate`;
+- `conj` and `support` load `conjugate` (which loads `variational`);
+- `duality` loads `duality` (which loads `conjugate` and `variational`);
+- `verify` loads `oracle` and with it every layer; numpy loads only when a
+  suite scans a lattice.
 """
 
 from __future__ import annotations
@@ -13,14 +25,10 @@ import argparse
 import sys
 from typing import Optional
 
-from . import conjugate as cj
-from . import duality as du
 from . import jsonio as js
 from . import ncset as ns
-from . import oracle as orc
 from . import plfunc as pl
 from . import svmap as sv
-from . import variational as vr
 from .errors import NcvxError, ParseError, UsageError
 
 
@@ -177,7 +185,9 @@ def _run_map(args):
 # optimal value function verbs
 
 
-def _load_ovf(path: str) -> vr.OVFInstance:
+def _load_ovf(path: str):
+    from . import variational as vr
+
     obj = js.load_json_file(path)
     if not isinstance(obj, dict) or "f" not in obj or "F" not in obj:
         raise ParseError("instance needs f (function) and F (mapping)")
@@ -187,6 +197,8 @@ def _load_ovf(path: str) -> vr.OVFInstance:
 
 
 def _run_ovf(args):
+    from . import variational as vr
+
     inst = _load_ovf(args.instance)
     if args.ovf_op == "eval":
         value = pl.eval_at(inst.mu, _point(args))
@@ -199,6 +211,8 @@ def _run_ovf(args):
         sols = vr.solution_map(inst, _point(args))
         doc = {"solutions": js.ncset_to_json(sols), "qc": inst.qc}
         return doc, 0 if inst.qc else 1
+    from . import conjugate as cj
+
     value, wit = cj.ovf_conjugate(inst, _point(args, "dual"))  # conjugate
     doc = {
         "value": js.value_to_json(value),
@@ -213,6 +227,8 @@ def _run_ovf(args):
 
 
 def _run_conj(args):
+    from . import conjugate as cj
+
     if args.conj_op == "fn":
         f = _load_fn(args.function)
         star = cj.fenchel(f)
@@ -236,12 +252,16 @@ def _run_conj(args):
 
 
 def _run_support(args):
+    from . import conjugate as cj
+
     s = _load_set(args.set)
     ev = cj.support(s, _point(args, "dual"))
     return {"support": js.support_to_json(ev)}, 0
 
 
 def _run_ncone(args):
+    from . import variational as vr
+
     s = _load_set(args.set)
     ns.require_valid(s)
     rep = vr.normal_cone(s, _point(args))
@@ -249,6 +269,8 @@ def _run_ncone(args):
 
 
 def _run_coderiv(args):
+    from . import variational as vr
+
     f = _load_map(args.map)
     sv.require_valid_map(f)
     cone = vr.coderivative(f, _point(args), _point(args, "dual"))
@@ -266,6 +288,8 @@ def _check_scheme(obj: dict, expected: str) -> None:
 
 
 def _run_duality(args):
+    from . import duality as du
+
     obj = js.load_json_file(args.instance)
     if not isinstance(obj, dict):
         raise ParseError("duality instance must be a JSON object")
@@ -308,6 +332,8 @@ def _run_duality(args):
 
 
 def _run_verify(args):
+    from . import oracle as orc
+
     rep = orc.theorem_suite(args.theorem, count=args.count, seed=args.seed)
     return js.suite_report_to_json(rep), 0 if not rep.failures else 1
 

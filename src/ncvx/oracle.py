@@ -8,6 +8,10 @@ rows evaluated directly, and existential questions are settled by a small
 Fourier-Motzkin eliminator. The suites draw seeded random instances, run
 a library identity next to the matching oracle, and report reproducer
 seeds for every failure.
+
+numpy serves only the lattice scans and is imported by them, so it loads
+with the first scan: a suite that never scans a lattice (lemma7.4) runs
+without it.
 """
 
 from __future__ import annotations
@@ -18,8 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence, Union
-
-import numpy as np
 
 from . import conjugate as cj
 from . import duality as du
@@ -304,13 +306,17 @@ def _ri_rows_as_system(dim: int, rows: tuple[tuple, tuple]) -> _Rows:
 
 
 @lru_cache(maxsize=32)
-def _np_lattice(dim: int, den: int, bound: int) -> np.ndarray:
+def _np_lattice(dim: int, den: int, bound: int):
+    import numpy as np
+
     axis = np.arange(-bound * den, bound * den + 1, dtype=np.int64)
     grids = np.meshgrid(*([axis] * dim), indexing="ij")
     return np.stack([g.reshape(-1) for g in grids], axis=1)
 
 
-def _np_row(a: Vec, b: Fraction, pts: np.ndarray, den: int, op: str) -> np.ndarray:
+def _np_row(a: Vec, b: Fraction, pts, den: int, op: str):
+    import numpy as np
+
     scale = math.lcm(b.denominator, *(f.denominator for f in a))
     ai = [int(f * scale) for f in a]
     bi = int(b * scale) * den
@@ -330,7 +336,9 @@ def _np_row(a: Vec, b: Fraction, pts: np.ndarray, den: int, op: str) -> np.ndarr
     return lhs == bi
 
 
-def _np_system_mask(ms: _Rows | MixedSystem, pts: np.ndarray, den: int) -> np.ndarray:
+def _np_system_mask(ms: _Rows | MixedSystem, pts, den: int):
+    import numpy as np
+
     mask = np.ones(len(pts), dtype=bool)
     for a, b in ms.weak:
         mask &= _np_row(a, b, pts, den, "<=")
@@ -341,16 +349,16 @@ def _np_system_mask(ms: _Rows | MixedSystem, pts: np.ndarray, den: int) -> np.nd
     return mask
 
 
-def _np_union_mask(
-    systems: Sequence[MixedSystem], pts: np.ndarray, den: int
-) -> np.ndarray:
+def _np_union_mask(systems: Sequence[MixedSystem], pts, den: int):
+    import numpy as np
+
     mask = np.zeros(len(pts), dtype=bool)
     for msys in systems:
         mask |= _np_system_mask(msys, pts, den)
     return mask
 
 
-def _point_of(row: np.ndarray, den: int) -> Vec:
+def _point_of(row, den: int) -> Vec:
     return tuple(F(int(k), den) for k in row)
 
 
@@ -391,6 +399,8 @@ def grid_membership_oracle(
             mismatches.append((x, e, g))
 
     if denominator and dim <= 3:
+        import numpy as np
+
         pts = _np_lattice(dim, denominator, bound)
         got_mask = _np_union_mask(_set_systems(got), pts, denominator)
         if is_set:
@@ -462,6 +472,8 @@ def near_convexity_oracle(
 
     den = _LATTICE_DEN.get(s.dim) if denominator is None else denominator
     if den and s.dim <= 3:
+        import numpy as np
+
         pts = _np_lattice(s.dim, den, DEFAULT_SPEC.bound)
         ri_mask = _np_system_mask(_ri_rows_as_system(s.dim, rows), pts, den)
         union = _np_union_mask(_set_systems(s), pts, den)

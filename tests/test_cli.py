@@ -2,11 +2,16 @@
 
 Each test writes small fixed instances, runs `cli.main(argv)` in process
 and compares stdout byte for byte with the recorded document, together
-with the exit code.
+with the exit code.  The tests at the end start fresh interpreters, to see
+what a cold call loads and that each verb family runs on its own imports.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -200,10 +205,14 @@ INPUTS = {
 }
 
 
+def _write_inputs(folder) -> None:
+    for name, doc in INPUTS.items():
+        (folder / name).write_text(json.dumps(doc), encoding="utf-8")
+
+
 @pytest.fixture
 def run(tmp_path, monkeypatch, capsys):
-    for name, doc in INPUTS.items():
-        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+    _write_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
 
     def go(*argv):
@@ -675,3 +684,82 @@ def test_duality_fenchel(run):
         ],
         "2267f1ab5f84c732522f3d94e436cf79add85b8bc7eceb1754dfcb7d021fd99a",
     )
+
+
+# ---------------------------------------------------------------------------
+# fresh interpreters: the tests above run with every module already
+# imported, so they cannot see what a cold call loads, nor a verb that works
+# only because another module was loaded first
+
+SRC = Path(cli.__file__).resolve().parent.parent
+HEAVY = ("numpy", "ncvx.oracle", "ncvx.duality", "ncvx.conjugate", "ncvx.variational")
+
+# runs each argv of sys.argv[1] through cli.main in this one process and
+# prints, as JSON, which HEAVY modules are loaded after the import and
+# after each verb, with the verb's exit code
+_LOADS = """
+import contextlib, io, json, sys
+from ncvx import cli
+heavy, argvs = json.loads(sys.argv[1])
+seen = [[None, [m for m in heavy if m in sys.modules]]]
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    seen.append([code, [m for m in heavy if m in sys.modules]])
+print(json.dumps(seen))
+"""
+
+
+def _fresh(folder, *argv) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, *argv], cwd=folder, env=env, capture_output=True, text=True, timeout=300
+    )
+
+
+def _loads_after(folder, argvs) -> list:
+    done = _fresh(folder, "-c", _LOADS, json.dumps([HEAVY, argvs]))
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_set_and_map_verbs_load_no_oracle_numpy_or_duality_layer(tmp_path):
+    _write_inputs(tmp_path)
+    argvs = [
+        ["member", "t.json", "--point", "1,0"],
+        ["check", "t.json"],
+        ["closure", "s.json"],
+        ["map", "compose", "k.json", "g.json"],
+        ["image", "a.json", "m12.json"],
+    ]
+    assert _loads_after(tmp_path, argvs) == [[None, []]] + [[0, []]] * len(argvs)
+
+
+def test_only_a_lattice_suite_loads_numpy(tmp_path):
+    # lemma7.4 never scans a lattice; thm2.2d compares images on one
+    done = _loads_after(tmp_path, [["verify", "lemma7.4", "--count", "1"]])
+    assert done[-1] == [0, ["ncvx.oracle", "ncvx.duality", "ncvx.conjugate", "ncvx.variational"]]
+    done = _loads_after(tmp_path, [["verify", "thm2.2d", "--count", "1"]])
+    assert done[-1] == [0, list(HEAVY)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "t.json"),
+        ("map", "compose", "k.json", "g.json"),
+        ("conj", "fn", "hinge.json", "--dual=1/2"),
+        ("support", "t.json", "--dual", "1,1"),
+        ("ncone", "t.json", "--point", "0,0"),
+        ("ovf", "eval", "ovf.json", "--point=-1"),
+        ("ovf", "conjugate", "ovf.json", "--dual=1/2"),
+        ("duality", "general", "gen.json"),
+        ("verify", "lemma7.4", "--count", "1"),
+    ],
+    ids=lambda argv: " ".join(w for w in argv if w.isalpha()),
+)
+def test_each_verb_family_runs_in_a_fresh_process(run, tmp_path, argv):
+    done = _fresh(tmp_path, "-m", "ncvx.cli", *argv)
+    assert done.stdout.count("\n") == 1
+    json.loads(done.stdout)
+    assert (done.returncode, done.stdout) == run(*argv)[:2]

@@ -17,6 +17,11 @@ Rules over `src/ncvx`:
   `RESCALING` allows per module: a ratchet, so that per-call rescaling of
   rows a system already holds cannot creep back.
 
+Two rules over imports, so that a cold call loads only what it runs: no
+module imports numpy at module level (only the oracle's lattice scans use
+it), and `cli` imports none of `oracle`, `duality`, `conjugate` and
+`variational` at module level (their verb handlers do).
+
 One rule over the command line: every verb path of the parser (`check`,
 `map compose`, `conj chain`, `duality fenchel`, ...) is run by some golden
 test in `tests/test_cli.py`.
@@ -254,6 +259,43 @@ def test_no_assert_in_certificate_checks():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def _import_time_names(tree: ast.Module) -> set:
+    """Each dotted part of what the import statements outside function
+    bodies name: `from .oracle import x` and `from . import oracle` both
+    give `oracle`, `import numpy as np` gives `numpy`."""
+    found, todo = set(), list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = getattr(node, "module", None) or ""
+            for alias in node.names:
+                found.update(f"{module}.{alias.name}".split("."))
+        elif not isinstance(node, _FUNCTIONS):
+            todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_heavy_layers_are_imported_where_they_are_used():
+    numpy_at_import = [
+        path.stem for path in _library_modules() if "numpy" in _import_time_names(_parse(path))
+    ]
+    assert numpy_at_import == [], "import numpy in the function that scans"
+    # with numpy unbound at module level, an annotation cannot name it
+    annotations = [
+        node.annotation if isinstance(node, ast.arg) else node.returns
+        for path in _library_modules()
+        for node in ast.walk(_parse(path))
+        if isinstance(node, (ast.arg, ast.FunctionDef))
+    ]
+    named = {
+        n.id for a in annotations if a is not None for n in ast.walk(a) if isinstance(n, ast.Name)
+    }
+    assert named & {"np", "numpy"} == set()
+    verb_layers = {"oracle", "duality", "conjugate", "variational"}
+    found = _import_time_names(_parse(LIBRARY / "cli.py")) & verb_layers
+    assert found == set(), "import it in the verb handler"
 
 
 def _is_unbounded_cache(decorator) -> bool:
