@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 from . import linalg as la
@@ -98,7 +97,6 @@ def support(s: NCSet, v) -> SupportEvaluation:
     return SupportEvaluation(best.value, best.witness, None)
 
 
-@lru_cache(maxsize=None)
 def support_epigraph(s: NCSet) -> HPoly:
     """epi sigma_s in R^(dim+1) by polarity from the generators of the
     closed convex hull; the empty set yields the whole space."""
@@ -176,7 +174,6 @@ def _convolution(e1: HPoly, e2: HPoly, target: Vec, direct: Value) -> Optional[V
 # Fenchel conjugates of functions and set-valued mappings
 
 
-@lru_cache(maxsize=None)
 def conjugate_epigraph(f: PLFunction) -> HPoly:
     """epi f* in R^(n+1): generator (x, t) of cl(epi f) gives the row
     <w, x> - beta <= t and a ray (r, s) gives <w, r> <= s.

@@ -31,7 +31,7 @@ from .polyhedron import HPoly, NormalConeRep
 from .rationals import format_rational, parse_rational
 from .svmap import SVMap
 
-# FM and double description are exponential; keep wire inputs at desk scale
+# the double description is exponential; keep wire inputs at desk scale
 CONSTRAINT_CAP = 32
 
 

@@ -62,14 +62,14 @@ from .polyhedron import (
     _hpoly_sort_key,
     _ri_int_point,
     canonical_form,
-    closed_shadow,
     closure_hpoly,
     decompose_mixed,
     difference_witness,
     faces,
-    project,
+    image,
     ri_point,
     ri_shadow,
+    shadow,
     strict_point,
     to_hrep,
     to_vrep,
@@ -303,9 +303,10 @@ def shadow_hull(s: NCSet, keep: Sequence[int]) -> Optional[HPoly]:
     image of a polyhedron under a linear map is a closed polyhedron
     (Rockafellar, Thm 19.3), so the shadow of H is that closure, and its
     ri is the shadow of ri(H) (Thm 6.6).  So the hull of dom f is read
-    off the hull of epi f, with no shadow of a piece taken."""
+    off the hull of epi f, with no shadow of a piece taken, from H's
+    generators (polyhedron.shadow)."""
     hull = closure_hull(s)
-    return None if hull is None else project(hull, keep)
+    return None if hull is None else shadow(hull.closed_system(), keep, ri_point(hull))
 
 
 @lru_cache(maxsize=None)
@@ -492,22 +493,14 @@ def intersect(s1: NCSet, s2: NCSet) -> tuple[NCSet, bool]:
     return qualified_image(s1.dim, parts, range(s1.dim))
 
 
-def _image_base(q: HPoly, t: Mat) -> HPoly:
-    """Closed image t(q) by lifting to the graph and projecting."""
-    p, n = len(t), q.dim
-    if any(len(r) != n for r in t):
-        raise DimensionMismatch("matrix width does not match set dim")
-    graph = tuple((t[i] + la.neg(la.unit(p, i)), la.ZERO) for i in range(p))
-    lifted = q.closed_system().embed(range(n), n + p)
-    lifted = lifted.combine(MixedSystem(n + p, (), (), graph))
-    return closed_shadow(lifted, list(range(n, n + p)))
-
-
 def linear_image(s: NCSet, t: Mat) -> NCSet:
+    """{t x : x in s}, one piece ri(t B) = t ri(B) per piece ri(B)
+    (Rockafellar, Thm 6.6), its base the closed image of B's generators
+    (polyhedron.image)."""
     p = len(t)
     if p == 0:
         raise DimensionMismatch("image space must have positive dim")
-    return ncset(p, [_image_base(pc.base, t) for pc in s.pieces])
+    return _of_canonical(p, [image(pc.base, t) for pc in s.pieces])
 
 
 def preimage(s: NCSet, t: Mat) -> tuple[NCSet, bool]:

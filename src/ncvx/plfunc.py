@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Optional, Sequence
 
 from . import linalg as la
@@ -40,15 +40,15 @@ from .ncset import (
 from .polyhedron import (
     HPoly,
     VPoly,
+    _generators,
+    _hull,
     canonical_form,
-    closed_shadow,
     decompose_mixed,
     hpoly,
     least,
     polyhedron_equal,
     project_mixed,
     ri_point,
-    ri_shadow,
     strict_point,
     to_vrep,
 )
@@ -274,28 +274,25 @@ def from_epigraphical(e: SVMap) -> PLFunction:
 # epigraph validity via the lower envelope
 
 
-@lru_cache(maxsize=None)
 def envelope(s: NCSet) -> NCSet:
     """Epigraph of x -> inf{lam : (x, lam) in s}.
 
     Always contains s; equals s exactly when s is a legitimate epigraph.
-    Per piece: the x-shadow of the piece (relatively open, ri_shadow from
-    the ri point its canonical base keeps) crossed with the upward
-    closure of the closed base (closed_shadow, no LP), split into open
-    cells.
+    Per piece ri(Q), from one set of generators of Q: the x-shadow of the
+    piece, the ri of the hull of their x parts (Rockafellar, Thms 19.3
+    and 6.6), crossed with the upward closure Q + cone(e_lam), the hull
+    of the generators and the ray e_lam, seeded with ri_point(Q) + e_lam,
+    a point of its ri (Cor. 6.6.2); split into open cells.
     """
     n = s.dim - 1
-    xs = list(range(n))
+    up = la.unit(s.dim, n)
     bases = []
     for pc in s.pieces:
-        q = pc.base
-        shadow = ri_shadow(q.ri_system(), ri_point(q), xs).ri_system()
-        # upward closure of q, computed over (x, lam', lam) with lam' <= lam
-        chain = (la.zeros(n) + (la.ONE, -la.ONE), la.ZERO)
-        lifted = q.closed_system().embed(range(n + 1), n + 2)
-        lifted = lifted.combine(MixedSystem(n + 2, (chain,)))
-        upward = closed_shadow(lifted, xs + [n + 1]).closed_system()
-        cell = upward.combine(shadow.embed(xs, n + 1))
+        q, z = pc.base, ri_point(pc.base)
+        gens = _generators(q.closed_system())
+        shadow = _hull(n, [g[:-1] for g in gens], z[:-1]).ri_system()
+        upward = _hull(s.dim, [*gens, (0,) * s.dim + (1,)], la.add(z, up))
+        cell = upward.closed_system().combine(shadow.embed(range(n), s.dim))
         bases.extend(decompose_mixed(cell))
     return ncset(s.dim, bases)
 

@@ -28,20 +28,19 @@ polyhedron are enumerated from such points, each facet seeding its own
 children.  A canonical form, and each face seeded so, keeps its point
 (ri_point).
 
-Projection is Fourier-Motzkin with equality pivoting, on closed systems
-only and with no LP: canonical_form removes the redundant rows it leaves.
-Each row is made primitive once: an equality row cancels a column from
-the others by cross-multiplication, each pair of rows of opposite sign
-in it combines the same way, and of rows with parallel normals only the
-tightest stays between eliminations.  A relatively open cell has one
-shadow rule, ri(AC) = A ri(C) (Rockafellar, Thm 6.6): its shadow is the
-ri of the closed shadow of its closure, canonicalized from the kept
-coordinates of a point of the cell (ri_shadow). Vertex/ray descriptions
-come from the double description method run on the homogenization, and
-the same cone routine applied to the polar gives the reverse conversion;
-rays and lineality vectors stay primitive integer tuples, and each ray
-carries a bitmask of the rows it is tight on, so the adjacency test of
-two rays is a mask test against the others.
+Every image is taken from generators.  Vertex/ray descriptions come from
+the double description method run on the homogenization (Motzkin et al.
+1953; Fukuda & Prodon 1996), and the same cone routine applied to the
+polar gives the reverse conversion, whose rows are the facets; rays and
+lineality vectors stay primitive integer tuples, and each ray carries a
+bitmask of the rows it is tight on, so the adjacency test of two rays
+is a mask test against the others.  A linear map sends conv(P) + cone(R)
+onto conv(TP) + cone(TR) (Rockafellar, Thm 19.3), so a closed shadow or
+image is the reverse conversion of the mapped generators (shadow,
+image).  A relatively open cell has one shadow rule, ri(AC) = A ri(C)
+(Thm 6.6): its shadow is the ri of the closed shadow of its closure,
+canonicalized from the kept coordinates of a point of the cell
+(ri_shadow).
 
 Mixed cells (weak + strict + equality rows) are the set-algebra workhorse:
 region subtraction peels one constraint at a time, each cell carrying a
@@ -67,7 +66,6 @@ two-phase LP.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -82,7 +80,7 @@ from .errors import (
     PointNotInSet,
     UsageError,
 )
-from .linalg import ONE, Vec, ZERO
+from .linalg import ONE, Mat, Vec, ZERO
 from .lp import (
     LPOutcome,
     MixedSystem,
@@ -813,7 +811,15 @@ def _canonical(p: HPoly, z: Optional[Vec] = None) -> Optional[Seeded]:
     no reduced row is an implicit equality, and z seeds step 3.  The
     result keeps the strict point it was made from (ri_point)."""
     weak, _, eq = p.closed_system().rows
-    reduced = _eliminate_int(p.dim, _flat(eq), _flat(weak))
+    return _canonical_rows(p.dim, _flat(eq), _flat(weak), z)
+
+
+def _canonical_rows(
+    dim: int, eq: Iterable[IntRow], ineq: Iterable[IntRow], z: Optional[Vec] = None
+) -> Optional[Seeded]:
+    """_canonical on the integer rows [A..., B] of the equalities and the
+    inequalities."""
+    reduced = _eliminate_int(dim, eq, ineq)
     if reduced is None:
         return None
     eq, ineq = reduced
@@ -825,12 +831,12 @@ def _canonical(p: HPoly, z: Optional[Vec] = None) -> Optional[Seeded]:
         ):
             inside = zi, den
     if inside is None:
-        found = _relative_interior(p.dim, eq, ineq)
+        found = _relative_interior(dim, eq, ineq)
         if found is None:
             return None
         eq, ineq, inside = found
-    keep, seen = _irredundant(p.dim, eq, ineq, inside)
-    return _canonical_hpoly(p.dim, eq, [ineq[i] for i in keep], inside), seen
+    keep, seen = _irredundant(dim, eq, ineq, inside)
+    return _canonical_hpoly(dim, eq, [ineq[i] for i in keep], inside), seen
 
 
 def _canonical_hpoly(dim: int, eq: Iterable[IntRow], ineq: Iterable[IntRow], inside) -> HPoly:
@@ -1026,92 +1032,150 @@ def polyhedron_equal(p: HPoly, q: HPoly) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Fourier-Motzkin projection and the shadows of relatively open cells
+# Double description, and every image from its generators
 
 
-def _fm_shadow(m: MixedSystem, keep: Sequence[int]) -> Optional[IntRows]:
-    """Fourier-Motzkin shadow of a closed system onto the kept coordinates
-    (increasing), as (equality rows, inequality rows) in integers, or None
-    when a row 0 = b (b nonzero) or 0 <= b < 0 shows the system empty;
-    redundant rows stay.
+def _combine(s: int, u: tuple[int, ...], t: int, v: tuple[int, ...]) -> tuple[int, ...]:
+    """primitive(s u + t v) for integer vectors."""
+    return tuple(_primitive([s * x + t * y for x, y in zip(u, v)]))
 
-    The integer rows of the system are made primitive once.  An
-    equality row e nonzero in the dropped column, with e[c] > 0, cancels
-    the column from every other row (_cancel); else each row positive in
-    it is added to each row negative in it, cross-multiplied and made
-    primitive.  Between eliminations the rows are merged (_merged)."""
-    keep = tuple(keep)
-    if sorted(set(keep)) != sorted(keep) or any(
-        i < 0 or i >= m.dim for i in keep
-    ):
+
+def _primitive_of(row: Vec) -> list[int]:
+    """The primitive integer multiple of a rational vector: the same
+    half-space, or the same ray."""
+    den = lcm(*(x.denominator for x in row))
+    return _primitive([x.numerator * (den // x.denominator) for x in row])
+
+
+def _cone_generators(dim: int, rows: Sequence[Vec]) -> tuple[list[Vec], list[Vec]]:
+    """_int_cone_generators on rational rows; Fractions appear only in the
+    returned generators."""
+    lineality, rays = _int_cone_generators(dim, [_primitive_of(r) for r in rows])
+    return [la.vec(l) for l in lineality], [la.vec(r) for r in rays]
+
+
+def _int_cone_generators(
+    dim: int, rows: Iterable[IntRow]
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Minimal (lineality, rays) generating {z : r.z >= 0 for all rows},
+    for integer rows.
+
+    Double description in integers (Fukuda & Prodon 1996).  Each nonzero
+    row is made primitive, which keeps its half-space, and the rays and
+    lineality vectors stay primitive integer tuples, so every dot product
+    is an integer.  Each ray carries a bitmask of the processed rows it is
+    tight on, bit k for the k-th nonzero row.  A row that meets the
+    lineality turns one lineality vector into a ray tight on every earlier
+    row, and every old ray becomes tight on it.  A row that does not keeps
+    the rays on its side, and each adjacent (positive, negative) pair
+    gives a new ray tight on the rows both are tight on and on this one.
+    Adjacency is combinatorial (Zolotykh 2012): no third ray is tight on
+    every row the pair shares, and a pair sharing fewer than
+    dim - lin - 2 rows cannot span a 2-face.  The lineality comes out as
+    the primitive multiples of the RREF rows of its span (_echelon), and
+    both lists sorted."""
+    lineality = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    rays: list[tuple[int, ...]] = []
+    masks: list[int] = []
+    bit = 1
+    for row in rows:
+        if not any(row):
+            continue
+        a = _primitive(list(row))
+        hit_at = next((j for j, l in enumerate(lineality) if _dot(a, l)), None)
+        if hit_at is not None:
+            hit = lineality.pop(hit_at)
+            pv = _dot(a, hit)
+            if pv < 0:
+                hit, pv = tuple(-x for x in hit), -pv
+            # a vector with a.v = 0 is primitive and stays as it is
+            lineality = [_combine(pv, l, -d, hit) if (d := _dot(a, l)) else l for l in lineality]
+            rays = [_combine(pv, r, -d, hit) if (d := _dot(a, r)) else r for r in rays] + [hit]
+            masks = [m | bit for m in masks] + [bit - 1]
+        else:
+            vals = [_dot(a, r) for r in rays]
+            pos = [(r, m, v) for r, m, v in zip(rays, masks, vals) if v > 0]
+            negs = [(r, m, v) for r, m, v in zip(rays, masks, vals) if v < 0]
+            fresh = {r: m for r, m, _ in pos}
+            fresh.update((r, m | bit) for r, m, v in zip(rays, masks, vals) if not v)
+            need = dim - len(lineality) - 2
+            for rp, mp, vp in pos:
+                for rn, mn, vn in negs:
+                    shared = mp & mn
+                    if shared.bit_count() < need:
+                        continue
+                    # the pair is tight on every row it shares: adjacent
+                    # when no third ray is
+                    if sum(1 for m in masks if shared & m == shared) == 2:
+                        fresh.setdefault(_combine(vp, rn, -vn, rp), shared | bit)
+            rays, masks = list(fresh), list(fresh.values())
+        bit <<= 1
+    basis = _echelon(dim, [(*l, 0) for l in lineality])[0]
+    return sorted(tuple(e[:-1]) for e in basis), sorted(set(rays))
+
+
+def _generators(m: MixedSystem) -> list[tuple[int, ...]]:
+    """The generators [t, x...] of the homogenization {(t, x) : t >= 0,
+    A x <= B t on each weak row, A x = B t on each equality} of the
+    closure of m, uncached: its rays, then each lineality vector both
+    ways.  The closure is conv of the points x / t (t > 0) plus cone of
+    the directions x (t = 0), and empty when no t is positive."""
+    weak, _, eq = m.closed().rows
+    rows = [(1,) + (0,) * m.dim]
+    rows += [(b, *[-v for v in a]) for a, b, _ in weak]
+    for a, b, _ in eq:
+        rows += [(b, *[-v for v in a]), (-b, *a)]
+    lineality, rays = _int_cone_generators(m.dim + 1, rows)
+    if any(l[0] for l in lineality) or any(r[0] < 0 for r in rays):
+        raise CertificateError("homogenized generators have t >= 0, and t = 0 on the lineality")
+    return rays + lineality + [tuple([-v for v in l]) for l in lineality]
+
+
+def _hull(dim: int, gens: Iterable[IntRow], z: Optional[Vec] = None) -> Optional[HPoly]:
+    """The canonical polyhedron of integer generators [t, x...] of its
+    homogenization, as _generators gives them, or None with no t > 0.
+
+    The rays w of the polar cone {w : w.g >= 0 for every generator g} are
+    the facets -w_x.x <= w_t, less the row 0 <= 1 of t >= 0, and its
+    lineality gives the equalities; canonical_form's ray test and LP
+    duals still prove the facets (_canonical_rows), from z, a point of
+    the ri, or else from the mean of the points plus the sum of the
+    directions, a positive combination of every generator and so a point
+    of the ri (Rockafellar, Thm 6.9 and Cor. 6.6.2)."""
+    gens = sorted({tuple(_primitive(list(g))) for g in gens if any(g)})
+    points = [g for g in gens if g[0]]
+    if not points:
+        return None
+    if z is None:
+        z = tuple(
+            sum(Fraction(g[j], g[0] * len(points)) for g in points)
+            + sum(g[j] for g in gens if not g[0])
+            for j in range(1, dim + 1)
+        )
+    lineality, rays = _int_cone_generators(dim + 1, gens)
+    eq = [(*w[1:], -w[0]) for w in lineality]
+    ineq = [(*[-v for v in w[1:]], w[0]) for w in rays]
+    found = _canonical_rows(dim, eq, ineq, z)
+    if found is None:
+        raise CertificateError("a polyhedron with a point is nonempty")
+    return found[0]
+
+
+def shadow(m: MixedSystem, keep: Sequence[int], z: Optional[Vec] = None) -> Optional[HPoly]:
+    """The closed shadow on keep (increasing) of the closure of m,
+    canonical, or None when it is empty: _hull of the kept coordinates of
+    m's generators, since a linear map sends conv(P) + cone(R) onto
+    conv + cone of the images (Rockafellar, Thm 19.3).  z, a point of
+    ri(cl m), seeds it with its kept coordinates (Thm 6.6)."""
+    keep = list(keep)
+    if len(set(keep)) != len(keep) or any(i < 0 or i >= m.dim for i in keep):
         raise DimensionMismatch("bad projection coordinates")
-    if sorted(keep) != list(keep):
+    if sorted(keep) != keep:
         raise DimensionMismatch("projection must keep coordinate order")
     if not keep:
         raise DimensionMismatch("cannot project onto no coordinates")
-    weak, strict, eq = m.rows
-    if strict:
-        raise CertificateError("Fourier-Motzkin runs on closed systems")
-    found = _merged(
-        [_primitive([*a, b]) for a, b, _ in eq], [_primitive([*a, b]) for a, b, _ in weak]
-    )
-    for c in sorted(set(range(m.dim)) - set(keep), reverse=True):
-        if found is None:
-            return None
-        eqs, rows = found
-        at = next((i for i, e in enumerate(eqs) if e[c]), None)
-        if at is not None:
-            e = eqs.pop(at)
-            if e[c] < 0:
-                e = tuple(-v for v in e)
-            eqs = [_cancel(r, e, c) for r in eqs]
-            rows = [_cancel(r, e, c) for r in rows]
-        else:
-            pos = [r for r in rows if r[c] > 0]
-            neg = [r for r in rows if r[c] < 0]
-            rows = [r for r in rows if not r[c]] + [
-                _primitive([-n[c] * x + p[c] * y for x, y in zip(p, n)])
-                for p in pos
-                for n in neg
-            ]
-        found = _merged(
-            [(*r[:c], *r[c + 1 :]) for r in eqs], [(*r[:c], *r[c + 1 :]) for r in rows]
-        )
-    return found
-
-
-def _merged(eq: Iterable[IntRow], ineq: Iterable[IntRow]) -> Optional[IntRows]:
-    """Primitive integer rows deduplicated and sorted: each equality row
-    with its first nonzero entry positive, and of the inequality rows with
-    parallel normals only the tightest (_undominated).  Rows 0 = 0 and
-    0 <= b >= 0 are dropped; None when a row 0 = b (b nonzero) or
-    0 <= b < 0 shows the set empty."""
-    eqs, rows = set(), set()
-    for r in eq:
-        if not any(r[:-1]):
-            if r[-1]:
-                return None
-            continue
-        lead = next(v for v in r if v)
-        eqs.add(tuple(r) if lead > 0 else tuple(-v for v in r))
-    for r in ineq:
-        if not any(r[:-1]):
-            if r[-1] < 0:
-                return None
-            continue
-        rows.add(tuple(r))
-    ineq = sorted(rows)
-    return sorted(eqs), [ineq[i] for i in _undominated(ineq)]
-
-
-def closed_shadow(m: MixedSystem, keep: Sequence[int]) -> HPoly:
-    """The projection of a closed system onto the keep coordinates, by
-    Fourier-Motzkin with no LP; a relatively open cell projects through
-    ri_shadow instead.  Redundant rows are left for canonical_form, which
-    every caller applies, to remove."""
-    dim = len(keep)
-    eq, ineq = _fm_shadow(m, keep) or ([], [(0,) * dim + (-1,)])
-    return closure_hpoly(MixedSystem.from_ints(dim, _over_one(ineq), (), _over_one(eq)))
+    gens = [[g[0], *(g[k + 1] for k in keep)] for g in _generators(m)]
+    return _hull(len(keep), gens, None if z is None else tuple(z[k] for k in keep))
 
 
 def ri_shadow(cell: MixedSystem, z: Vec, keep: Sequence[int]) -> HPoly:
@@ -1120,14 +1184,17 @@ def ri_shadow(cell: MixedSystem, z: Vec, keep: Sequence[int]) -> HPoly:
 
     The cell is the ri of its closure cell.closed(), and the ri of a
     linear image is the image of the ri (Rockafellar, Thm 6.6); so the
-    base is the closed shadow of the closure, canonicalized from z's kept
-    coordinates, a point of its ri.  Keeping every column eliminates
-    none."""
-    keep = list(keep)
-    found = _canonical(closed_shadow(cell.closed(), keep), tuple(z[i] for i in keep))
-    if found is None:
+    base is the closed shadow of the closure (shadow), seeded with z.
+    Keeping every column, it is the canonical form of the closure, seeded
+    with z."""
+    if list(keep) != list(range(cell.dim)):
+        base = shadow(cell, keep, z)
+    else:
+        found = _canonical(closure_hpoly(cell), z)
+        base = None if found is None else found[0]
+    if base is None:
         raise CertificateError("the shadow of a cell with a point is nonempty")
-    return found[0]
+    return base
 
 
 def project_mixed(m: MixedSystem, keep: Sequence[int]) -> MixedSystem:
@@ -1147,73 +1214,18 @@ def project_mixed(m: MixedSystem, keep: Sequence[int]) -> MixedSystem:
     return ri_shadow(m, wit, keep).ri_system()
 
 
-def project(p: HPoly, coords: Sequence[int]) -> HPoly:
-    canon = canonical_form(closed_shadow(p.closed_system(), coords))
-    return canon if canon is not None else empty_hpoly(len(coords))
-
-
-# ---------------------------------------------------------------------------
-# Double description
-
-
-def _combine(s: int, u: tuple[int, ...], t: int, v: tuple[int, ...]) -> tuple[int, ...]:
-    """primitive(s u + t v) for integer vectors."""
-    return tuple(_primitive([s * x + t * y for x, y in zip(u, v)]))
-
-
-def _cone_generators(dim: int, rows: Sequence[Vec]) -> tuple[list[Vec], list[Vec]]:
-    """Minimal (lineality, rays) generating {z : r.z >= 0 for all rows}.
-
-    Double description in integers (Fukuda & Prodon 1996).  Each nonzero
-    row is scaled once to a primitive integer vector, which keeps its
-    half-space, and the rays and lineality vectors stay primitive integer
-    tuples, so every dot product is an integer.  Each ray carries a bitmask
-    of the processed rows it is tight on, bit k for the k-th nonzero row.
-    A row that meets the lineality turns one lineality vector into a ray
-    tight on every earlier row, and every old ray becomes tight on it.  A
-    row that does not keeps the rays on its side, and each adjacent
-    (positive, negative) pair gives a new ray tight on the rows both are
-    tight on and on this one.  Adjacency is combinatorial (Zolotykh 2012):
-    no third ray is tight on every row the pair shares, and a pair sharing
-    fewer than dim - lin - 2 rows cannot span a 2-face.  Fractions appear
-    only in the returned generators, sorted."""
-    lineality = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
-    rays: list[tuple[int, ...]] = []
-    masks: list[int] = []
-    bit = 1
-    for row in rows:
-        if la.is_zero(row):
-            continue
-        den = lcm(*(x.denominator for x in row))
-        a = _primitive([x.numerator * (den // x.denominator) for x in row])
-        hit_at = next((j for j, l in enumerate(lineality) if _dot(a, l) != 0), None)
-        if hit_at is not None:
-            hit = lineality.pop(hit_at)
-            pv = _dot(a, hit)
-            if pv < 0:
-                hit, pv = tuple(-x for x in hit), -pv
-            lineality = [_combine(pv, l, -_dot(a, l), hit) for l in lineality]
-            rays = [_combine(pv, r, -_dot(a, r), hit) for r in rays] + [hit]
-            masks = [m | bit for m in masks] + [bit - 1]
-        else:
-            vals = [_dot(a, r) for r in rays]
-            pos = [i for i, v in enumerate(vals) if v > 0]
-            zero = [i for i, v in enumerate(vals) if v == 0]
-            negs = [i for i, v in enumerate(vals) if v < 0]
-            fresh = {rays[i]: masks[i] for i in pos}
-            fresh.update((rays[i], masks[i] | bit) for i in zero)
-            need = dim - len(lineality) - 2
-            for p, n in itertools.product(pos, negs):
-                shared = masks[p] & masks[n]
-                if shared.bit_count() < need or any(
-                    shared & ~m == 0 for k, m in enumerate(masks) if k != p and k != n
-                ):
-                    continue
-                fresh.setdefault(_combine(vals[p], rays[n], -vals[n], rays[p]), shared | bit)
-            rays, masks = list(fresh), list(fresh.values())
-        bit <<= 1
-    basis = la.row_space_basis([la.vec(l) for l in lineality])
-    return sorted(la.primitive(l) for l in basis), [la.vec(r) for r in sorted(set(rays))]
+def image(q: HPoly, t: Mat) -> HPoly:
+    """The closed image {t x : x in q} of a nonempty canonical polyhedron,
+    canonical: _hull of the images of q's generators (Rockafellar,
+    Thm 19.3), seeded with t ri_point(q), a point of its ri (Thm 6.6).
+    A generator [g0, x] maps to [L g0, (L t) x], L the lcm of the
+    denominators of t, so the map runs in integers."""
+    if any(len(r) != q.dim for r in t):
+        raise DimensionMismatch("matrix width does not match set dim")
+    scale = lcm(*(v.denominator for r in t for v in r))
+    rows = [[v.numerator * (scale // v.denominator) for v in r] for r in t]
+    gens = [[g[0] * scale, *(_dot(r, g[1:]) for r in rows)] for g in _generators(q.closed_system())]
+    return _hull(len(t), gens, la.mat_vec(t, ri_point(q)))
 
 
 def to_vrep(p: HPoly, cap: int = DEFAULT_DIM_CAP) -> VPoly:
@@ -1227,53 +1239,23 @@ def to_vrep(p: HPoly, cap: int = DEFAULT_DIM_CAP) -> VPoly:
 
 @lru_cache(maxsize=None)
 def _vrep_of_canonical(canon: HPoly) -> VPoly:
-    n = canon.dim
-    weak, _, eq = canon.closed_system().rows
-    rows = [la.unit(n + 1, 0)]
-    for a, b, _ in weak:
-        rows.append((b, *(-v for v in a)))
-    for a, b, _ in eq:
-        rows.append((b, *(-v for v in a)))
-        rows.append((-b,) + a)
-    lineality, rays = _cone_generators(n + 1, rows)
-    if any(l[0] != 0 for l in lineality):
-        raise CertificateError("homogenized lineality must be horizontal")
-    points = []
-    directions = set()
-    for r in rays:
-        if r[0] > 0:
-            points.append(tuple(v / r[0] for v in r[1:]))
-        elif r[0] == 0:
-            directions.add(la.primitive(r[1:]))
-        else:
-            raise CertificateError("homogenized ray must have a nonnegative height")
-    for l in lineality:
-        d = la.primitive(l[1:])
-        directions.add(d)
-        directions.add(la.neg(d))
+    """The vertices and directions of a canonical polyhedron, from its
+    generators (_generators): each lineality vector both ways."""
+    gens = _generators(canon.closed_system())
+    points = {tuple([Fraction(v, g[0]) for v in g[1:]]) for g in gens if g[0]}
     if not points:
         raise CertificateError("canonical polyhedron must dehomogenize to a point")
-    return VPoly(n, tuple(sorted(set(points))), tuple(sorted(directions)))
+    directions = {tuple(map(Fraction, g[1:])) for g in gens if not g[0]}
+    return VPoly(canon.dim, tuple(sorted(points)), tuple(sorted(directions)))
 
 
-def to_hrep(v: VPoly) -> HPoly:
-    if not v.points:
-        return empty_hpoly(v.dim)
-    rows = [(ONE,) + tuple(pt) for pt in v.points]
-    rows += [(ZERO,) + tuple(r) for r in v.rays]
-    lineality, rays = _cone_generators(v.dim + 1, rows)
-    ineq = []
-    eq = []
-    for w in rays:
-        beta, a = w[0], w[1:]
-        ineq.append((la.neg(a), beta))
-    for w in lineality:
-        beta, a = w[0], w[1:]
-        eq.append((a, -beta))
-    canon = canonical_form(HPoly(v.dim, tuple(ineq), tuple(eq)))
-    if canon is None:
-        raise CertificateError("a V-polyhedron with a point cannot be empty")
-    return canon
+def to_hrep(v: VPoly, z: Optional[Vec] = None) -> HPoly:
+    """conv(points) + cone(rays), canonical (_hull), seeded with z, a point
+    of its ri, when given; the empty polyhedron when there is no point."""
+    gens = [_primitive_of((ONE, *x)) for x in v.points]
+    gens += [_primitive_of((ZERO, *r)) for r in v.rays]
+    found = _hull(v.dim, gens, z)
+    return empty_hpoly(v.dim) if found is None else found
 
 
 def vrep_contains(v: VPoly, x: Vec) -> bool:
@@ -1460,6 +1442,30 @@ def _reverses_a_row(m: MixedSystem, br: MixedSystem) -> bool:
     if br_strict:
         return back in weak or back in strict or back in eq or (c, d, den) in eq
     return back in strict
+
+
+def _merged(eq: Iterable[IntRow], ineq: Iterable[IntRow]) -> Optional[IntRows]:
+    """Primitive integer rows deduplicated and sorted: each equality row
+    with its first nonzero entry positive, and of the inequality rows with
+    parallel normals only the tightest (_undominated).  Rows 0 = 0 and
+    0 <= b >= 0 are dropped; None when a row 0 = b (b nonzero) or
+    0 <= b < 0 shows the set empty."""
+    eqs, rows = set(), set()
+    for r in eq:
+        if not any(r[:-1]):
+            if r[-1]:
+                return None
+            continue
+        lead = next(v for v in r if v)
+        eqs.add(tuple(r) if lead > 0 else tuple(-v for v in r))
+    for r in ineq:
+        if not any(r[:-1]):
+            if r[-1] < 0:
+                return None
+            continue
+        rows.add(tuple(r))
+    ineq = sorted(rows)
+    return sorted(eqs), [ineq[i] for i in _undominated(ineq)]
 
 
 def _dedupe_mixed(m: MixedSystem) -> MixedSystem:

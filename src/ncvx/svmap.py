@@ -231,15 +231,10 @@ def certify_sum(f1: SVMap, f2: SVMap, got: SVMap) -> bool:
     returned."""
     n, p = f1.n, f1.p
     total = n + 2 * p + p  # (x, y1, y2, s)
-    # s = y1 + y2 as rows over (y1, y2, s)
-    adder = tuple(
-        (la.unit(p, i) + la.unit(p, i) + la.neg(la.unit(p, i)), la.ZERO)
-        for i in range(p)
-    )
     parts = [
         (_ri_cell(f1.graph), range(n + p)),
         (_ri_cell(f2.graph), [*range(n), *range(n + p, n + 2 * p)]),
-        (MixedSystem(3 * p, (), (), adder), range(n, total)),
+        (_ri_cell(sum_link(p)), range(n, total)),
     ]
     keep = [*range(n), *range(n + 2 * p, total)]
     return _ri_formula_holds(got.graph, total, parts, keep)

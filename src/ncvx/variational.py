@@ -52,7 +52,7 @@ from .polyhedron import (
     normal_cone_at,
     normal_cone_hrep,
     polyhedron_equal,
-    project,
+    shadow,
     to_vrep,
 )
 from .svmap import SVMap
@@ -180,8 +180,9 @@ def solution_map(inst: OVFInstance, x: Vec) -> NCSet:
 
 def rhs_formula(inst: OVFInstance, x: Vec, y: Vec) -> HPoly:
     """Union over (u, v) in the objective's subdifferential at (x, y) of
-    u + D*F(x, y)(v), computed in one stroke as a projection of
-    {(u, v, w, s) : (u, v, -1) in N(epi f), (w, -v) in N(gph F), s = u + w}."""
+    u + D*F(x, y)(v), computed in one stroke as the shadow on s of
+    {(u, v, w, s) : (u, v, -1) in N(epi f), (w, -v) in N(gph F), s = u + w},
+    from its generators (polyhedron.shadow)."""
     x, y = la.vec(x), la.vec(y)
     n, p = inst.fmap.n, inst.fmap.p
     value = pl.eval_at(inst.f, x + y)
@@ -202,7 +203,8 @@ def rhs_formula(inst: OVFInstance, x: Vec, y: Vec) -> HPoly:
         (la.neg(e) + la.zeros(p) + la.neg(e) + e, la.ZERO) for e in la.identity(n)
     )
     cell = f_rows.combine(g_rows).combine(MixedSystem(total, (), (), sums))
-    return project(closure_hpoly(cell), range(2 * n + p, total))
+    found = shadow(cell, range(2 * n + p, total))
+    return empty_hpoly(n) if found is None else found
 
 
 def ovf_subdifferential(inst: OVFInstance, x: Vec, y: Vec) -> Subdifferential:

@@ -10,7 +10,7 @@ Rules over `src/ncvx`:
 - every module-level import binds a name the module uses;
 - no module holds an `assert` statement;
 - no more unbounded caches (`lru_cache(maxsize=None)`, `functools.cache`)
-  than the 11 the library has now: a ratchet until they are bounded;
+  than the 8 the library has now: a ratchet until they are bounded;
 - no more call sites of the row and point scalers `_scaled`, `_int_row`
   and `_integer_point` outside `lp.MixedSystem`, which holds its rows as
   integers and is the one place Fraction rows are scaled, than
@@ -321,7 +321,7 @@ def test_unbounded_caches_do_not_grow():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and any(map(_is_unbounded_cache, node.decorator_list))
     ]
-    assert len(found) <= 11, found
+    assert len(found) <= 8, found
 
 
 # call sites of the scalers outside lp.MixedSystem, per module and name;

@@ -35,7 +35,6 @@ from ncvx.ncset import (
     NCSet,
     _dominant_piece,
     affine_preimage,
-    closed_shadow,
     closure,
     closure_hull,
     contains_set,
@@ -458,6 +457,35 @@ def test_open_interval_minkowski_sum():
     assert got.pieces[0].base == canonical_form(box([(0, 2)]))
 
 
+def test_minkowski_sum_in_r3_from_generators(monkeypatch):
+    # the joint cells of this sum live in R^9, where Fourier-Motzkin left
+    # hundreds of redundant rows per shadow and gave no result within a
+    # minute.  Each piece ri(A) + ri(B) = ri(A + B) (Rockafellar,
+    # Cor. 6.6.2) is also built from the pairwise sums of the generators
+    # of A and B.  Counted from cold caches: LPs of both entries and
+    # double descriptions, which do not drift with the machine
+    rng = random.Random(6405)
+    s1, s2 = (orc.random_ncset(rng, 3, orc.LEAN_SPEC) for _ in "ab")
+    origin = origin_lp_calls(monkeypatch)
+    dd_calls = _counted(monkeypatch, ph, "_int_cone_generators")
+    clear_caches()
+    got = minkowski_sum(s1, s2)
+    assert solve_lp.cache_info().misses == 0
+    assert len(origin) <= 122 and len(dd_calls) <= 20
+    assert len(got.pieces) == 9
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == (
+        "dd5f69c4c506bc63525506106f6342814f1a437efac0ff212ebd841dd7ca2e8c"
+    )
+    bases = []
+    for a in s1.pieces:
+        u = to_vrep(a.base)
+        for b in s2.pieces:
+            v = to_vrep(b.base)
+            points = tuple(la.add(x, y) for x in u.points for y in v.points)
+            bases.append(ph.to_hrep(ph.VPoly(3, points, u.rays + v.rays)))
+    assert ncset(3, bases) == got
+
+
 def test_preimage_of_half_open_interval():
     t = la.mat([[1, 0]])
     got, qc = preimage(half_open_interval(), t)
@@ -748,14 +776,14 @@ def _counted(monkeypatch, module, name):
 
 
 def test_canonicalization_lp_budget(monkeypatch):
-    """Seeded anchored pairs in dims 1-3.  A closed shadow solves no LP,
-    since canonical_form removes redundant rows anyway; the hull of one
-    piece is its base, with no double description; and intersect
+    """Seeded anchored pairs in dims 1-3.  A closed shadow solves no LP:
+    its rows are facets, settled from the point its generators give; the
+    hull of one piece is its base, with no double description; and intersect
     canonicalizes each piece from the strict witness of its cell.  The
     counts do not drift with the machine."""
     rng = random.Random(51)
     spec = orc.LEAN_SPEC
-    dd_calls = _counted(monkeypatch, ph, "_cone_generators")
+    dd_calls = _counted(monkeypatch, ph, "_int_cone_generators")
     poly_strict = _counted(monkeypatch, ph, "strict_feasible")
     origin = origin_lp_calls(monkeypatch)
     cut = 0
@@ -767,7 +795,7 @@ def test_canonicalization_lp_budget(monkeypatch):
         for pc in s1.pieces + s2.pieces:
             _clear_caches()
             origin.clear()
-            closed_shadow(pc.base.closed_system(), range(dim - 1, dim))
+            ph.shadow(pc.base.closed_system(), range(dim - 1, dim))
             assert solve_lp.cache_info().misses + len(origin) == 0
             _clear_caches()
             dd_calls.clear()
@@ -849,7 +877,7 @@ def test_dominant_piece_is_kept_on_the_set():
 
 
 def test_closure_hull_of_a_dominated_set_runs_no_double_description(monkeypatch):
-    dd_calls = _counted(monkeypatch, ph, "_cone_generators")
+    dd_calls = _counted(monkeypatch, ph, "_int_cone_generators")
     rng = random.Random(13)
     dominated = 0
     for i in range(24):

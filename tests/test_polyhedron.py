@@ -34,7 +34,6 @@ from ncvx.polyhedron import (
     normal_cone_at,
     normal_cone_hrep,
     polyhedron_equal,
-    project,
     project_mixed,
     subtract_cells,
     to_hrep,
@@ -551,7 +550,7 @@ def test_cone_generators_match_brute_enumeration():
 
 
 def test_project_box_to_axis():
-    shadow = project(SQUARE, [0])
+    shadow = ph.shadow(SQUARE.closed_system(), [0])
     assert shadow == canonical_form(hpoly(1, ineq=[((1,), 1), ((-1,), 0)]))
 
 
@@ -574,7 +573,7 @@ def test_project_strict_box_keeps_strictness():
 
 def test_project_cone_covers_line():
     p = hpoly(2, ineq=[((1, -1), 0), ((-1, -1), 0)])
-    shadow = project(p, [0])
+    shadow = ph.shadow(p.closed_system(), [0])
     assert shadow == HPoly(1)
 
 

@@ -1,7 +1,9 @@
-"""The integer Fourier-Motzkin shadow, the integer subtraction cells and
-the face-walk decomposition of mixed systems, against the former
-constructions, kept here as references; the strict points and the LPs
-solved by elimination on at most two free columns, against the simplex.
+"""The shadow taken from generators (polyhedron.shadow), against the
+Fraction Fourier-Motzkin projection it replaced; the integer subtraction
+cells and the face-walk decomposition of mixed systems, against the
+former constructions; all kept here as references.  The strict points
+and the LPs solved by elimination on at most two free columns, against
+the simplex.
 
 Canonical forms are unique, so the shadows are compared canonicalized;
 subtraction cells and their points must be the same rows in the same
@@ -25,7 +27,6 @@ from ncvx.lp import MixedSystem, strict_feasible
 from ncvx.polyhedron import (
     HPoly,
     canonical_form,
-    closed_shadow,
     closure_hpoly,
     decompose_mixed,
     subtract_cells,
@@ -364,7 +365,7 @@ def _same_system(got: MixedSystem, want: MixedSystem) -> bool:
 def test_integer_shadow_matches_the_fraction_shadow():
     seen = {"eq": 0, "empty": 0, "lineality": 0, "one": 0, "all but one": 0}
     for m, keep, kind in _closed_systems(320, seed=2003):
-        got = canonical_form(closed_shadow(m, keep))
+        got = ph.shadow(m, keep)
         want = canonical_form(_fraction_shadow(m, keep))
         assert got == want, (m, keep)
         dropped = [c for c in range(m.dim) if c not in keep]
@@ -403,7 +404,7 @@ def test_integer_cells_match_the_fraction_cells():
 
 def test_shadows_cells_and_pullbacks_match_their_fraction_construction():
     for m, keep, _ in _closed_systems(60, seed=2017):
-        shadow = closed_shadow(m, keep)
+        shadow = ph.shadow(m, keep) or ph.empty_hpoly(len(keep))
         rebuilt = MixedSystem(shadow.dim, shadow.ineq, (), shadow.eq)
         assert _same_system(shadow.closed_system(), rebuilt), (m, keep)
         assert canonical_form(shadow) == canonical_form(_fraction_shadow(m, keep))

@@ -695,6 +695,33 @@ def test_joint_constructions_lp_budget(monkeypatch):
 
 
 
+def test_map_sum_in_ten_dimensions_from_generators(monkeypatch):
+    # n = 1 and p = 3: the joint cells of (x, y1, y2, s) live in R^10,
+    # above to_vrep's dimension cap, and each shadow comes from the
+    # generators of its cell.  The sum is the one the Fourier-Motzkin
+    # shadow gave, and the ri formula holds.  Counted from cold caches:
+    # LPs of both entries and double descriptions
+    rng = random.Random(1)
+    f1, f2 = (orc._random_map(rng, orc.LEAN_SPEC, 1, 3) for _ in "ab")
+    origin = origin_lp_calls(monkeypatch)
+    dd_calls = []
+
+    def counted(*args, real=ph._int_cone_generators):
+        dd_calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ph, "_int_cone_generators", counted)
+    clear_caches()
+    got, qc = map_sum(f1, f2)
+    assert lp.solve_lp.cache_info().misses == 0
+    assert len(origin) <= 28 and len(dd_calls) <= 2
+    assert qc and len(got.graph.pieces) == 1
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == (
+        "d37d59fbc39876b93b6c30ec6287681885f565abdd9f1d7e97751f9cdb910120"
+    )
+    assert certify_sum(f1, f2, got)
+
+
 def test_map_sum_link_folds_take_no_lp(monkeypatch):
     # the link s = y1 + y2 is folded in last, on columns no graph uses, so
     # the carried strict witness with s solved from the link lies in every
