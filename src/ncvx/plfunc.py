@@ -40,15 +40,13 @@ from .ncset import (
 from .polyhedron import (
     HPoly,
     VPoly,
-    _generators,
-    _hull,
     canonical_form,
     decompose_mixed,
     hpoly,
     least,
     polyhedron_equal,
     project_mixed,
-    ri_point,
+    shadow_and_upward,
     strict_point,
     to_vrep,
 )
@@ -278,21 +276,15 @@ def envelope(s: NCSet) -> NCSet:
     """Epigraph of x -> inf{lam : (x, lam) in s}.
 
     Always contains s; equals s exactly when s is a legitimate epigraph.
-    Per piece ri(Q), from one set of generators of Q: the x-shadow of the
-    piece, the ri of the hull of their x parts (Rockafellar, Thms 19.3
-    and 6.6), crossed with the upward closure Q + cone(e_lam), the hull
-    of the generators and the ray e_lam, seeded with ri_point(Q) + e_lam,
-    a point of its ri (Cor. 6.6.2); split into open cells.
+    Per piece ri(Q): the ri of the x-shadow of Q (Rockafellar, Thm 6.6)
+    crossed with the upward closure Q + cone(e_lam), both from one set of
+    generators of Q (shadow_and_upward); split into open cells.
     """
     n = s.dim - 1
-    up = la.unit(s.dim, n)
     bases = []
     for pc in s.pieces:
-        q, z = pc.base, ri_point(pc.base)
-        gens = _generators(q.closed_system())
-        shadow = _hull(n, [g[:-1] for g in gens], z[:-1]).ri_system()
-        upward = _hull(s.dim, [*gens, (0,) * s.dim + (1,)], la.add(z, up))
-        cell = upward.closed_system().combine(shadow.embed(range(n), s.dim))
+        shadow, upward = shadow_and_upward(pc.base)
+        cell = upward.closed_system().combine(shadow.ri_system().embed(range(n), s.dim))
         bases.extend(decompose_mixed(cell))
     return ncset(s.dim, bases)
 

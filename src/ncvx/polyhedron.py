@@ -66,6 +66,7 @@ two-phase LP.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -1094,20 +1095,18 @@ def _int_cone_generators(
             masks = [m | bit for m in masks] + [bit - 1]
         else:
             vals = [_dot(a, r) for r in rays]
-            pos = [(r, m, v) for r, m, v in zip(rays, masks, vals) if v > 0]
-            negs = [(r, m, v) for r, m, v in zip(rays, masks, vals) if v < 0]
-            fresh = {r: m for r, m, _ in pos}
-            fresh.update((r, m | bit) for r, m, v in zip(rays, masks, vals) if not v)
+            pos = [i for i, v in enumerate(vals) if v > 0]
+            negs = [i for i, v in enumerate(vals) if v < 0]
+            fresh = {rays[i]: masks[i] for i in pos}
+            fresh.update((rays[i], masks[i] | bit) for i, v in enumerate(vals) if not v)
             need = dim - len(lineality) - 2
-            for rp, mp, vp in pos:
-                for rn, mn, vn in negs:
-                    shared = mp & mn
-                    if shared.bit_count() < need:
-                        continue
-                    # the pair is tight on every row it shares: adjacent
-                    # when no third ray is
-                    if sum(1 for m in masks if shared & m == shared) == 2:
-                        fresh.setdefault(_combine(vp, rn, -vn, rp), shared | bit)
+            for p, n in itertools.product(pos, negs):
+                shared = masks[p] & masks[n]
+                if shared.bit_count() < need or any(
+                    shared & ~m == 0 for k, m in enumerate(masks) if k != p and k != n
+                ):
+                    continue
+                fresh.setdefault(_combine(vals[p], rays[n], -vals[n], rays[p]), shared | bit)
             rays, masks = list(fresh), list(fresh.values())
         bit <<= 1
     basis = _echelon(dim, [(*l, 0) for l in lineality])[0]
@@ -1228,6 +1227,19 @@ def image(q: HPoly, t: Mat) -> HPoly:
     return _hull(len(t), gens, la.mat_vec(t, ri_point(q)))
 
 
+def shadow_and_upward(q: HPoly) -> tuple[HPoly, HPoly]:
+    """For a nonempty canonical q in R^(n+1): its closed shadow on the
+    first n coordinates and its upward closure q + cone(e_(n+1)), both
+    canonical, from one set of q's generators (Rockafellar, Thm 19.3).
+    z = ri_point(q) seeds the shadow with its first n coordinates
+    (Thm 6.6) and the closure with z + e_(n+1) (Cor. 6.6.2)."""
+    z = ri_point(q)
+    gens = _generators(q.closed_system())
+    shadow = _hull(q.dim - 1, [g[:-1] for g in gens], z[:-1])
+    upward = _hull(q.dim, [*gens, (0,) * q.dim + (1,)], (*z[:-1], z[-1] + 1))
+    return shadow, upward
+
+
 def to_vrep(p: HPoly, cap: int = DEFAULT_DIM_CAP) -> VPoly:
     if p.dim > cap:
         raise DimensionCapExceeded(f"dim {p.dim} exceeds cap {cap}")
@@ -1249,12 +1261,12 @@ def _vrep_of_canonical(canon: HPoly) -> VPoly:
     return VPoly(canon.dim, tuple(sorted(points)), tuple(sorted(directions)))
 
 
-def to_hrep(v: VPoly, z: Optional[Vec] = None) -> HPoly:
-    """conv(points) + cone(rays), canonical (_hull), seeded with z, a point
-    of its ri, when given; the empty polyhedron when there is no point."""
+def to_hrep(v: VPoly) -> HPoly:
+    """conv(points) + cone(rays), canonical (_hull); the empty polyhedron
+    when there is no point."""
     gens = [_primitive_of((ONE, *x)) for x in v.points]
     gens += [_primitive_of((ZERO, *r)) for r in v.rays]
-    found = _hull(v.dim, gens, z)
+    found = _hull(v.dim, gens)
     return empty_hpoly(v.dim) if found is None else found
 
 
